@@ -2,8 +2,8 @@
 
 The pipeline: a Registry describes the design space a host game exposes;
 the synthesis module draws random well-typed code blocks for a target
-signature; the runtime hot-swaps those blocks into named hooks and interprets
-them; the evaluate module decides, by exhaustive search, whether a candidate
+signature; the runtime hot-swaps those blocks into named hooks and runs
+them compiled to closures; the evaluate module decides, by exhaustive search, whether a candidate
 mechanic makes a challenge level solvable.
 """
 

@@ -44,9 +44,8 @@ class Goal:
     def satisfied(self, board: Board) -> bool:
         if self.kind is GoalKind.CLEARED:
             return board.tile_count() == 0
-        if self.kind is GoalKind.COLOUR_CLEARED:
-            return board.count(self.colour or "") == 0
-        return board.count(self.colour or "") > 0
+        present = board.contains(self.colour or "")
+        return not present if self.kind is GoalKind.COLOUR_CLEARED else present
 
     def describe(self) -> str:
         if self.kind is GoalKind.CLEARED:
@@ -184,38 +183,50 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     solutions the returned witness is the lexicographically smallest under
     (y, x) tap ordering, which is what expanding taps bottom row first gives.
     states_explored counts states dequeued and expanded.
+
+    The frontier holds board keys (``Board.key()`` tuples), not game states;
+    each tap runs on a fresh mutable board built from its parent's key.
+    Children at the last tap depth are goal-checked but neither stored in
+    ``visited`` nor queued: they would never be expanded, and BFS discovers
+    every shallower state before any state at that depth, so leaving them
+    out of ``visited`` cannot change which shallower states are expanded.
+    A challenge with ``max_taps < 1`` allows no tap: it is Solved in 0 taps
+    if the goal already holds, else Unsolvable with nothing explored.
     """
-    start = GameState(challenge.initial.clone(), 0)
-    if challenge.goal.satisfied(start.board):
+    initial = challenge.initial
+    goal = challenge.goal
+    if goal.satisfied(initial):
         return EvalResult(Solved(0, ()), 0, 0)
-    taps = [
-        (x, y)
-        for y in range(challenge.initial.height)
-        for x in range(challenge.initial.width)
-    ]
-    visited = {start.board.key()}
-    queue: deque = deque([(start, ())])
+    if challenge.max_taps < 1:
+        return EvalResult(Unsolvable(), 0, 0)
+    width, height = initial.width, initial.height
+    taps = [(x, y) for y in range(height) for x in range(width)]
+    last = challenge.max_taps - 1  # states at this depth have only leaf children
+    start = initial.key()
+    visited = {start}
+    frontier: deque = deque([(start, ())])
     errors = 0
     explored = 0
-    while queue:
-        state, path = queue.popleft()
-        if len(path) >= challenge.max_taps:
-            continue
+    while frontier:
+        key, path = frontier.popleft()
         explored += 1
+        depth = len(path)
         for x, y in taps:
-            child = state.clone()
+            child = GameState(Board(width, height, [list(col) for col in key]), depth)
             try:
                 tap(child, x, y, hooks)
             except ExecutionError:
                 errors += 1
                 continue
-            if challenge.goal.satisfied(child.board):
+            if goal.satisfied(child.board):
                 witness = path + ((x, y),)
                 return EvalResult(Solved(len(witness), witness), errors, explored)
-            key = child.board.key()
-            if key not in visited:
-                visited.add(key)
-                queue.append((child, path + ((x, y),)))
+            if depth == last:
+                continue
+            child_key = child.board.key()
+            if child_key not in visited:
+                visited.add(child_key)
+                frontier.append((child_key, path + ((x, y),)))
     return EvalResult(Unsolvable(), errors, explored)
 
 

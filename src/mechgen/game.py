@@ -99,6 +99,12 @@ class Board:
     def count(self, colour: str) -> int:
         return sum(col.count(colour) for col in self.cells)
 
+    def contains(self, colour: str) -> bool:
+        for col in self.cells:
+            if colour in col:
+                return True
+        return False
+
     def tile_count(self) -> int:
         return sum(1 for col in self.cells for c in col if c is not None)
 
@@ -125,17 +131,33 @@ class Board:
         return f"Board({'|'.join(self.to_rows())})"
 
 
+_EMPTY = frozenset([None])
+
+
+def _settle(board: Board) -> None:
+    """Compact each column downward in place, preserving vertical order.
+
+    Only columns holding an empty cell are rewritten.
+    """
+    for col in board.cells:
+        # A set probe hashes each colour; ``None in col`` would compare each.
+        if not _EMPTY.isdisjoint(col):
+            tiles = [c for c in col if c is not None]
+            col[:] = tiles + [None] * (board.height - len(tiles))
+
+
 def apply_gravity(board: Board) -> Board:
-    """Compact each column downward, preserving vertical order; idempotent."""
-    out = Board(board.width, board.height)
-    for x in range(board.width):
-        tiles = [c for c in board.cells[x] if c is not None]
-        out.cells[x] = tiles + [None] * (board.height - len(tiles))
+    """Compact each column downward, preserving vertical order; idempotent.
+
+    Returns a new board; ``board`` is left unchanged.
+    """
+    out = board.clone()
+    _settle(out)
     return out
 
 
 class GameState:
-    """A board plus the tap counter; a value type, cloned per search branch."""
+    """A board plus the tap counter."""
 
     def __init__(self, board: Board, taps_used: int = 0):
         self.board = board
@@ -144,7 +166,7 @@ class GameState:
     def clone(self) -> "GameState":
         return GameState(self.board.clone(), self.taps_used)
 
-    # Field access for interpreted code; both game fields are read-only.
+    # Field access for generated code; both game fields are read-only.
     def read_field(self, name: str) -> Value:
         if name == "Width":
             return IntV(self.board.width)
@@ -166,13 +188,14 @@ def tap(state: GameState, x: int, y: int, hooks: HookTable) -> GameState:
 
     This is the only call site that knows about the hook table; binding a
     generated delegate to ``onTileTapped`` swaps the mechanic everywhere.
-    Errors from the hook propagate and may leave the board partially
-    modified, so searchers clone the state first.
+    Gravity is restored in place on ``state.board``. Errors from the hook
+    propagate and may leave the board partially modified, so searchers tap
+    a copy of the state.
     """
     if not state.board.in_bounds(x, y):
         raise OutOfBounds(f"tap at ({x}, {y}) outside {state.board.width}x{state.board.height}")
     invoke(hooks.delegate(ON_TILE_TAPPED), [IntV(x), IntV(y)], state, ExecBudget())
-    state.board = apply_gravity(state.board)
+    _settle(state.board)
     state.taps_used += 1
     return state
 
@@ -192,7 +215,7 @@ def _host_set_tile(world: GameState, args: Sequence[Value]) -> Value:
 
 
 def _host_swap_tiles(world: GameState, args: Sequence[Value]) -> Value:
-    x1, y1, x2, y2 = (a.value for a in args)  # type: ignore[union-attr]
+    x1, y1, x2, y2 = args[0].value, args[1].value, args[2].value, args[3].value  # type: ignore[union-attr]
     board = world.board
     board.cells[x1][y1], board.cells[x2][y2] = board.cells[x2][y2], board.cells[x1][y1]
     return UNIT

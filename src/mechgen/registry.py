@@ -4,8 +4,8 @@ A Registry models the slice of a host program that is opened up to code
 generation: enums, fields, and methods, each gated by a ``usable`` flag, plus
 optional min/max bounds on integer method parameters. Build one imperatively
 with the ``register_*`` methods, then ``seal()`` it; a sealed registry is
-validated, immutable, and safe to share between any number of generator and
-interpreter instances.
+validated, immutable, and safe to share between any number of generators
+and compiled blocks.
 
 ``candidates_for`` is the search primitive: given a wanted type and the local
 scope, it returns every producer of that type in a fixed order (usable fields,

@@ -1,20 +1,25 @@
-"""Execution: delegates, hook tables, and the code-block interpreter.
+"""Execution: delegates, hook tables, and the code-block compiler.
 
 A Delegate pairs a signature with either a host behavior (a Python callable
 supplied by the game) or a generated code block. Hooks are named delegate
 slots with a default binding that is never absent, so dispatching through an
 unbound hook runs the baseline behavior instead of failing.
 
-Every host-method call made by interpreted code first checks the method's
-parameter constraints, so out-of-range arguments surface as
-ConstraintViolation whether they came from literals or computed values.
-Execution has no transactional rollback: an erroring invocation leaves the
-world in whatever partial state it reached.
+A generated block is compiled once per delegate, on its first invocation,
+into nested Python closures (Feeley and Lapalme, "Using closures for code
+generation", 1987): locals become fixed frame slots, and each call site
+carries its method's host implementation and constraint checks. Every
+host-method call first checks the method's parameter constraints, so
+out-of-range arguments surface as ConstraintViolation whether they came from
+literals or computed values. Execution has no transactional rollback: an
+erroring invocation leaves the world in whatever partial state it reached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .lang import (
@@ -36,7 +41,7 @@ from .lang import (
     VarDecl,
     typecheck,
 )
-from .registry import BOOL, INT, VOID, Registry, TypeId, enum_type
+from .registry import BOOL, INT, VOID, ConstraintKind, Registry, TypeId, enum_type
 
 INT64_MASK = 2**64
 INT64_HALF = 2**63
@@ -199,6 +204,11 @@ class GeneratedDelegate(Delegate):
     block: CodeBlock = CodeBlock()
     registry: Optional[Registry] = field(default=None, compare=False)
 
+    @cached_property
+    def program(self) -> "Program":
+        """The block compiled to closures, built on first use."""
+        return _compile(self.sig, self.block, self.registry)
+
 
 def compile_block(sig: Signature, block: CodeBlock, registry: Registry) -> GeneratedDelegate:
     """Typecheck ``block`` against ``sig`` and wrap it as a delegate."""
@@ -275,8 +285,8 @@ def invoke(
     """Run a delegate against ``world``; returns the produced value.
 
     Host delegates dispatch straight to their behavior. Generated delegates
-    interpret the block statement by statement; each host-method call checks
-    the target's parameter constraints and spends one unit of budget first.
+    run their compiled block; each host-method call checks the target's
+    parameter constraints and spends one unit of budget first.
     """
     budget = budget if budget is not None else ExecBudget()
     sig = delegate.sig
@@ -285,120 +295,274 @@ def invoke(
             f"{sig.name}: expected {len(sig.params)} argument(s), got {len(args)}"
         )
     for value, (pname, ptype) in zip(args, sig.params):
-        if value_type(value) != ptype:
+        found = value_type(value)
+        if found is not ptype and found != ptype:
             raise ArityMismatch(
                 f"{sig.name}: argument '{pname}' expected {ptype.display()}, "
-                f"got {value_type(value).display()}"
+                f"got {found.display()}"
             )
     if isinstance(delegate, HostDelegate):
         budget.spend()
         return delegate.fn(world, list(args))
     if not isinstance(delegate, GeneratedDelegate):
         raise InterpreterError(f"cannot invoke delegate {delegate!r}")
-    if delegate.registry is None:
-        raise InterpreterError("generated delegate carries no registry")
-    interp = _Interp(delegate.registry, world, budget)
-    frames: List[Dict[str, Value]] = [
-        {pname: value for value, (pname, _) in zip(args, sig.params)}
-    ]
-    result = interp.run_block(delegate.block, frames)
+    result = delegate.program(args, world, budget)
     return result if result is not None else UNIT
 
 
-class _Interp:
-    def __init__(self, registry: Registry, world: Any, budget: ExecBudget):
+# --------------------------------------------------------------------------
+# Compilation
+#
+# A compiled block works on one flat list per invocation, the frame:
+# frame[_WORLD] is the world, frame[_BUDGET] the budget, and from
+# _FIRST_LOCAL on every parameter, local and literal has a fixed slot.
+# Literal slots are filled once at compile time and never written, so a
+# literal and a local are read the same way. An expression compiles to a
+# function from the frame to a Value. A statement compiles to a function
+# from the frame that returns the block's result when it ran a ``return``,
+# and None otherwise.
+
+_WORLD, _BUDGET, _FIRST_LOCAL = 0, 1, 2
+
+# A compiled block: (argument values, world, budget) -> result or None.
+Program = Callable[[Sequence[Value], Any, ExecBudget], Optional[Value]]
+Frame = List[Any]
+Compiled = Callable[[Frame], Any]
+
+
+def _compile(sig: Signature, block: CodeBlock, registry: Optional[Registry]) -> Program:
+    """Compile ``block`` once into nested closures.
+
+    The semantics are those of a tree-walking interpreter with a stack of
+    dict frames, one per enclosing block (``tests/_reference_interp.py``
+    keeps one as the test oracle). Names resolve to slots at compile time
+    through a static copy of that stack, from name to slot. This is exact
+    because the language has no loops and no jumps other than a ``return``
+    that ends the invocation. When a statement runs, each statement before
+    it in its block has run exactly once, so the dynamic frames hold exactly
+    the parameters (outermost) and the names declared by the earlier
+    VarDecls of each enclosing block. An innermost-first lookup in the
+    static frames therefore finds the binding the dynamic lookup would.
+    What does not resolve (an unknown local, method or field, a read-only
+    field, a wrong arity) compiles to code that raises the interpreter's
+    InterpreterError when, and only if, it is reached, so blocks that never
+    passed the type checker fail exactly as they would when interpreted.
+    """
+    if registry is None:
+        def no_registry(args: Sequence[Value], world: Any, budget: ExecBudget) -> Optional[Value]:
+            raise InterpreterError("generated delegate carries no registry")
+
+        return no_registry
+    compiler = _Compiler(registry, _FIRST_LOCAL + len(sig.params))
+    params = {pname: _FIRST_LOCAL + i for i, (pname, _) in enumerate(sig.params)}
+    body = compiler.block(block, [params])
+    rest = compiler.rest
+
+    def program(args: Sequence[Value], world: Any, budget: ExecBudget) -> Optional[Value]:
+        return body([world, budget, *args, *rest])
+
+    return program
+
+
+def _lookup(frames: List[Dict[str, int]], name: str) -> Optional[int]:
+    for frame in reversed(frames):
+        if name in frame:
+            return frame[name]
+    return None
+
+
+def _fault(message: str, first: Optional[Compiled] = None) -> Compiled:
+    """Code that raises InterpreterError(message), after evaluating ``first``."""
+
+    def fault(frame: Frame) -> Any:
+        if first is not None:
+            first(frame)
+        raise InterpreterError(message)
+
+    return fault
+
+
+def _settled(arg: Expression, is_min: bool, bound: int) -> bool:
+    """Whether a constraint check on ``arg`` provably passes: an int literal
+    within the bound."""
+    if not isinstance(arg, IntLit) or type(arg.value) is not int:
+        return False
+    return arg.value >= bound if is_min else arg.value <= bound
+
+
+class _Compiler:
+    def __init__(self, registry: Registry, first: int):
         self.registry = registry
-        self.world = world
-        self.budget = budget
+        self.first = first  # the first slot after the parameters
+        # Initial contents of the slots from ``first`` on: None for a local,
+        # the value for a literal.
+        self.rest: List[Optional[Value]] = []
 
-    def run_block(self, block: CodeBlock, frames: List[Dict[str, Value]]) -> Optional[Value]:
-        for st in block.statements:
-            result = self.run_stmt(st, frames)
-            if result is not None:
-                return result
-        return None
+    def new_slot(self, value: Optional[Value] = None) -> int:
+        self.rest.append(value)
+        return self.first + len(self.rest) - 1
 
-    def run_stmt(self, st: Statement, frames: List[Dict[str, Value]]) -> Optional[Value]:
+    def block(self, block: CodeBlock, frames: List[Dict[str, int]]) -> Compiled:
+        stmts = [self.stmt(st, frames) for st in block.statements]
+        if len(stmts) == 1:
+            return stmts[0]
+
+        def run_block(frame: Frame) -> Optional[Value]:
+            for stmt in stmts:
+                result = stmt(frame)
+                if result is not None:
+                    return result
+            return None
+
+        return run_block
+
+    def branch(self, block: Optional[CodeBlock], frames: List[Dict[str, int]]) -> Optional[Compiled]:
+        if block is None:
+            return None
+        frames.append({})
+        compiled = self.block(block, frames)
+        frames.pop()
+        return compiled
+
+    def stmt(self, st: Statement, frames: List[Dict[str, int]]) -> Compiled:
         if isinstance(st, VarDecl):
-            frames[-1][st.name] = self.eval(st.init, frames)
-            return None
+            init = self.expr(st.init, frames)  # the name is not visible yet
+            if st.name not in frames[-1]:
+                frames[-1][st.name] = self.new_slot()
+            slot = frames[-1][st.name]
+
+            def var_decl(frame: Frame) -> None:
+                frame[slot] = init(frame)
+
+            return var_decl
         if isinstance(st, Assign):
-            value = self.eval(st.value, frames)
-            if isinstance(st.target, LocalTarget):
-                for frame in reversed(frames):
-                    if st.target.name in frame:
-                        frame[st.target.name] = value
-                        return None
-                raise InterpreterError(f"unknown local '{st.target.name}'")
-            fd = self.registry.field_named(st.target.name)
-            if fd is None:
-                raise InterpreterError(f"unknown field '{st.target.name}'")
-            if not fd.writable:
-                raise InterpreterError(f"field '{st.target.name}' is read-only")
-            self.world.write_field(st.target.name, value)
-            return None
+            return self.assign(st, frames)
         if isinstance(st, ExprStmt):
-            self.eval(st.call, frames)
-            return None
+            call = self.expr(st.call, frames)
+
+            def expr_stmt(frame: Frame) -> None:
+                call(frame)
+
+            return expr_stmt
         if isinstance(st, IfElse):
-            cond = self.eval(st.cond, frames)
-            if not isinstance(cond, BoolV):
-                raise InterpreterError("if condition did not evaluate to a bool")
-            branch = st.then_block if cond.value else st.else_block
-            if branch is None:
-                return None
-            frames.append({})
-            try:
-                return self.run_block(branch, frames)
-            finally:
-                frames.pop()
+            cond = self.expr(st.cond, frames)
+            then_block = self.branch(st.then_block, frames)
+            else_block = self.branch(st.else_block, frames)
+
+            def if_else(frame: Frame) -> Optional[Value]:
+                flag = cond(frame)
+                if not isinstance(flag, BoolV):
+                    raise InterpreterError("if condition did not evaluate to a bool")
+                branch = then_block if flag.value else else_block
+                return None if branch is None else branch(frame)
+
+            return if_else
         if isinstance(st, Return):
             if st.value is None:
-                return UNIT
-            return self.eval(st.value, frames)
-        raise InterpreterError(f"cannot execute statement {st!r}")
+                return itemgetter(self.new_slot(UNIT))
+            return self.expr(st.value, frames)
+        return _fault(f"cannot execute statement {st!r}")
 
-    def eval(self, expr: Expression, frames: List[Dict[str, Value]]) -> Value:
+    def assign(self, st: Assign, frames: List[Dict[str, int]]) -> Compiled:
+        value = self.expr(st.value, frames)
+        name = st.target.name
+        if isinstance(st.target, LocalTarget):
+            slot = _lookup(frames, name)
+            if slot is None:
+                return _fault(f"unknown local '{name}'", first=value)
+
+            def assign_local(frame: Frame) -> None:
+                frame[slot] = value(frame)
+
+            return assign_local
+        fd = self.registry.field_named(name)
+        if fd is None:
+            return _fault(f"unknown field '{name}'", first=value)
+        if not fd.writable:
+            return _fault(f"field '{name}' is read-only", first=value)
+
+        def assign_field(frame: Frame) -> None:
+            result = value(frame)
+            frame[_WORLD].write_field(name, result)
+
+        return assign_field
+
+    def leaf(self, expr: Expression, frames: List[Dict[str, int]]) -> Optional[int]:
+        """The slot a literal or a visible local is read from, else None."""
         if isinstance(expr, IntLit):
-            return IntV(expr.value)
+            return self.new_slot(IntV(expr.value))
         if isinstance(expr, BoolLit):
-            return BoolV(expr.value)
+            return self.new_slot(BoolV(expr.value))
         if isinstance(expr, EnumLit):
-            return EnumV(expr.enum, expr.variant)
+            return self.new_slot(EnumV(expr.enum, expr.variant))
         if isinstance(expr, LocalRef):
-            for frame in reversed(frames):
-                if expr.name in frame:
-                    return frame[expr.name]
-            raise InterpreterError(f"unknown local '{expr.name}'")
+            return _lookup(frames, expr.name)
+        return None
+
+    def expr(self, expr: Expression, frames: List[Dict[str, int]]) -> Compiled:
+        slot = self.leaf(expr, frames)
+        if slot is not None:
+            return itemgetter(slot)
+        if isinstance(expr, LocalRef):
+            return _fault(f"unknown local '{expr.name}'")
         if isinstance(expr, FieldRef):
-            if self.registry.field_named(expr.name) is None:
-                raise InterpreterError(f"unknown field '{expr.name}'")
-            return self.world.read_field(expr.name)
+            name = expr.name
+            if self.registry.field_named(name) is None:
+                return _fault(f"unknown field '{name}'")
+
+            def read_field(frame: Frame) -> Value:
+                return frame[_WORLD].read_field(name)
+
+            return read_field
         if isinstance(expr, Call):
             return self.call(expr, frames)
-        raise InterpreterError(f"cannot evaluate expression {expr!r}")
+        return _fault(f"cannot evaluate expression {expr!r}")
 
-    def call(self, call: Call, frames: List[Dict[str, Value]]) -> Value:
-        md = self.registry.method_named(call.method)
+    def call(self, call: Call, frames: List[Dict[str, int]]) -> Compiled:
+        """A host-method call: evaluate the arguments left to right, check
+        the method's constraints in declaration order, spend one unit of
+        budget, run the host implementation."""
+        name = call.method
+        md = self.registry.method_named(name)
         if md is None:
-            raise InterpreterError(f"unknown method '{call.method}'")
+            return _fault(f"unknown method '{name}'")
         if len(call.args) != md.arity:
-            raise InterpreterError(
-                f"method '{call.method}' takes {md.arity} argument(s), got {len(call.args)}"
-            )
-        args = [self.eval(a, frames) for a in call.args]
-        by_param = {pname: i for i, (pname, _) in enumerate(md.params)}
+            return _fault(f"method '{name}' takes {md.arity} argument(s), got {len(call.args)}")
+        slots = [self.leaf(arg, frames) for arg in call.args]
+        if len(slots) >= 2 and None not in slots:
+            # All arguments are slot reads: one C-level getter fetches them.
+            eval_args: Callable[[Frame], Sequence[Value]] = itemgetter(*slots)
+        else:
+            arg_fns = [
+                itemgetter(slot) if slot is not None else self.expr(arg, frames)
+                for slot, arg in zip(slots, call.args)
+            ]
+
+            def eval_args(frame: Frame) -> Sequence[Value]:
+                return [fn(frame) for fn in arg_fns]
+
+        index = {pname: i for i, (pname, _) in enumerate(md.params)}
+        # (argument index, parameter, bound, is a min bound), minus the checks
+        # a literal argument settles here.
+        checks = []
         for c in md.constraints:
-            arg = args[by_param[c.param]]
-            if not isinstance(arg, IntV):
-                raise InterpreterError(
-                    f"constraint on non-int argument '{c.param}' of '{call.method}'"
-                )
-            if c.kind.value == "min" and arg.value < c.bound:
-                raise ConstraintViolation(call.method, c.param, arg.value, c.bound, "min")
-            if c.kind.value == "max" and arg.value > c.bound:
-                raise ConstraintViolation(call.method, c.param, arg.value, c.bound, "max")
-        self.budget.spend()
-        if md.host_impl is None:
-            raise HostError(f"method '{call.method}' has no host implementation", call.method)
-        return md.host_impl(self.world, args)
+            i = index[c.param]
+            is_min = c.kind is ConstraintKind.MIN
+            if not _settled(call.args[i], is_min, c.bound):
+                checks.append((i, c.param, c.bound, is_min))
+        host = md.host_impl
+
+        def call_method(frame: Frame) -> Value:
+            args = list(eval_args(frame))
+            for i, param, bound, is_min in checks:
+                arg = args[i]
+                if not isinstance(arg, IntV):
+                    raise InterpreterError(f"constraint on non-int argument '{param}' of '{name}'")
+                if (arg.value < bound) if is_min else (arg.value > bound):
+                    raise ConstraintViolation(name, param, arg.value, bound, "min" if is_min else "max")
+            frame[_BUDGET].spend()
+            if host is None:
+                raise HostError(f"method '{name}' has no host implementation", name)
+            return host(frame[_WORLD], args)
+
+        return call_method

@@ -7,6 +7,7 @@ from mechgen.evaluate import (
     AlreadySolved,
     Challenge,
     ChallengeParseError,
+    EvalResult,
     Goal,
     GoalKind,
     NotGravityNormal,
@@ -160,6 +161,18 @@ def test_every_tap_erroring_prunes_all_branches(unsolvable_challenge):
     assert result.status == Unsolvable()
     assert result.states_explored == 1
     assert result.error_count == 9  # one per branching attempt from the root
+
+
+@pytest.mark.parametrize("max_taps", [0, -1])
+def test_no_tap_budget_explores_nothing(unsolvable_challenge, max_taps):
+    # Built directly: parse_challenge rejects max_taps < 1.
+    registry = build_game_registry()
+    hooks = bind_mechanic(registry, "SetTile(x, y, Colour.Y);")  # solves in one tap
+    board = unsolvable_challenge.initial
+    challenge = Challenge(board, unsolvable_challenge.goal, max_taps)
+    assert solve(challenge, hooks) == EvalResult(Unsolvable(), 0, 0)
+    already = Challenge(board, Goal(GoalKind.COLOUR_PRESENT, "R"), max_taps)
+    assert solve(already, hooks) == EvalResult(Solved(0, ()), 0, 0)
 
 
 def test_witness_replays_to_goal(unsolvable_challenge):

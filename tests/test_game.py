@@ -106,6 +106,16 @@ def test_tap_empty_cell_only_counts_the_tap(hooks):
     assert world.taps_used == 1
 
 
+def test_tap_restores_gravity_in_place(hooks):
+    # both columns start with a floating tile; the tap empties column 0's bottom
+    world = GameState(Board(2, 3, [["R", None, "G"], [None, None, "B"]]))
+    board = world.board
+    expected = apply_gravity(Board(2, 3, [[None, None, "G"], [None, None, "B"]]))
+    tap(world, 0, 0, hooks)
+    assert world.board is board
+    assert board == expected
+
+
 def test_tap_out_of_bounds(hooks):
     world = GameState(Board(2, 2))
     with pytest.raises(OutOfBounds):
