@@ -18,7 +18,7 @@ from .evaluate import (
     Solved,
     Unsolvable,
     evaluate_candidate,
-    load_challenge,
+    parse_challenge,
     search_mechanics,
     solve,
     write_report,
@@ -26,7 +26,7 @@ from .evaluate import (
 from .game import ON_TILE_TAPPED, build_game_registry, build_hook_table
 from .lang import ParseError, format_mechanic, parse_mechanic
 from .runtime import HookError
-from .synthesis import ConfigError, GenerationError, config_with_seed, generate_block, load_config_file
+from .synthesis import ConfigError, GenerationError, config_with_seed, generate_block, load_config
 
 # `search` takes no budget flag; batch size is fixed here.
 DEFAULT_SEARCH_BUDGET = 1000
@@ -73,11 +73,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require_file(path: str, what: str) -> Path:
+def _read_input(path: str, what: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise InputRejected(f"{what} file not found: {path}")
-    return p
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise InputRejected(f"{what} file is not UTF-8 text: {path}") from None
 
 
 def _format_status(result) -> str:
@@ -91,7 +94,7 @@ def _format_status(result) -> str:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = load_config_file(str(_require_file(args.config, "config")))
+    config = load_config(_read_input(args.config, "config"))
     out_dir = Path(args.out)
     if not out_dir.is_dir():
         raise InputRejected(f"output directory not found: {args.out}")
@@ -116,16 +119,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    challenge = load_challenge(_require_file(args.challenge, "challenge"))
+    challenge = parse_challenge(_read_input(args.challenge, "challenge"))
     result = solve(challenge, build_hook_table())
     print(_format_status(result))
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    mech_path = _require_file(args.mechanic, "mechanic")
-    challenge = load_challenge(_require_file(args.challenge, "challenge"))
-    sig, block = parse_mechanic(mech_path.read_text(encoding="utf-8"))
+    mechanic = _read_input(args.mechanic, "mechanic")
+    challenge = parse_challenge(_read_input(args.challenge, "challenge"))
+    sig, block = parse_mechanic(mechanic)
     registry = build_game_registry(challenge.initial.width, challenge.initial.height)
     result = evaluate_candidate(block, sig, registry, challenge)
     print(_format_status(result))
@@ -133,8 +136,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    config = load_config_file(str(_require_file(args.config, "config")))
-    challenge = load_challenge(_require_file(args.challenge, "challenge"))
+    config = load_config(_read_input(args.config, "config"))
+    challenge = parse_challenge(_read_input(args.challenge, "challenge"))
     report_path = Path(args.report)
     if not report_path.parent.exists():
         raise InputRejected(f"report directory not found: {report_path.parent}")

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 from .game import (
     ON_TILE_TAPPED,
@@ -263,6 +263,9 @@ class SearchEntry:
     detail: str = ""
 
 
+_OUTCOMES = {Solved: "solved", Unsolvable: "unsolvable", Rejected: "rejected"}
+
+
 @dataclass
 class SearchReport:
     budget: int
@@ -285,43 +288,35 @@ def search_mechanics(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     report = SearchReport(budget=budget)
-    seen: Dict[str, int] = {}
+    seen: Set[str] = set()
     started = time.perf_counter()
     for i in range(budget):
         seed = config.seed + i
         try:
             block = generate_block(sig, registry, config_with_seed(config, seed))
         except GenerationError as err:
-            report.entries.append(SearchEntry(seed, "rejected", detail=str(err)))
-            continue
-        result = evaluate_candidate(block, sig, registry, challenge)
-        if isinstance(result.status, Solved):
+            result = EvalResult(Rejected(err))
+        else:
+            result = evaluate_candidate(block, sig, registry, challenge)
+        status = result.status
+        min_taps = None
+        if isinstance(status, Solved):
+            min_taps = status.min_taps
             report.solved_count += 1
             text = pretty(block)
             if text not in seen:
-                seen[text] = result.status.min_taps
-                report.distinct.append((text, result.status.min_taps))
-            report.entries.append(
-                SearchEntry(
-                    seed,
-                    "solved",
-                    min_taps=result.status.min_taps,
-                    error_count=result.error_count,
-                    states_explored=result.states_explored,
-                )
+                seen.add(text)
+                report.distinct.append((text, min_taps))
+        report.entries.append(
+            SearchEntry(
+                seed,
+                _OUTCOMES[type(status)],
+                min_taps=min_taps,
+                error_count=result.error_count,
+                states_explored=result.states_explored,
+                detail=str(status.reason) if isinstance(status, Rejected) else "",
             )
-        elif isinstance(result.status, Unsolvable):
-            report.entries.append(
-                SearchEntry(
-                    seed,
-                    "unsolvable",
-                    error_count=result.error_count,
-                    states_explored=result.states_explored,
-                )
-            )
-        else:
-            assert isinstance(result.status, Rejected)
-            report.entries.append(SearchEntry(seed, "rejected", detail=str(result.status.reason)))
+        )
     report.wall_time = time.perf_counter() - started
     return report
 

@@ -462,6 +462,11 @@ class ParseError(Exception):
 
 _KEYWORDS = frozenset({"if", "else", "return", "true", "false", "int", "bool"})
 
+# How deep call argument lists and if/else blocks may nest in parsed text.
+# Every later stage recurses on the tree, so this keeps each of them far from
+# Python's recursion limit; generated blocks nest only a few levels.
+MAX_PARSE_DEPTH = 100
+
 _TOKEN_RE = re.compile(
     r"(?P<ws>[ \t\r\n]+)"
     r"|(?P<int>-?[0-9]+)"
@@ -517,6 +522,7 @@ class _BlockParser:
         self.tokens = tokens
         self.pos = 0
         self.frames: List[set] = [set(params)]
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -537,6 +543,16 @@ class _BlockParser:
                 expected=(kind,),
             )
         return self.advance()
+
+    def nest(self, tok: _Token) -> None:
+        """Open one nesting level at ``tok``; ParseError past the limit."""
+        if self.depth == MAX_PARSE_DEPTH:
+            raise ParseError(
+                f"calls and if blocks nest deeper than {MAX_PARSE_DEPTH} levels",
+                tok.line,
+                tok.col,
+            )
+        self.depth += 1
 
     def _is_local(self, name: str) -> bool:
         return any(name in frame for frame in self.frames)
@@ -610,7 +626,7 @@ class _BlockParser:
         return VarDecl(decl_type, name_tok.text, init)
 
     def parse_ifelse(self) -> IfElse:
-        self.expect("if")
+        self.nest(self.expect("if"))
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
@@ -627,9 +643,11 @@ class _BlockParser:
             else_block = self.parse_block(nested=True)
             self.frames.pop()
             self.expect("}")
+        self.depth -= 1
         return IfElse(cond, then_block, else_block)
 
     def parse_call(self, name_tok: _Token) -> Call:
+        self.nest(name_tok)
         self.expect("(")
         args: List[Expression] = []
         if self.peek().kind != ")":
@@ -638,6 +656,7 @@ class _BlockParser:
                 self.advance()
                 args.append(self.parse_expr())
         self.expect(")")
+        self.depth -= 1
         return Call(name_tok.text, tuple(args))
 
     def parse_expr(self) -> Expression:

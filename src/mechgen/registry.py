@@ -161,6 +161,9 @@ class FieldDescriptor:
 # A host behavior takes (world, argument values) and returns a runtime value.
 HostImpl = Callable[..., Any]
 
+# The (min, max) bounds of an integer parameter; None means unbounded.
+Bounds = Tuple[Optional[int], Optional[int]]
+
 
 @dataclass(frozen=True)
 class MethodDescriptor:
@@ -170,6 +173,7 @@ class MethodDescriptor:
     usable: bool = True
     constraints: Tuple[ParamConstraint, ...] = ()
     host_impl: Optional[HostImpl] = field(default=None, compare=False)
+    _bounds: Dict[str, Bounds] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(tuple(p) for p in self.params))
@@ -180,7 +184,9 @@ class MethodDescriptor:
         for _, t in self.params:
             if t.is_void:
                 raise VoidField(f"method '{self.name}' has a void parameter")
+        # One (min, max) pair per bounded parameter, tightest bound wins.
         by_param: Dict[str, TypeId] = dict(self.params)
+        bounds: Dict[str, Bounds] = {}
         for c in self.constraints:
             if c.param not in by_param:
                 raise UnknownConstraintParam(
@@ -190,32 +196,26 @@ class MethodDescriptor:
                 raise ConstraintTypeMismatch(
                     f"method '{self.name}': constraint on non-int parameter '{c.param}'"
                 )
-        lo, hi = {}, {}
-        for c in self.constraints:
-            target = lo if c.kind is ConstraintKind.MIN else hi
-            target[c.param] = c.bound
-        for p in lo:
-            if p in hi and lo[p] > hi[p]:
+            lo, hi = bounds.get(c.param, (None, None))
+            if c.kind is ConstraintKind.MIN:
+                lo = c.bound if lo is None else max(lo, c.bound)
+            else:
+                hi = c.bound if hi is None else min(hi, c.bound)
+            bounds[c.param] = (lo, hi)
+        for p, (lo, hi) in bounds.items():
+            if lo is not None and hi is not None and lo > hi:
                 raise InvertedBounds(
-                    f"method '{self.name}': parameter '{p}' has min {lo[p]} > max {hi[p]}"
+                    f"method '{self.name}': parameter '{p}' has min {lo} > max {hi}"
                 )
+        object.__setattr__(self, "_bounds", bounds)
 
     @property
     def arity(self) -> int:
         return len(self.params)
 
-    def literal_interval(self, param: str) -> Tuple[Optional[int], Optional[int]]:
-        """(min, max) bounds declared for a parameter; None means unbounded."""
-        lo: Optional[int] = None
-        hi: Optional[int] = None
-        for c in self.constraints:
-            if c.param != param:
-                continue
-            if c.kind is ConstraintKind.MIN:
-                lo = c.bound if lo is None else max(lo, c.bound)
-            else:
-                hi = c.bound if hi is None else min(hi, c.bound)
-        return lo, hi
+    def literal_interval(self, param: str) -> Bounds:
+        """The tightest (min, max) bounds declared for a parameter; None means unbounded."""
+        return self._bounds.get(param, (None, None))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ reproduces the same block byte-for-byte.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -50,6 +51,7 @@ from .lang import (
 )
 from .registry import (
     BOOL,
+    Bounds,
     INT,
     VOID,
     FieldProducer,
@@ -57,6 +59,7 @@ from .registry import (
     LocalProducer,
     MethodDescriptor,
     MethodProducer,
+    Producer,
     Registry,
     TypeId,
     TypeKind,
@@ -73,14 +76,7 @@ class StatementKind(Enum):
     IF_ELSE = "IfElse"
 
 
-_KIND_ORDER = (
-    StatementKind.VAR_DECL,
-    StatementKind.ASSIGN,
-    StatementKind.EXPR_STMT,
-    StatementKind.IF_ELSE,
-)
-
-ALL_STATEMENT_KINDS: FrozenSet[StatementKind] = frozenset(_KIND_ORDER)
+ALL_STATEMENT_KINDS: FrozenSet[StatementKind] = frozenset(StatementKind)
 
 
 class ConfigError(Exception):
@@ -109,8 +105,8 @@ class GenerationConfig:
             raise ConfigError("line bounds must satisfy 1 <= min_lines <= max_lines")
         if self.max_recursion_depth < 0:
             raise ConfigError("max_recursion_depth must be >= 0")
-        if self.literal_weight < 0:
-            raise ConfigError("literal_weight must be >= 0")
+        if not (math.isfinite(self.literal_weight) and self.literal_weight >= 0):
+            raise ConfigError("literal_weight must be finite and >= 0")
         lo, hi = self.int_literal_range
         if lo > hi:
             raise ConfigError("int_literal_range must satisfy lo <= hi")
@@ -256,19 +252,6 @@ class Exhausted(GenerationError):
         self.failed = tuple(failed)
 
 
-def _literal_interval(
-    config: GenerationConfig, interval: Optional[Tuple[Optional[int], Optional[int]]]
-) -> Tuple[int, int]:
-    lo, hi = config.int_literal_range
-    if interval is not None:
-        cmin, cmax = interval
-        if cmin is not None:
-            lo = max(lo, cmin)
-        if cmax is not None:
-            hi = min(hi, cmax)
-    return lo, hi
-
-
 def generate_expression(
     wanted: TypeId,
     scope: Scope,
@@ -276,91 +259,18 @@ def generate_expression(
     config: GenerationConfig,
     rng: random.Random,
     depth: int = 0,
-    interval: Optional[Tuple[Optional[int], Optional[int]]] = None,
+    interval: Optional[Bounds] = None,
 ) -> Expression:
     """Draw one expression of type ``wanted`` from the design space.
 
     ``interval`` carries the min/max constraint of the argument position being
     filled, if any; it narrows the literal value range only at this node.
     """
-    grounded = depth >= config.max_recursion_depth
-    candidates = registry.candidates_for(wanted, scope.flatten(), grounded_only=grounded)
-    options: List[Tuple[object, float]] = []
-    for cand in candidates:
-        if isinstance(cand, LiteralOption):
-            if config.literal_weight <= 0:
-                continue
-            if wanted == INT:
-                lo, hi = _literal_interval(config, interval)
-                if lo > hi:
-                    continue  # constraint interval misses the configured range
-            options.append((cand, config.literal_weight))
-        else:
-            options.append((cand, 1.0))
-    total = sum(w for _, w in options)
-    if total <= 0:
-        raise NoProducer(wanted)
-    roll = rng.random() * total
-    chosen = options[-1][0]
-    for cand, weight in options:
-        roll -= weight
-        if roll < 0:
-            chosen = cand
-            break
-    if isinstance(chosen, LiteralOption):
-        return _draw_literal(wanted, registry, config, rng, interval)
-    if isinstance(chosen, FieldProducer):
-        return FieldRef(chosen.field.name)
-    if isinstance(chosen, LocalProducer):
-        return LocalRef(chosen.name)
-    assert isinstance(chosen, MethodProducer)
-    return _build_call(chosen.method, scope, registry, config, rng, depth)
+    return _Gen(registry, config, rng).expression(wanted, scope, depth, interval)
 
 
-def _draw_literal(
-    wanted: TypeId,
-    registry: Registry,
-    config: GenerationConfig,
-    rng: random.Random,
-    interval: Optional[Tuple[Optional[int], Optional[int]]],
-) -> Expression:
-    if wanted == INT:
-        lo, hi = _literal_interval(config, interval)
-        return IntLit(rng.randint(lo, hi))
-    if wanted == BOOL:
-        return BoolLit(rng.random() < 0.5)
-    assert wanted.kind is TypeKind.ENUM
-    enum_def = registry.enum(wanted.enum_name or "")
-    if enum_def is None:
-        raise NoProducer(wanted)
-    return EnumLit(enum_def.name, enum_def.variants[rng.randrange(len(enum_def.variants))])
-
-
-def _build_call(
-    method: MethodDescriptor,
-    scope: Scope,
-    registry: Registry,
-    config: GenerationConfig,
-    rng: random.Random,
-    depth: int,
-) -> Call:
-    args = tuple(
-        generate_expression(
-            ptype,
-            scope,
-            registry,
-            config,
-            rng,
-            depth=depth + 1,
-            interval=method.literal_interval(pname),
-        )
-        for pname, ptype in method.params
-    )
-    return Call(method.name, args)
-
-
-# --------------------------------------------------------------------------
-# Statement and block generation
+# A producer with the weight it is drawn with.
+Options = List[Tuple[Producer, float]]
 
 
 @dataclass
@@ -375,94 +285,163 @@ class _Gen:
         self.next_local += 1
         return name
 
+    def literal_range(self, interval: Optional[Bounds]) -> Tuple[int, int]:
+        lo, hi = self.config.int_literal_range
+        if interval is not None:
+            cmin, cmax = interval
+            if cmin is not None:
+                lo = max(lo, cmin)
+            if cmax is not None:
+                hi = min(hi, cmax)
+        return lo, hi
 
-def _has_producer(wanted: TypeId, scope: Scope, gen: _Gen) -> bool:
-    """True when an expression of ``wanted`` can be drawn at depth 0."""
-    grounded = gen.config.max_recursion_depth == 0
-    for cand in gen.registry.candidates_for(wanted, scope.flatten(), grounded_only=grounded):
-        if isinstance(cand, LiteralOption):
-            if gen.config.literal_weight > 0:
-                return True
-        else:
-            return True
-    return False
+    def options(
+        self, wanted: TypeId, scope: Scope, depth: int = 0, interval: Optional[Bounds] = None
+    ) -> Options:
+        """The weighted producers an expression of ``wanted`` is drawn from.
+
+        A non-literal weighs 1. The literal option weighs ``literal_weight``
+        and is live only when that is positive and, for int, when the literal
+        range narrowed by ``interval`` is not empty.
+        """
+        grounded = depth >= self.config.max_recursion_depth
+        out: Options = []
+        for cand in self.registry.candidates_for(wanted, scope.flatten(), grounded_only=grounded):
+            if not isinstance(cand, LiteralOption):
+                out.append((cand, 1.0))
+                continue
+            lo, hi = self.literal_range(interval)
+            if self.config.literal_weight > 0 and (wanted != INT or lo <= hi):
+                out.append((cand, self.config.literal_weight))
+        return out
+
+    def expression(
+        self, wanted: TypeId, scope: Scope, depth: int = 0, interval: Optional[Bounds] = None
+    ) -> Expression:
+        options = self.options(wanted, scope, depth, interval)
+        return self.draw(wanted, options, scope, depth, interval)
+
+    def draw(
+        self,
+        wanted: TypeId,
+        options: Options,
+        scope: Scope,
+        depth: int = 0,
+        interval: Optional[Bounds] = None,
+    ) -> Expression:
+        """Draw an expression of ``wanted`` from its ``options``."""
+        if not options:
+            raise NoProducer(wanted)
+        roll = self.rng.random() * sum(w for _, w in options)
+        chosen = options[-1][0]
+        for cand, weight in options:
+            roll -= weight
+            if roll < 0:
+                chosen = cand
+                break
+        if isinstance(chosen, LiteralOption):
+            return self.literal(wanted, interval)
+        if isinstance(chosen, FieldProducer):
+            return FieldRef(chosen.field.name)
+        if isinstance(chosen, LocalProducer):
+            return LocalRef(chosen.name)
+        assert isinstance(chosen, MethodProducer)
+        return self.call(chosen.method, scope, depth)
+
+    def literal(self, wanted: TypeId, interval: Optional[Bounds]) -> Expression:
+        if wanted == INT:
+            return IntLit(self.rng.randint(*self.literal_range(interval)))
+        if wanted == BOOL:
+            return BoolLit(self.rng.random() < 0.5)
+        assert wanted.kind is TypeKind.ENUM
+        enum_def = self.registry.enum(wanted.enum_name or "")
+        if enum_def is None:
+            raise NoProducer(wanted)
+        return EnumLit(enum_def.name, enum_def.variants[self.rng.randrange(len(enum_def.variants))])
+
+    def call(self, method: MethodDescriptor, scope: Scope, depth: int) -> Call:
+        args = tuple(
+            self.expression(ptype, scope, depth + 1, method.literal_interval(pname))
+            for pname, ptype in method.params
+        )
+        return Call(method.name, args)
 
 
-def _vardecl_types(scope: Scope, gen: _Gen) -> List[TypeId]:
-    return [t for t in gen.registry.value_types() if _has_producer(t, scope, gen)]
+# --------------------------------------------------------------------------
+# Statement and block generation
+#
+# Each enabled statement kind lists its choices once per statement: the
+# declarable types with their initializer options, the assignment targets,
+# the methods callable for effect, or the if-condition options. The kind is
+# drawn among those with a choice, then the choice among that kind's list.
 
 
-def _assign_targets(scope: Scope, gen: _Gen) -> List[Tuple[LValue, TypeId]]:
-    out: List[Tuple[LValue, TypeId]] = []
-    for f in gen.registry.fields.values():
-        if f.usable and f.writable and _has_producer(f.type, scope, gen):
-            out.append((FieldTarget(f.name), f.type))
-    for name, t in scope.flatten():
-        if _has_producer(t, scope, gen):
-            out.append((LocalTarget(name), t))
+def _vardecl_choices(scope: Scope, gen: _Gen, nesting: int) -> List[Tuple[TypeId, Options]]:
+    choices = [(t, gen.options(t, scope)) for t in gen.registry.value_types()]
+    return [(t, options) for t, options in choices if options]
+
+
+def _assign_choices(scope: Scope, gen: _Gen, nesting: int) -> List[Tuple[LValue, TypeId]]:
+    # A usable field or a visible local is itself a producer of its type, so
+    # every target has a value to draw.
+    out: List[Tuple[LValue, TypeId]] = [
+        (FieldTarget(f.name), f.type)
+        for f in gen.registry.fields.values()
+        if f.usable and f.writable
+    ]
+    out.extend((LocalTarget(name), t) for name, t in scope.flatten())
     return out
 
 
-def _callable_methods(gen: _Gen) -> List[MethodDescriptor]:
+def _call_choices(scope: Scope, gen: _Gen, nesting: int) -> List[MethodDescriptor]:
     # The statement call node sits at depth 0, so with max_recursion_depth 0
     # only grounded (zero-arg) methods may be invoked for effect.
     grounded = gen.config.max_recursion_depth == 0
-    return [
-        m
-        for m in gen.registry.methods.values()
-        if m.usable and not (grounded and m.arity >= 1)
-    ]
+    methods = gen.registry.methods.values()
+    return [m for m in methods if m.usable and not (grounded and m.arity >= 1)]
 
 
-def _feasible_kinds(scope: Scope, gen: _Gen, nesting: int) -> List[StatementKind]:
-    enabled = gen.config.statement_kinds_enabled
-    out: List[StatementKind] = []
-    for kind in _KIND_ORDER:
-        if kind not in enabled:
-            continue
-        if kind is StatementKind.VAR_DECL and _vardecl_types(scope, gen):
-            out.append(kind)
-        elif kind is StatementKind.ASSIGN and _assign_targets(scope, gen):
-            out.append(kind)
-        elif kind is StatementKind.EXPR_STMT and _callable_methods(gen):
-            out.append(kind)
-        elif (
-            kind is StatementKind.IF_ELSE
-            and nesting < MAX_NESTING
-            and _has_producer(BOOL, scope, gen)
-        ):
-            out.append(kind)
-    return out
+def _condition_choices(scope: Scope, gen: _Gen, nesting: int) -> Options:
+    return gen.options(BOOL, scope) if nesting < MAX_NESTING else []
+
+
+_CHOICES = {
+    StatementKind.VAR_DECL: _vardecl_choices,
+    StatementKind.ASSIGN: _assign_choices,
+    StatementKind.EXPR_STMT: _call_choices,
+    StatementKind.IF_ELSE: _condition_choices,
+}
 
 
 def _generate_statement(scope: Scope, gen: _Gen, nesting: int) -> Statement:
-    feasible = _feasible_kinds(scope, gen, nesting)
-    if not feasible:
+    table = []
+    for kind in StatementKind:
+        if kind in gen.config.statement_kinds_enabled:
+            choices = _CHOICES[kind](scope, gen, nesting)
+            if choices:
+                table.append((kind, choices))
+    if not table:
         raise InfeasibleStatement("no feasible statement kind")
-    kind = feasible[gen.rng.randrange(len(feasible))]
+    kind, choices = table[gen.rng.randrange(len(table))]
+    if kind is StatementKind.IF_ELSE:
+        cond = gen.draw(BOOL, choices, scope)
+        then_block = _generate_nested_block(scope, gen, nesting + 1)
+        else_block = None
+        if gen.rng.random() < gen.config.else_probability:
+            else_block = _generate_nested_block(scope, gen, nesting + 1)
+        return IfElse(cond, then_block, else_block)
+    choice = choices[gen.rng.randrange(len(choices))]
     if kind is StatementKind.VAR_DECL:
-        types = _vardecl_types(scope, gen)
-        decl_type = types[gen.rng.randrange(len(types))]
-        init = generate_expression(decl_type, scope, gen.registry, gen.config, gen.rng)
+        decl_type, options = choice
+        init = gen.draw(decl_type, options, scope)
         name = gen.fresh_name()
         scope.declare(name, decl_type)
         return VarDecl(decl_type, name, init)
     if kind is StatementKind.ASSIGN:
-        targets = _assign_targets(scope, gen)
-        target, target_type = targets[gen.rng.randrange(len(targets))]
-        value = generate_expression(target_type, scope, gen.registry, gen.config, gen.rng)
-        return Assign(target, value)
-    if kind is StatementKind.EXPR_STMT:
-        methods = _callable_methods(gen)
-        method = methods[gen.rng.randrange(len(methods))]
-        return ExprStmt(_build_call(method, scope, gen.registry, gen.config, gen.rng, depth=0))
-    assert kind is StatementKind.IF_ELSE
-    cond = generate_expression(BOOL, scope, gen.registry, gen.config, gen.rng)
-    then_block = _generate_nested_block(scope, gen, nesting + 1)
-    else_block = None
-    if gen.rng.random() < gen.config.else_probability:
-        else_block = _generate_nested_block(scope, gen, nesting + 1)
-    return IfElse(cond, then_block, else_block)
+        target, target_type = choice
+        return Assign(target, gen.expression(target_type, scope))
+    assert kind is StatementKind.EXPR_STMT
+    return ExprStmt(gen.call(choice, scope, depth=0))
 
 
 def _generate_nested_block(scope: Scope, gen: _Gen, nesting: int) -> CodeBlock:
@@ -512,7 +491,7 @@ def generate_block(sig: Signature, registry: Registry, config: GenerationConfig)
         value = _with_retries(
             n_lines,
             gen,
-            lambda: generate_expression(sig.return_type, scope, registry, config, gen.rng),
+            lambda: gen.expression(sig.return_type, scope),
             detail="return value",
         )
         stmts.append(Return(value))

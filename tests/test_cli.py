@@ -1,6 +1,8 @@
+import pytest
+
 from conftest import FIXTURES
 from mechgen.cli import main
-from mechgen.lang import parse_mechanic, typecheck
+from mechgen.lang import MAX_PARSE_DEPTH, parse_mechanic, typecheck
 from mechgen.game import build_game_registry
 
 UNSOLVABLE = str(FIXTURES / "unsolvable.ch")
@@ -190,6 +192,68 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "fly")[0] == 1  # unknown subcommand
     assert run(capsys)[0] == 1  # no subcommand
     assert run(capsys, "solve", "--challenge", UNSOLVABLE, "--fast")[0] == 1
+
+
+def _not_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe not text \x80\n")
+    return str(path)
+
+
+def test_non_utf8_challenge_exits_1(tmp_path, capsys):
+    bad = _not_utf8(tmp_path, "bad.ch")
+    code, _, err = run(capsys, "solve", "--challenge", bad)
+    assert (code, err) == (1, f"error: challenge file is not UTF-8 text: {bad}\n")
+
+
+def test_non_utf8_config_exits_1(tmp_path, capsys):
+    bad = _not_utf8(tmp_path, "bad.cfg")
+    code, _, err = run(
+        capsys, "search", "--config", bad, "--challenge", UNSOLVABLE,
+        "--report", str(tmp_path / "r.txt"),
+    )
+    assert (code, err) == (1, f"error: config file is not UTF-8 text: {bad}\n")
+
+
+def test_non_utf8_mechanic_exits_1(tmp_path, capsys):
+    bad = _not_utf8(tmp_path, "bad.mg")
+    code, _, err = run(capsys, "evaluate", "--mechanic", bad, "--challenge", UNSOLVABLE)
+    assert (code, err) == (1, f"error: mechanic file is not UTF-8 text: {bad}\n")
+
+
+def _tap_mechanic(tmp_path, body):
+    path = tmp_path / "deep.mg"
+    path.write_text("signature: onTileTapped(x:int, y:int) -> void\n" + body)
+    return str(path)
+
+
+def deep_calls(levels):
+    """DestroyTile(x, y) with x wrapped in Add(_, 0) until calls nest ``levels`` deep."""
+    return "DestroyTile(" + "Add(" * (levels - 1) + "x" + ", 0)" * (levels - 1) + ", y);\n"
+
+
+def deep_ifs(levels):
+    """DestroyTile(x, y) inside if blocks; its arguments open level ``levels``."""
+    return "if (true) {\n" * (levels - 1) + "DestroyTile(x, y);\n" + "}\n" * (levels - 1)
+
+
+@pytest.mark.parametrize(
+    "body", [deep_calls(MAX_PARSE_DEPTH), deep_ifs(MAX_PARSE_DEPTH)], ids=["calls", "ifs"]
+)
+def test_mechanic_nested_at_the_limit_evaluates(tmp_path, capsys, body):
+    mechanic = _tap_mechanic(tmp_path, body)
+    code, out, _ = run(capsys, "evaluate", "--mechanic", mechanic, "--challenge", CLEARABLE)
+    assert (code, out) == (0, "SOLVED min_taps=2 witness=(0,0),(0,0)\n")
+
+
+@pytest.mark.parametrize(
+    "body", [deep_calls(3001), deep_ifs(1001)], ids=["3000-adds", "1000-ifs"]
+)
+def test_mechanic_nested_past_the_limit_exits_1(tmp_path, capsys, body):
+    mechanic = _tap_mechanic(tmp_path, body)
+    code, _, err = run(capsys, "evaluate", "--mechanic", mechanic, "--challenge", CLEARABLE)
+    assert code == 1
+    assert f"nest deeper than {MAX_PARSE_DEPTH} levels" in err
 
 
 def test_malformed_challenge_exits_1(tmp_path, capsys):

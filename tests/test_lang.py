@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from mechgen.lang import (
+    MAX_PARSE_DEPTH,
     Assign,
     BoolLit,
     Call,
@@ -234,6 +235,33 @@ def test_parse_error_carries_position():
 def test_unexpected_character():
     with pytest.raises(ParseError, match="unexpected character"):
         parse("int a = 1 + 2;")
+
+
+def nested_calls(levels):
+    """A statement whose calls nest ``levels`` deep."""
+    return "Add(" * levels + "1" + ", 1)" * levels + ";\n"
+
+
+def nested_ifs(levels):
+    """``levels`` nested if blocks; the call inside opens one level more."""
+    return "if (true) {\n" * levels + "DoNothing();\n" + "}\n" * levels
+
+
+@pytest.mark.parametrize(
+    "text", [nested_calls(MAX_PARSE_DEPTH + 1), nested_ifs(MAX_PARSE_DEPTH)], ids=["calls", "ifs"]
+)
+def test_nesting_past_the_limit_is_a_parse_error(text):
+    with pytest.raises(ParseError, match=f"nest deeper than {MAX_PARSE_DEPTH} levels"):
+        parse(text)
+
+
+@pytest.mark.parametrize(
+    "text", [nested_calls(MAX_PARSE_DEPTH), nested_ifs(MAX_PARSE_DEPTH - 1)], ids=["calls", "ifs"]
+)
+def test_nesting_at_the_limit_parses_and_round_trips(reg, text):
+    block = parse(text)
+    typecheck(block, Signature("f", (), VOID), reg)
+    assert parse(pretty(block)) == block
 
 
 def test_int_literal_range_enforced():

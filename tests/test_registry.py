@@ -272,3 +272,28 @@ def test_encapsulated_field_via_getter_setter(reg):
     assert reg.candidates_for(VOID, grounded_only=True) == []
     grounded_int = reg.candidates_for(INT, grounded_only=True)
     assert any(isinstance(c, MethodProducer) and c.method.name == "GetScore" for c in grounded_int)
+
+
+def test_duplicate_bounds_fold_tightest_before_inversion_check():
+    # min 5 and min 0 fold to min 5, which exceeds max 3 whatever the order.
+    bounds = (
+        ParamConstraint("n", ConstraintKind.MIN, 5),
+        ParamConstraint("n", ConstraintKind.MIN, 0),
+        ParamConstraint("n", ConstraintKind.MAX, 3),
+    )
+    with pytest.raises(InvertedBounds, match="parameter 'n' has min 5 > max 3"):
+        MethodDescriptor("Put", (("n", INT),), VOID, constraints=bounds)
+
+
+def test_literal_interval_reads_the_folded_bounds():
+    m = MethodDescriptor(
+        "Put", (("n", INT), ("k", INT)), VOID,
+        constraints=(
+            ParamConstraint("n", ConstraintKind.MAX, 9),
+            ParamConstraint("n", ConstraintKind.MIN, 0),
+            ParamConstraint("n", ConstraintKind.MAX, 4),
+            ParamConstraint("n", ConstraintKind.MIN, 2),
+        ),
+    )
+    assert m.literal_interval("n") == (2, 4)
+    assert m.literal_interval("k") == (None, None)

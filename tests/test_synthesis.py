@@ -431,3 +431,11 @@ def test_config_invariants_enforced():
         GenerationConfig(statement_kinds_enabled=frozenset())
     with pytest.raises(ConfigError):
         GenerationConfig(int_literal_range=(5, 4))
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_non_finite_literal_weight_rejected(weight):
+    with pytest.raises(ConfigError, match="literal_weight must be finite"):
+        GenerationConfig(literal_weight=float(weight))
+    with pytest.raises(ConfigError, match="literal_weight must be finite"):
+        load_config(f"literal_weight = {weight}\n")
