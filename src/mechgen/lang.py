@@ -469,7 +469,7 @@ MAX_PARSE_DEPTH = 100
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>[ \t\r\n]+)"
-    r"|(?P<int>-?[0-9]+)"
+    r"|(?P<number>-?[0-9]+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<punct>[(){};,.=])"
 )
@@ -477,7 +477,7 @@ _TOKEN_RE = re.compile(
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # "int", "ident", a keyword, a punctuation char, or "eof"
+    kind: str  # "number", "ident", a keyword, a punctuation char, or "eof"
     text: str
     line: int
     col: int
@@ -661,7 +661,7 @@ class _BlockParser:
 
     def parse_expr(self) -> Expression:
         tok = self.peek()
-        if tok.kind == "int":
+        if tok.kind == "number":
             self.advance()
             value = int(tok.text)
             if not (INT64_MIN <= value <= INT64_MAX):
@@ -690,7 +690,7 @@ class _BlockParser:
             f"expected an expression, found {tok.text or 'end of input'!r}",
             tok.line,
             tok.col,
-            expected=("int", "ident", "true", "false"),
+            expected=("number", "ident", "true", "false"),
         )
 
 
@@ -710,6 +710,9 @@ def parse(text: str, params: Sequence[str] = (), first_line: int = 1) -> CodeBlo
 _SIG_RE = re.compile(
     r"^\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*"
     r"\((?P<params>[^)]*)\)\s*->\s*(?P<ret>[A-Za-z_][A-Za-z0-9_]*)\s*$"
+)
+_PARAM_RE = re.compile(
+    r"^\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*:\s*(?P<type>[A-Za-z_][A-Za-z0-9_]*)\s*$"
 )
 
 
@@ -734,9 +737,12 @@ def parse_signature(text: str, line: int = 1) -> Signature:
     raw = m.group("params").strip()
     if raw:
         for part in raw.split(","):
-            if ":" not in part:
+            pm = _PARAM_RE.match(part)
+            if pm is None:
                 raise ParseError(f"malformed parameter {part.strip()!r}", line, 1)
-            pname, ptype = (s.strip() for s in part.split(":", 1))
+            pname, ptype = pm.group("name"), pm.group("type")
+            if any(pname == seen for seen, _ in params):
+                raise ParseError(f"signature repeats parameter name {pname!r}", line, 1)
             params.append((pname, _parse_type_name(ptype, line, allow_void=False)))
     ret = _parse_type_name(m.group("ret"), line, allow_void=True)
     return Signature(m.group("name"), tuple(params), ret)

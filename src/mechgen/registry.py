@@ -260,6 +260,10 @@ Producer = Union[FieldProducer, LocalProducer, MethodProducer, LiteralOption]
 # Ordered (name, type) pairs describing visible locals, outermost frame first.
 ScopePairs = Sequence[Tuple[str, TypeId]]
 
+# (fields, methods + literal, arity-0 methods + literal) producers of one type.
+_Producers = Tuple[Tuple[Producer, ...], Tuple[Producer, ...], Tuple[Producer, ...]]
+_NO_PRODUCERS: _Producers = ((), (), ())
+
 
 class Registry:
     """The design space: enums, fields, and methods open to generation.
@@ -275,8 +279,9 @@ class Registry:
         self.fields: Dict[str, FieldDescriptor] = {}
         self.methods: Dict[str, MethodDescriptor] = {}
         self._sealed = False
-        self._fields_by_type: Dict[TypeId, Tuple[FieldDescriptor, ...]] = {}
-        self._methods_by_type: Dict[TypeId, Tuple[MethodDescriptor, ...]] = {}
+        # Built by seal(): per type, (field producers, method producers then
+        # the literal option, the same with only arity-0 methods).
+        self._producers: Dict[TypeId, _Producers] = {}
 
     @property
     def sealed(self) -> bool:
@@ -362,16 +367,24 @@ class Registry:
         diagnostics = self.validate()
         if diagnostics:
             raise ValidationFailed(diagnostics)
-        self._fields_by_type = {}
+        fields: Dict[TypeId, List[Producer]] = {}
         for f in self.fields.values():
             if f.usable:
-                self._fields_by_type.setdefault(f.type, []).append(f)  # type: ignore[arg-type]
-        self._fields_by_type = {t: tuple(v) for t, v in self._fields_by_type.items()}
-        self._methods_by_type = {}
+                fields.setdefault(f.type, []).append(FieldProducer(f))
+        methods: Dict[TypeId, List[MethodProducer]] = {}
         for m in self.methods.values():
             if m.usable:
-                self._methods_by_type.setdefault(m.return_type, []).append(m)  # type: ignore[arg-type]
-        self._methods_by_type = {t: tuple(v) for t, v in self._methods_by_type.items()}
+                methods.setdefault(m.return_type, []).append(MethodProducer(m))
+        # Every field and return type resolves, so these are all the types
+        # with a producer; any other type gets none from the registry.
+        for t in (*self.value_types(), VOID):
+            literal = (LiteralOption(t),) if admits_literals(t) else ()
+            typed = methods.get(t, [])
+            self._producers[t] = (
+                tuple(fields.get(t, ())),
+                (*typed, *literal),
+                (*(p for p in typed if p.method.arity == 0), *literal),
+            )
         self.enums = MappingProxyType(dict(self.enums))  # type: ignore[assignment]
         self.fields = MappingProxyType(dict(self.fields))  # type: ignore[assignment]
         self.methods = MappingProxyType(dict(self.methods))  # type: ignore[assignment]
@@ -406,19 +419,12 @@ class Registry:
         """
         if not self._sealed:
             raise RegistryNotSealed("candidates_for requires a sealed registry")
-        out: List[Producer] = []
-        for f in self._fields_by_type.get(wanted, ()):
-            out.append(FieldProducer(f))
+        fields, methods, grounded = self._producers.get(wanted, _NO_PRODUCERS)
+        out: List[Producer] = list(fields)
         for name, t in scope:
             if t == wanted:
                 out.append(LocalProducer(name, t))
-        for m in self._methods_by_type.get(wanted, ()):
-            if grounded_only and m.arity >= 1:
-                continue
-            out.append(MethodProducer(m))
-        if admits_literals(wanted):
-            if wanted.kind is not TypeKind.ENUM or wanted.enum_name in self.enums:
-                out.append(LiteralOption(wanted))
+        out.extend(grounded if grounded_only else methods)
         return out
 
     def dump_lines(self) -> List[str]:

@@ -5,14 +5,17 @@ supplied by the game) or a generated code block. Hooks are named delegate
 slots with a default binding that is never absent, so dispatching through an
 unbound hook runs the baseline behavior instead of failing.
 
-A generated block is compiled once per delegate, on its first invocation,
-into nested Python closures (Feeley and Lapalme, "Using closures for code
-generation", 1987): locals become fixed frame slots, and each call site
-carries its method's host implementation and constraint checks. Every
-host-method call first checks the method's parameter constraints, so
-out-of-range arguments surface as ConstraintViolation whether they came from
-literals or computed values. Execution has no transactional rollback: an
-erroring invocation leaves the world in whatever partial state it reached.
+A call is checked once and then run any number of times: ``prepare`` checks
+the arity and argument types and picks the host or compiled path, and
+``invoke`` is ``prepare`` followed by one run. A generated block is compiled
+once per delegate, when it is first prepared, into nested Python closures
+(Feeley and Lapalme, "Using closures for code generation", 1987): locals
+become fixed frame slots, and each call site carries its method's host
+implementation and constraint checks. Every host-method call first checks
+the method's parameter constraints, so out-of-range arguments surface as
+ConstraintViolation whether they came from literals or computed values.
+Execution has no transactional rollback: an erroring invocation leaves the
+world in whatever partial state it reached.
 """
 
 from __future__ import annotations
@@ -205,7 +208,7 @@ class GeneratedDelegate(Delegate):
     registry: Optional[Registry] = field(default=None, compare=False)
 
     @cached_property
-    def program(self) -> "Program":
+    def program(self) -> "Runner":
         """The block compiled to closures, built on first use."""
         return _compile(self.sig, self.block, self.registry)
 
@@ -276,6 +279,56 @@ class HookTable:
 # Invocation
 
 
+# A prepared delegate: (argument values, world, budget) -> the produced value.
+Runner = Callable[[Sequence[Value], Any, ExecBudget], Value]
+
+
+def prepare(delegate: Delegate, arg_types: Sequence[TypeId]) -> Runner:
+    """Check a call of ``delegate`` with arguments of ``arg_types`` once and
+    return the runner that executes it.
+
+    The arity and argument types are checked here, and the host or compiled
+    path is chosen here, so a caller that makes the same call many times
+    (the solver taps one hook thousands of times) pays for them once. A host
+    runner spends one unit of budget, then calls the behavior. A generated
+    runner is the compiled block (``GeneratedDelegate.program``). When a
+    check fails, the runner raises a new exception of the same type and
+    message on every run.
+    """
+    sig = delegate.sig
+    if len(arg_types) != len(sig.params):
+        return _raising(
+            ArityMismatch, f"{sig.name}: expected {len(sig.params)} argument(s), got {len(arg_types)}"
+        )
+    for found, (pname, ptype) in zip(arg_types, sig.params):
+        if found is not ptype and found != ptype:
+            return _raising(
+                ArityMismatch,
+                f"{sig.name}: argument '{pname}' expected {ptype.display()}, got {found.display()}",
+            )
+    if isinstance(delegate, HostDelegate):
+        fn = delegate.fn
+
+        def run_host(args: Sequence[Value], world: Any, budget: ExecBudget) -> Value:
+            budget.spend()
+            return fn(world, list(args))
+
+        return run_host
+    if not isinstance(delegate, GeneratedDelegate):
+        return _raising(InterpreterError, f"cannot invoke delegate {delegate!r}")
+    return delegate.program
+
+
+def _raising(kind: Callable[[str], ExecutionError], message: str) -> Runner:
+    """A runner that raises ``kind(message)``, a fresh instance per run: one
+    instance raised again would keep growing its traceback."""
+
+    def fail(args: Sequence[Value], world: Any, budget: ExecBudget) -> Value:
+        raise kind(message)
+
+    return fail
+
+
 def invoke(
     delegate: Delegate,
     args: Sequence[Value],
@@ -284,30 +337,13 @@ def invoke(
 ) -> Value:
     """Run a delegate against ``world``; returns the produced value.
 
-    Host delegates dispatch straight to their behavior. Generated delegates
-    run their compiled block; each host-method call checks the target's
+    This is ``prepare`` for the types of ``args``, then one run. Host
+    delegates dispatch straight to their behavior. Generated delegates run
+    their compiled block; each host-method call checks the target's
     parameter constraints and spends one unit of budget first.
     """
-    budget = budget if budget is not None else ExecBudget()
-    sig = delegate.sig
-    if len(args) != len(sig.params):
-        raise ArityMismatch(
-            f"{sig.name}: expected {len(sig.params)} argument(s), got {len(args)}"
-        )
-    for value, (pname, ptype) in zip(args, sig.params):
-        found = value_type(value)
-        if found is not ptype and found != ptype:
-            raise ArityMismatch(
-                f"{sig.name}: argument '{pname}' expected {ptype.display()}, "
-                f"got {found.display()}"
-            )
-    if isinstance(delegate, HostDelegate):
-        budget.spend()
-        return delegate.fn(world, list(args))
-    if not isinstance(delegate, GeneratedDelegate):
-        raise InterpreterError(f"cannot invoke delegate {delegate!r}")
-    result = delegate.program(args, world, budget)
-    return result if result is not None else UNIT
+    run = prepare(delegate, [value_type(v) for v in args])
+    return run(args, world, budget if budget is not None else ExecBudget())
 
 
 # --------------------------------------------------------------------------
@@ -324,14 +360,13 @@ def invoke(
 
 _WORLD, _BUDGET, _FIRST_LOCAL = 0, 1, 2
 
-# A compiled block: (argument values, world, budget) -> result or None.
-Program = Callable[[Sequence[Value], Any, ExecBudget], Optional[Value]]
 Frame = List[Any]
 Compiled = Callable[[Frame], Any]
 
 
-def _compile(sig: Signature, block: CodeBlock, registry: Optional[Registry]) -> Program:
-    """Compile ``block`` once into nested closures.
+def _compile(sig: Signature, block: CodeBlock, registry: Optional[Registry]) -> Runner:
+    """Compile ``block`` once into nested closures; the runner returns UNIT
+    when the block ends without a ``return`` value.
 
     The semantics are those of a tree-walking interpreter with a stack of
     dict frames, one per enclosing block (``tests/_reference_interp.py``
@@ -349,17 +384,15 @@ def _compile(sig: Signature, block: CodeBlock, registry: Optional[Registry]) -> 
     passed the type checker fail exactly as they would when interpreted.
     """
     if registry is None:
-        def no_registry(args: Sequence[Value], world: Any, budget: ExecBudget) -> Optional[Value]:
-            raise InterpreterError("generated delegate carries no registry")
-
-        return no_registry
+        return _raising(InterpreterError, "generated delegate carries no registry")
     compiler = _Compiler(registry, _FIRST_LOCAL + len(sig.params))
     params = {pname: _FIRST_LOCAL + i for i, (pname, _) in enumerate(sig.params)}
     body = compiler.block(block, [params])
     rest = compiler.rest
 
-    def program(args: Sequence[Value], world: Any, budget: ExecBudget) -> Optional[Value]:
-        return body([world, budget, *args, *rest])
+    def program(args: Sequence[Value], world: Any, budget: ExecBudget) -> Value:
+        result = body([world, budget, *args, *rest])
+        return result if result is not None else UNIT
 
     return program
 

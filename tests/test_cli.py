@@ -187,6 +187,23 @@ def test_mechanic_with_wrong_signature_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("signature: onTileTapped(x:int, x:int) -> void\nDestroyTile(x, x);\n",
+         "line 1, col 1: signature repeats parameter name 'x'"),
+        ("signature: onTileTapped(x:int, y:int) -> void\nSetTile(x, int y, Colour.Y);\n",
+         "line 2, col 12: expected an expression, found 'int'"),
+    ],
+    ids=["repeated-parameter", "int-keyword-as-argument"],
+)
+def test_malformed_mechanic_exits_1(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.mg"
+    bad.write_text(text)
+    code, _, err = run(capsys, "evaluate", "--mechanic", str(bad), "--challenge", UNSOLVABLE)
+    assert (code, err) == (1, f"error: {message}\n")
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "solve")[0] == 1  # missing required flag
     assert run(capsys, "fly")[0] == 1  # unknown subcommand

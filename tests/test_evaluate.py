@@ -21,9 +21,27 @@ from mechgen.evaluate import (
     search_mechanics,
     solve,
 )
-from mechgen.game import Board, GameState, build_game_registry, build_hook_table, tap
-from mechgen.lang import TypeCheckError, parse
-from mechgen.runtime import ExecutionError, GeneratedDelegate
+from mechgen.game import (
+    ON_TILE_TAPPED,
+    Board,
+    GameState,
+    build_game_registry,
+    build_hook_table,
+    on_tile_tapped_signature,
+    tap,
+)
+from mechgen.lang import Signature, TypeCheckError, parse
+from mechgen.registry import INT, VOID
+from mechgen.runtime import (
+    UNIT,
+    ArityMismatch,
+    Delegate,
+    ExecutionError,
+    GeneratedDelegate,
+    HookTable,
+    HostDelegate,
+    InterpreterError,
+)
 from mechgen.synthesis import GenerationConfig, StatementKind
 
 
@@ -218,6 +236,56 @@ def test_solver_matches_naive_enumerator(challenge_text, mechanic):
         assert fast.status.min_taps == slow[1]
         if slow[2] is not None:
             assert fast.status.witness == slow[2]
+
+
+def hook_table_with(delegate):
+    table = HookTable()
+    table.declare(ON_TILE_TAPPED, delegate)
+    return table
+
+
+# (hooks, the error every tap raises or None, challenge text, expected result).
+# The solver checks the hook once per solve; each tap must still run it.
+PREPARED_DISPATCH = {
+    "baseline-unsolvable": (
+        build_hook_table, None, "RG\nBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 2\n",
+        EvalResult(Unsolvable(), 0, 5),
+    ),
+    "baseline-solved": (
+        build_hook_table, None, "R.\nRB\ngoal: COLOUR_CLEARED R\nmax_taps: 3\n",
+        EvalResult(Solved(2, ((0, 0), (0, 0))), 0, 2),
+    ),
+    "one-parameter-hook": (
+        lambda: hook_table_with(HostDelegate(
+            Signature(ON_TILE_TAPPED, (("x", INT),), VOID), lambda world, args: UNIT)),
+        (ArityMismatch, r"^onTileTapped: expected 1 argument\(s\), got 2$"),
+        "RG\nBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 2\n",
+        EvalResult(Unsolvable(), 4, 1),
+    ),
+    "bare-delegate": (
+        lambda: hook_table_with(Delegate(on_tile_tapped_signature())),
+        (InterpreterError, r"^cannot invoke delegate Delegate\(sig="),
+        "RGB\nBRG\ngoal: CLEARED\nmax_taps: 3\n",
+        EvalResult(Unsolvable(), 6, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PREPARED_DISPATCH))
+def test_prepared_dispatch_matches_naive_enumerator(case):
+    make_hooks, error, text, expected = PREPARED_DISPATCH[case]
+    challenge = parse_challenge(text)
+    hooks = make_hooks()
+    assert solve(challenge, hooks) == expected
+    slow = naive_solve(challenge, hooks)
+    if isinstance(expected.status, Solved):
+        assert slow == ("solved", expected.status.min_taps, expected.status.witness)
+    else:
+        assert slow == ("unsolvable", None, None)
+    if error is not None:
+        kind, message = error
+        with pytest.raises(kind, match=message):
+            tap(GameState(challenge.initial.clone()), 0, 0, hooks)
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from mechgen.game import (
     build_game_registry,
     build_hook_table,
     tap,
+    tap_step,
 )
 from mechgen.registry import (
     INT,
@@ -130,6 +131,24 @@ def test_tap_with_set_tile_mechanic(game_registry, hooks, set_yellow_block):
     world = GameState(Board.from_rows(["RGB", "BRG", "GBR"]))
     tap(world, 2, 1, hooks)
     assert world.board.get(2, 1) == "Y"
+
+
+def test_tap_step_matches_tap_and_keeps_its_hook(game_registry, hooks, set_yellow_block):
+    board = Board.from_rows(["R.B", "GBR", "BRG"])
+    step = tap_step(hooks, 3, 3)
+    for x in range(3):
+        for y in range(3):
+            stepped, tapped = GameState(board.clone(), 2), GameState(board.clone(), 2)
+            assert step(stepped, x, y) is stepped
+            tap(tapped, x, y, hooks)
+            assert (stepped.board, stepped.taps_used) == (tapped.board, 3)
+    # The delegate is resolved when the step is built: rebinding reaches new steps only.
+    hooks.bind(
+        "onTileTapped",
+        GeneratedDelegate(hooks.sig("onTileTapped"), set_yellow_block, game_registry),
+    )
+    assert step(GameState(board.clone()), 0, 0).board.get(0, 0) == "G"  # B destroyed
+    assert tap_step(hooks, 3, 3)(GameState(board.clone()), 0, 0).board.get(0, 0) == "Y"
 
 
 def test_baseline_destroys_without_counting_taps():

@@ -341,9 +341,26 @@ def test_parse_signature_no_params_and_enum_types():
 
 
 def test_parse_signature_rejects_malformed():
-    for bad in ("nope", "f(x) -> void", "f(x:int) ->", "f(x:void) -> int"):
+    for bad in ("nope", "f(x) -> void", "f(x:int) ->", "f(x:void) -> int",
+                "f(:int) -> void", "f(x:int:int) -> void", "f(x y:int) -> void", "f(x:) -> void"):
         with pytest.raises(ParseError):
             parse_signature(bad)
+
+
+def test_parse_signature_rejects_a_repeated_parameter_name():
+    with pytest.raises(ParseError, match="repeats parameter name 'x'") as err:
+        parse_mechanic("\nsignature: onTileTapped(x:int, x:int) -> void\n")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text,found",
+    [("SetTile(x, int y, Colour.Y);", "int"), ("5 v = 1;", "5")],
+)
+def test_type_keywords_and_numbers_keep_their_places(text, found):
+    # The keyword ``int`` is no integer literal, and a number starts no declaration.
+    with pytest.raises(ParseError, match=f"found '{found}'"):
+        parse(text, params=["x", "y"])
 
 
 def test_parse_mechanic_requires_header():

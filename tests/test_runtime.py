@@ -28,6 +28,7 @@ from mechgen.runtime import (
     BoolV,
     BudgetExceeded,
     ConstraintViolation,
+    Delegate,
     ExecBudget,
     ExecutionError,
     GeneratedDelegate,
@@ -40,6 +41,8 @@ from mechgen.runtime import (
     UnknownHook,
     compile_block,
     invoke,
+    prepare,
+    value_type,
     wrap64,
 )
 from mechgen.synthesis import GenerationConfig, generate_block
@@ -120,6 +123,41 @@ def test_arity_mismatch_surfaced_defensively():
         invoke(add_one_delegate(), [], world=None)
     with pytest.raises(ArityMismatch):
         invoke(add_one_delegate(), [BoolV(True)], world=None)
+
+
+FAILED_CALLS = [
+    (add_one_delegate(), [], ArityMismatch, "AddOne: expected 1 argument(s), got 0"),
+    (add_one_delegate(), [BoolV(True)], ArityMismatch,
+     "AddOne: argument 'x' expected int, got bool"),
+    (Delegate(ADD_ONE_SIG), [IntV(1)], InterpreterError,
+     f"cannot invoke delegate {Delegate(ADD_ONE_SIG)!r}"),
+    (GeneratedDelegate(ADD_ONE_SIG, parse("return x;", params=["x"]), None), [IntV(1)],
+     InterpreterError, "generated delegate carries no registry"),
+]
+
+
+@pytest.mark.parametrize("delegate,args,kind,message", FAILED_CALLS)
+def test_failed_calls_raise_fresh_exceptions(delegate, args, kind, message):
+    with pytest.raises(kind) as first:
+        invoke(delegate, args, world=None)
+    assert str(first.value) == message
+    run = prepare(delegate, [value_type(v) for v in args])
+    raised = []
+    for _ in range(2):
+        with pytest.raises(kind) as err:
+            run(args, None, ExecBudget())
+        assert str(err.value) == message
+        raised.append(err.value)
+    # One instance raised again would keep growing its traceback.
+    assert raised[0] is not raised[1]
+
+
+def test_prepared_host_call_spends_budget_per_run():
+    run = prepare(add_one_delegate(), [INT])
+    budget = ExecBudget(max_host_calls=2)
+    assert [run([IntV(i)], None, budget) for i in range(2)] == [IntV(1), IntV(2)]
+    with pytest.raises(BudgetExceeded):
+        run([IntV(0)], None, budget)
 
 
 def test_default_do_nothing_hook_leaves_world_unchanged():
