@@ -45,7 +45,8 @@ class Goal:
     def satisfied(self, board: Board) -> bool:
         if self.kind is GoalKind.CLEARED:
             return board.tile_count() == 0
-        present = board.contains(self.colour or "")
+        # ``board.contains`` inlined: the solver checks the goal after every tap.
+        present = (self.colour or "") in board.cells
         return not present if self.kind is GoalKind.COLOUR_CLEARED else present
 
     def describe(self) -> str:
@@ -187,9 +188,12 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
 
     The tap hook is resolved and checked once per solve (``tap_step``), so
     a hook that cannot take the tap's arguments raises on every tap and
-    prunes every branch. The frontier holds board keys (``Board.key()``
-    tuples), not game states; each tap runs on a fresh mutable board built
-    from its parent's key.
+    prunes every branch. The frontier and ``visited`` hold board keys
+    (``Board.key()``: the flat tuple of cells), not game states. One scratch
+    board and game state serve every tap: before each tap the board's cells
+    are refilled from the parent's key and the tap counter is set to the
+    parent's depth, and the child's key is the tuple of the cells after the
+    tap (the hook and gravity change the scratch board in place).
     Children at the last tap depth are goal-checked but neither stored in
     ``visited`` nor queued: they would never be expanded, and BFS discovers
     every shallower state before any state at that depth, so leaving them
@@ -208,6 +212,10 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     step = tap_step(hooks, width, height)
     last = challenge.max_taps - 1  # states at this depth have only leaf children
     start = initial.key()
+    board = initial.clone()  # the scratch board every tap runs on
+    state = GameState(board)
+    cells = board.cells
+    satisfied = goal.satisfied
     visited = {start}
     frontier: deque = deque([(start, ())])
     errors = 0
@@ -217,18 +225,19 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
         explored += 1
         depth = len(path)
         for x, y in taps:
-            child = GameState(Board(width, height, [list(col) for col in key]), depth)
+            cells[:] = key
+            state.taps_used = depth
             try:
-                step(child, x, y)
+                step(state, x, y)
             except ExecutionError:
                 errors += 1
                 continue
-            if goal.satisfied(child.board):
+            if satisfied(board):
                 witness = path + ((x, y),)
                 return EvalResult(Solved(len(witness), witness), errors, explored)
             if depth == last:
                 continue
-            child_key = child.board.key()
+            child_key = tuple(cells)
             if child_key not in visited:
                 visited.add(child_key)
                 frontier.append((child_key, path + ((x, y),)))

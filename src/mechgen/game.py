@@ -54,15 +54,24 @@ Cell = Optional[str]  # a colour name, or None for empty
 
 
 class Board:
-    """width x height grid; cells[x][y] with y=0 the bottom row."""
+    """width x height grid stored as one flat, column-major list.
 
-    def __init__(self, width: int, height: int, cells: Optional[List[List[Cell]]] = None):
+    Cell (x, y) is ``cells[x * height + y]``, with y=0 the bottom row, so
+    column x is the slice ``cells[x * height:(x + 1) * height]``, bottom
+    first. The board's value is ``key()``, the tuple of its cells: the
+    solver keeps boards as keys and refills one scratch board from them.
+    Two boards are equal when their shape and cells are.
+    """
+
+    def __init__(self, width: int, height: int, cells: Optional[List[Cell]] = None):
         if width < 1 or height < 1:
             raise ValueError("board dimensions must be >= 1")
+        if cells is None:
+            cells = [None] * (width * height)
+        elif len(cells) != width * height:
+            raise ValueError(f"a {width}x{height} board needs {width * height} cells")
         self.width = width
         self.height = height
-        if cells is None:
-            cells = [[None] * height for _ in range(width)]
         self.cells = cells
 
     @classmethod
@@ -79,72 +88,77 @@ class Board:
                     continue
                 if ch not in COLOURS:
                     raise ValueError(f"unknown tile character {ch!r}")
-                board.cells[x][height - 1 - r] = ch
+                board.cells[x * height + height - 1 - r] = ch
         return board
 
     def to_rows(self) -> List[str]:
-        return [
-            "".join(self.cells[x][self.height - 1 - r] or "." for x in range(self.width))
-            for r in range(self.height)
-        ]
+        """Text rows, top row first; '.' marks an empty cell."""
+        h = self.height
+        return ["".join(c or "." for c in self.cells[y::h]) for y in reversed(range(h))]
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
 
     def get(self, x: int, y: int) -> Cell:
-        return self.cells[x][y]
+        return self.cells[x * self.height + y]
 
     def set(self, x: int, y: int, colour: Cell) -> None:
-        self.cells[x][y] = colour
+        self.cells[x * self.height + y] = colour
 
     def count(self, colour: str) -> int:
-        return sum(col.count(colour) for col in self.cells)
+        return self.cells.count(colour)
 
     def contains(self, colour: str) -> bool:
-        for col in self.cells:
-            if colour in col:
-                return True
-        return False
+        return colour in self.cells
 
     def tile_count(self) -> int:
-        return sum(1 for col in self.cells for c in col if c is not None)
+        return len(self.cells) - self.cells.count(None)
 
     def is_gravity_normal(self) -> bool:
-        for col in self.cells:
-            seen_empty = False
-            for cell in col:
-                if cell is None:
-                    seen_empty = True
-                elif seen_empty:
-                    return False
+        cells, h = self.cells, self.height
+        for lo in range(0, len(cells), h):
+            col = cells[lo:lo + h]
+            empty = col.count(None)
+            if empty and col.index(None) != h - empty:  # an empty cell under a tile
+                return False
         return True
 
     def clone(self) -> "Board":
-        return Board(self.width, self.height, [col[:] for col in self.cells])
+        return Board(self.width, self.height, self.cells[:])
 
-    def key(self) -> Tuple[Tuple[Cell, ...], ...]:
-        return tuple(tuple(col) for col in self.cells)
+    def key(self) -> Tuple[Cell, ...]:
+        return tuple(self.cells)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Board) and self.key() == other.key()
+        return (
+            isinstance(other, Board)
+            and self.width == other.width
+            and self.height == other.height
+            and self.cells == other.cells
+        )
 
     def __repr__(self) -> str:
         return f"Board({'|'.join(self.to_rows())})"
 
 
-_EMPTY = frozenset([None])
-
-
 def _settle(board: Board) -> None:
     """Compact each column downward in place, preserving vertical order.
 
-    Only columns holding an empty cell are rewritten.
+    A full board costs one C-level scan: colours are non-empty names, so
+    only an empty cell is false. Otherwise only the columns with an empty
+    cell under a tile are rewritten.
     """
-    for col in board.cells:
-        # A set probe hashes each colour; ``None in col`` would compare each.
-        if not _EMPTY.isdisjoint(col):
-            tiles = [c for c in col if c is not None]
-            col[:] = tiles + [None] * (board.height - len(tiles))
+    cells = board.cells
+    if all(cells):
+        return
+    h = board.height
+    for lo in range(0, len(cells), h):
+        hi = lo + h
+        col = cells[lo:hi]
+        if None in col:
+            empty = col.count(None)
+            if col.index(None) != h - empty:
+                cells[lo:hi] = [c for c in col if c is not None] + [None] * empty
 
 
 def apply_gravity(board: Board) -> Board:
@@ -244,9 +258,12 @@ def _host_set_tile(world: GameState, args: Sequence[Value]) -> Value:
 
 
 def _host_swap_tiles(world: GameState, args: Sequence[Value]) -> Value:
-    x1, y1, x2, y2 = args[0].value, args[1].value, args[2].value, args[3].value  # type: ignore[union-attr]
     board = world.board
-    board.cells[x1][y1], board.cells[x2][y2] = board.cells[x2][y2], board.cells[x1][y1]
+    h = board.height
+    i = args[0].value * h + args[1].value  # type: ignore[union-attr]
+    j = args[2].value * h + args[3].value  # type: ignore[union-attr]
+    cells = board.cells
+    cells[i], cells[j] = cells[j], cells[i]
     return UNIT
 
 

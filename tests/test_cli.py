@@ -292,6 +292,19 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert "unknown key" in err
 
 
+def test_generate_rejects_an_oversized_max_lines(tmp_path, capsys):
+    # default.cfg with max_lines = 100 used to spend ~27 s on one seed-0 block.
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text((FIXTURES / "default.cfg").read_text().replace("max_lines = 3", "max_lines = 100"))
+    code, _, err = run(
+        capsys, "generate", "--config", str(cfg), "--signature", "onTileTapped",
+        "--count", "1", "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert "max_lines must be <=" in err
+    assert not list(tmp_path.glob("*.mg"))
+
+
 def test_internal_error_exits_2(capsys, monkeypatch):
     import mechgen.cli as cli
 

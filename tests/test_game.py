@@ -6,6 +6,7 @@ from mechgen.game import (
     Board,
     GameState,
     OutOfBounds,
+    _settle,
     apply_gravity,
     baseline_on_tile_tapped,
     build_game_registry,
@@ -23,16 +24,22 @@ from mechgen.registry import (
 from mechgen.runtime import ExecutionError, GeneratedDelegate, HostError, IntV
 from mechgen.synthesis import GenerationConfig, config_with_seed, generate_block
 
-boards = st.lists(
-    st.lists(st.sampled_from(["R", "G", "B", "Y", None]), min_size=1, max_size=5),
-    min_size=1,
-    max_size=5,
-).map(lambda cols: Board(len(cols), len(cols[0]), [c[:] + [None] * (len(cols[0]) - len(c)) for c in cols]))
+# Boards as lists of columns, bottom cell first, every column of one height.
+columns = st.integers(min_value=1, max_value=5).flatmap(
+    lambda height: st.lists(
+        st.lists(st.sampled_from(["R", "G", "B", "Y", None]), min_size=height, max_size=height),
+        min_size=1,
+        max_size=5,
+    )
+)
 
 
-def square_cols(cols):
-    height = max(len(c) for c in cols)
-    return [c + [None] * (height - len(c)) for c in cols]
+def board_of(cols):
+    """The board whose column x, bottom first, is ``cols[x]`` (column-major cells)."""
+    return Board(len(cols), len(cols[0]), [c for col in cols for c in col])
+
+
+boards = columns.map(board_of)
 
 
 # --------------------------------------------------------------------------
@@ -53,8 +60,8 @@ def test_from_rows_rejects_bad_input():
 
 def test_gravity_compacts_column_preserving_order():
     # bottom-to-top [Empty, R, Empty, G] -> [R, G, Empty, Empty]
-    board = Board(1, 4, [[None, "R", None, "G"]])
-    assert apply_gravity(board).cells[0] == ["R", "G", None, None]
+    board = Board(1, 4, [None, "R", None, "G"])
+    assert apply_gravity(board).cells == ["R", "G", None, None]
 
 
 def test_gravity_leaves_normal_boards_unchanged():
@@ -63,8 +70,8 @@ def test_gravity_leaves_normal_boards_unchanged():
 
 
 def test_gravity_full_column_unchanged():
-    board = Board(1, 3, [["R", "G", "B"]])
-    assert apply_gravity(board).cells[0] == ["R", "G", "B"]
+    board = Board(1, 3, ["R", "G", "B"])
+    assert apply_gravity(board).cells == ["R", "G", "B"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -78,8 +85,10 @@ def test_gravity_idempotent(board):
 @settings(max_examples=200, deadline=None)
 @given(board=boards)
 def test_gravity_is_column_independent(board):
-    reversed_cols = Board(board.width, board.height, [c[:] for c in reversed(board.cells)])
-    assert apply_gravity(reversed_cols).cells == list(reversed(apply_gravity(board).cells))
+    reversed_cols = Board.from_rows([row[::-1] for row in board.to_rows()])
+    assert apply_gravity(reversed_cols).to_rows() == [
+        row[::-1] for row in apply_gravity(board).to_rows()
+    ]
 
 
 @settings(max_examples=200, deadline=None)
@@ -88,30 +97,83 @@ def test_gravity_conserves_tiles(board):
     assert apply_gravity(board).tile_count() == board.tile_count()
 
 
+# The per-column reference: a list of columns, bottom cell first.
+
+
+def ref_gravity(cols):
+    return [
+        [c for c in col if c is not None] + [None] * col.count(None) for col in cols
+    ]
+
+
+def ref_is_gravity_normal(cols):
+    return cols == ref_gravity(cols)
+
+
+def ref_rows(cols):
+    height = len(cols[0])
+    return ["".join(col[y] or "." for col in cols) for y in reversed(range(height))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cols=columns)
+def test_flat_board_matches_per_column_reference(cols):
+    board = board_of(cols)
+    width, height = len(cols), len(cols[0])
+    assert all(board.get(x, y) == cols[x][y] for x in range(width) for y in range(height))
+    for colour in ["R", "G", "B", "Y"]:
+        assert board.count(colour) == sum(col.count(colour) for col in cols)
+        assert board.contains(colour) == any(colour in col for col in cols)
+    assert board.tile_count() == sum(c is not None for col in cols for c in col)
+    assert board.is_gravity_normal() == ref_is_gravity_normal(cols)
+    assert board.to_rows() == ref_rows(cols)
+    assert Board.from_rows(board.to_rows()) == board
+    assert Board(width, height, list(board.key())) == board
+    settled = ref_gravity(cols)
+    assert apply_gravity(board) == board_of(settled)
+    assert board == board_of(cols)  # apply_gravity leaves its argument alone
+    cells = board.cells
+    _settle(board)
+    assert board.cells is cells and board == board_of(settled)
+
+
+def test_boards_of_different_shape_are_unequal():
+    cells = ["R", "G", "B", "Y", "R", "G"]
+    tall, wide = Board(2, 3, list(cells)), Board(3, 2, list(cells))
+    assert tall.key() == wide.key()
+    assert tall != wide
+    assert tall == Board(2, 3, list(cells))
+
+
+def test_board_rejects_a_cell_list_of_the_wrong_size():
+    with pytest.raises(ValueError):
+        Board(2, 2, ["R", "G", "B"])
+
+
 # --------------------------------------------------------------------------
 # tapping
 
 
 def test_tap_destroys_bottom_tile_and_drops_the_rest(hooks):
     # bottom-to-top [R, G]; tapping the R cell leaves [G, Empty]
-    world = GameState(Board(1, 2, [["R", "G"]]))
+    world = GameState(Board(1, 2, ["R", "G"]))
     tap(world, 0, 0, hooks)
-    assert world.board.cells[0] == ["G", None]
+    assert world.board.cells == ["G", None]
     assert world.taps_used == 1
 
 
 def test_tap_empty_cell_only_counts_the_tap(hooks):
-    world = GameState(Board(1, 2, [["R", None]]))
+    world = GameState(Board(1, 2, ["R", None]))
     tap(world, 0, 1, hooks)
-    assert world.board.cells[0] == ["R", None]
+    assert world.board.cells == ["R", None]
     assert world.taps_used == 1
 
 
 def test_tap_restores_gravity_in_place(hooks):
     # both columns start with a floating tile; the tap empties column 0's bottom
-    world = GameState(Board(2, 3, [["R", None, "G"], [None, None, "B"]]))
+    world = GameState(Board.from_rows(["GB", "..", "R."]))
     board = world.board
-    expected = apply_gravity(Board(2, 3, [[None, None, "G"], [None, None, "B"]]))
+    expected = apply_gravity(Board.from_rows(["GB", "..", ".."]))
     tap(world, 0, 0, hooks)
     assert world.board is board
     assert board == expected
@@ -152,7 +214,7 @@ def test_tap_step_matches_tap_and_keeps_its_hook(game_registry, hooks, set_yello
 
 
 def test_baseline_destroys_without_counting_taps():
-    world = GameState(Board(1, 1, [["R"]]))
+    world = GameState(Board(1, 1, ["R"]))
     baseline_on_tile_tapped(world, 0, 0)
     assert world.board.get(0, 0) is None
     assert world.taps_used == 0
@@ -161,7 +223,7 @@ def test_baseline_destroys_without_counting_taps():
 
 
 def test_gamestate_clone_is_independent():
-    world = GameState(Board(1, 1, [["R"]]), taps_used=2)
+    world = GameState(Board(1, 1, ["R"]), taps_used=2)
     copy = world.clone()
     copy.board.set(0, 0, None)
     copy.taps_used = 9

@@ -30,6 +30,7 @@ from mechgen.registry import (
     enum_type,
 )
 from mechgen.synthesis import (
+    MAX_LINES,
     ConfigError,
     Exhausted,
     GenerationConfig,
@@ -431,6 +432,23 @@ def test_config_invariants_enforced():
         GenerationConfig(statement_kinds_enabled=frozenset())
     with pytest.raises(ConfigError):
         GenerationConfig(int_literal_range=(5, 4))
+
+
+def test_max_lines_at_the_limit_is_accepted(tap_sig, game_registry):
+    config = load_config(f"max_lines = {MAX_LINES}\n")
+    assert config == GenerationConfig(max_lines=MAX_LINES)
+    for seed in range(3):
+        generate_block(tap_sig, game_registry, config_with_seed(config, seed))
+
+
+def test_max_lines_past_the_limit_is_rejected():
+    message = f"max_lines must be <= {MAX_LINES}"
+    with pytest.raises(ConfigError, match=message):
+        GenerationConfig(max_lines=MAX_LINES + 1)
+    with pytest.raises(ConfigError, match=message):
+        load_config(f"max_lines = {MAX_LINES + 1}\n")
+    with pytest.raises(ConfigError, match=message):
+        load_config("max_lines = 100\n")
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
