@@ -37,7 +37,6 @@ from .registry import (
     EnumDef,
     FieldDescriptor,
     MethodDescriptor,
-    ParamConstraint,
     Registry,
     enum_type,
 )

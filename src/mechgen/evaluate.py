@@ -257,10 +257,7 @@ def evaluate_candidate(
         return EvalResult(Rejected(err))
     hooks = build_hook_table()
     hooks.bind(ON_TILE_TAPPED, GeneratedDelegate(sig, block, registry))
-    try:
-        return solve(challenge, hooks)
-    finally:
-        hooks.reset(ON_TILE_TAPPED)
+    return solve(challenge, hooks)
 
 
 # --------------------------------------------------------------------------

@@ -20,11 +20,9 @@ from .registry import (
     BOOL,
     INT,
     VOID,
-    ConstraintKind,
     EnumDef,
     FieldDescriptor,
     MethodDescriptor,
-    ParamConstraint,
     Registry,
     enum_type,
 )
@@ -295,13 +293,6 @@ def _host_do_nothing(world: GameState, args: Sequence[Value]) -> Value:
     return UNIT
 
 
-def _coord_bounds(param: str, upper: int) -> List[ParamConstraint]:
-    return [
-        ParamConstraint(param, ConstraintKind.MIN, 0),
-        ParamConstraint(param, ConstraintKind.MAX, upper),
-    ]
-
-
 def build_game_registry(
     width: int = 3,
     height: int = 3,
@@ -309,7 +300,7 @@ def build_game_registry(
 ) -> Registry:
     """The sealed design space for a ``width`` x ``height`` game.
 
-    Every coordinate parameter carries min 0 / max (dimension - 1) bounds.
+    Every coordinate parameter is bounded to ``(0, dimension - 1)``.
     When ``usable`` is given, fields and methods outside that set are
     registered with ``usable=False``, narrowing the searchable scope the way
     a designer would with annotations.
@@ -324,14 +315,14 @@ def build_game_registry(
     reg.register_field(FieldDescriptor("Width", INT, usable=is_usable("Width"), writable=False))
     reg.register_field(FieldDescriptor("Height", INT, usable=is_usable("Height"), writable=False))
 
-    xmax, ymax = width - 1, height - 1
+    xs, ys = (0, width - 1), (0, height - 1)
     methods = [
         MethodDescriptor(
             "DestroyTile",
             (("x", INT), ("y", INT)),
             VOID,
             usable=is_usable("DestroyTile"),
-            constraints=(*_coord_bounds("x", xmax), *_coord_bounds("y", ymax)),
+            bounds={"x": xs, "y": ys},
             host_impl=_host_destroy_tile,
         ),
         MethodDescriptor(
@@ -339,7 +330,7 @@ def build_game_registry(
             (("x", INT), ("y", INT), ("c", colour)),
             VOID,
             usable=is_usable("SetTile"),
-            constraints=(*_coord_bounds("x", xmax), *_coord_bounds("y", ymax)),
+            bounds={"x": xs, "y": ys},
             host_impl=_host_set_tile,
         ),
         MethodDescriptor(
@@ -347,12 +338,7 @@ def build_game_registry(
             (("x1", INT), ("y1", INT), ("x2", INT), ("y2", INT)),
             VOID,
             usable=is_usable("SwapTiles"),
-            constraints=(
-                *_coord_bounds("x1", xmax),
-                *_coord_bounds("y1", ymax),
-                *_coord_bounds("x2", xmax),
-                *_coord_bounds("y2", ymax),
-            ),
+            bounds={"x1": xs, "y1": ys, "x2": xs, "y2": ys},
             host_impl=_host_swap_tiles,
         ),
         MethodDescriptor(
@@ -367,7 +353,7 @@ def build_game_registry(
             (("x", INT), ("y", INT)),
             BOOL,
             usable=is_usable("IsOccupied"),
-            constraints=(*_coord_bounds("x", xmax), *_coord_bounds("y", ymax)),
+            bounds={"x": xs, "y": ys},
             host_impl=_host_is_occupied,
         ),
         MethodDescriptor("Add", (("a", INT), ("b", INT)), INT,

@@ -2,10 +2,10 @@
 
 A Registry models the slice of a host program that is opened up to code
 generation: enums, fields, and methods, each gated by a ``usable`` flag, plus
-optional min/max bounds on integer method parameters. Build one imperatively
-with the ``register_*`` methods, then ``seal()`` it; a sealed registry is
-validated, immutable, and safe to share between any number of generators
-and compiled blocks.
+an optional ``(min, max)`` bound per integer method parameter
+(``MethodDescriptor.bounds``). Build one imperatively with the ``register_*``
+methods, then ``seal()`` it; a sealed registry is validated, immutable, and
+safe to share between any number of generators and compiled blocks.
 
 ``candidates_for`` is the search primitive: given a wanted type and the local
 scope, it returns every producer of that type in a fixed order (usable fields,
@@ -112,27 +112,6 @@ class ValidationFailed(RegistryError):
         self.diagnostics = tuple(diagnostics)
 
 
-class ConstraintKind(Enum):
-    MIN = "min"
-    MAX = "max"
-
-
-@dataclass(frozen=True)
-class ParamConstraint:
-    """A min or max bound on one integer parameter of a method."""
-
-    param: str
-    kind: ConstraintKind
-    bound: int
-
-    def __post_init__(self) -> None:
-        # bool is an int subclass; reject it explicitly.
-        if type(self.bound) is not int:
-            raise ConstraintTypeMismatch(
-                f"constraint bound for '{self.param}' must be an int, got {self.bound!r}"
-            )
-
-
 @dataclass(frozen=True)
 class EnumDef:
     name: str
@@ -161,61 +140,69 @@ class FieldDescriptor:
 # A host behavior takes (world, argument values) and returns a runtime value.
 HostImpl = Callable[..., Any]
 
-# The (min, max) bounds of an integer parameter; None means unbounded.
+# The (min, max) bounds of an integer parameter; None means an open side.
 Bounds = Tuple[Optional[int], Optional[int]]
+_OPEN: Bounds = (None, None)
 
 
 @dataclass(frozen=True)
 class MethodDescriptor:
+    """A host method open to generated code.
+
+    ``bounds`` maps each bounded int parameter to its ``(min, max)``, with
+    None for an open side, for example ``{"x": (0, 2), "n": (None, 9)}``.
+    It is the one form of a bound: it is stored read-only, in signature
+    order and without fully open entries, and the compiler, the generator
+    (through ``literal_interval``) and ``Registry.dump_lines`` all read it.
+    Descriptors compare their bounds; the hash leaves the mapping out.
+    """
+
     name: str
     params: Tuple[Tuple[str, TypeId], ...]
     return_type: TypeId
     usable: bool = True
-    constraints: Tuple[ParamConstraint, ...] = ()
+    bounds: Mapping[str, Bounds] = field(default_factory=dict, hash=False)
     host_impl: Optional[HostImpl] = field(default=None, compare=False)
-    _bounds: Dict[str, Bounds] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(tuple(p) for p in self.params))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
         names = [n for n, _ in self.params]
         if len(set(names)) != len(names):
             raise DuplicateName(f"method '{self.name}' repeats a parameter name")
         for _, t in self.params:
             if t.is_void:
                 raise VoidField(f"method '{self.name}' has a void parameter")
-        # One (min, max) pair per bounded parameter, tightest bound wins.
         by_param: Dict[str, TypeId] = dict(self.params)
-        bounds: Dict[str, Bounds] = {}
-        for c in self.constraints:
-            if c.param not in by_param:
+        for p, (lo, hi) in self.bounds.items():
+            if p not in by_param:
                 raise UnknownConstraintParam(
-                    f"method '{self.name}': constraint names unknown parameter '{c.param}'"
+                    f"method '{self.name}': bound names unknown parameter '{p}'"
                 )
-            if by_param[c.param] != INT:
+            if by_param[p] != INT:
                 raise ConstraintTypeMismatch(
-                    f"method '{self.name}': constraint on non-int parameter '{c.param}'"
+                    f"method '{self.name}': bound on non-int parameter '{p}'"
                 )
-            lo, hi = bounds.get(c.param, (None, None))
-            if c.kind is ConstraintKind.MIN:
-                lo = c.bound if lo is None else max(lo, c.bound)
-            else:
-                hi = c.bound if hi is None else min(hi, c.bound)
-            bounds[c.param] = (lo, hi)
-        for p, (lo, hi) in bounds.items():
+            # bool is an int subclass; reject it explicitly.
+            if any(b is not None and type(b) is not int for b in (lo, hi)):
+                raise ConstraintTypeMismatch(
+                    f"method '{self.name}': bound for '{p}' must be an int, got {(lo, hi)!r}"
+                )
+        for p, (lo, hi) in self.bounds.items():
             if lo is not None and hi is not None and lo > hi:
                 raise InvertedBounds(
                     f"method '{self.name}': parameter '{p}' has min {lo} > max {hi}"
                 )
-        object.__setattr__(self, "_bounds", bounds)
+        pairs = ((p, tuple(self.bounds.get(p, _OPEN))) for p in names)
+        ordered = {p: b for p, b in pairs if b != _OPEN}
+        object.__setattr__(self, "bounds", MappingProxyType(ordered))
 
     @property
     def arity(self) -> int:
         return len(self.params)
 
     def literal_interval(self, param: str) -> Bounds:
-        """The tightest (min, max) bounds declared for a parameter; None means unbounded."""
-        return self._bounds.get(param, (None, None))
+        """The (min, max) bounds of a parameter; None means an open side."""
+        return self.bounds.get(param, _OPEN)
 
 
 @dataclass(frozen=True)
@@ -447,11 +434,13 @@ class Registry:
             line = f"METHOD {name}({params}) : {m.return_type.display()}"
             if m.usable:
                 line += " [usable]"
-            if m.constraints:
+            if m.bounds:
                 rendered = []
-                for c in m.constraints:
-                    op = ">=" if c.kind is ConstraintKind.MIN else "<="
-                    rendered.append(f"{c.param}{op}{c.bound}")
+                for p, (lo, hi) in m.bounds.items():
+                    if lo is not None:
+                        rendered.append(f"{p}>={lo}")
+                    if hi is not None:
+                        rendered.append(f"{p}<={hi}")
                 line += " {" + ",".join(rendered) + "}"
             lines.append(line)
         return lines

@@ -11,9 +11,11 @@ the arity and argument types and picks the host or compiled path, and
 once per delegate, when it is first prepared, into nested Python closures
 (Feeley and Lapalme, "Using closures for code generation", 1987): locals
 become fixed frame slots, and each call site carries its method's host
-implementation and constraint checks. Every host-method call first checks
-the method's parameter constraints, so out-of-range arguments surface as
-ConstraintViolation whether they came from literals or computed values.
+implementation and bound checks. Every host-method call first checks each
+bounded parameter against its ``(min, max)`` from ``MethodDescriptor.bounds``
+(a literal argument inside its bounds is settled at compile time), so
+out-of-range arguments surface as ConstraintViolation whether they came from
+literals or computed values.
 Execution has no transactional rollback: an erroring invocation leaves the
 world in whatever partial state it reached.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import inf
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -44,7 +47,7 @@ from .lang import (
     VarDecl,
     typecheck,
 )
-from .registry import BOOL, INT, VOID, ConstraintKind, Registry, TypeId, enum_type
+from .registry import BOOL, INT, VOID, Bounds, Registry, TypeId, enum_type
 
 INT64_MASK = 2**64
 INT64_HALF = 2**63
@@ -340,7 +343,7 @@ def invoke(
     This is ``prepare`` for the types of ``args``, then one run. Host
     delegates dispatch straight to their behavior. Generated delegates run
     their compiled block; each host-method call checks the target's
-    parameter constraints and spends one unit of budget first.
+    parameter bounds and spends one unit of budget first.
     """
     run = prepare(delegate, [value_type(v) for v in args])
     return run(args, world, budget if budget is not None else ExecBudget())
@@ -415,12 +418,13 @@ def _fault(message: str, first: Optional[Compiled] = None) -> Compiled:
     return fault
 
 
-def _settled(arg: Expression, is_min: bool, bound: int) -> bool:
-    """Whether a constraint check on ``arg`` provably passes: an int literal
-    within the bound."""
+def _settled(arg: Expression, bounds: Bounds) -> bool:
+    """Whether the bound check on ``arg`` provably passes: an int literal
+    within ``bounds``."""
     if not isinstance(arg, IntLit) or type(arg.value) is not int:
         return False
-    return arg.value >= bound if is_min else arg.value <= bound
+    lo, hi = bounds
+    return (lo is None or lo <= arg.value) and (hi is None or arg.value <= hi)
 
 
 class _Compiler:
@@ -553,8 +557,8 @@ class _Compiler:
 
     def call(self, call: Call, frames: List[Dict[str, int]]) -> Compiled:
         """A host-method call: evaluate the arguments left to right, check
-        the method's constraints in declaration order, spend one unit of
-        budget, run the host implementation."""
+        the bounded parameters in signature order, spend one unit of budget,
+        run the host implementation."""
         name = call.method
         md = self.registry.method_named(name)
         if md is None:
@@ -575,24 +579,27 @@ class _Compiler:
                 return [fn(frame) for fn in arg_fns]
 
         index = {pname: i for i, (pname, _) in enumerate(md.params)}
-        # (argument index, parameter, bound, is a min bound), minus the checks
-        # a literal argument settles here.
-        checks = []
-        for c in md.constraints:
-            i = index[c.param]
-            is_min = c.kind is ConstraintKind.MIN
-            if not _settled(call.args[i], is_min, c.bound):
-                checks.append((i, c.param, c.bound, is_min))
+        # (argument index, parameter, min, max) per bounded parameter that a
+        # literal argument does not settle here, in signature order. An open
+        # side is an infinite float, which compares exactly with any int.
+        checks = [
+            (index[p], p, -inf if lo is None else lo, inf if hi is None else hi)
+            for p, (lo, hi) in md.bounds.items()
+            if not _settled(call.args[index[p]], (lo, hi))
+        ]
         host = md.host_impl
 
         def call_method(frame: Frame) -> Value:
-            args = list(eval_args(frame))
-            for i, param, bound, is_min in checks:
+            args = eval_args(frame)
+            for i, param, lo, hi in checks:
                 arg = args[i]
                 if not isinstance(arg, IntV):
                     raise InterpreterError(f"constraint on non-int argument '{param}' of '{name}'")
-                if (arg.value < bound) if is_min else (arg.value > bound):
-                    raise ConstraintViolation(name, param, arg.value, bound, "min" if is_min else "max")
+                value = arg.value
+                if not lo <= value <= hi:
+                    if value < lo:
+                        raise ConstraintViolation(name, param, value, lo, "min")
+                    raise ConstraintViolation(name, param, value, hi, "max")
             frame[_BUDGET].spend()
             if host is None:
                 raise HostError(f"method '{name}' has no host implementation", name)

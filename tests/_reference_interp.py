@@ -57,7 +57,8 @@ def reference_invoke(
 
     Host delegates dispatch straight to their behavior. Generated delegates
     interpret the block statement by statement; each host-method call checks
-    the target's parameter constraints and spends one unit of budget first.
+    the target's parameter bounds, in signature order, and spends one unit
+    of budget first.
     """
     budget = budget if budget is not None else ExecBudget()
     sig = delegate.sig
@@ -168,17 +169,18 @@ class _Interp:
                 f"method '{call.method}' takes {md.arity} argument(s), got {len(call.args)}"
             )
         args = [self.eval(a, frames) for a in call.args]
-        by_param = {pname: i for i, (pname, _) in enumerate(md.params)}
-        for c in md.constraints:
-            arg = args[by_param[c.param]]
+        for arg, (pname, _) in zip(args, md.params):
+            if pname not in md.bounds:
+                continue
             if not isinstance(arg, IntV):
                 raise InterpreterError(
-                    f"constraint on non-int argument '{c.param}' of '{call.method}'"
+                    f"constraint on non-int argument '{pname}' of '{call.method}'"
                 )
-            if c.kind.value == "min" and arg.value < c.bound:
-                raise ConstraintViolation(call.method, c.param, arg.value, c.bound, "min")
-            if c.kind.value == "max" and arg.value > c.bound:
-                raise ConstraintViolation(call.method, c.param, arg.value, c.bound, "max")
+            lo, hi = md.bounds[pname]
+            if lo is not None and arg.value < lo:
+                raise ConstraintViolation(call.method, pname, arg.value, lo, "min")
+            if hi is not None and arg.value > hi:
+                raise ConstraintViolation(call.method, pname, arg.value, hi, "max")
         self.budget.spend()
         if md.host_impl is None:
             raise HostError(f"method '{call.method}' has no host implementation", call.method)

@@ -149,7 +149,7 @@ def constraint_violating_literals(block: CodeBlock, registry: Registry) -> List[
         for arg, (pname, _) in zip(expr.args, md.params):
             if not isinstance(arg, IntLit):
                 continue
-            lo, hi = md.literal_interval(pname)
+            lo, hi = md.bounds.get(pname, (None, None))
             if (lo is not None and arg.value < lo) or (hi is not None and arg.value > hi):
                 out.append((expr.method, pname, arg.value))
     return out

@@ -30,11 +30,9 @@ from mechgen.lang import (
 from mechgen.registry import (
     INT,
     VOID,
-    ConstraintKind,
     FieldDescriptor,
     LiteralOption,
     MethodDescriptor,
-    ParamConstraint,
     Registry,
 )
 from mechgen.runtime import (
@@ -136,10 +134,7 @@ def test_criterion_4_constraint_compliance(default_blocks, game_registry):
     reg.register_method(
         MethodDescriptor(
             "Move", (("newx", INT),), VOID,
-            constraints=(
-                ParamConstraint("newx", ConstraintKind.MIN, -1),
-                ParamConstraint("newx", ConstraintKind.MAX, 1),
-            ),
+            bounds={"newx": (-1, 1)},
             host_impl=lambda world, args: UNIT,
         )
     )

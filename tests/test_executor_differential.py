@@ -39,15 +39,13 @@ from mechgen.registry import (
     BOOL,
     INT,
     VOID,
-    ConstraintKind,
     EnumDef,
     FieldDescriptor,
     MethodDescriptor,
-    ParamConstraint,
     Registry,
     enum_type,
 )
-from mechgen.runtime import UNIT, BoolV, ExecBudget, GeneratedDelegate, IntV, invoke
+from mechgen.runtime import UNIT, BoolV, ConstraintViolation, ExecBudget, GeneratedDelegate, IntV, invoke
 from mechgen.synthesis import (
     GenerationConfig,
     GenerationError,
@@ -179,17 +177,18 @@ def lab_registry():
     reg.register_field(FieldDescriptor("Width", INT, writable=False))
     reg.register_method(MethodDescriptor(
         "Move", (("newx", INT),), VOID,
-        constraints=(ParamConstraint("newx", ConstraintKind.MIN, -1),
-                     ParamConstraint("newx", ConstraintKind.MAX, 1)),
+        bounds={"newx": (-1, 1)},
         host_impl=_logged("Move", lambda args: UNIT)))
-    # Bounds interleaved across parameters, so their declaration order shows.
+    # Declared against signature order; checks still run in signature order.
     reg.register_method(MethodDescriptor(
         "Span", (("lo", INT), ("hi", INT)), VOID,
-        constraints=(ParamConstraint("lo", ConstraintKind.MAX, 0),
-                     ParamConstraint("hi", ConstraintKind.MIN, 0),
-                     ParamConstraint("lo", ConstraintKind.MIN, -5),
-                     ParamConstraint("hi", ConstraintKind.MAX, 5)),
+        bounds={"hi": (0, 5), "lo": (-5, 0)},
         host_impl=_logged("Span", lambda args: UNIT)))
+    # Min-only, max-only, two-sided and unbounded, declared out of order.
+    reg.register_method(MethodDescriptor(
+        "Quad", (("a", INT), ("b", INT), ("c", INT), ("d", INT)), VOID,
+        bounds={"c": (-3, 4), "b": (None, 2), "a": (-1, None)},
+        host_impl=_logged("Quad", lambda args: UNIT)))
     reg.register_method(MethodDescriptor(
         "Add", (("a", INT), ("b", INT)), INT,
         host_impl=_logged("Add", lambda args: IntV(args[0].value + args[1].value))))
@@ -280,6 +279,32 @@ HAND_MADE = [
                          ids=[case[0] for case in HAND_MADE])
 def test_hand_made_block_matches_reference(sig, block, args, budget):
     assert_same(GeneratedDelegate(sig, block, LAB), args, LabWorld, lab_snapshot, budget)
+
+
+def _violation(execute, delegate, args):
+    try:
+        return ("value", execute(delegate, args, LabWorld()))
+    except ConstraintViolation as err:
+        return ("violation", err.method, err.param, err.value, err.bound, err.bound_kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.integers(min_value=-8, max_value=8), min_size=4, max_size=4),
+       literal=st.booleans())
+def test_bound_violation_order_matches_reference(values, literal):
+    """With several arguments out of bounds, both executors name the same
+    violation: the first bounded parameter in signature order."""
+    if literal:
+        sig, args = VOID_SIG, []
+        block = _block(ExprStmt(_call("Quad", *(IntLit(v) for v in values))))
+    else:
+        # Add(x, 0) is a computed value, so no check is settled at compile time.
+        sig = Signature("q", tuple((p, INT) for p in "wxyz"), VOID)
+        args = [IntV(v) for v in values]
+        block = _block(ExprStmt(_call("Quad", *(_call("Add", LocalRef(p), IntLit(0)) for p in "wxyz"))))
+    delegate = GeneratedDelegate(sig, block, LAB)
+    assert _violation(invoke, delegate, args) == _violation(reference_invoke, delegate, args)
+    assert_same(delegate, args, LabWorld, lab_snapshot)
 
 
 def test_delegate_without_registry_matches_reference():

@@ -6,7 +6,7 @@ SHA-256 digest per cell, so a refactor of the generator that changes any draw,
 any literal value or any error message shows up as the cell that moved.
 
 The grid covers void, int, enum and bool signatures; the full game registry,
-``usable``-restricted ones and a small registry with duplicate and
+``usable``-restricted ones and a small registry with one-sided, one-value and
 out-of-range parameter bounds; ``literal_weight`` 0 and > 0;
 ``max_recursion_depth`` 0, 1 and 2; and several statement-kind subsets.
 
@@ -27,11 +27,9 @@ from mechgen.registry import (
     BOOL,
     INT,
     VOID,
-    ConstraintKind,
     EnumDef,
     FieldDescriptor,
     MethodDescriptor,
-    ParamConstraint,
     Registry,
     enum_type,
 )
@@ -50,8 +48,8 @@ SIGNATURES = {
 
 
 def _bounded_registry() -> Registry:
-    """Duplicate bounds (tightest wins), a one-value range and a bound outside
-    the literal range."""
+    """A two-sided bound, a one-value range and a min-only bound outside the
+    literal range."""
     reg = Registry()
     reg.register_enum(EnumDef("Colour", ("R", "G")))
     reg.register_field(FieldDescriptor("Score", INT))
@@ -59,19 +57,15 @@ def _bounded_registry() -> Registry:
     reg.register_field(FieldDescriptor("Hidden", COLOUR, usable=False))
     reg.register_method(MethodDescriptor(
         "Put", (("n", INT),), VOID,
-        constraints=(
-            ParamConstraint("n", ConstraintKind.MIN, 0),
-            ParamConstraint("n", ConstraintKind.MAX, 3),
-            ParamConstraint("n", ConstraintKind.MIN, 2),
-        ),
+        bounds={"n": (2, 3)},
     ))
     reg.register_method(MethodDescriptor(
         "Far", (("n", INT), ("c", COLOUR)), VOID,
-        constraints=(ParamConstraint("n", ConstraintKind.MIN, 200),),
+        bounds={"n": (200, None)},
     ))
     reg.register_method(MethodDescriptor(
         "Pin", (("n", INT),), BOOL,
-        constraints=(ParamConstraint("n", ConstraintKind.MAX, 1), ParamConstraint("n", ConstraintKind.MIN, 1)),
+        bounds={"n": (1, 1)},
     ))
     reg.register_method(MethodDescriptor("Same", (("c", COLOUR),), BOOL))
     reg.register_method(MethodDescriptor("Tick", (), INT))

@@ -4,7 +4,6 @@ from mechgen.registry import (
     BOOL,
     INT,
     VOID,
-    ConstraintKind,
     ConstraintTypeMismatch,
     DuplicateName,
     EmptyEnum,
@@ -16,7 +15,6 @@ from mechgen.registry import (
     LocalProducer,
     MethodDescriptor,
     MethodProducer,
-    ParamConstraint,
     Registry,
     RegistryNotSealed,
     RegistrySealed,
@@ -26,13 +24,6 @@ from mechgen.registry import (
     VoidField,
     enum_type,
 )
-
-
-def minmax(param, lo, hi):
-    return (
-        ParamConstraint(param, ConstraintKind.MIN, lo),
-        ParamConstraint(param, ConstraintKind.MAX, hi),
-    )
 
 
 @pytest.fixture()
@@ -91,7 +82,7 @@ def test_usable_field_appears_in_producers(reg):
 
 def test_constraint_interval_recorded(reg):
     reg.register_method(
-        MethodDescriptor("Move", (("newx", INT),), VOID, constraints=minmax("newx", -1, 1))
+        MethodDescriptor("Move", (("newx", INT),), VOID, bounds={"newx": (-1, 1)})
     )
     assert reg.method_named("Move").literal_interval("newx") == (-1, 1)
 
@@ -100,31 +91,31 @@ def test_constraint_on_unknown_param_rejected():
     with pytest.raises(UnknownConstraintParam):
         MethodDescriptor(
             "Move", (("newx", INT),), VOID,
-            constraints=(ParamConstraint("z", ConstraintKind.MIN, 0),),
+            bounds={"z": (0, None)},
         )
 
 
 def test_inverted_bounds_rejected():
     with pytest.raises(InvertedBounds):
-        MethodDescriptor("Move", (("newx", INT),), VOID, constraints=minmax("newx", 5, 1))
+        MethodDescriptor("Move", (("newx", INT),), VOID, bounds={"newx": (5, 1)})
 
 
 def test_constraint_on_non_int_param_rejected():
     with pytest.raises(ConstraintTypeMismatch):
         MethodDescriptor(
             "Toggle", (("on", BOOL),), VOID,
-            constraints=(ParamConstraint("on", ConstraintKind.MIN, 0),),
+            bounds={"on": (0, None)},
         )
 
 
 def test_bool_bound_rejected():
     with pytest.raises(ConstraintTypeMismatch):
-        ParamConstraint("newx", ConstraintKind.MIN, True)
+        MethodDescriptor("Move", (("newx", INT),), VOID, bounds={"newx": (True, None)})
 
 
 def test_min_and_max_together_are_fine(reg):
     reg.register_method(
-        MethodDescriptor("Move", (("newx", INT),), VOID, constraints=minmax("newx", -1, 1))
+        MethodDescriptor("Move", (("newx", INT),), VOID, bounds={"newx": (-1, 1)})
     )
     reg.seal()
     assert reg.validate() == []
@@ -274,26 +265,29 @@ def test_encapsulated_field_via_getter_setter(reg):
     assert any(isinstance(c, MethodProducer) and c.method.name == "GetScore" for c in grounded_int)
 
 
-def test_duplicate_bounds_fold_tightest_before_inversion_check():
-    # min 5 and min 0 fold to min 5, which exceeds max 3 whatever the order.
-    bounds = (
-        ParamConstraint("n", ConstraintKind.MIN, 5),
-        ParamConstraint("n", ConstraintKind.MIN, 0),
-        ParamConstraint("n", ConstraintKind.MAX, 3),
+def test_dump_lines_renders_each_side_of_a_bound():
+    reg = Registry()
+    reg.register_method(MethodDescriptor("Far", (("n", INT),), VOID, bounds={"n": (200, None)}))
+    reg.register_method(
+        MethodDescriptor("Cap", (("k", INT), ("on", BOOL)), INT, usable=False, bounds={"k": (None, 9)})
     )
-    with pytest.raises(InvertedBounds, match="parameter 'n' has min 5 > max 3"):
-        MethodDescriptor("Put", (("n", INT),), VOID, constraints=bounds)
+    reg.register_method(
+        MethodDescriptor(
+            "Span", (("a", INT), ("b", INT), ("c", INT)), VOID,
+            bounds={"c": (-1, 1), "a": (0, 4)},
+        )
+    )
+    assert reg.seal().dump_lines() == [
+        "METHOD Cap(k:int,on:bool) : int {k<=9}",
+        "METHOD Far(n:int) : void [usable] {n>=200}",
+        "METHOD Span(a:int,b:int,c:int) : void [usable] {a>=0,a<=4,c>=-1,c<=1}",
+    ]
 
 
 def test_literal_interval_reads_the_folded_bounds():
     m = MethodDescriptor(
         "Put", (("n", INT), ("k", INT)), VOID,
-        constraints=(
-            ParamConstraint("n", ConstraintKind.MAX, 9),
-            ParamConstraint("n", ConstraintKind.MIN, 0),
-            ParamConstraint("n", ConstraintKind.MAX, 4),
-            ParamConstraint("n", ConstraintKind.MIN, 2),
-        ),
+        bounds={"n": (2, 4)},
     )
     assert m.literal_interval("n") == (2, 4)
     assert m.literal_interval("k") == (None, None)

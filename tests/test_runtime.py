@@ -16,10 +16,8 @@ from mechgen.registry import (
     BOOL,
     INT,
     VOID,
-    ConstraintKind,
     FieldDescriptor,
     MethodDescriptor,
-    ParamConstraint,
     Registry,
 )
 from mechgen.runtime import (
@@ -74,10 +72,7 @@ def move_registry():
             "Move",
             (("newx", INT),),
             VOID,
-            constraints=(
-                ParamConstraint("newx", ConstraintKind.MIN, -1),
-                ParamConstraint("newx", ConstraintKind.MAX, 1),
-            ),
+            bounds={"newx": (-1, 1)},
             host_impl=lambda world, args: UNIT,
         )
     )

@@ -20,11 +20,9 @@ from mechgen.registry import (
     BOOL,
     INT,
     VOID,
-    ConstraintKind,
     EnumDef,
     FieldDescriptor,
     MethodDescriptor,
-    ParamConstraint,
     Registry,
     TypeKind,
     enum_type,
@@ -241,10 +239,7 @@ def constrained_move_registry(lo, hi):
             "Move",
             (("newx", INT),),
             VOID,
-            constraints=(
-                ParamConstraint("newx", ConstraintKind.MIN, lo),
-                ParamConstraint("newx", ConstraintKind.MAX, hi),
-            ),
+            bounds={"newx": (lo, hi)},
         )
     )
     return reg.seal()
