@@ -26,7 +26,9 @@ from .evaluate import (
 from .game import ON_TILE_TAPPED, build_game_registry, build_hook_table
 from .lang import ParseError, format_mechanic, parse_mechanic
 from .runtime import HookError
-from .synthesis import ConfigError, GenerationError, config_with_seed, generate_block, load_config
+from .synthesis import (
+    ConfigError, GenerationError, config_with_seed, generate_block, load_config, run_seeds,
+)
 
 # `search` takes no budget flag; batch size is fixed here.
 DEFAULT_SEARCH_BUDGET = 1000
@@ -104,10 +106,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.signature not in hooks.names():
         raise InputRejected(f"unknown signature '{args.signature}'")
     sig = hooks.sig(args.signature)
+    seeds = run_seeds(config, args.count)
     registry = build_game_registry()
     written = 0
-    for i in range(args.count):
-        seed = config.seed + i
+    for seed in seeds:
         try:
             block = generate_block(sig, registry, config_with_seed(config, seed))
         except GenerationError as err:

@@ -28,7 +28,9 @@ from .game import (
 from .lang import CodeBlock, Signature, TypeCheckError, pretty, typecheck
 from .registry import Registry
 from .runtime import ExecutionError, GeneratedDelegate, HookTable
-from .synthesis import GenerationConfig, GenerationError, config_with_seed, generate_block
+from .synthesis import (
+    GenerationConfig, GenerationError, config_with_seed, generate_block, run_seeds,
+)
 
 
 class GoalKind(Enum):
@@ -298,11 +300,11 @@ def search_mechanics(
     evaluate each; solving blocks are deduplicated by their pretty text."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    seeds = run_seeds(config, budget)
     report = SearchReport(budget=budget)
     seen: Set[str] = set()
     started = time.perf_counter()
-    for i in range(budget):
-        seed = config.seed + i
+    for seed in seeds:
         try:
             block = generate_block(sig, registry, config_with_seed(config, seed))
         except GenerationError as err:

@@ -298,22 +298,17 @@ def build_game_registry(
     height: int = 3,
     usable: Optional[Set[str]] = None,
 ) -> Registry:
-    """The sealed design space for a ``width`` x ``height`` game.
+    """The design space for a ``width`` x ``height`` game.
 
     Every coordinate parameter is bounded to ``(0, dimension - 1)``.
     When ``usable`` is given, fields and methods outside that set are
-    registered with ``usable=False``, narrowing the searchable scope the way
+    declared with ``usable=False``, narrowing the searchable scope the way
     a designer would with annotations.
     """
     colour = enum_type("Colour")
 
     def is_usable(name: str) -> bool:
         return usable is None or name in usable
-
-    reg = Registry()
-    reg.register_enum(EnumDef("Colour", COLOURS))
-    reg.register_field(FieldDescriptor("Width", INT, usable=is_usable("Width"), writable=False))
-    reg.register_field(FieldDescriptor("Height", INT, usable=is_usable("Height"), writable=False))
 
     xs, ys = (0, width - 1), (0, height - 1)
     methods = [
@@ -367,9 +362,14 @@ def build_game_registry(
         MethodDescriptor("DoNothing", (), VOID,
                          usable=is_usable("DoNothing"), host_impl=_host_do_nothing),
     ]
-    for m in methods:
-        reg.register_method(m)
-    return reg.seal()
+    return Registry(
+        enums=[EnumDef("Colour", COLOURS)],
+        fields=[
+            FieldDescriptor("Width", INT, usable=is_usable("Width"), writable=False),
+            FieldDescriptor("Height", INT, usable=is_usable("Height"), writable=False),
+        ],
+        methods=methods,
+    )
 
 
 def on_tile_tapped_signature() -> Signature:

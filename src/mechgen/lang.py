@@ -38,7 +38,6 @@ from .registry import (
     VOID,
     Registry,
     TypeId,
-    TypeKind,
     enum_type,
 )
 
@@ -224,12 +223,6 @@ def _lookup_local(frames: List[Dict[str, TypeId]], name: str) -> Optional[TypeId
     return None
 
 
-def _valid_decl_type(t: TypeId, registry: Registry) -> bool:
-    if t.kind is TypeKind.ENUM:
-        return t.enum_name in registry.enums
-    return t in (INT, BOOL)
-
-
 def _check_stmt(
     st: Statement,
     i: int,
@@ -262,7 +255,7 @@ def _check_stmt(
                     found=found,
                 )
     elif isinstance(st, VarDecl):
-        if not _valid_decl_type(st.type, registry):
+        if not registry.resolves(st.type):
             raise TypeCheckError(f"unknown type '{st.type.display()}'", i)
         if _lookup_local(frames, st.name) is not None:
             raise TypeCheckError(f"redeclaration of visible local '{st.name}'", i)

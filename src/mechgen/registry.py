@@ -3,9 +3,10 @@
 A Registry models the slice of a host program that is opened up to code
 generation: enums, fields, and methods, each gated by a ``usable`` flag, plus
 an optional ``(min, max)`` bound per integer method parameter
-(``MethodDescriptor.bounds``). Build one imperatively with the ``register_*``
-methods, then ``seal()`` it; a sealed registry is validated, immutable, and
-safe to share between any number of generators and compiled blocks.
+(``MethodDescriptor.bounds``). Build one in a single call,
+``Registry(enums, fields, methods)``, which checks every declaration; the
+result is immutable and safe to share between any number of generators and
+compiled blocks.
 
 ``candidates_for`` is the search primitive: given a wanted type and the local
 scope, it returns every producer of that type in a fixed order (usable fields,
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 
 class TypeKind(Enum):
@@ -67,7 +68,7 @@ def admits_literals(t: TypeId) -> bool:
 
 
 class RegistryError(Exception):
-    """Base class for design-space registration and validation failures."""
+    """Base class for rejected design-space declarations."""
 
 
 class DuplicateName(RegistryError):
@@ -96,20 +97,6 @@ class ConstraintTypeMismatch(RegistryError):
 
 class InvertedBounds(RegistryError):
     pass
-
-
-class RegistrySealed(RegistryError):
-    """Raised on any mutation attempt after seal()."""
-
-
-class RegistryNotSealed(RegistryError):
-    """Raised when a query requiring a sealed registry runs on an open one."""
-
-
-class ValidationFailed(RegistryError):
-    def __init__(self, diagnostics: Sequence[str]):
-        super().__init__("; ".join(diagnostics))
-        self.diagnostics = tuple(diagnostics)
 
 
 @dataclass(frozen=True)
@@ -252,131 +239,75 @@ _Producers = Tuple[Tuple[Producer, ...], Tuple[Producer, ...], Tuple[Producer, .
 _NO_PRODUCERS: _Producers = ((), (), ())
 
 
+def _by_name(kind: str, items: Iterable[Any], check: Callable[[Any], None]) -> Mapping[str, Any]:
+    """``items`` keyed by name in order; each name must be new, then passes ``check``."""
+    out: Dict[str, Any] = {}
+    for item in items:
+        if item.name in out:
+            raise DuplicateName(f"{kind} '{item.name}' already registered")
+        check(item)
+        out[item.name] = item
+    return MappingProxyType(out)
+
+
 class Registry:
     """The design space: enums, fields, and methods open to generation.
 
-    ``enums``/``fields``/``methods`` are plain insertion-ordered dicts while
-    the registry is open; ``seal()`` validates everything, freezes them behind
-    read-only views, and precomputes the per-type producer caches used by
-    ``candidates_for``.
+    Built in one call and immutable afterwards. The constructor checks each
+    declaration once, in order: each enum's name, then each field's name and
+    type, then each method's name, parameter types and return type. It stores
+    ``enums``/``fields``/``methods`` as read-only mappings in declaration
+    order and precomputes the per-type producers used by ``candidates_for``.
     """
 
-    def __init__(self) -> None:
-        self.enums: Dict[str, EnumDef] = {}
-        self.fields: Dict[str, FieldDescriptor] = {}
-        self.methods: Dict[str, MethodDescriptor] = {}
-        self._sealed = False
-        # Built by seal(): per type, (field producers, method producers then
-        # the literal option, the same with only arity-0 methods).
+    def __init__(
+        self,
+        enums: Iterable[EnumDef] = (),
+        fields: Iterable[FieldDescriptor] = (),
+        methods: Iterable[MethodDescriptor] = (),
+    ) -> None:
+        self.enums: Mapping[str, EnumDef] = _by_name("enum", enums, lambda e: None)
+        self.fields: Mapping[str, FieldDescriptor] = _by_name("field", fields, self._check_field)
+        self.methods: Mapping[str, MethodDescriptor] = _by_name("method", methods, self._check_method)
+        # Per type: (field producers, method producers then the literal
+        # option, the same with only arity-0 methods).
         self._producers: Dict[TypeId, _Producers] = {}
-
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
-    def _require_open(self) -> None:
-        if self._sealed:
-            raise RegistrySealed("registry is sealed; no further registration allowed")
-
-    def register_enum(self, enum_def: EnumDef) -> None:
-        self._require_open()
-        if enum_def.name in self.enums:
-            raise DuplicateName(f"enum '{enum_def.name}' already registered")
-        self.enums[enum_def.name] = enum_def
-
-    def register_field(self, desc: FieldDescriptor) -> None:
-        self._require_open()
-        if desc.name in self.fields:
-            raise DuplicateName(f"field '{desc.name}' already registered")
-        if not self._resolves(desc.type):
-            raise UnresolvedType(
-                f"field '{desc.name}': unresolved type '{desc.type.display()}'"
-            )
-        self.fields[desc.name] = desc
-
-    def register_method(self, desc: MethodDescriptor) -> None:
-        self._require_open()
-        if desc.name in self.methods:
-            raise DuplicateName(f"method '{desc.name}' already registered")
-        for pname, ptype in desc.params:
-            if not self._resolves(ptype):
-                raise UnresolvedType(
-                    f"method '{desc.name}': parameter '{pname}' has "
-                    f"unresolved type '{ptype.display()}'"
-                )
-        if not (desc.return_type.is_void or self._resolves(desc.return_type)):
-            raise UnresolvedType(
-                f"method '{desc.name}': unresolved return type "
-                f"'{desc.return_type.display()}'"
-            )
-        self.methods[desc.name] = desc
-
-    def _resolves(self, t: TypeId) -> bool:
-        if t.kind is TypeKind.ENUM:
-            return t.enum_name in self.enums
-        return t.kind is not TypeKind.VOID
-
-    def validate(self) -> List[str]:
-        """Re-check every registry-level invariant; returns all violations.
-
-        Registration already rejects bad input, so this mainly guards
-        registries assembled directly (tests, bulk loading).
-        """
-        out: List[str] = []
-        for name, e in self.enums.items():
-            if name != e.name:
-                out.append(f"enum '{name}': key does not match descriptor name '{e.name}'")
-        for name, f in self.fields.items():
-            if name != f.name:
-                out.append(f"field '{name}': key does not match descriptor name '{f.name}'")
-            if f.type.is_void:
-                out.append(f"field '{name}': void is not a value type")
-            elif not self._resolves(f.type):
-                out.append(f"field '{name}': unresolved type '{f.type.display()}'")
-        for name, m in self.methods.items():
-            if name != m.name:
-                out.append(f"method '{name}': key does not match descriptor name '{m.name}'")
-            for pname, ptype in m.params:
-                if not self._resolves(ptype):
-                    out.append(
-                        f"method '{name}': parameter '{pname}' has "
-                        f"unresolved type '{ptype.display()}'"
-                    )
-            if not (m.return_type.is_void or self._resolves(m.return_type)):
-                out.append(
-                    f"method '{name}': unresolved return type '{m.return_type.display()}'"
-                )
-        return out
-
-    def seal(self) -> "Registry":
-        if self._sealed:
-            return self
-        diagnostics = self.validate()
-        if diagnostics:
-            raise ValidationFailed(diagnostics)
-        fields: Dict[TypeId, List[Producer]] = {}
-        for f in self.fields.values():
-            if f.usable:
-                fields.setdefault(f.type, []).append(FieldProducer(f))
-        methods: Dict[TypeId, List[MethodProducer]] = {}
+        by_type: Dict[TypeId, List[MethodProducer]] = {}
         for m in self.methods.values():
             if m.usable:
-                methods.setdefault(m.return_type, []).append(MethodProducer(m))
+                by_type.setdefault(m.return_type, []).append(MethodProducer(m))
         # Every field and return type resolves, so these are all the types
         # with a producer; any other type gets none from the registry.
         for t in (*self.value_types(), VOID):
             literal = (LiteralOption(t),) if admits_literals(t) else ()
-            typed = methods.get(t, [])
+            typed = by_type.get(t, [])
             self._producers[t] = (
-                tuple(fields.get(t, ())),
+                tuple(FieldProducer(f) for f in self.fields.values() if f.usable and f.type == t),
                 (*typed, *literal),
                 (*(p for p in typed if p.method.arity == 0), *literal),
             )
-        self.enums = MappingProxyType(dict(self.enums))  # type: ignore[assignment]
-        self.fields = MappingProxyType(dict(self.fields))  # type: ignore[assignment]
-        self.methods = MappingProxyType(dict(self.methods))  # type: ignore[assignment]
-        self._sealed = True
-        return self
+
+    def resolves(self, t: TypeId) -> bool:
+        """Whether ``t`` is a value type here: int, bool or a registered enum."""
+        if t.kind is TypeKind.ENUM:
+            return t.enum_name in self.enums
+        return t.kind is not TypeKind.VOID
+
+    def _check_field(self, f: FieldDescriptor) -> None:
+        if not self.resolves(f.type):
+            raise UnresolvedType(f"field '{f.name}': unresolved type '{f.type.display()}'")
+
+    def _check_method(self, m: MethodDescriptor) -> None:
+        for pname, ptype in m.params:
+            if not self.resolves(ptype):
+                raise UnresolvedType(
+                    f"method '{m.name}': parameter '{pname}' has "
+                    f"unresolved type '{ptype.display()}'"
+                )
+        if not (m.return_type.is_void or self.resolves(m.return_type)):
+            raise UnresolvedType(
+                f"method '{m.name}': unresolved return type '{m.return_type.display()}'"
+            )
 
     def enum(self, name: str) -> Optional[EnumDef]:
         return self.enums.get(name)
@@ -399,13 +330,11 @@ class Registry:
     ) -> List[Producer]:
         """All producers of ``wanted`` visible from ``scope``, in fixed order.
 
-        Order: usable fields (registration order), locals (scope order,
-        innermost frame last), usable methods (registration order, methods of
+        Order: usable fields (declaration order), locals (scope order,
+        innermost frame last), usable methods (declaration order, methods of
         arity >= 1 dropped when ``grounded_only``), then one LiteralOption if
         the type admits literals. Non-usable items never appear.
         """
-        if not self._sealed:
-            raise RegistryNotSealed("candidates_for requires a sealed registry")
         fields, methods, grounded = self._producers.get(wanted, _NO_PRODUCERS)
         out: List[Producer] = list(fields)
         for name, t in scope:

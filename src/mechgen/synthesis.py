@@ -30,6 +30,8 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .lang import (
+    INT64_MAX,
+    INT64_MIN,
     Assign,
     Call,
     CodeBlock,
@@ -64,6 +66,8 @@ from .registry import (
     TypeId,
     TypeKind,
 )
+
+SEED_LIMIT = 2**64  # seeds are 64-bit unsigned integers
 
 # Hard cap on if/else nesting, preventing degenerate towers.
 MAX_NESTING = 3
@@ -109,7 +113,7 @@ class GenerationConfig:
         object.__setattr__(
             self, "statement_kinds_enabled", frozenset(self.statement_kinds_enabled)
         )
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError("seed must fit in 64 unsigned bits")
         if not 1 <= self.min_lines <= self.max_lines:
             raise ConfigError("line bounds must satisfy 1 <= min_lines <= max_lines")
@@ -122,6 +126,8 @@ class GenerationConfig:
         lo, hi = self.int_literal_range
         if lo > hi:
             raise ConfigError("int_literal_range must satisfy lo <= hi")
+        if lo < INT64_MIN or hi > INT64_MAX:
+            raise ConfigError(f"int_literal_range must lie within [{INT64_MIN}, {INT64_MAX}]")
         if not 0.0 <= self.else_probability <= 1.0:
             raise ConfigError("else_probability must lie in [0, 1]")
         if self.max_retries_per_line < 1:
@@ -484,7 +490,7 @@ def generate_statement(
 
 
 def generate_block(sig: Signature, registry: Registry, config: GenerationConfig) -> CodeBlock:
-    """Generate a well-typed body for ``sig`` over the sealed registry.
+    """Generate a well-typed body for ``sig`` over the registry.
 
     The number of top-level statements is drawn uniformly from
     [min_lines, max_lines]; a final return is appended for non-void
@@ -525,3 +531,12 @@ def _with_retries(line_index: int, gen: _Gen, attempt, detail: str = ""):
 
 def config_with_seed(config: GenerationConfig, seed: int) -> GenerationConfig:
     return replace(config, seed=seed)
+
+
+def run_seeds(config: GenerationConfig, count: int) -> range:
+    """The seeds config.seed, config.seed + 1, ... of a ``count``-candidate run,
+    checked up front so that a run past the last 64-bit seed does no work."""
+    last = config.seed + count - 1
+    if last >= SEED_LIMIT:
+        raise ConfigError(f"last seed {last} (seed + count - 1) must fit in 64 unsigned bits")
+    return range(config.seed, last + 1)

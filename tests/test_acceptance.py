@@ -107,10 +107,8 @@ def test_criterion_2_determinism(game_registry, tap_sig):
 
 
 def test_criterion_3_literal_weighting():
-    reg = Registry()
-    for name in ("a", "b", "c", "d"):  # exactly 4 non-literal int producers
-        reg.register_field(FieldDescriptor(name, INT))
-    reg.seal()
+    # exactly 4 non-literal int producers
+    reg = Registry(fields=[FieldDescriptor(name, INT) for name in ("a", "b", "c", "d")])
     assert sum(1 for c in reg.candidates_for(INT) if not isinstance(c, LiteralOption)) == 4
     config = GenerationConfig(literal_weight=1.0)
     rng = random.Random(2024)
@@ -130,15 +128,13 @@ def test_criterion_4_constraint_compliance(default_blocks, game_registry):
     for block in blocks:
         violations.extend(constraint_violating_literals(block, game_registry))
     # runtime semantics of annotated bounds: newx=5 against max 1 must fail
-    reg = Registry()
-    reg.register_method(
+    reg = Registry(methods=[
         MethodDescriptor(
             "Move", (("newx", INT),), VOID,
             bounds={"newx": (-1, 1)},
             host_impl=lambda world, args: UNIT,
         )
-    )
-    reg.seal()
+    ])
     delegate = compile_block(Signature("f", (), VOID), parse("Move(5);"), reg)
     try:
         invoke(delegate, [], world=None)

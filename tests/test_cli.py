@@ -132,6 +132,51 @@ def test_generate_rejects_zero_count(tmp_path, capsys):
     assert code == 1
 
 
+def test_generate_rejects_an_int_literal_range_outside_64_bits(tmp_path, capsys):
+    # Such a range used to write 'int v0 = 100000000000000000007;', which
+    # evaluate then rejected.
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(
+        (FIXTURES / "default.cfg").read_text()
+        .replace("int_literal_min = -100", "int_literal_min = 100000000000000000000")
+        .replace("int_literal_max = 100", "int_literal_max = 100000000000000000009")
+    )
+    code, _, err = run(
+        capsys, "generate", "--config", str(cfg), "--signature", "onTileTapped",
+        "--count", "1", "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert "int_literal_range must lie within" in err
+    assert not list(tmp_path.glob("*.mg"))
+
+
+def _config_with_seed(tmp_path, seed):
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text((FIXTURES / "search.cfg").read_text().replace("seed = 0", f"seed = {seed}"))
+    return str(cfg)
+
+
+def test_generate_writes_up_to_the_last_64_bit_seed(tmp_path, capsys):
+    cfg = _config_with_seed(tmp_path, 2**64 - 6)
+    code, _, err = run(
+        capsys, "generate", "--config", cfg, "--signature", "onTileTapped",
+        "--count", "6", "--out", str(tmp_path),
+    )
+    assert code == 0, err
+    assert len(list(tmp_path.glob("*.mg"))) == 6
+
+
+def test_generate_rejects_seeds_past_64_bits_before_writing(tmp_path, capsys):
+    cfg = _config_with_seed(tmp_path, 18446744073709551610)
+    code, _, err = run(
+        capsys, "generate", "--config", cfg, "--signature", "onTileTapped",
+        "--count", "10", "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert "last seed 18446744073709551619" in err
+    assert not list(tmp_path.glob("*.mg"))
+
+
 # --------------------------------------------------------------------------
 # search
 
@@ -160,6 +205,23 @@ def test_search_requires_existing_report_directory(tmp_path, capsys):
         "--report", str(tmp_path / "missing" / "r.txt"),
     )
     assert code == 1
+
+
+def test_search_rejects_seeds_past_64_bits_before_searching(tmp_path, capsys, monkeypatch):
+    import mechgen.evaluate
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a candidate was generated")
+
+    monkeypatch.setattr(mechgen.evaluate, "generate_block", no_work)
+    report = tmp_path / "r.txt"
+    code, _, err = run(
+        capsys, "search", "--config", _config_with_seed(tmp_path, 18446744073709551610),
+        "--challenge", UNSOLVABLE, "--report", str(report),
+    )
+    assert code == 1
+    assert "last seed 18446744073709552609" in err
+    assert not report.exists()
 
 
 # --------------------------------------------------------------------------

@@ -376,7 +376,7 @@ def test_search_counts_generation_failures_as_rejected(unsolvable_challenge):
     from mechgen.registry import VOID, Registry
 
     # no parameters and an empty registry: every generation attempt exhausts
-    registry = Registry().seal()
+    registry = Registry()
     sig = Signature("onTileTapped", (), VOID)
     config = GenerationConfig(literal_weight=0.0, statement_kinds_enabled={StatementKind.VAR_DECL})
     report = search_mechanics(sig, registry, unsolvable_challenge, config, budget=5)

@@ -171,32 +171,33 @@ def _logged(name, result):
 
 
 def lab_registry():
-    reg = Registry()
-    reg.register_enum(EnumDef("Colour", ("R", "G")))
-    reg.register_field(FieldDescriptor("hp", INT))
-    reg.register_field(FieldDescriptor("Width", INT, writable=False))
-    reg.register_method(MethodDescriptor(
-        "Move", (("newx", INT),), VOID,
-        bounds={"newx": (-1, 1)},
-        host_impl=_logged("Move", lambda args: UNIT)))
-    # Declared against signature order; checks still run in signature order.
-    reg.register_method(MethodDescriptor(
-        "Span", (("lo", INT), ("hi", INT)), VOID,
-        bounds={"hi": (0, 5), "lo": (-5, 0)},
-        host_impl=_logged("Span", lambda args: UNIT)))
-    # Min-only, max-only, two-sided and unbounded, declared out of order.
-    reg.register_method(MethodDescriptor(
-        "Quad", (("a", INT), ("b", INT), ("c", INT), ("d", INT)), VOID,
-        bounds={"c": (-3, 4), "b": (None, 2), "a": (-1, None)},
-        host_impl=_logged("Quad", lambda args: UNIT)))
-    reg.register_method(MethodDescriptor(
-        "Add", (("a", INT), ("b", INT)), INT,
-        host_impl=_logged("Add", lambda args: IntV(args[0].value + args[1].value))))
-    reg.register_method(MethodDescriptor(
-        "Less", (("a", INT), ("b", INT)), BOOL,
-        host_impl=_logged("Less", lambda args: BoolV(args[0].value < args[1].value))))
-    reg.register_method(MethodDescriptor("Phantom", (), VOID))
-    return reg.seal()
+    return Registry(
+        enums=[EnumDef("Colour", ("R", "G"))],
+        fields=[FieldDescriptor("hp", INT), FieldDescriptor("Width", INT, writable=False)],
+        methods=[
+            MethodDescriptor(
+                "Move", (("newx", INT),), VOID,
+                bounds={"newx": (-1, 1)},
+                host_impl=_logged("Move", lambda args: UNIT)),
+            # Declared against signature order; checks still run in signature order.
+            MethodDescriptor(
+                "Span", (("lo", INT), ("hi", INT)), VOID,
+                bounds={"hi": (0, 5), "lo": (-5, 0)},
+                host_impl=_logged("Span", lambda args: UNIT)),
+            # Min-only, max-only, two-sided and unbounded, declared out of order.
+            MethodDescriptor(
+                "Quad", (("a", INT), ("b", INT), ("c", INT), ("d", INT)), VOID,
+                bounds={"c": (-3, 4), "b": (None, 2), "a": (-1, None)},
+                host_impl=_logged("Quad", lambda args: UNIT)),
+            MethodDescriptor(
+                "Add", (("a", INT), ("b", INT)), INT,
+                host_impl=_logged("Add", lambda args: IntV(args[0].value + args[1].value))),
+            MethodDescriptor(
+                "Less", (("a", INT), ("b", INT)), BOOL,
+                host_impl=_logged("Less", lambda args: BoolV(args[0].value < args[1].value))),
+            MethodDescriptor("Phantom", (), VOID),
+        ],
+    )
 
 
 LAB = lab_registry()

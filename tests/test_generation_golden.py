@@ -50,26 +50,30 @@ SIGNATURES = {
 def _bounded_registry() -> Registry:
     """A two-sided bound, a one-value range and a min-only bound outside the
     literal range."""
-    reg = Registry()
-    reg.register_enum(EnumDef("Colour", ("R", "G")))
-    reg.register_field(FieldDescriptor("Score", INT))
-    reg.register_field(FieldDescriptor("Lock", BOOL, writable=False))
-    reg.register_field(FieldDescriptor("Hidden", COLOUR, usable=False))
-    reg.register_method(MethodDescriptor(
-        "Put", (("n", INT),), VOID,
-        bounds={"n": (2, 3)},
-    ))
-    reg.register_method(MethodDescriptor(
-        "Far", (("n", INT), ("c", COLOUR)), VOID,
-        bounds={"n": (200, None)},
-    ))
-    reg.register_method(MethodDescriptor(
-        "Pin", (("n", INT),), BOOL,
-        bounds={"n": (1, 1)},
-    ))
-    reg.register_method(MethodDescriptor("Same", (("c", COLOUR),), BOOL))
-    reg.register_method(MethodDescriptor("Tick", (), INT))
-    return reg.seal()
+    return Registry(
+        enums=[EnumDef("Colour", ("R", "G"))],
+        fields=[
+            FieldDescriptor("Score", INT),
+            FieldDescriptor("Lock", BOOL, writable=False),
+            FieldDescriptor("Hidden", COLOUR, usable=False),
+        ],
+        methods=[
+            MethodDescriptor(
+                "Put", (("n", INT),), VOID,
+                bounds={"n": (2, 3)},
+            ),
+            MethodDescriptor(
+                "Far", (("n", INT), ("c", COLOUR)), VOID,
+                bounds={"n": (200, None)},
+            ),
+            MethodDescriptor(
+                "Pin", (("n", INT),), BOOL,
+                bounds={"n": (1, 1)},
+            ),
+            MethodDescriptor("Same", (("c", COLOUR),), BOOL),
+            MethodDescriptor("Tick", (), INT),
+        ],
+    )
 
 
 REGISTRIES = {

@@ -44,15 +44,19 @@ from mechgen.synthesis import GenerationConfig, generate_block
 
 @pytest.fixture(scope="module")
 def reg():
-    r = Registry()
-    r.register_enum(EnumDef("DIR", ("N", "NE", "E", "SE", "S", "SW", "W", "NW")))
-    r.register_field(FieldDescriptor("x", INT, usable=True, writable=True))
-    r.register_field(FieldDescriptor("secret", INT, usable=False))
-    r.register_field(FieldDescriptor("score", INT, usable=True, writable=False))
-    r.register_method(MethodDescriptor("Add", (("a", INT), ("b", INT)), INT))
-    r.register_method(MethodDescriptor("DoNothing", (), VOID))
-    r.register_method(MethodDescriptor("Hidden", (), VOID, usable=False))
-    return r.seal()
+    return Registry(
+        enums=[EnumDef("DIR", ("N", "NE", "E", "SE", "S", "SW", "W", "NW"))],
+        fields=[
+            FieldDescriptor("x", INT, usable=True, writable=True),
+            FieldDescriptor("secret", INT, usable=False),
+            FieldDescriptor("score", INT, usable=True, writable=False),
+        ],
+        methods=[
+            MethodDescriptor("Add", (("a", INT), ("b", INT)), INT),
+            MethodDescriptor("DoNothing", (), VOID),
+            MethodDescriptor("Hidden", (), VOID, usable=False),
+        ],
+    )
 
 
 VOID_SIG = Signature("step", (("dx", INT),), VOID)

@@ -16,34 +16,25 @@ from mechgen.registry import (
     MethodDescriptor,
     MethodProducer,
     Registry,
-    RegistryNotSealed,
-    RegistrySealed,
     UnknownConstraintParam,
     UnresolvedType,
-    ValidationFailed,
     VoidField,
     enum_type,
 )
 
 
-@pytest.fixture()
-def reg():
-    return Registry()
-
-
-def test_register_enum_with_eight_variants(reg):
-    reg.register_enum(EnumDef("DIR", ("N", "NE", "E", "SE", "S", "SW", "W", "NW")))
-    reg.seal()
+def test_enum_with_eight_variants():
+    reg = Registry(enums=[EnumDef("DIR", ("N", "NE", "E", "SE", "S", "SW", "W", "NW"))])
     assert reg.enum("DIR").variants == ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
     # the enum admits literals: the single option stands in for 8 values
     cands = reg.candidates_for(enum_type("DIR"))
     assert cands == [LiteralOption(enum_type("DIR"))]
 
 
-def test_duplicate_enum_rejected(reg):
-    reg.register_enum(EnumDef("Colour", ("R", "G", "B", "Y")))
+def test_duplicate_enum_rejected():
+    colour = EnumDef("Colour", ("R", "G", "B", "Y"))
     with pytest.raises(DuplicateName):
-        reg.register_enum(EnumDef("Colour", ("R", "G", "B", "Y")))
+        Registry(enums=[colour, colour])
 
 
 def test_empty_enum_rejected():
@@ -61,29 +52,29 @@ def test_void_field_rejected():
         FieldDescriptor("v", VOID)
 
 
-def test_unresolved_field_type_rejected_at_registration(reg):
+def test_unresolved_field_type_rejected_at_registration():
     with pytest.raises(UnresolvedType):
-        reg.register_field(FieldDescriptor("ghost", enum_type("Ghost")))
+        Registry(fields=[FieldDescriptor("ghost", enum_type("Ghost"))])
 
 
-def test_duplicate_field_rejected(reg):
-    reg.register_field(FieldDescriptor("x", INT))
+def test_duplicate_field_rejected():
     with pytest.raises(DuplicateName):
-        reg.register_field(FieldDescriptor("x", BOOL))
+        Registry(fields=[FieldDescriptor("x", INT), FieldDescriptor("x", BOOL)])
 
 
-def test_usable_field_appears_in_producers(reg):
-    reg.register_field(FieldDescriptor("x", INT, usable=True, writable=True))
-    reg.register_field(FieldDescriptor("y", INT, usable=False))
-    reg.seal()
+def test_usable_field_appears_in_producers():
+    reg = Registry(fields=[
+        FieldDescriptor("x", INT, usable=True, writable=True),
+        FieldDescriptor("y", INT, usable=False),
+    ])
     cands = reg.candidates_for(INT)
     assert cands == [FieldProducer(reg.field_named("x")), LiteralOption(INT)]
 
 
-def test_constraint_interval_recorded(reg):
-    reg.register_method(
+def test_constraint_interval_recorded():
+    reg = Registry(methods=[
         MethodDescriptor("Move", (("newx", INT),), VOID, bounds={"newx": (-1, 1)})
-    )
+    ])
     assert reg.method_named("Move").literal_interval("newx") == (-1, 1)
 
 
@@ -113,18 +104,16 @@ def test_bool_bound_rejected():
         MethodDescriptor("Move", (("newx", INT),), VOID, bounds={"newx": (True, None)})
 
 
-def test_min_and_max_together_are_fine(reg):
-    reg.register_method(
-        MethodDescriptor("Move", (("newx", INT),), VOID, bounds={"newx": (-1, 1)})
-    )
-    reg.seal()
-    assert reg.validate() == []
+def test_min_and_max_together_are_fine():
+    move = MethodDescriptor("Move", (("newx", INT),), VOID, bounds={"newx": (-1, 1)})
+    assert Registry(methods=[move]).method_named("Move") is move
 
 
-def test_grounded_only_excludes_parameterised_methods(reg):
-    reg.register_method(MethodDescriptor("Add", (("a", INT), ("b", INT)), INT))
-    reg.register_method(MethodDescriptor("Zero", (), INT))
-    reg.seal()
+def test_grounded_only_excludes_parameterised_methods():
+    reg = Registry(methods=[
+        MethodDescriptor("Add", (("a", INT), ("b", INT)), INT),
+        MethodDescriptor("Zero", (), INT),
+    ])
     full = reg.candidates_for(INT)
     grounded = reg.candidates_for(INT, grounded_only=True)
     assert any(isinstance(c, MethodProducer) and c.method.name == "Add" for c in full)
@@ -132,21 +121,21 @@ def test_grounded_only_excludes_parameterised_methods(reg):
     assert any(isinstance(c, MethodProducer) and c.method.name == "Zero" for c in grounded)
 
 
-def test_void_candidates_have_no_literal_option(reg):
-    reg.register_field(FieldDescriptor("x", INT))
-    reg.register_method(MethodDescriptor("DoNothing", (), VOID))
-    reg.register_method(MethodDescriptor("Zero", (), INT))
-    reg.seal()
+def test_void_candidates_have_no_literal_option():
+    reg = Registry(
+        fields=[FieldDescriptor("x", INT)],
+        methods=[MethodDescriptor("DoNothing", (), VOID), MethodDescriptor("Zero", (), INT)],
+    )
     cands = reg.candidates_for(VOID)
     assert [type(c) for c in cands] == [MethodProducer]
     assert cands[0].method.name == "DoNothing"
 
 
-def test_candidate_order_fields_locals_methods_literal(reg):
-    reg.register_field(FieldDescriptor("a", INT))
-    reg.register_field(FieldDescriptor("b", INT))
-    reg.register_method(MethodDescriptor("Zero", (), INT))
-    reg.seal()
+def test_candidate_order_fields_locals_methods_literal():
+    reg = Registry(
+        fields=[FieldDescriptor("a", INT), FieldDescriptor("b", INT)],
+        methods=[MethodDescriptor("Zero", (), INT)],
+    )
     scope = [("p", INT), ("q", BOOL), ("r", INT)]
     cands = reg.candidates_for(INT, scope=scope)
     assert [type(c).__name__ for c in cands] == [
@@ -177,11 +166,10 @@ def test_grounded_subset_of_full(game_registry):
 
 def test_marking_non_usable_strictly_removes_item():
     def build(usable_flag):
-        reg = Registry()
-        reg.register_field(FieldDescriptor("a", INT))
-        reg.register_field(FieldDescriptor("b", INT, usable=usable_flag))
-        reg.register_method(MethodDescriptor("Zero", (), INT))
-        return reg.seal()
+        return Registry(
+            fields=[FieldDescriptor("a", INT), FieldDescriptor("b", INT, usable=usable_flag)],
+            methods=[MethodDescriptor("Zero", (), INT)],
+        )
 
     with_b = build(True).candidates_for(INT)
     without_b = build(False).candidates_for(INT)
@@ -195,10 +183,10 @@ def test_marking_non_usable_strictly_removes_item():
 
 def test_marking_method_non_usable_strictly_removes_it():
     def build(usable_flag):
-        reg = Registry()
-        reg.register_method(MethodDescriptor("Zero", (), INT))
-        reg.register_method(MethodDescriptor("One", (), INT, usable=usable_flag))
-        return reg.seal()
+        return Registry(methods=[
+            MethodDescriptor("Zero", (), INT),
+            MethodDescriptor("One", (), INT, usable=usable_flag),
+        ])
 
     with_one = build(True).candidates_for(INT)
     without_one = build(False).candidates_for(INT)
@@ -213,47 +201,57 @@ def test_candidates_deterministic(game_registry):
     assert first == second
 
 
-def test_candidates_require_sealed(reg):
-    reg.register_field(FieldDescriptor("x", INT))
-    with pytest.raises(RegistryNotSealed):
-        reg.candidates_for(INT)
-
-
-def test_registration_after_seal_rejected(reg):
-    reg.seal()
-    with pytest.raises(RegistrySealed):
-        reg.register_field(FieldDescriptor("x", INT))
-
-
 def test_sealed_maps_are_immutable(game_registry):
     with pytest.raises(TypeError):
         game_registry.fields["sneaky"] = FieldDescriptor("sneaky", INT)
 
 
-def test_validate_ok_on_game_registry(game_registry):
-    assert game_registry.validate() == []
-
-
-def test_validate_flags_unresolved_enum_type(reg):
-    # assemble the broken registry directly; register_field would refuse it
-    reg.fields["ghost"] = FieldDescriptor("ghost", enum_type("Ghost"))
-    diags = reg.validate()
-    assert len(diags) == 1 and "Ghost" in diags[0]
-    with pytest.raises(ValidationFailed):
-        reg.seal()
-
-
-def test_method_with_unresolved_param_type_rejected(reg):
+def test_method_with_unresolved_param_type_rejected():
     with pytest.raises(UnresolvedType):
-        reg.register_method(MethodDescriptor("Paint", (("c", enum_type("Hue")),), VOID))
+        Registry(methods=[MethodDescriptor("Paint", (("c", enum_type("Hue")),), VOID)])
 
 
-def test_encapsulated_field_via_getter_setter(reg):
+def test_duplicate_method_rejected():
+    with pytest.raises(DuplicateName, match="method 'Zero' already registered"):
+        Registry(methods=[MethodDescriptor("Zero", (), INT), MethodDescriptor("Zero", (), BOOL)])
+
+
+def test_method_with_unresolved_return_type_rejected():
+    with pytest.raises(UnresolvedType) as err:
+        Registry(methods=[MethodDescriptor("Pick", (), enum_type("Hue"))])
+    assert str(err.value) == "method 'Pick': unresolved return type 'Hue'"
+
+
+def test_checks_run_in_declaration_order():
+    # several declarations are bad in each case; the first bad one in the
+    # order enums, fields, methods (name before types) is the one reported
+    hue = enum_type("Hue")
+    colour = EnumDef("Colour", ("R",))
+    with pytest.raises(DuplicateName, match="enum"):
+        Registry([colour, colour], [FieldDescriptor("f", hue)], [MethodDescriptor("m", (), hue)])
+    with pytest.raises(UnresolvedType, match="field"):
+        Registry([colour], [FieldDescriptor("f", hue)], [MethodDescriptor("m", (), hue)])
+    with pytest.raises(DuplicateName, match="field"):
+        Registry(fields=[FieldDescriptor("f", INT), FieldDescriptor("f", hue)])
+    with pytest.raises(UnresolvedType, match="parameter 'p'"):
+        Registry(methods=[MethodDescriptor("m", (("p", hue),), hue)])
+
+
+def test_resolves_exactly_the_value_types():
+    reg = Registry(enums=[EnumDef("Colour", ("R",))])
+    assert [reg.resolves(t) for t in (INT, BOOL, enum_type("Colour"))] == [True] * 3
+    assert [reg.resolves(t) for t in (VOID, enum_type("Hue"))] == [False, False]
+
+
+def test_encapsulated_field_via_getter_setter():
     # a read-only value exposed both as a field and through accessor methods
-    reg.register_field(FieldDescriptor("score", INT, usable=True, writable=False))
-    reg.register_method(MethodDescriptor("GetScore", (), INT))
-    reg.register_method(MethodDescriptor("SetScore", (("v", INT),), VOID))
-    reg.seal()
+    reg = Registry(
+        fields=[FieldDescriptor("score", INT, usable=True, writable=False)],
+        methods=[
+            MethodDescriptor("GetScore", (), INT),
+            MethodDescriptor("SetScore", (("v", INT),), VOID),
+        ],
+    )
     int_cands = reg.candidates_for(INT)
     kinds = [type(c).__name__ for c in int_cands]
     assert kinds == ["FieldProducer", "MethodProducer", "LiteralOption"]
@@ -266,18 +264,17 @@ def test_encapsulated_field_via_getter_setter(reg):
 
 
 def test_dump_lines_renders_each_side_of_a_bound():
-    reg = Registry()
-    reg.register_method(MethodDescriptor("Far", (("n", INT),), VOID, bounds={"n": (200, None)}))
-    reg.register_method(
-        MethodDescriptor("Cap", (("k", INT), ("on", BOOL)), INT, usable=False, bounds={"k": (None, 9)})
-    )
-    reg.register_method(
+    reg = Registry(methods=[
+        MethodDescriptor("Far", (("n", INT),), VOID, bounds={"n": (200, None)}),
+        MethodDescriptor(
+            "Cap", (("k", INT), ("on", BOOL)), INT, usable=False, bounds={"k": (None, 9)}
+        ),
         MethodDescriptor(
             "Span", (("a", INT), ("b", INT), ("c", INT)), VOID,
             bounds={"c": (-1, 1), "a": (0, 4)},
-        )
-    )
-    assert reg.seal().dump_lines() == [
+        ),
+    ])
+    assert reg.dump_lines() == [
         "METHOD Cap(k:int,on:bool) : int {k<=9}",
         "METHOD Far(n:int) : void [usable] {n>=200}",
         "METHOD Span(a:int,b:int,c:int) : void [usable] {a>=0,a<=4,c>=-1,c<=1}",

@@ -66,23 +66,19 @@ class FakeWorld:
 
 
 def move_registry():
-    reg = Registry()
-    reg.register_method(
+    return Registry(methods=[
         MethodDescriptor(
             "Move",
             (("newx", INT),),
             VOID,
             bounds={"newx": (-1, 1)},
             host_impl=lambda world, args: UNIT,
-        )
-    )
-    reg.register_method(
+        ),
         MethodDescriptor(
             "Add", (("a", INT), ("b", INT)), INT,
             host_impl=lambda world, args: IntV(wrap64(args[0].value + args[1].value)),
-        )
-    )
-    return reg.seal()
+        ),
+    ])
 
 
 # --------------------------------------------------------------------------
@@ -321,9 +317,7 @@ def test_default_budget_not_reachable_by_generated_mechanics(game_registry, tap_
 
 
 def test_assignment_writes_through_to_world_fields():
-    reg = Registry()
-    reg.register_field(FieldDescriptor("hp", INT, usable=True, writable=True))
-    reg.seal()
+    reg = Registry(fields=[FieldDescriptor("hp", INT, usable=True, writable=True)])
     world = FakeWorld(hp=IntV(10))
     delegate = compile_block(Signature("f", (), VOID), parse("hp = 3;"), reg)
     invoke(delegate, [], world)
@@ -364,9 +358,7 @@ def test_unchecked_block_faults_loudly():
 
 
 def test_method_without_host_impl_raises_host_error():
-    reg = Registry()
-    reg.register_method(MethodDescriptor("Phantom", (), VOID))
-    reg.seal()
+    reg = Registry(methods=[MethodDescriptor("Phantom", (), VOID)])
     delegate = compile_block(Signature("f", (), VOID), parse("Phantom();"), reg)
     with pytest.raises(HostError, match="no host implementation"):
         invoke(delegate, [], world=None)

@@ -15,7 +15,9 @@ from _scan import (
 )
 from conftest import FIXTURES
 from mechgen.game import build_game_registry
-from mechgen.lang import ExprStmt, IfElse, IntLit, Signature, VarDecl, pretty, typecheck
+from mechgen.lang import (
+    INT64_MAX, INT64_MIN, ExprStmt, IfElse, IntLit, Signature, VarDecl, pretty, typecheck,
+)
 from mechgen.registry import (
     BOOL,
     INT,
@@ -38,6 +40,7 @@ from mechgen.synthesis import (
     generate_block,
     generate_expression,
     load_config,
+    run_seeds,
 )
 
 VOID_SIG = Signature("f", (), VOID)
@@ -45,10 +48,7 @@ TAP_SIG = Signature("onTileTapped", (("x", INT), ("y", INT)), VOID)
 
 
 def fields_only_registry(*specs):
-    reg = Registry()
-    for name, t in specs:
-        reg.register_field(FieldDescriptor(name, t))
-    return reg.seal()
+    return Registry(fields=[FieldDescriptor(name, t) for name, t in specs])
 
 
 # --------------------------------------------------------------------------
@@ -82,16 +82,14 @@ def test_generate_statement_respects_scope_and_kind_filter(game_registry):
 
 
 def test_empty_design_space_exhausts_at_line_0():
-    reg = Registry().seal()
+    reg = Registry()
     with pytest.raises(Exhausted) as err:
         generate_block(VOID_SIG, reg, GenerationConfig(literal_weight=0.0))
     assert err.value.line_index == 0
 
 
 def test_exhausted_carries_failed_type_requests():
-    reg = Registry()
-    reg.register_method(MethodDescriptor("Foo", (("n", INT),), VOID))
-    reg.seal()
+    reg = Registry(methods=[MethodDescriptor("Foo", (("n", INT),), VOID)])
     with pytest.raises(Exhausted) as err:
         generate_block(VOID_SIG, reg, GenerationConfig(literal_weight=0.0))
     assert err.value.line_index == 0
@@ -99,9 +97,7 @@ def test_exhausted_carries_failed_type_requests():
 
 
 def test_only_do_nothing_available_means_every_line_is_do_nothing():
-    reg = Registry()
-    reg.register_method(MethodDescriptor("DoNothing", (), VOID))
-    reg.seal()
+    reg = Registry(methods=[MethodDescriptor("DoNothing", (), VOID)])
     config = GenerationConfig(min_lines=4, max_lines=4, literal_weight=0.0)
     for seed in range(20):
         block = generate_block(VOID_SIG, reg, config_with_seed(config, seed))
@@ -212,9 +208,7 @@ def test_vardecl_type_choice_uniform_over_eligible_types():
 def test_enum_literals_uniform_over_variants():
     from mechgen.lang import EnumLit
 
-    reg = Registry()
-    reg.register_enum(EnumDef("DIR", ("N", "NE", "E", "SE", "S", "SW", "W", "NW")))
-    reg.seal()
+    reg = Registry(enums=[EnumDef("DIR", ("N", "NE", "E", "SE", "S", "SW", "W", "NW"))])
     rng = random.Random(31)
     config = GenerationConfig()
     draws = 16_000
@@ -233,16 +227,14 @@ def test_enum_literals_uniform_over_variants():
 
 
 def constrained_move_registry(lo, hi):
-    reg = Registry()
-    reg.register_method(
+    return Registry(methods=[
         MethodDescriptor(
             "Move",
             (("newx", INT),),
             VOID,
             bounds={"newx": (lo, hi)},
         )
-    )
-    return reg.seal()
+    ])
 
 
 def test_constrained_literal_arguments_stay_in_bounds():
@@ -427,6 +419,26 @@ def test_config_invariants_enforced():
         GenerationConfig(statement_kinds_enabled=frozenset())
     with pytest.raises(ConfigError):
         GenerationConfig(int_literal_range=(5, 4))
+
+
+def test_int_literal_range_must_fit_in_64_bits():
+    assert GenerationConfig(int_literal_range=(INT64_MIN, INT64_MAX))
+    message = "int_literal_range must lie within"
+    for bad in ((INT64_MIN - 1, 0), (0, INT64_MAX + 1), (10**20, 10**20 + 9)):
+        with pytest.raises(ConfigError, match=message):
+            GenerationConfig(int_literal_range=bad)
+    with pytest.raises(ConfigError, match=message):
+        load_config(
+            "int_literal_min = 100000000000000000000\n"
+            "int_literal_max = 100000000000000000009\n"
+        )
+
+
+def test_run_seeds_checks_the_last_seed_up_front():
+    config = GenerationConfig(seed=2**64 - 6)
+    assert run_seeds(config, 6) == range(2**64 - 6, 2**64)
+    with pytest.raises(ConfigError, match=f"last seed {2**64}"):
+        run_seeds(config, 7)
 
 
 def test_max_lines_at_the_limit_is_accepted(tap_sig, game_registry):
