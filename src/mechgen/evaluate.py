@@ -21,13 +21,14 @@ from .game import (
     ON_TILE_TAPPED,
     Board,
     GameState,
+    _settle,
     build_hook_table,
     tap,  # unused here; the benchmark's tracer wraps ``evaluate.tap`` by name
-    tap_step,
+    tap_moves,
 )
-from .lang import CodeBlock, Signature, TypeCheckError, pretty, typecheck
+from .lang import CodeBlock, Signature, TypeCheckError, decimal_int, pretty, typecheck
 from .registry import Registry
-from .runtime import ExecutionError, GeneratedDelegate, HookTable
+from .runtime import GeneratedDelegate, HookTable
 from .synthesis import (
     GenerationConfig, GenerationError, config_with_seed, generate_block, run_seeds,
 )
@@ -107,7 +108,7 @@ def parse_challenge(text: str) -> Challenge:
             if max_taps is not None:
                 raise ChallengeParseError(lineno, "duplicate max_taps line")
             try:
-                max_taps = int(line[len("max_taps:"):].strip())
+                max_taps = decimal_int(line[len("max_taps:"):].strip())
             except ValueError:
                 raise ChallengeParseError(lineno, "max_taps must be an integer") from None
             if max_taps < 1:
@@ -188,14 +189,24 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     (y, x) tap ordering, which is what expanding taps bottom row first gives.
     states_explored counts states dequeued and expanded.
 
-    The tap hook is resolved and checked once per solve (``tap_step``), so
-    a hook that cannot take the tap's arguments raises on every tap and
-    prunes every branch. The frontier and ``visited`` hold board keys
-    (``Board.key()``: the flat tuple of cells), not game states. One scratch
-    board and game state serve every tap: before each tap the board's cells
-    are refilled from the parent's key and the tap counter is set to the
-    parent's depth, and the child's key is the tuple of the cells after the
-    tap (the hook and gravity change the scratch board in place).
+    The frontier and ``visited`` hold board keys (``Board.key()``: the flat
+    tuple of cells), not game states. One scratch board and game state
+    serve every tap. The tap hook is resolved and checked once per solve
+    into one list of ``(tap, fill)`` moves (``game.tap_moves``), so a hook
+    that cannot take the tap's arguments raises on every tap and prunes
+    every branch. Expanding a state sets the tap counter to its depth once,
+    then, per move, ``fill(key)`` writes the child's cells before gravity
+    into the scratch board (or reports that the tap raised), gravity
+    settles them in place, and the child is goal-checked and, if new,
+    queued under its key.
+
+    A block that does not read the world is tabulated lazily: the root
+    expansion runs it once per cell, on position markers, when it first
+    taps that cell, and every later tap of the cell is one gather from the
+    parent's key, or the same error, counted without running anything. A cell whose tap changes nothing is
+    dropped from the moves: its child is its (settled) parent, which is
+    already visited and is not a goal. Any other hook runs on every tap.
+
     Children at the last tap depth are goal-checked but neither stored in
     ``visited`` nor queued: they would never be expanded, and BFS discovers
     every shallower state before any state at that depth, so leaving them
@@ -209,14 +220,13 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
         return EvalResult(Solved(0, ()), 0, 0)
     if challenge.max_taps < 1:
         return EvalResult(Unsolvable(), 0, 0)
-    width, height = initial.width, initial.height
-    taps = [(x, y) for y in range(height) for x in range(width)]
-    step = tap_step(hooks, width, height)
     last = challenge.max_taps - 1  # states at this depth have only leaf children
     start = initial.key()
     board = initial.clone()  # the scratch board every tap runs on
     state = GameState(board)
     cells = board.cells
+    # The root's moves, then the moves of every later expansion.
+    moves, later = tap_moves(hooks, state)
     satisfied = goal.satisfied
     visited = {start}
     frontier: deque = deque([(start, ())])
@@ -226,23 +236,22 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
         key, path = frontier.popleft()
         explored += 1
         depth = len(path)
-        for x, y in taps:
-            cells[:] = key
-            state.taps_used = depth
-            try:
-                step(state, x, y)
-            except ExecutionError:
+        state.taps_used = depth
+        for tap_xy, fill in moves:
+            if fill(key):  # the tap raised an ExecutionError
                 errors += 1
                 continue
+            _settle(board)
             if satisfied(board):
-                witness = path + ((x, y),)
+                witness = path + (tap_xy,)
                 return EvalResult(Solved(len(witness), witness), errors, explored)
             if depth == last:
                 continue
             child_key = tuple(cells)
             if child_key not in visited:
                 visited.add(child_key)
-                frontier.append((child_key, path + ((x, y),)))
+                frontier.append((child_key, path + (tap_xy,)))
+        moves = later
     return EvalResult(Unsolvable(), errors, explored)
 
 

@@ -4,16 +4,20 @@ Tapping a tile dispatches through the ``onTileTapped`` hook. The baseline
 behavior destroys the tapped tile; gravity then compacts each column so no
 empty cell sits below an occupied one (gravity-normal form). Swapping the
 hook's delegate is the single integration point for replacement mechanics:
-``tap_step`` reads the hook table and nothing else needs to change.
+``tap_step`` (one tap) and ``tap_moves`` (every tap, for the solver) read
+the hook table and nothing else needs to change.
 
 ``build_game_registry`` publishes the design space for this game: the Colour
 enum, the read-only board dimensions, tile manipulation methods with
-coordinate bounds, and arithmetic/comparison builtins.
+coordinate bounds, and arithmetic/comparison builtins, each declaring
+whether it reads the board.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache, partial
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .lang import Signature
 from .registry import (
@@ -30,6 +34,8 @@ from .runtime import (
     UNIT,
     BoolV,
     ExecBudget,
+    ExecutionError,
+    GeneratedDelegate,
     HookTable,
     HostDelegate,
     HostError,
@@ -224,12 +230,147 @@ def tap_step(hooks: HookTable, width: int, height: int) -> TapStep:
     return step
 
 
+# A fill writes the cells a tap leaves on the board ``key``, before gravity,
+# and returns True instead when the tap raised an ExecutionError.
+Fill = Callable[[Tuple[Cell, ...]], Optional[bool]]
+Move = Tuple[Tuple[int, int], Fill]
+
+# What a block that does not read the board can write into a cell besides a
+# cell of the board: emptiness or a colour. A gather reads ``key + _CONSTANTS``.
+_CONSTANTS: Tuple[Cell, ...] = (None, *COLOURS)
+
+_Cells = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[IntV, IntV], ...], Dict[Any, int]]
+
+
+@lru_cache(maxsize=64)
+def _cells(width: int, height: int) -> _Cells:
+    """What every solve on one board size needs, built once per size: each
+    cell ``(x, y)``, bottom row first and in (y, x) order; the hook's
+    argument values for each; and where a gather finds each value a marker
+    run can leave in a cell (marker ``i`` at ``i``, then ``None`` and the
+    colours after the ``n`` cells). Callers only read the result."""
+    xs = [IntV(x) for x in range(width)]
+    ys = [IntV(y) for y in range(height)]
+    taps = tuple((x, y) for y in range(height) for x in range(width))
+    n = width * height
+    index: Dict[Any, int] = dict(zip(range(n), range(n)))
+    index.update((c, n + i) for i, c in enumerate(_CONSTANTS))
+    return taps, tuple((xs[x], ys[y]) for x, y in taps), index
+
+
+def tap_moves(hooks: HookTable, state: GameState) -> Tuple[Iterator[Move], List[Move]]:
+    """Every tap of ``state``'s board as a ``(tap, fill)`` move, with the
+    hook resolved once, for a searcher that taps one scratch state.
+
+    ``fill(key)`` writes into ``state.board`` the cells that the tap leaves
+    on the board whose cells are ``key``, before gravity, and returns a
+    false value; when the tap raises an ExecutionError it returns True
+    instead, and the board may hold anything. The caller sets
+    ``state.taps_used`` and settles the board. Returns an iterator over the
+    moves of the first expansion and the list of moves of every later one,
+    which that iterator fills as it goes, so the later list is complete
+    once the iterator is exhausted. Taps come bottom row first, in (y, x)
+    order; a later rebinding of the hook does not reach the moves.
+
+    A hook that may read the board (a host delegate, or a block whose
+    ``reads_world`` is true) runs on every fill: ``cells[:] = key``, then
+    the prepared runner with the cell's prebuilt arguments and a fresh
+    budget. A block that does not read the world is tabulated instead, one
+    cell at a time when the first expansion reaches it: it runs once on a
+    board whose cells are the position markers ``0..n-1``. Since nothing it
+    does depends on the cells, that run fixes the tap's outcome on every
+    board of this size:
+
+    - It raises: every fill of the cell reports the error. A budget overrun
+      is fixed too, because control flow cannot depend on the board.
+    - No cell changes (a NOOP): the tap leaves a gravity-normal board as it
+      is. The move is left out of the later list, since every board a
+      searcher expands after the first is settled, and out of the first
+      expansion as well when ``state.board`` is gravity-normal now.
+    - Otherwise the fill is one gather: the child's cells are picked from
+      ``key + (None, *COLOURS)`` at the indices the marker run left. If
+      the run left any other value in a cell (a block that skipped the type
+      checker can paint a variant that is no colour), that tap runs the
+      block on every fill instead.
+    """
+    board = state.board
+    cells = board.cells
+    delegate = hooks.delegate(ON_TILE_TAPPED)
+    run = prepare(delegate, (INT, INT))
+    taps, cell_args, index = _cells(board.width, board.height)
+
+    def runs(args: Tuple[IntV, IntV], key: Tuple[Cell, ...]) -> Optional[bool]:
+        cells[:] = key
+        try:
+            run(args, state, ExecBudget())
+        except ExecutionError:
+            return True
+        return None
+
+    if not isinstance(delegate, GeneratedDelegate) or delegate.reads_world:
+        moves = [(xy, partial(runs, args)) for xy, args in zip(taps, cell_args)]
+        return iter(moves), moves
+
+    later: List[Move] = []
+    markers = list(range(len(cells)))
+    first = Board(board.width, board.height, cells[:])  # the board the first expansion taps
+
+    def first_expansion() -> Iterator[Move]:
+        marked = GameState(Board(board.width, board.height, markers[:]))
+        normal: Optional[bool] = None
+        for xy, args in zip(taps, cell_args):
+            marked.board.cells[:] = markers
+            try:
+                run(args, marked, ExecBudget())
+            except ExecutionError:
+                fill: Fill = _raised
+            else:
+                after = marked.board.cells
+                if after == markers:
+                    if normal is None:
+                        normal = first.is_gravity_normal()
+                    if not normal:  # the identity gather: gravity may still move cells
+                        yield xy, _gather(cells, markers)
+                    continue
+                try:
+                    fill = _gather(cells, _items(after)(index))
+                except (KeyError, TypeError):  # a value no gather can pick
+                    fill = partial(runs, args)
+            later.append((xy, fill))
+            yield xy, fill
+
+    return first_expansion(), later
+
+
+def _raised(key: Tuple[Cell, ...]) -> bool:
+    """The fill of a tap that raises on every board."""
+    return True
+
+
+def _items(indices: Sequence[Any]) -> Callable[[Any], Tuple[Any, ...]]:
+    """``itemgetter(*indices)``, but a tuple even for one index."""
+    get = itemgetter(*indices)
+    if len(indices) == 1:
+        return lambda seq: (get(seq),)
+    return get
+
+
+def _gather(cells: List[Cell], picks: Sequence[int]) -> Fill:
+    get = _items(picks)
+
+    def fill(key: Tuple[Cell, ...]) -> None:
+        cells[:] = get(key + _CONSTANTS)
+
+    return fill
+
+
 def tap(state: GameState, x: int, y: int, hooks: HookTable) -> GameState:
     """One tap: dispatch the hook, restore gravity-normal form, count the tap.
 
-    This is the bounds check, then one ``tap_step`` for the board: the
-    dispatch-and-settle path the solver runs on every tap, so binding a
-    generated delegate to ``onTileTapped`` swaps the mechanic for both.
+    This is the bounds check, then one ``tap_step`` for the board. The
+    solver's moves (``tap_moves``) dispatch through the same hook and the
+    solver settles after each, so binding a generated delegate to
+    ``onTileTapped`` swaps the mechanic for both.
     Gravity is restored in place on ``state.board``. Errors from the hook
     propagate and may leave the board partially modified, so searchers tap a
     copy of the state. A caller that taps one board size many times builds
@@ -301,6 +442,9 @@ def build_game_registry(
     """The design space for a ``width`` x ``height`` game.
 
     Every coordinate parameter is bounded to ``(0, dimension - 1)``.
+    Every method except ``IsOccupied`` and ``CountColour`` is declared
+    ``reads_world=False``: it never looks at the cells, so the solver can
+    tabulate a block that calls only such methods (``tap_moves``).
     When ``usable`` is given, fields and methods outside that set are
     declared with ``usable=False``, narrowing the searchable scope the way
     a designer would with annotations.
@@ -319,6 +463,7 @@ def build_game_registry(
             usable=is_usable("DestroyTile"),
             bounds={"x": xs, "y": ys},
             host_impl=_host_destroy_tile,
+            reads_world=False,
         ),
         MethodDescriptor(
             "SetTile",
@@ -327,6 +472,7 @@ def build_game_registry(
             usable=is_usable("SetTile"),
             bounds={"x": xs, "y": ys},
             host_impl=_host_set_tile,
+            reads_world=False,
         ),
         MethodDescriptor(
             "SwapTiles",
@@ -335,6 +481,7 @@ def build_game_registry(
             usable=is_usable("SwapTiles"),
             bounds={"x1": xs, "y1": ys, "x2": xs, "y2": ys},
             host_impl=_host_swap_tiles,
+            reads_world=False,
         ),
         MethodDescriptor(
             "CountColour",
@@ -351,16 +498,16 @@ def build_game_registry(
             bounds={"x": xs, "y": ys},
             host_impl=_host_is_occupied,
         ),
-        MethodDescriptor("Add", (("a", INT), ("b", INT)), INT,
-                         usable=is_usable("Add"), host_impl=_host_add),
-        MethodDescriptor("Sub", (("a", INT), ("b", INT)), INT,
-                         usable=is_usable("Sub"), host_impl=_host_sub),
-        MethodDescriptor("Less", (("a", INT), ("b", INT)), BOOL,
-                         usable=is_usable("Less"), host_impl=_host_less),
-        MethodDescriptor("Equal", (("a", INT), ("b", INT)), BOOL,
-                         usable=is_usable("Equal"), host_impl=_host_equal),
-        MethodDescriptor("DoNothing", (), VOID,
-                         usable=is_usable("DoNothing"), host_impl=_host_do_nothing),
+        MethodDescriptor("Add", (("a", INT), ("b", INT)), INT, usable=is_usable("Add"),
+                         host_impl=_host_add, reads_world=False),
+        MethodDescriptor("Sub", (("a", INT), ("b", INT)), INT, usable=is_usable("Sub"),
+                         host_impl=_host_sub, reads_world=False),
+        MethodDescriptor("Less", (("a", INT), ("b", INT)), BOOL, usable=is_usable("Less"),
+                         host_impl=_host_less, reads_world=False),
+        MethodDescriptor("Equal", (("a", INT), ("b", INT)), BOOL, usable=is_usable("Equal"),
+                         host_impl=_host_equal, reads_world=False),
+        MethodDescriptor("DoNothing", (), VOID, usable=is_usable("DoNothing"),
+                         host_impl=_host_do_nothing, reads_world=False),
     ]
     return Registry(
         enums=[EnumDef("Colour", COLOURS)],

@@ -44,6 +44,18 @@ from .registry import (
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
+_DECIMAL_RE = re.compile(r"-?[0-9]+")
+
+
+def decimal_int(text: str) -> int:
+    """``text`` read as an integer written the way the language writes one:
+    ASCII ``-?[0-9]+``. Anything else (a ``+`` sign, ``_`` separators,
+    non-ASCII digits, spaces) raises ValueError, although ``int`` would
+    accept it."""
+    if _DECIMAL_RE.fullmatch(text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
 
 # --------------------------------------------------------------------------
 # AST

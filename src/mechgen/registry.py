@@ -3,7 +3,8 @@
 A Registry models the slice of a host program that is opened up to code
 generation: enums, fields, and methods, each gated by a ``usable`` flag, plus
 an optional ``(min, max)`` bound per integer method parameter
-(``MethodDescriptor.bounds``). Build one in a single call,
+(``MethodDescriptor.bounds``) and an effect flag per method
+(``MethodDescriptor.reads_world``). Build one in a single call,
 ``Registry(enums, fields, methods)``, which checks every declaration; the
 result is immutable and safe to share between any number of generators and
 compiled blocks.
@@ -142,6 +143,13 @@ class MethodDescriptor:
     order and without fully open entries, and the compiler, the generator
     (through ``literal_interval``) and ``Registry.dump_lines`` all read it.
     Descriptors compare their bounds; the hash leaves the mapping out.
+
+    ``reads_world`` declares the method's effect. False promises that what
+    the method returns and does depends only on its arguments and the
+    world's shape (a board's size, not its contents): it may move cells and
+    write constants, but never inspects them. The default, True, is the
+    safe one; a block that calls a reader is never tabulated by the solver.
+    ``dump_lines`` does not render the flag.
     """
 
     name: str
@@ -150,6 +158,7 @@ class MethodDescriptor:
     usable: bool = True
     bounds: Mapping[str, Bounds] = field(default_factory=dict, hash=False)
     host_impl: Optional[HostImpl] = field(default=None, compare=False)
+    reads_world: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(tuple(p) for p in self.params))

@@ -15,7 +15,9 @@ implementation and bound checks. Every host-method call first checks each
 bounded parameter against its ``(min, max)`` from ``MethodDescriptor.bounds``
 (a literal argument inside its bounds is settled at compile time), so
 out-of-range arguments surface as ConstraintViolation whether they came from
-literals or computed values.
+literals or computed values. The compiler also records whether the block
+may read the world (``GeneratedDelegate.reads_world``), from the effect flag
+of each method it calls.
 Execution has no transactional rollback: an erroring invocation leaves the
 world in whatever partial state it reached.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .lang import (
     Assign,
@@ -211,9 +213,26 @@ class GeneratedDelegate(Delegate):
     registry: Optional[Registry] = field(default=None, compare=False)
 
     @cached_property
+    def _compiled(self) -> "Tuple[Runner, bool]":
+        return _compile(self.sig, self.block, self.registry)
+
+    @property
     def program(self) -> "Runner":
         """The block compiled to closures, built on first use."""
-        return _compile(self.sig, self.block, self.registry)
+        return self._compiled[0]
+
+    @property
+    def reads_world(self) -> bool:
+        """Whether the block may read the world, recorded while compiling.
+
+        It does when any call site, dead branches included, names a method
+        declared ``reads_world`` or an unknown method, or when it assigns a
+        field. Field reads do not count: a world's fields are taken to be
+        fixed by its shape (the game's are the board dimensions). A block
+        that does not read the world does the same thing to every board of
+        one size, whatever the board holds.
+        """
+        return self._compiled[1]
 
 
 def compile_block(sig: Signature, block: CodeBlock, registry: Registry) -> GeneratedDelegate:
@@ -367,9 +386,10 @@ Frame = List[Any]
 Compiled = Callable[[Frame], Any]
 
 
-def _compile(sig: Signature, block: CodeBlock, registry: Optional[Registry]) -> Runner:
+def _compile(sig: Signature, block: CodeBlock, registry: Optional[Registry]) -> Tuple[Runner, bool]:
     """Compile ``block`` once into nested closures; the runner returns UNIT
-    when the block ends without a ``return`` value.
+    when the block ends without a ``return`` value. Also returns whether the
+    block may read the world (``GeneratedDelegate.reads_world``).
 
     The semantics are those of a tree-walking interpreter with a stack of
     dict frames, one per enclosing block (``tests/_reference_interp.py``
@@ -387,7 +407,7 @@ def _compile(sig: Signature, block: CodeBlock, registry: Optional[Registry]) -> 
     passed the type checker fail exactly as they would when interpreted.
     """
     if registry is None:
-        return _raising(InterpreterError, "generated delegate carries no registry")
+        return _raising(InterpreterError, "generated delegate carries no registry"), True
     compiler = _Compiler(registry, _FIRST_LOCAL + len(sig.params))
     params = {pname: _FIRST_LOCAL + i for i, (pname, _) in enumerate(sig.params)}
     body = compiler.block(block, [params])
@@ -397,7 +417,7 @@ def _compile(sig: Signature, block: CodeBlock, registry: Optional[Registry]) -> 
         result = body([world, budget, *args, *rest])
         return result if result is not None else UNIT
 
-    return program
+    return program, compiler.reads_world
 
 
 def _lookup(frames: List[Dict[str, int]], name: str) -> Optional[int]:
@@ -434,6 +454,9 @@ class _Compiler:
         # Initial contents of the slots from ``first`` on: None for a local,
         # the value for a literal.
         self.rest: List[Optional[Value]] = []
+        # Set by any call of a reader or an unknown method, and by any field
+        # write; every call site is compiled, reachable or not.
+        self.reads_world = False
 
     def new_slot(self, value: Optional[Value] = None) -> int:
         self.rest.append(value)
@@ -512,6 +535,7 @@ class _Compiler:
                 frame[slot] = value(frame)
 
             return assign_local
+        self.reads_world = True
         fd = self.registry.field_named(name)
         if fd is None:
             return _fault(f"unknown field '{name}'", first=value)
@@ -561,6 +585,8 @@ class _Compiler:
         run the host implementation."""
         name = call.method
         md = self.registry.method_named(name)
+        if md is None or md.reads_world:
+            self.reads_world = True
         if md is None:
             return _fault(f"unknown method '{name}'")
         if len(call.args) != md.arity:

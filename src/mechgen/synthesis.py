@@ -50,6 +50,7 @@ from .lang import (
     Signature,
     Statement,
     VarDecl,
+    decimal_int,
 )
 from .registry import (
     BOOL,
@@ -176,7 +177,7 @@ def load_config(text: str) -> GenerationConfig:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         try:
             if key in _INT_KEYS:
-                values[key] = int(value)
+                values[key] = decimal_int(value)
             elif key in ("literal_weight", "else_probability"):
                 values[key] = float(value)
             else:  # statement_kinds

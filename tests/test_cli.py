@@ -354,6 +354,29 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("text", ["1_0", "+3", "\u0663"])
+def test_non_decimal_max_taps_exits_1(tmp_path, capsys, text):
+    challenge = tmp_path / "bad.ch"
+    challenge.write_text(f"RG\ngoal: CLEARED\nmax_taps: {text}\n", encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--challenge", str(challenge))
+    assert (code, out) == (1, "")
+    assert "max_taps must be an integer" in err
+
+
+def test_non_decimal_config_seed_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text((FIXTURES / "default.cfg").read_text().replace("seed = 0", "seed = 1_0"))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, _, err = run(
+        capsys, "generate", "--config", str(cfg), "--signature", "onTileTapped",
+        "--count", "1", "--out", str(out_dir),
+    )
+    assert code == 1
+    assert "bad value for 'seed'" in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_generate_rejects_an_oversized_max_lines(tmp_path, capsys):
     # default.cfg with max_lines = 100 used to spend ~27 s on one seed-0 block.
     cfg = tmp_path / "big.cfg"

@@ -125,6 +125,17 @@ def test_malformed_challenges_rejected(text, fragment):
         parse_challenge(text)
 
 
+@pytest.mark.parametrize("text", ["1_0", "+3", "\u0663", "3.0", "0x3", "3 4", "- 3", "\uff13"])
+def test_max_taps_must_be_an_ascii_decimal(text):
+    # int() reads "1_0" as 10, "+3" and the Arabic-Indic digit three as 3.
+    with pytest.raises(ChallengeParseError, match="max_taps must be an integer"):
+        parse_challenge(f"RG\ngoal: CLEARED\nmax_taps: {text}\n")
+
+
+def test_max_taps_accepts_leading_zeros_and_surrounding_spaces():
+    assert parse_challenge("RG\ngoal: CLEARED\nmax_taps:   007 \n").max_taps == 7
+
+
 def test_goal_predicates():
     board = Board.from_rows(["RG"])
     assert not Goal(GoalKind.CLEARED).satisfied(board)

@@ -410,6 +410,15 @@ def test_bad_values_are_errors():
         load_config("else_probability = 1.5\n")
 
 
+@pytest.mark.parametrize("text", ["1_0", "+1", "\u0663", "1.0", "1e3", "0x1", "\uff11"])
+def test_int_values_must_be_ascii_decimals(text):
+    # int() reads "1_0" as 10, "+1" as 1 and the Arabic-Indic digit three as 3.
+    for key in ("seed", "max_lines", "int_literal_min"):
+        with pytest.raises(ConfigError, match=f"line 1: bad value for '{key}'"):
+            load_config(f"{key} = {text}\n")
+    assert load_config("seed = 010\nint_literal_min = -5\nint_literal_max = 5\n").seed == 10
+
+
 def test_config_invariants_enforced():
     with pytest.raises(ConfigError):
         GenerationConfig(min_lines=0)

@@ -1,0 +1,389 @@
+"""The solver's tabulated path against its general path, and the effect
+annotation the tabulation trusts.
+
+A block that calls no world-reading method is run once per cell on position
+markers and then replayed as a gather (``game.tap_moves``). Building the same
+registry with every method marked ``reads_world=True`` forces the general
+path, which runs the block on every tap; both must give the same
+``EvalResult``: status, witness, ``error_count`` and ``states_explored``.
+"""
+
+import gc
+import itertools
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from mechgen.evaluate import Challenge, Goal, GoalKind, Solved, Unsolvable, parse_challenge, solve
+from mechgen.game import (
+    COLOURS,
+    Board,
+    GameState,
+    apply_gravity,
+    build_game_registry,
+    build_hook_table,
+    on_tile_tapped_signature,
+)
+from mechgen.lang import parse
+from mechgen.registry import INT, VOID, MethodDescriptor, Registry, enum_type
+from mechgen.runtime import ExecBudget, EnumV, GeneratedDelegate, IntV
+from mechgen.synthesis import GenerationError, config_with_seed, generate_block, load_config_file
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+TAP_SIG = on_tile_tapped_signature()
+CONFIGS = {name: load_config_file(str(FIXTURES / name)) for name in ("search.cfg", "default.cfg")}
+
+# Criterion-9 style one-liners and a few multi-line blocks, all oblivious.
+ONE_LINERS = [
+    "DestroyTile(x, y);",
+    *(f"SetTile(x, y, Colour.{c});" for c in COLOURS),
+    "SwapTiles(x, y, 0, 0);",
+    "SwapTiles(x, y, x, y);",  # a NOOP on every cell
+    "SwapTiles(x, y, x, 0);",  # a NOOP on the bottom row
+    "SwapTiles(x, y, Sub(Width, 1), Sub(Height, 1));",
+    "DestroyTile(Add(x, 1), y);",  # ConstraintViolation on the last column
+    "DestroyTile(Sub(x, 1), y);",  # ConstraintViolation on the first column
+    "DoNothing();",
+    "Add(21, y);",
+    "if (Less(x, y)) { DestroyTile(x, y); } else { SetTile(x, 0, Colour.Y); }",
+    "int v0 = Add(x, y); if (Equal(v0, 1)) { SwapTiles(x, y, y, x); }",
+    "if (Equal(x, 0)) { return; } DestroyTile(Sub(x, 1), y); SetTile(x, y, Colour.B);",
+]
+
+
+def general_registry(registry):
+    """The same design space with every method declared a world reader."""
+    return Registry(
+        enums=registry.enums.values(),
+        fields=registry.fields.values(),
+        methods=[replace(m, reads_world=True) for m in registry.methods.values()],
+    )
+
+
+def hooks_for(block, registry):
+    hooks = build_hook_table()
+    hooks.bind("onTileTapped", GeneratedDelegate(TAP_SIG, block, registry))
+    return hooks
+
+
+def both_paths(challenge, block):
+    """(tabulated result, general result, whether the block is tabulated)."""
+    registry = build_game_registry(challenge.initial.width, challenge.initial.height)
+    delegate = GeneratedDelegate(TAP_SIG, block, registry)
+    fast = solve(challenge, hooks_for(block, registry))
+    slow = solve(challenge, hooks_for(block, general_registry(registry)))
+    return fast, slow, not delegate.reads_world
+
+
+def assert_paths_agree(challenge, text):
+    fast, slow, tabulated = both_paths(challenge, parse(text, params=["x", "y"]))
+    assert tabulated, text
+    assert fast == slow, text
+    return fast
+
+
+# --------------------------------------------------------------------------
+# chosen cases
+
+
+CHALLENGES = [
+    "R\ngoal: CLEARED\nmax_taps: 1\n",  # 1x1 board
+    "R\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n",
+    ".\n.\nB\ngoal: COLOUR_PRESENT G\nmax_taps: 2\n",  # 1x3, mostly empty
+    ".R.\nGBR\ngoal: COLOUR_CLEARED R\nmax_taps: 2\n",  # empty cells
+    "RGB\nBRG\nGBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 1\n",
+    "RG\nBR\ngoal: COLOUR_CLEARED R\nmax_taps: 3\n",
+    "RGB\nBRG\nGBR\ngoal: CLEARED\nmax_taps: 3\n",
+]
+
+
+@pytest.mark.parametrize("text", ONE_LINERS)
+def test_one_liners_agree(text):
+    for challenge_text in CHALLENGES:
+        assert_paths_agree(parse_challenge(challenge_text), text)
+
+
+def test_goal_met_in_the_middle_of_the_root_expansion(monkeypatch):
+    # Tap (0, 0) raises (x - 1 = -1), tap (1, 0) destroys the G: solved
+    # before tap (2, 0) is ever tabulated.
+    challenge = parse_challenge("GRR\ngoal: COLOUR_CLEARED G\nmax_taps: 2\n")
+    calls = []
+    spend = ExecBudget.spend
+    monkeypatch.setattr(ExecBudget, "spend", lambda self: calls.append(1) or spend(self))
+    result = assert_paths_agree(challenge, "DestroyTile(Sub(x, 1), y);")
+    assert result.status == Solved(1, ((1, 0),))
+    assert (result.error_count, result.states_explored) == (1, 1)
+    calls.clear()
+    registry = build_game_registry(3, 1)
+    solve(challenge, hooks_for(parse("DestroyTile(Sub(x, 1), y);", params=["x", "y"]), registry))
+    # One marker run per tapped cell: Sub, then Sub and DestroyTile. A table
+    # built for every cell up front would also run tap (2, 0): 5 calls.
+    assert len(calls) == 3
+
+
+def test_a_tabulated_solve_runs_the_block_at_most_once_per_cell(monkeypatch):
+    challenge = parse_challenge("RGB\nBRG\nGBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n")
+    calls = []
+    spend = ExecBudget.spend
+    monkeypatch.setattr(ExecBudget, "spend", lambda self: calls.append(1) or spend(self))
+    registry = build_game_registry(3, 3)
+    block = parse("SwapTiles(x, y, 0, 0);", params=["x", "y"])
+    fast = solve(challenge, hooks_for(block, registry))
+    assert len(calls) == 9  # one SwapTiles per cell
+    calls.clear()
+    slow = solve(challenge, hooks_for(block, general_registry(registry)))
+    assert fast == slow
+    assert len(calls) == 9 * fast.states_explored
+    # A 1x1 board is tabulated too: R -> G, then G -> G, on one marker run.
+    calls.clear()
+    one_cell = parse_challenge("R\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n")
+    block = parse("SetTile(x, y, Colour.G);", params=["x", "y"])
+    result = solve(one_cell, hooks_for(block, build_game_registry(1, 1)))
+    assert (result.states_explored, len(calls)) == (2, 1)
+
+
+def test_noop_cells_on_a_board_with_floating_tiles():
+    # A directly built challenge need not be gravity-normal: a NOOP tap on
+    # the root then settles it into a new state, on both paths.
+    floating = Board(2, 2, ["R", None, None, "G"])  # G floats over an empty cell
+    for text in ("SwapTiles(x, y, x, y);", "DoNothing();", "SwapTiles(x, y, x, 0);"):
+        for goal in (Goal(GoalKind.COLOUR_PRESENT, "Y"), Goal(GoalKind.CLEARED)):
+            result = assert_paths_agree(Challenge(floating, goal, 3), text)
+            assert result.states_explored == 2
+
+
+def test_every_cell_a_noop_explores_only_the_root():
+    challenge = parse_challenge("RG\nBR\ngoal: CLEARED\nmax_taps: 4\n")
+    result = assert_paths_agree(challenge, "SwapTiles(x, y, x, y);")
+    assert (result.error_count, result.states_explored) == (0, 1)
+
+
+def test_every_cell_raising_counts_every_tap():
+    challenge = parse_challenge("RG\nBR\ngoal: CLEARED\nmax_taps: 4\n")
+    result = assert_paths_agree(challenge, "DestroyTile(Add(Width, x), y);")
+    assert (result.error_count, result.states_explored) == (4, 1)
+
+
+def test_a_tabulated_solve_leaves_no_cyclic_garbage():
+    # Every fill of a raising cell reports the error without keeping it; an
+    # exception held for replay would tie its traceback's frames in a cycle.
+    challenge = parse_challenge("RG\nBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n")
+    block = parse("DestroyTile(Add(x, 1), y); SwapTiles(x, y, 0, 0);", params=["x", "y"])
+    hooks = hooks_for(block, build_game_registry(2, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        result = solve(challenge, hooks)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert result.error_count > 0 and result.states_explored > 1
+
+
+def test_a_cell_value_outside_the_gather_constants_keeps_the_general_path():
+    # Without the type checker a block can paint a variant that is no colour;
+    # the general path writes it into the board, and so must the table.
+    # A Z is a tile, not an empty cell: painting Z everywhere never clears.
+    challenge = parse_challenge("RG\nBR\ngoal: CLEARED\nmax_taps: 4\n")
+    for text in ("SetTile(x, y, Colour.Z);", "SetTile(x, 0, Shade.R); SetTile(x, 1, Colour.Z);"):
+        fast, slow, tabulated = both_paths(challenge, parse(text, params=["x", "y"]))
+        assert tabulated and fast == slow
+        assert fast.status == Unsolvable()
+
+
+def test_a_reader_keeps_the_general_path():
+    registry = build_game_registry(2, 2)
+    block = parse("if (IsOccupied(x, 1)) { DestroyTile(x, y); }", params=["x", "y"])
+    assert GeneratedDelegate(TAP_SIG, block, registry).reads_world
+    challenge = parse_challenge("RG\nBR\ngoal: CLEARED\nmax_taps: 4\n")
+    fast, slow, tabulated = both_paths(challenge, block)
+    assert fast == slow and not tabulated
+
+
+# --------------------------------------------------------------------------
+# Hypothesis: random boards, goals and generated candidates
+
+
+def board_of(cols):
+    """The board whose column x, bottom first, is ``cols[x]``."""
+    return Board(len(cols), len(cols[0]), [c for col in cols for c in col])
+
+
+boards = st.integers(min_value=1, max_value=3).flatmap(
+    lambda height: st.lists(
+        st.lists(st.sampled_from([*COLOURS, None]), min_size=height, max_size=height),
+        min_size=1,
+        max_size=3,
+    )
+).map(board_of)
+
+goals = st.one_of(
+    st.just(Goal(GoalKind.CLEARED)),
+    st.builds(Goal, st.sampled_from([GoalKind.COLOUR_CLEARED, GoalKind.COLOUR_PRESENT]),
+              st.sampled_from(COLOURS)),
+)
+
+
+@st.composite
+def challenges(draw):
+    board = draw(boards)
+    if draw(st.booleans()):
+        board = apply_gravity(board)
+    return Challenge(board, draw(goals), draw(st.integers(min_value=1, max_value=3)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(challenges(), st.sampled_from(sorted(CONFIGS)), st.integers(min_value=0, max_value=10**6))
+def test_generated_candidates_agree(challenge, config_name, seed):
+    registry = build_game_registry(challenge.initial.width, challenge.initial.height)
+    try:
+        block = generate_block(TAP_SIG, registry, config_with_seed(CONFIGS[config_name], seed))
+    except GenerationError:
+        assume(False)
+    fast, slow, _ = both_paths(challenge, block)
+    assert fast == slow
+
+
+@settings(max_examples=150, deadline=None)
+@given(challenges(), st.sampled_from(ONE_LINERS))
+def test_one_liners_agree_on_random_boards(challenge, text):
+    assert_paths_agree(challenge, text)
+
+
+def test_most_search_candidates_are_tabulated():
+    """The differential above exercises the tabulated path, not just the general one."""
+    registry = build_game_registry(4, 4)
+    config = CONFIGS["search.cfg"]
+    blocks = [generate_block(TAP_SIG, registry, config_with_seed(config, s)) for s in range(200)]
+    tabulated = sum(not GeneratedDelegate(TAP_SIG, b, registry).reads_world for b in blocks)
+    assert tabulated > 100
+
+
+# --------------------------------------------------------------------------
+# the annotation: non-readers never look at a cell
+
+
+class Opaque:
+    """A cell a method may move but must not look at."""
+
+    __slots__ = ("pos",)
+
+    def __init__(self, pos):
+        self.pos = pos
+
+    def _look(self, *args):
+        raise AssertionError(f"a host method looked at cell {self.pos}")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = __hash__ = _look
+
+
+WIDTH, HEIGHT = 3, 2  # not square, so a swapped x and y shows
+
+
+def argument_lists(method):
+    """Every in-bounds argument list of a game method, with a few values
+    for unbounded ints."""
+    options = []
+    for pname, ptype in method.params:
+        if ptype == INT:
+            lo, hi = method.literal_interval(pname)
+            values = range(lo, hi + 1) if lo is not None else (-3, 0, 2, 2**63 - 1)
+            options.append([IntV(v) for v in values])
+        else:
+            assert ptype == enum_type("Colour")
+            options.append([EnumV("Colour", c) for c in COLOURS])
+    return [list(args) for args in itertools.product(*options)]
+
+
+def run_host(method, cells, args):
+    world = GameState(Board(WIDTH, HEIGHT, list(cells)))
+    value = method.host_impl(world, args)
+    return value, world.board.cells
+
+
+def non_readers():
+    return [m for m in build_game_registry(WIDTH, HEIGHT).methods.values() if not m.reads_world]
+
+
+def test_game_registry_declares_only_the_two_readers():
+    registry = build_game_registry(WIDTH, HEIGHT)
+    readers = {name for name, m in registry.methods.items() if m.reads_world}
+    assert readers == {"IsOccupied", "CountColour"}
+    assert len(non_readers()) == 8
+
+
+@pytest.mark.parametrize("method", non_readers(), ids=lambda m: m.name)
+def test_non_readers_never_look_at_a_cell(method):
+    markers = [Opaque(i) for i in range(WIDTH * HEIGHT)]
+    boards = [
+        [None] * (WIDTH * HEIGHT),
+        ["R"] * (WIDTH * HEIGHT),
+        ["R", None, "G", "B", "Y", None],
+    ]
+    for args in argument_lists(method):
+        value, after = run_host(method, markers, args)
+        # Each cell is a marker (by identity, so nothing is compared) or a constant.
+        for cell in after:
+            assert any(cell is m for m in markers) or cell is None or cell in COLOURS
+        # The marker run predicts the method on every board of this size.
+        for cells in boards:
+            expected = [
+                cells[next(i for i, m in enumerate(markers) if m is c)]
+                if isinstance(c, Opaque) else c
+                for c in after
+            ]
+            assert run_host(method, cells, args) == (value, expected)
+
+
+@pytest.mark.parametrize("name", ["IsOccupied", "CountColour"])
+def test_the_readers_do_look(name):
+    method = build_game_registry(WIDTH, HEIGHT).methods[name]
+    empty, full = [None] * (WIDTH * HEIGHT), ["R"] * (WIDTH * HEIGHT)
+    args = argument_lists(method)[0]
+    assert run_host(method, empty, args) != run_host(method, full, args)
+
+
+# --------------------------------------------------------------------------
+# the compiler's flag
+
+
+def reads_world(text, registry=None):
+    registry = registry or build_game_registry()
+    return GeneratedDelegate(TAP_SIG, parse(text, params=["x", "y"]), registry).reads_world
+
+
+def test_oblivious_blocks():
+    for text in ONE_LINERS + ["int v0 = Width; SetTile(Sub(Width, 1), Height, Colour.R);", ""]:
+        assert not reads_world(text), text
+
+
+def test_a_reader_in_a_dead_branch_reads_the_world():
+    assert reads_world("if (false) { IsOccupied(x, y); } DestroyTile(x, y);")
+    assert reads_world("if (true) { DestroyTile(x, y); } else { Add(CountColour(Colour.R), 1); }")
+
+
+def test_a_field_write_reads_the_world():
+    assert reads_world("Width = 3;")
+    assert reads_world("if (false) { Height = Add(x, 1); }")
+
+
+def test_an_unknown_method_reads_the_world():
+    assert reads_world("Frobnicate(x);")
+    assert reads_world("if (false) { DestroyTile(Twist(x), y); }")
+
+
+def test_a_default_method_descriptor_reads_the_world():
+    plain = MethodDescriptor("Plain", (), VOID, host_impl=lambda world, args: None)
+    assert plain.reads_world
+    registry = Registry(methods=[plain, replace(plain, name="Pure", reads_world=False)])
+    assert reads_world("Plain();", registry)
+    assert not reads_world("Pure();", registry)
+
+
+def test_the_flag_is_not_rendered():
+    registry = build_game_registry()
+    assert general_registry(registry).dump_lines() == registry.dump_lines()
+    assert not any("reads" in line for line in registry.dump_lines())
