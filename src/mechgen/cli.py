@@ -24,7 +24,7 @@ from .evaluate import (
     write_report,
 )
 from .game import ON_TILE_TAPPED, build_game_registry, build_hook_table
-from .lang import ParseError, format_mechanic, parse_mechanic
+from .lang import ParseError, decimal_int, format_mechanic, parse_mechanic
 from .runtime import HookError
 from .synthesis import (
     ConfigError, GenerationError, config_with_seed, generate_block, load_config, run_seeds,
@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("generate", help="write generated mechanic files")
     p.add_argument("--config", required=True)
     p.add_argument("--signature", required=True)
-    p.add_argument("--count", required=True, type=int)
+    p.add_argument("--count", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("solve", help="solve a challenge with the baseline mechanic")
@@ -100,13 +100,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     if not out_dir.is_dir():
         raise InputRejected(f"output directory not found: {args.out}")
-    if args.count < 1:
+    try:
+        count = decimal_int(args.count)
+    except ValueError:
+        raise InputRejected(f"--count must be a decimal integer, got {args.count!r}") from None
+    if count < 1:
         raise InputRejected("--count must be >= 1")
     hooks = build_hook_table()
     if args.signature not in hooks.names():
         raise InputRejected(f"unknown signature '{args.signature}'")
     sig = hooks.sig(args.signature)
-    seeds = run_seeds(config, args.count)
+    seeds = run_seeds(config, count)
     registry = build_game_registry()
     written = 0
     for seed in seeds:

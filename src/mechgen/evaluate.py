@@ -15,11 +15,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import List, Optional, Set, Tuple, Union
+from typing import Callable, List, Optional, Set, Tuple, Union
 
 from .game import (
+    _CONSTANTS,
     ON_TILE_TAPPED,
     Board,
+    Cell,
     GameState,
     _settle,
     build_hook_table,
@@ -51,6 +53,14 @@ class Goal:
         # ``board.contains`` inlined: the solver checks the goal after every tap.
         present = (self.colour or "") in board.cells
         return not present if self.kind is GoalKind.COLOUR_CLEARED else present
+
+    def key_test(self) -> Tuple[Callable[[Tuple[Cell, ...]], bool], bool]:
+        """The goal as one C call on a board key, built once per solve:
+        ``(test, holds)`` such that ``goal.satisfied(board)`` is
+        ``test(board.key()) is holds``."""
+        if self.kind is GoalKind.CLEARED:
+            return {None}.issuperset, True
+        return {self.colour or ""}.isdisjoint, self.kind is GoalKind.COLOUR_CLEARED
 
     def describe(self) -> str:
         if self.kind is GoalKind.CLEARED:
@@ -190,22 +200,26 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     states_explored counts states dequeued and expanded.
 
     The frontier and ``visited`` hold board keys (``Board.key()``: the flat
-    tuple of cells), not game states. One scratch board and game state
-    serve every tap. The tap hook is resolved and checked once per solve
-    into one list of ``(tap, fill)`` moves (``game.tap_moves``), so a hook
-    that cannot take the tap's arguments raises on every tap and prunes
-    every branch. Expanding a state sets the tap counter to its depth once,
-    then, per move, ``fill(key)`` writes the child's cells before gravity
-    into the scratch board (or reports that the tap raised), gravity
-    settles them in place, and the child is goal-checked and, if new,
-    queued under its key.
+    tuple of cells), not game states. The tap hook is resolved and checked
+    once per solve into one list of ``(tap, move, settled)`` moves
+    (``game.tap_moves``), so a hook that cannot take the tap's arguments
+    raises on every tap and prunes every branch; the goal becomes one C
+    call on a key (``Goal.key_test``). Expanding a state sets the tap
+    counter of the one scratch state to its depth and builds
+    ``key + (None, *COLOURS)`` once (the values a tabulated move picks
+    from); per move, ``move`` maps that to the child's key (or None: the
+    tap raised). A child that is not yet settled and has an empty cell is
+    settled on the scratch board; a full child cannot fall. The child is
+    then goal-checked and, if new, queued.
 
     A block that does not read the world is tabulated lazily: the root
     expansion runs it once per cell, on position markers, when it first
-    taps that cell, and every later tap of the cell is one gather from the
-    parent's key, or the same error, counted without running anything. A cell whose tap changes nothing is
-    dropped from the moves: its child is its (settled) parent, which is
-    already visited and is not a goal. Any other hook runs on every tap.
+    taps that cell, and every later tap of the cell is one ``itemgetter``
+    call on the parent's key, or None, counted without running anything.
+    A cell whose tap changes nothing is dropped from the moves: its child
+    is its (settled) parent, which is already visited and is not a goal.
+    Any other hook runs on every tap, on the scratch board, which it
+    settles before taking the child's key.
 
     Children at the last tap depth are goal-checked but neither stored in
     ``visited`` nor queued: they would never be expanded, and BFS discovers
@@ -222,12 +236,12 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
         return EvalResult(Unsolvable(), 0, 0)
     last = challenge.max_taps - 1  # states at this depth have only leaf children
     start = initial.key()
-    board = initial.clone()  # the scratch board every tap runs on
+    board = initial.clone()  # the scratch board general moves and gravity use
     state = GameState(board)
     cells = board.cells
     # The root's moves, then the moves of every later expansion.
     moves, later = tap_moves(hooks, state)
-    satisfied = goal.satisfied
+    test, holds = goal.key_test()
     visited = {start}
     frontier: deque = deque([(start, ())])
     errors = 0
@@ -237,20 +251,24 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
         explored += 1
         depth = len(path)
         state.taps_used = depth
-        for tap_xy, fill in moves:
-            if fill(key):  # the tap raised an ExecutionError
+        src = key + _CONSTANTS
+        for tap_xy, move, settled in moves:
+            child = move(src)
+            if child is None:  # the tap raised an ExecutionError
                 errors += 1
                 continue
-            _settle(board)
-            if satisfied(board):
+            if not (settled or all(child)):  # only an empty cell is false
+                cells[:] = child
+                _settle(board)
+                child = tuple(cells)
+            if test(child) is holds:
                 witness = path + (tap_xy,)
                 return EvalResult(Solved(len(witness), witness), errors, explored)
             if depth == last:
                 continue
-            child_key = tuple(cells)
-            if child_key not in visited:
-                visited.add(child_key)
-                frontier.append((child_key, path + (tap_xy,)))
+            if child not in visited:
+                visited.add(child)
+                frontier.append((child, path + (tap_xy,)))
         moves = later
     return EvalResult(Unsolvable(), errors, explored)
 

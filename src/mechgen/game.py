@@ -63,7 +63,7 @@ class Board:
     Cell (x, y) is ``cells[x * height + y]``, with y=0 the bottom row, so
     column x is the slice ``cells[x * height:(x + 1) * height]``, bottom
     first. The board's value is ``key()``, the tuple of its cells: the
-    solver keeps boards as keys and refills one scratch board from them.
+    solver keeps boards as keys and maps a parent's key to its child's.
     Two boards are equal when their shape and cells are.
     """
 
@@ -230,10 +230,11 @@ def tap_step(hooks: HookTable, width: int, height: int) -> TapStep:
     return step
 
 
-# A fill writes the cells a tap leaves on the board ``key``, before gravity,
-# and returns True instead when the tap raised an ExecutionError.
-Fill = Callable[[Tuple[Cell, ...]], Optional[bool]]
-Move = Tuple[Tuple[int, int], Fill]
+# A move maps ``src``, the parent's key followed by ``_CONSTANTS``, to the
+# child's cells as a tuple, or to None when the tap raised an ExecutionError.
+# ``settled`` is true when the child is already gravity-normal.
+MoveFn = Callable[[Tuple[Cell, ...]], Optional[Tuple[Cell, ...]]]
+Move = Tuple[Tuple[int, int], MoveFn, bool]
 
 # What a block that does not read the board can write into a cell besides a
 # cell of the board: emptiness or a colour. A gather reads ``key + _CONSTANTS``.
@@ -259,60 +260,63 @@ def _cells(width: int, height: int) -> _Cells:
 
 
 def tap_moves(hooks: HookTable, state: GameState) -> Tuple[Iterator[Move], List[Move]]:
-    """Every tap of ``state``'s board as a ``(tap, fill)`` move, with the
-    hook resolved once, for a searcher that taps one scratch state.
+    """Every tap of ``state``'s board as a ``(tap, move, settled)`` move,
+    with the hook resolved once, for a searcher that taps one scratch state.
 
-    ``fill(key)`` writes into ``state.board`` the cells that the tap leaves
-    on the board whose cells are ``key``, before gravity, and returns a
-    false value; when the tap raises an ExecutionError it returns True
-    instead, and the board may hold anything. The caller sets
-    ``state.taps_used`` and settles the board. Returns an iterator over the
-    moves of the first expansion and the list of moves of every later one,
-    which that iterator fills as it goes, so the later list is complete
-    once the iterator is exhausted. Taps come bottom row first, in (y, x)
-    order; a later rebinding of the hook does not reach the moves.
+    ``move(key + _CONSTANTS)`` returns the cells, as a tuple, that the tap
+    leaves on the board whose cells are ``key``, or None when the tap
+    raises an ExecutionError. The caller sets ``state.taps_used`` and, when
+    ``settled`` is false, restores gravity-normal form. Returns an iterator
+    over the moves of the first expansion and the list of moves of every
+    later one, which that iterator fills as it goes, so the later list is
+    complete once the iterator is exhausted. Taps come bottom row first, in
+    (y, x) order; a later rebinding of the hook does not reach the moves.
 
     A hook that may read the board (a host delegate, or a block whose
-    ``reads_world`` is true) runs on every fill: ``cells[:] = key``, then
-    the prepared runner with the cell's prebuilt arguments and a fresh
-    budget. A block that does not read the world is tabulated instead, one
-    cell at a time when the first expansion reaches it: it runs once on a
-    board whose cells are the position markers ``0..n-1``. Since nothing it
-    does depends on the cells, that run fixes the tap's outcome on every
-    board of this size:
+    ``reads_world`` is true) runs on every move: it refills
+    ``state.board`` with ``key``, runs the prepared runner with the cell's
+    prebuilt arguments and a fresh budget, settles the board in place and
+    returns its tuple (``settled`` is true). A block that does not read the
+    world is tabulated instead, one cell at a time when the first expansion
+    reaches it: it runs once on a board whose cells are the position
+    markers ``0..n-1``. Since nothing it does depends on the cells, that
+    run fixes the tap's outcome on every board of this size:
 
-    - It raises: every fill of the cell reports the error. A budget overrun
-      is fixed too, because control flow cannot depend on the board.
+    - It raises: every move of the cell returns None. A budget overrun is
+      fixed too, because control flow cannot depend on the board.
     - No cell changes (a NOOP): the tap leaves a gravity-normal board as it
       is. The move is left out of the later list, since every board a
       searcher expands after the first is settled, and out of the first
       expansion as well when ``state.board`` is gravity-normal now.
-    - Otherwise the fill is one gather: the child's cells are picked from
-      ``key + (None, *COLOURS)`` at the indices the marker run left. If
-      the run left any other value in a cell (a block that skipped the type
-      checker can paint a variant that is no colour), that tap runs the
-      block on every fill instead.
+    - Otherwise the move is an ``itemgetter``: it picks the child's cells
+      from ``key + _CONSTANTS`` at the indices the marker run left, before
+      gravity (``settled`` is false). If the run left any other value in a
+      cell (a block that skipped the type checker can paint a variant that
+      is no colour), that tap runs the block on every move instead.
     """
     board = state.board
     cells = board.cells
+    n = len(cells)
     delegate = hooks.delegate(ON_TILE_TAPPED)
     run = prepare(delegate, (INT, INT))
     taps, cell_args, index = _cells(board.width, board.height)
 
-    def runs(args: Tuple[IntV, IntV], key: Tuple[Cell, ...]) -> Optional[bool]:
-        cells[:] = key
+    def runs(args: Tuple[IntV, IntV], src: Tuple[Cell, ...]) -> Optional[Tuple[Cell, ...]]:
+        cells[:] = src
+        del cells[n:]  # drop the constants after the key; cheaper than src[:n]
         try:
             run(args, state, ExecBudget())
         except ExecutionError:
-            return True
-        return None
+            return None
+        _settle(board)
+        return tuple(cells)
 
     if not isinstance(delegate, GeneratedDelegate) or delegate.reads_world:
-        moves = [(xy, partial(runs, args)) for xy, args in zip(taps, cell_args)]
+        moves = [(xy, partial(runs, args), True) for xy, args in zip(taps, cell_args)]
         return iter(moves), moves
 
     later: List[Move] = []
-    markers = list(range(len(cells)))
+    markers = list(range(n))
     first = Board(board.width, board.height, cells[:])  # the board the first expansion taps
 
     def first_expansion() -> Iterator[Move]:
@@ -323,54 +327,44 @@ def tap_moves(hooks: HookTable, state: GameState) -> Tuple[Iterator[Move], List[
             try:
                 run(args, marked, ExecBudget())
             except ExecutionError:
-                fill: Fill = _raised
+                move: Move = (xy, _raised, True)
             else:
                 after = marked.board.cells
                 if after == markers:
                     if normal is None:
                         normal = first.is_gravity_normal()
-                    if not normal:  # the identity gather: gravity may still move cells
-                        yield xy, _gather(cells, markers)
+                    if not normal:  # the identity: gravity may still move cells
+                        yield xy, _items(markers), False
                     continue
                 try:
-                    fill = _gather(cells, _items(after)(index))
+                    move = (xy, _items(tuple(map(index.__getitem__, after))), False)
                 except (KeyError, TypeError):  # a value no gather can pick
-                    fill = partial(runs, args)
-            later.append((xy, fill))
-            yield xy, fill
+                    move = (xy, partial(runs, args), True)
+            later.append(move)
+            yield move
 
     return first_expansion(), later
 
 
-def _raised(key: Tuple[Cell, ...]) -> bool:
-    """The fill of a tap that raises on every board."""
-    return True
+def _raised(src: Tuple[Cell, ...]) -> None:
+    """The move of a tap that raises on every board."""
+    return None
 
 
-def _items(indices: Sequence[Any]) -> Callable[[Any], Tuple[Any, ...]]:
-    """``itemgetter(*indices)``, but a tuple even for one index."""
-    get = itemgetter(*indices)
-    if len(indices) == 1:
-        return lambda seq: (get(seq),)
-    return get
-
-
-def _gather(cells: List[Cell], picks: Sequence[int]) -> Fill:
-    get = _items(picks)
-
-    def fill(key: Tuple[Cell, ...]) -> None:
-        cells[:] = get(key + _CONSTANTS)
-
-    return fill
+def _items(picks: Sequence[int]) -> MoveFn:
+    """``itemgetter(*picks)``, but a tuple even for one pick."""
+    if len(picks) == 1:
+        return itemgetter(slice(picks[0], picks[0] + 1))
+    return itemgetter(*picks)
 
 
 def tap(state: GameState, x: int, y: int, hooks: HookTable) -> GameState:
     """One tap: dispatch the hook, restore gravity-normal form, count the tap.
 
     This is the bounds check, then one ``tap_step`` for the board. The
-    solver's moves (``tap_moves``) dispatch through the same hook and the
-    solver settles after each, so binding a generated delegate to
-    ``onTileTapped`` swaps the mechanic for both.
+    solver's moves (``tap_moves``) dispatch through the same hook, so
+    binding a generated delegate to ``onTileTapped`` swaps the mechanic
+    for both.
     Gravity is restored in place on ``state.board``. Errors from the hook
     propagate and may leave the board partially modified, so searchers tap a
     copy of the state. A caller that taps one board size many times builds

@@ -132,6 +132,18 @@ def test_generate_rejects_zero_count(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("text", ["1_0", "+3", "\u0663"])
+def test_generate_rejects_a_non_decimal_count(tmp_path, capsys, text):
+    # argparse's int() used to accept these: '1_0' wrote ten files.
+    code, out, err = run(
+        capsys, "generate", "--config", DEFAULT_CFG, "--signature", "onTileTapped",
+        "--count", text, "--out", str(tmp_path),
+    )
+    assert (code, out) == (1, "")
+    assert "--count must be a decimal integer" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_rejects_an_int_literal_range_outside_64_bits(tmp_path, capsys):
     # Such a range used to write 'int v0 = 100000000000000000007;', which
     # evaluate then rejected.

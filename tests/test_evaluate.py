@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from mechgen.evaluate import (
@@ -22,6 +24,7 @@ from mechgen.evaluate import (
     solve,
 )
 from mechgen.game import (
+    COLOURS,
     ON_TILE_TAPPED,
     Board,
     GameState,
@@ -146,6 +149,35 @@ def test_goal_predicates():
     assert not Goal(GoalKind.COLOUR_PRESENT, "Y").satisfied(board)
 
 
+EVERY_GOAL = [
+    Goal(GoalKind.CLEARED),
+    *(Goal(kind, colour) for kind in (GoalKind.COLOUR_CLEARED, GoalKind.COLOUR_PRESENT)
+      for colour in (*COLOURS, None)),
+]
+
+
+@st.composite
+def any_boards(draw):
+    """Boards up to 3x3: empty, full, or mixed, with cells that may hold a
+    variant that is no colour (a block that skipped the type checker can
+    paint one)."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    height = draw(st.integers(min_value=1, max_value=3))
+    kind = draw(st.sampled_from(["empty", "full", "mixed"]))
+    values = {"empty": [None], "full": [*COLOURS, "Z"], "mixed": [*COLOURS, "Z", None]}[kind]
+    cells = draw(st.lists(st.sampled_from(values), min_size=width * height,
+                          max_size=width * height))
+    return Board(width, height, cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_boards())
+def test_the_key_test_agrees_with_satisfied(board):
+    for goal in EVERY_GOAL:
+        test, holds = goal.key_test()
+        assert (test(board.key()) is holds) is goal.satisfied(board), (goal, board)
+
+
 # --------------------------------------------------------------------------
 # solve
 
@@ -247,6 +279,49 @@ def test_solver_matches_naive_enumerator(challenge_text, mechanic):
         assert fast.status.min_taps == slow[1]
         if slow[2] is not None:
             assert fast.status.witness == slow[2]
+
+
+# Boards with empty cells and the two goals whose check on a key differs
+# most from a colour probe: children fall under gravity and may clear.
+EMPTY_CELL_CHALLENGES = [
+    ".R\nGB\ngoal: CLEARED\nmax_taps: 3\n",
+    "R.\nGB\nBR\ngoal: CLEARED\nmax_taps: 3\n",
+    "..G\nRBR\ngoal: COLOUR_CLEARED R\nmax_taps: 3\n",
+    "G.\nRB\ngoal: COLOUR_CLEARED G\nmax_taps: 2\n",
+    ".\nR\nG\ngoal: CLEARED\nmax_taps: 3\n",
+]
+
+# (text, whether the block reads the board)
+GRAVITY_MECHANICS = [
+    ("if (IsOccupied(x, Sub(Height, 1))) { DestroyTile(x, 0); } else { DestroyTile(x, y); }", True),
+    ("if (Equal(x, 0)) { DestroyTile(x, 0); } else { SwapTiles(x, y, 0, 0); }", False),
+]
+
+
+@pytest.mark.parametrize("challenge_text", EMPTY_CELL_CHALLENGES)
+@pytest.mark.parametrize("mechanic,reads", GRAVITY_MECHANICS)
+def test_cleared_goals_on_boards_with_empty_cells_match_naive(challenge_text, mechanic, reads):
+    challenge = parse_challenge(challenge_text)
+    registry = build_game_registry(challenge.initial.width, challenge.initial.height)
+    hooks = bind_mechanic(registry, mechanic)
+    assert hooks.delegate(ON_TILE_TAPPED).reads_world is reads
+    fast = solve(challenge, hooks)
+    slow = naive_solve(challenge, hooks)
+    if slow[0] == "unsolvable":
+        assert fast.status == Unsolvable()
+    else:
+        assert fast.status == Solved(slow[1], slow[2])
+
+
+def test_the_empty_cell_cases_include_solved_and_unsolvable():
+    """Each mechanic above both solves and fails some of the challenges."""
+    for mechanic, _ in GRAVITY_MECHANICS:
+        kinds = set()
+        for text in EMPTY_CELL_CHALLENGES:
+            challenge = parse_challenge(text)
+            registry = build_game_registry(challenge.initial.width, challenge.initial.height)
+            kinds.add(type(solve(challenge, bind_mechanic(registry, mechanic)).status))
+        assert kinds == {Solved, Unsolvable}, mechanic
 
 
 def hook_table_with(delegate):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from mechgen.evaluate import Challenge, Goal, GoalKind, Solved, Unsolvable, parse_challenge, solve
 from mechgen.game import (
+    _CONSTANTS,
     COLOURS,
     Board,
     GameState,
@@ -26,10 +27,12 @@ from mechgen.game import (
     build_game_registry,
     build_hook_table,
     on_tile_tapped_signature,
+    tap,
+    tap_moves,
 )
 from mechgen.lang import parse
 from mechgen.registry import INT, VOID, MethodDescriptor, Registry, enum_type
-from mechgen.runtime import ExecBudget, EnumV, GeneratedDelegate, IntV
+from mechgen.runtime import ConstraintViolation, ExecBudget, EnumV, GeneratedDelegate, IntV
 from mechgen.synthesis import GenerationError, config_with_seed, generate_block, load_config_file
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -251,6 +254,87 @@ def test_generated_candidates_agree(challenge, config_name, seed):
 @given(challenges(), st.sampled_from(ONE_LINERS))
 def test_one_liners_agree_on_random_boards(challenge, text):
     assert_paths_agree(challenge, text)
+
+
+# --------------------------------------------------------------------------
+# Hypothesis: one move at a time
+
+
+def settled_children(hooks, root, board):
+    """{tap: the settled child key, or None when the tap raised} of each move
+    that ``tap_moves`` gives for ``board``: the first expansion's moves when
+    ``board`` is ``root``, else the later moves, built on ``root``."""
+    first, later = tap_moves(hooks, GameState(root.clone()))
+    first = list(first)  # which also completes ``later``
+    moves = first if board is root else later
+    out = {}
+    for xy, move, settled in moves:
+        child = move(board.key() + _CONSTANTS)
+        if child is not None:
+            assert isinstance(child, tuple) and len(child) == len(board.cells)
+            if not settled:
+                child = apply_gravity(Board(board.width, board.height, list(child))).key()
+        out[xy] = child
+    return out
+
+
+def tapped(hooks, board, x, y):
+    """The settled key ``tap`` leaves, None if it raises a ConstraintViolation."""
+    try:
+        return tap(GameState(board.clone()), x, y, hooks).board.key()
+    except ConstraintViolation:
+        return None
+
+
+@st.composite
+def board_pairs(draw):
+    """Two boards of one size: a root, which may have floating tiles, and a
+    gravity-normal board that the later moves are applied to."""
+    root = draw(boards)
+    w, h = root.width, root.height
+    cells = st.lists(st.sampled_from([*COLOURS, None]), min_size=w * h, max_size=w * h)
+    return root, apply_gravity(Board(w, h, draw(cells)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(board_pairs(), st.sampled_from(ONE_LINERS))
+def test_each_tabulated_move_matches_the_general_move(boards_, text):
+    root, other = boards_
+    block = parse(text, params=["x", "y"])
+    registry = build_game_registry(root.width, root.height)
+    fast_hooks = hooks_for(block, registry)
+    slow_hooks = hooks_for(block, general_registry(registry))
+    for board in (root, other):
+        fast = settled_children(fast_hooks, root, board)
+        slow = settled_children(slow_hooks, root, board)
+        assert len(slow) == root.width * root.height
+        for (x, y), expected in slow.items():
+            assert expected == tapped(slow_hooks, board, x, y), (text, board, (x, y))
+            # A tabulated cell left out of the moves is a NOOP: its child is
+            # the settled board.
+            assert fast.get((x, y), apply_gravity(board).key()) == expected, (text, board, (x, y))
+
+
+def test_a_constraint_violation_cell_returns_none_on_every_board():
+    block = parse("DestroyTile(Add(x, 1), y);", params=["x", "y"])  # raises on x = 2
+    root = Board(3, 2)
+    others = [Board(3, 2, ["R", "G", "B", "Y", "R", None]), Board(3, 2, ["R", None] * 3)]
+    registry = build_game_registry(3, 2)
+    for hooks in (hooks_for(block, registry), hooks_for(block, general_registry(registry))):
+        for board in (root, *others):
+            children = settled_children(hooks, root, board)
+            assert [children[(2, y)] for y in range(2)] == [None, None]
+            assert all(children[(x, y)] is not None for x in range(2) for y in range(2))
+
+
+def test_a_one_cell_gather_returns_a_tuple():
+    block = parse("SetTile(x, y, Colour.G);", params=["x", "y"])
+    root = Board(1, 1, ["R"])
+    first, _ = tap_moves(hooks_for(block, build_game_registry(1, 1)), GameState(root.clone()))
+    [(xy, move, settled)] = list(first)
+    assert (xy, settled) == ((0, 0), False)
+    assert move(("B",) + _CONSTANTS) == ("G",)
+    assert move((None,) + _CONSTANTS) == ("G",)
 
 
 def test_most_search_candidates_are_tabulated():
