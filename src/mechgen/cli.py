@@ -147,6 +147,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     report_path = Path(args.report)
     if not report_path.parent.exists():
         raise InputRejected(f"report directory not found: {report_path.parent}")
+    if report_path.is_dir():
+        raise InputRejected(f"report path is a directory: {args.report}")
     registry = build_game_registry(challenge.initial.width, challenge.initial.height)
     sig = build_hook_table().sig(ON_TILE_TAPPED)
     report = search_mechanics(sig, registry, challenge, config, DEFAULT_SEARCH_BUDGET)

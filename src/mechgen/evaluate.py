@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .game import (
     _CONSTANTS,
@@ -23,7 +23,7 @@ from .game import (
     Board,
     Cell,
     GameState,
-    _settle,
+    _settle_columns,
     build_hook_table,
     tap,  # unused here; the benchmark's tracer wraps ``evaluate.tap`` by name
     tap_moves,
@@ -239,6 +239,7 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     board = initial.clone()  # the scratch board general moves and gravity use
     state = GameState(board)
     cells = board.cells
+    height = board.height
     # The root's moves, then the moves of every later expansion.
     moves, later = tap_moves(hooks, state)
     test, holds = goal.key_test()
@@ -259,7 +260,7 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
                 continue
             if not (settled or all(child)):  # only an empty cell is false
                 cells[:] = child
-                _settle(board)
+                _settle_columns(cells, height)
                 child = tuple(cells)
             if test(child) is holds:
                 witness = path + (tap_xy,)
@@ -279,11 +280,15 @@ def evaluate_candidate(
     registry: Registry,
     challenge: Challenge,
 ) -> EvalResult:
-    """Static gate, then solve the challenge with the block bound as the hook."""
+    """Static gate, then solve the challenge with the block bound as the hook.
+
+    A rejection keeps its error without the traceback, whose frames would
+    keep the block alive for as long as the result is kept.
+    """
     try:
         typecheck(block, sig, registry)
     except TypeCheckError as err:
-        return EvalResult(Rejected(err))
+        return EvalResult(Rejected(err.with_traceback(None)))
     hooks = build_hook_table()
     hooks.bind(ON_TILE_TAPPED, GeneratedDelegate(sig, block, registry))
     return solve(challenge, hooks)
@@ -324,28 +329,43 @@ def search_mechanics(
     budget: int,
 ) -> SearchReport:
     """Generate up to ``budget`` candidates (seeds seed, seed+1, ...) and
-    evaluate each; solving blocks are deduplicated by their pretty text."""
+    evaluate each; solving blocks are deduplicated by their pretty text.
+
+    Each distinct block is evaluated once per call. A generated block
+    round-trips through the parser (``parse(pretty(b)) == b``, acceptance
+    criterion 6), so two blocks with equal text are equal blocks, and
+    ``evaluate_candidate`` is a pure function of the block, the signature,
+    the registry and the challenge: equal texts get equal ``EvalResult``s,
+    counters included. A memo maps each text to its result, and a repeat
+    reuses it without typechecking or solving again. The memo holds text
+    and results, never a block, so each block dies with its iteration. A
+    solving text joins ``distinct`` when it is first evaluated. A seed that
+    fails to generate has no block and no memo entry.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     seeds = run_seeds(config, budget)
     report = SearchReport(budget=budget)
-    seen: Set[str] = set()
+    memo: Dict[str, EvalResult] = {}
     started = time.perf_counter()
     for seed in seeds:
+        fresh = False
         try:
             block = generate_block(sig, registry, config_with_seed(config, seed))
         except GenerationError as err:
             result = EvalResult(Rejected(err))
         else:
-            result = evaluate_candidate(block, sig, registry, challenge)
+            text = pretty(block)
+            result = memo.get(text)
+            if result is None:
+                result = memo[text] = evaluate_candidate(block, sig, registry, challenge)
+                fresh = True
         status = result.status
         min_taps = None
         if isinstance(status, Solved):
             min_taps = status.min_taps
             report.solved_count += 1
-            text = pretty(block)
-            if text not in seen:
-                seen.add(text)
+            if fresh:
                 report.distinct.append((text, min_taps))
         report.entries.append(
             SearchEntry(

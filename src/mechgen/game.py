@@ -149,13 +149,16 @@ def _settle(board: Board) -> None:
     """Compact each column downward in place, preserving vertical order.
 
     A full board costs one C-level scan: colours are non-empty names, so
-    only an empty cell is false. Otherwise only the columns with an empty
-    cell under a tile are rewritten.
+    only an empty cell is false.
     """
     cells = board.cells
-    if all(cells):
-        return
-    h = board.height
+    if not all(cells):
+        _settle_columns(cells, board.height)
+
+
+def _settle_columns(cells: List[Cell], h: int) -> None:
+    """``_settle`` on the cells of a board known to have an empty cell:
+    only the columns with an empty cell under a tile are rewritten."""
     for lo in range(0, len(cells), h):
         hi = lo + h
         col = cells[lo:hi]

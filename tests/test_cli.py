@@ -219,6 +219,21 @@ def test_search_requires_existing_report_directory(tmp_path, capsys):
     assert code == 1
 
 
+def test_search_rejects_a_directory_report_before_searching(tmp_path, capsys, monkeypatch):
+    import mechgen.cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(mechgen.cli, "search_mechanics", no_search)
+    code, _, err = run(
+        capsys, "search", "--config", SEARCH_CFG, "--challenge", UNSOLVABLE,
+        "--report", str(tmp_path),
+    )
+    assert code == 1
+    assert err == f"error: report path is a directory: {tmp_path}\n"
+
+
 def test_search_rejects_seeds_past_64_bits_before_searching(tmp_path, capsys, monkeypatch):
     import mechgen.evaluate
 

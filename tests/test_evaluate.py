@@ -386,6 +386,17 @@ def test_ill_typed_candidate_rejected_without_execution(unsolvable_challenge, ga
     assert result.states_explored == 0
 
 
+def test_a_rejection_keeps_no_block(unsolvable_challenge, game_registry, tap_sig):
+    import weakref
+
+    block = parse("Ghost(x);", params=["x", "y"])
+    ref = weakref.ref(block)
+    result = evaluate_candidate(block, tap_sig, game_registry, unsolvable_challenge)
+    del block
+    assert isinstance(result.status.reason, TypeCheckError)
+    assert ref() is None  # the search memo keeps results like this one
+
+
 def test_destroy_mechanic_is_baseline_equivalent(game_registry, tap_sig):
     block = parse("DestroyTile(x, y);", params=["x", "y"])
     for path in ("unsolvable.ch", "clearable.ch"):
@@ -489,3 +500,40 @@ def test_entries_cover_the_whole_budget(unsolvable_challenge):
     report = search_mechanics(sig, registry, unsolvable_challenge, config, budget=40)
     assert [e.seed for e in report.entries] == list(range(40))
     assert all(e.outcome in ("solved", "unsolvable", "rejected") for e in report.entries)
+
+
+def test_search_evaluates_each_distinct_text_once_and_keeps_no_block(monkeypatch):
+    import weakref
+
+    import mechgen.evaluate as evaluate
+    from mechgen.lang import pretty
+    from mechgen.synthesis import generate_block, load_config_file
+
+    challenge = load_challenge(FIXTURES / "clear_red.ch")
+    registry = build_game_registry(challenge.initial.width, challenge.initial.height)
+    sig = build_hook_table().sig(ON_TILE_TAPPED)
+    config = load_config_file(str(FIXTURES / "search.cfg"))
+    blocks, texts, evaluated = [], [], []
+
+    def generate(*args):
+        block = generate_block(*args)
+        blocks.append(weakref.ref(block))
+        return block
+
+    def counted_pretty(block):
+        texts.append(pretty(block))
+        return texts[-1]
+
+    def counted_evaluate(block, *args):
+        evaluated.append(pretty(block))
+        return evaluate_candidate(block, *args)
+
+    monkeypatch.setattr(evaluate, "generate_block", generate)
+    monkeypatch.setattr(evaluate, "pretty", counted_pretty)
+    monkeypatch.setattr(evaluate, "evaluate_candidate", counted_evaluate)
+    report = search_mechanics(sig, registry, challenge, config, budget=300)
+    assert len(report.entries) == 300
+    assert len(texts) == len(blocks)  # one pretty per generated block
+    assert evaluated == list(dict.fromkeys(texts))  # one evaluation per distinct text
+    assert len(evaluated) < len(texts)  # and the repeats came from the memo
+    assert [ref() for ref in blocks] == [None] * len(blocks)

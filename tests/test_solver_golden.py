@@ -13,7 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from mechgen.evaluate import Rejected, Solved, evaluate_candidate, load_challenge
+from mechgen.evaluate import (
+    Rejected, Solved, evaluate_candidate, load_challenge, search_mechanics,
+)
 from mechgen.game import build_game_registry, build_hook_table, ON_TILE_TAPPED
 from mechgen.synthesis import GenerationError, config_with_seed, generate_block, load_config_file
 
@@ -24,12 +26,17 @@ SEEDS = range(2000)
 CASES = (("default.cfg", "unsolvable.ch"), ("search.cfg", "clear_red.ch"))
 
 
-def candidate_rows(config_name: str, challenge_name: str):
-    """[outcome, min_taps, witness, error_count, states_explored] per seed."""
+def case_inputs(config_name: str, challenge_name: str):
+    """(config, challenge, registry, tap signature) of one case."""
     config = load_config_file(str(FIXTURES / config_name))
     challenge = load_challenge(FIXTURES / challenge_name)
     registry = build_game_registry(challenge.initial.width, challenge.initial.height)
-    sig = build_hook_table().sig(ON_TILE_TAPPED)
+    return config, challenge, registry, build_hook_table().sig(ON_TILE_TAPPED)
+
+
+def candidate_rows(config_name: str, challenge_name: str):
+    """[outcome, min_taps, witness, error_count, states_explored] per seed."""
+    config, challenge, registry, sig = case_inputs(config_name, challenge_name)
     rows = []
     for seed in SEEDS:
         try:
@@ -65,6 +72,28 @@ def test_solver_counters_match_golden():
         ]
         assert len(rows) == len(golden[case]), case
         assert not diffs, f"{case}: {len(diffs)} candidates differ, first {diffs[:3]}"
+
+
+def test_search_entries_match_solver_golden():
+    """The search evaluates each distinct text once and gives every repeat
+    the stored result; its entries must still equal the golden, which was
+    recorded by evaluating every candidate."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for cfg, ch in CASES:
+        config, challenge, registry, sig = case_inputs(cfg, ch)
+        report = search_mechanics(sig, registry, challenge, config_with_seed(config, 0), len(SEEDS))
+        expected = [
+            ("rejected", None, 0, 0) if outcome == "generation_error"
+            else (outcome, min_taps, error_count, states)
+            for outcome, min_taps, _, error_count, states in golden[f"{cfg} on {ch}"]
+        ]
+        actual = [
+            (e.outcome, e.min_taps, e.error_count, e.states_explored) for e in report.entries
+        ]
+        assert [e.seed for e in report.entries] == list(SEEDS)
+        diffs = [(seed, want, got) for seed, (want, got) in enumerate(zip(expected, actual))
+                 if want != got]
+        assert not diffs, f"{cfg} on {ch}: {len(diffs)} entries differ, first {diffs[:3]}"
 
 
 if __name__ == "__main__":
