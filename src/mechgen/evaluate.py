@@ -23,7 +23,7 @@ from .game import (
     Board,
     Cell,
     GameState,
-    _settle_columns,
+    _settle,
     build_hook_table,
     tap,  # unused here; the benchmark's tracer wraps ``evaluate.tap`` by name
     tap_moves,
@@ -48,16 +48,15 @@ class Goal:
     colour: Optional[str] = None
 
     def satisfied(self, board: Board) -> bool:
-        if self.kind is GoalKind.CLEARED:
-            return board.tile_count() == 0
-        # ``board.contains`` inlined: the solver checks the goal after every tap.
-        present = (self.colour or "") in board.cells
-        return not present if self.kind is GoalKind.COLOUR_CLEARED else present
+        test, holds = self.key_test()
+        return test(board.key()) is holds
 
     def key_test(self) -> Tuple[Callable[[Tuple[Cell, ...]], bool], bool]:
         """The goal as one C call on a board key, built once per solve:
-        ``(test, holds)`` such that ``goal.satisfied(board)`` is
-        ``test(board.key()) is holds``."""
+        ``(test, holds)`` such that the goal holds on a board when
+        ``test(board.key()) is holds``. This is the one definition of each
+        goal: no cell holds a tile, ``colour`` is in no cell, or it is in
+        some cell."""
         if self.kind is GoalKind.CLEARED:
             return {None}.issuperset, True
         return {self.colour or ""}.isdisjoint, self.kind is GoalKind.COLOUR_CLEARED
@@ -229,20 +228,19 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     if the goal already holds, else Unsolvable with nothing explored.
     """
     initial = challenge.initial
-    goal = challenge.goal
-    if goal.satisfied(initial):
+    start = initial.key()
+    test, holds = challenge.goal.key_test()
+    if test(start) is holds:
         return EvalResult(Solved(0, ()), 0, 0)
     if challenge.max_taps < 1:
         return EvalResult(Unsolvable(), 0, 0)
     last = challenge.max_taps - 1  # states at this depth have only leaf children
-    start = initial.key()
     board = initial.clone()  # the scratch board general moves and gravity use
     state = GameState(board)
     cells = board.cells
     height = board.height
     # The root's moves, then the moves of every later expansion.
     moves, later = tap_moves(hooks, state)
-    test, holds = goal.key_test()
     visited = {start}
     frontier: deque = deque([(start, ())])
     errors = 0
@@ -260,7 +258,7 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
                 continue
             if not (settled or all(child)):  # only an empty cell is false
                 cells[:] = child
-                _settle_columns(cells, height)
+                _settle(cells, height)
                 child = tuple(cells)
             if test(child) is holds:
                 witness = path + (tap_xy,)

@@ -4,8 +4,9 @@ Tapping a tile dispatches through the ``onTileTapped`` hook. The baseline
 behavior destroys the tapped tile; gravity then compacts each column so no
 empty cell sits below an occupied one (gravity-normal form). Swapping the
 hook's delegate is the single integration point for replacement mechanics:
-``tap_step`` (one tap) and ``tap_moves`` (every tap, for the solver) read
-the hook table and nothing else needs to change.
+``tap`` (one tap) and ``tap_moves`` (every tap, for the solver) read the
+hook table and run one tap body, ``_run_tap``; ``_settle`` is the one
+place that knows the column rule.
 
 ``build_game_registry`` publishes the design space for this game: the Colour
 enum, the read-only board dimensions, tile manipulation methods with
@@ -40,6 +41,7 @@ from .runtime import (
     HostDelegate,
     HostError,
     IntV,
+    Runner,
     Value,
     invoke,  # unused here; the benchmark's tracer wraps ``game.invoke`` by name
     prepare,
@@ -119,13 +121,8 @@ class Board:
         return len(self.cells) - self.cells.count(None)
 
     def is_gravity_normal(self) -> bool:
-        cells, h = self.cells, self.height
-        for lo in range(0, len(cells), h):
-            col = cells[lo:lo + h]
-            empty = col.count(None)
-            if empty and col.index(None) != h - empty:  # an empty cell under a tile
-                return False
-        return True
+        """Whether gravity leaves this board as it is (``apply_gravity``)."""
+        return apply_gravity(self) == self
 
     def clone(self) -> "Board":
         return Board(self.width, self.height, self.cells[:])
@@ -145,20 +142,10 @@ class Board:
         return f"Board({'|'.join(self.to_rows())})"
 
 
-def _settle(board: Board) -> None:
-    """Compact each column downward in place, preserving vertical order.
-
-    A full board costs one C-level scan: colours are non-empty names, so
-    only an empty cell is false.
-    """
-    cells = board.cells
-    if not all(cells):
-        _settle_columns(cells, board.height)
-
-
-def _settle_columns(cells: List[Cell], h: int) -> None:
-    """``_settle`` on the cells of a board known to have an empty cell:
-    only the columns with an empty cell under a tile are rewritten."""
+def _settle(cells: List[Cell], h: int) -> None:
+    """Compact each column of a board ``h`` cells tall downward in place,
+    preserving vertical order: the column rule of gravity. Only the columns
+    with an empty cell under a tile are rewritten."""
     for lo in range(0, len(cells), h):
         hi = lo + h
         col = cells[lo:hi]
@@ -174,7 +161,7 @@ def apply_gravity(board: Board) -> Board:
     Returns a new board; ``board`` is left unchanged.
     """
     out = board.clone()
-    _settle(out)
+    _settle(out.cells, out.height)
     return out
 
 
@@ -205,32 +192,16 @@ def baseline_on_tile_tapped(world: GameState, x: int, y: int) -> None:
     world.board.set(x, y, None)
 
 
-TapStep = Callable[[GameState, int, int], GameState]
-
-
-def tap_step(hooks: HookTable, width: int, height: int) -> TapStep:
-    """The tap of a ``width`` x ``height`` board, with the hook resolved once.
-
-    The ``onTileTapped`` delegate is looked up and prepared here, and the
-    argument values of every cell are built here. The returned step then
-    runs that delegate on the state with a fresh budget, restores
-    gravity-normal form in place on ``state.board`` and counts the tap. It
-    does no bounds check, and a later rebinding of the hook does not reach
-    it. Errors from the hook propagate and may leave the board partially
-    modified, so searchers tap a copy of the state.
-    """
-    run = prepare(hooks.delegate(ON_TILE_TAPPED), (INT, INT))
-    xs = [IntV(x) for x in range(width)]
-    ys = [IntV(y) for y in range(height)]
-    cell_args = [[(xv, yv) for yv in ys] for xv in xs]
-
-    def step(state: GameState, x: int, y: int) -> GameState:
-        run(cell_args[x][y], state, ExecBudget())
-        _settle(state.board)
-        state.taps_used += 1
-        return state
-
-    return step
+def _run_tap(run: Runner, args: Tuple[IntV, IntV], state: GameState) -> None:
+    """The body of one tap, which ``tap`` and the general move share: run
+    the prepared hook on ``state`` with a fresh budget, then restore
+    gravity-normal form in place. A full board costs one C-level scan, as
+    colours are non-empty names, so only an empty cell is false. Errors
+    from the hook propagate and may leave the board partially modified."""
+    run(args, state, ExecBudget())
+    cells = state.board.cells
+    if not all(cells):
+        _settle(cells, state.board.height)
 
 
 # A move maps ``src``, the parent's key followed by ``_CONSTANTS``, to the
@@ -276,14 +247,14 @@ def tap_moves(hooks: HookTable, state: GameState) -> Tuple[Iterator[Move], List[
     (y, x) order; a later rebinding of the hook does not reach the moves.
 
     A hook that may read the board (a host delegate, or a block whose
-    ``reads_world`` is true) runs on every move: it refills
-    ``state.board`` with ``key``, runs the prepared runner with the cell's
-    prebuilt arguments and a fresh budget, settles the board in place and
-    returns its tuple (``settled`` is true). A block that does not read the
-    world is tabulated instead, one cell at a time when the first expansion
-    reaches it: it runs once on a board whose cells are the position
-    markers ``0..n-1``. Since nothing it does depends on the cells, that
-    run fixes the tap's outcome on every board of this size:
+    ``reads_world`` is true) runs on every move: the general move refills
+    ``state.board`` with ``key``, runs ``tap``'s body (``_run_tap``) with
+    the cell's prebuilt arguments and returns the board's tuple
+    (``settled`` is true). A block that does not read the world is
+    tabulated instead, one cell at a time when the first expansion reaches
+    it: it runs once on a board whose cells are the position markers
+    ``0..n-1``. Since nothing it does depends on the cells, that run fixes
+    the tap's outcome on every board of this size:
 
     - It raises: every move of the cell returns None. A budget overrun is
       fixed too, because control flow cannot depend on the board.
@@ -308,10 +279,9 @@ def tap_moves(hooks: HookTable, state: GameState) -> Tuple[Iterator[Move], List[
         cells[:] = src
         del cells[n:]  # drop the constants after the key; cheaper than src[:n]
         try:
-            run(args, state, ExecBudget())
+            _run_tap(run, args, state)
         except ExecutionError:
             return None
-        _settle(board)
         return tuple(cells)
 
     if not isinstance(delegate, GeneratedDelegate) or delegate.reads_world:
@@ -364,19 +334,19 @@ def _items(picks: Sequence[int]) -> MoveFn:
 def tap(state: GameState, x: int, y: int, hooks: HookTable) -> GameState:
     """One tap: dispatch the hook, restore gravity-normal form, count the tap.
 
-    This is the bounds check, then one ``tap_step`` for the board. The
-    solver's moves (``tap_moves``) dispatch through the same hook, so
-    binding a generated delegate to ``onTileTapped`` swaps the mechanic
-    for both.
-    Gravity is restored in place on ``state.board``. Errors from the hook
-    propagate and may leave the board partially modified, so searchers tap a
-    copy of the state. A caller that taps one board size many times builds
-    the step once instead.
+    This is the bounds check, then the tap body (``_run_tap``) that the
+    solver's general moves (``tap_moves``) share, so binding a generated
+    delegate to ``onTileTapped`` swaps the mechanic for both. Gravity is
+    restored in place on ``state.board``. Errors from the hook propagate
+    and may leave the board partially modified, so searchers tap a copy of
+    the state.
     """
     board = state.board
     if not board.in_bounds(x, y):
         raise OutOfBounds(f"tap at ({x}, {y}) outside {board.width}x{board.height}")
-    return tap_step(hooks, board.width, board.height)(state, x, y)
+    _run_tap(prepare(hooks.delegate(ON_TILE_TAPPED), (INT, INT)), (IntV(x), IntV(y)), state)
+    state.taps_used += 1
+    return state
 
 
 # --------------------------------------------------------------------------

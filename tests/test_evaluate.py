@@ -170,12 +170,23 @@ def any_boards(draw):
     return Board(width, height, cells)
 
 
+def reference_goal(goal, cells):
+    """Each goal written out over the tiles (the cells that are not empty)."""
+    tiles = [c for c in cells if c is not None]
+    if goal.kind is GoalKind.CLEARED:
+        return not tiles
+    present = any(t == goal.colour for t in tiles)
+    return not present if goal.kind is GoalKind.COLOUR_CLEARED else present
+
+
 @settings(max_examples=300, deadline=None)
 @given(any_boards())
 def test_the_key_test_agrees_with_satisfied(board):
     for goal in EVERY_GOAL:
+        expected = reference_goal(goal, board.cells)
         test, holds = goal.key_test()
-        assert (test(board.key()) is holds) is goal.satisfied(board), (goal, board)
+        assert (test(board.key()) is holds) is expected, (goal, board)
+        assert goal.satisfied(board) is expected, (goal, board)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mechgen.game import (
+    _CONSTANTS,
     Board,
     GameState,
     OutOfBounds,
@@ -12,8 +13,9 @@ from mechgen.game import (
     build_game_registry,
     build_hook_table,
     tap,
-    tap_step,
+    tap_moves,
 )
+from mechgen.lang import parse
 from mechgen.registry import (
     INT,
     FieldProducer,
@@ -133,7 +135,7 @@ def test_flat_board_matches_per_column_reference(cols):
     assert apply_gravity(board) == board_of(settled)
     assert board == board_of(cols)  # apply_gravity leaves its argument alone
     cells = board.cells
-    _settle(board)
+    _settle(cells, height)
     assert board.cells is cells and board == board_of(settled)
 
 
@@ -195,22 +197,33 @@ def test_tap_with_set_tile_mechanic(game_registry, hooks, set_yellow_block):
     assert world.board.get(2, 1) == "Y"
 
 
-def test_tap_step_matches_tap_and_keeps_its_hook(game_registry, hooks, set_yellow_block):
-    board = Board.from_rows(["R.B", "GBR", "BRG"])
-    step = tap_step(hooks, 3, 3)
-    for x in range(3):
-        for y in range(3):
-            stepped, tapped = GameState(board.clone(), 2), GameState(board.clone(), 2)
-            assert step(stepped, x, y) is stepped
-            tap(tapped, x, y, hooks)
-            assert (stepped.board, stepped.taps_used) == (tapped.board, 3)
-    # The delegate is resolved when the step is built: rebinding reaches new steps only.
-    hooks.bind(
-        "onTileTapped",
-        GeneratedDelegate(hooks.sig("onTileTapped"), set_yellow_block, game_registry),
-    )
-    assert step(GameState(board.clone()), 0, 0).board.get(0, 0) == "G"  # B destroyed
-    assert tap_step(hooks, 3, 3)(GameState(board.clone()), 0, 0).board.get(0, 0) == "Y"
+def test_general_move_matches_tap_and_keeps_its_hook(game_registry, hooks, set_yellow_block):
+    sig = hooks.sig("onTileTapped")
+    reads = parse("if (IsOccupied(x, y)) { SetTile(x, y, Colour.Y); }", params=["x", "y"])
+    reader = GeneratedDelegate(sig, reads, game_registry)
+    yellow = GeneratedDelegate(sig, set_yellow_block, game_registry)
+    board = Board.from_rows(["R..", "GB.", "BRG"])
+    src = board.key() + _CONSTANTS
+    cells = {(x, y) for x in range(3) for y in range(3)}
+    # Both hooks take the general move: the host baseline, and a block that reads the board.
+    for delegate in (hooks.delegate("onTileTapped"), reader):
+        hooks.bind("onTileTapped", delegate)
+        moves, later = tap_moves(hooks, GameState(board.clone(), 2))
+        taps = {}
+        for xy, move, settled in moves:
+            tapped = GameState(board.clone(), 2)
+            assert tap(tapped, *xy, hooks) is tapped and tapped.taps_used == 3
+            taps[xy] = tapped.board.key()
+            assert settled and move(src) == taps[xy], (delegate, xy)
+        assert taps.keys() == cells and len(later) == len(cells)
+        # The hook is resolved when the moves are built: rebinding reaches new moves only.
+        hooks.bind("onTileTapped", yellow)
+        assert all(move(src) == taps[xy] for xy, move, _ in later)
+    # So are tabulated moves that the first expansion has not run yet.
+    moves, _ = tap_moves(hooks, GameState(board.clone()))
+    hooks.bind("onTileTapped", reader)
+    xy, move, _ = next(moves)
+    assert xy == (0, 0) and move(src)[0] == "Y"
 
 
 def test_baseline_destroys_without_counting_taps():
