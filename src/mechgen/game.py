@@ -114,12 +114,6 @@ class Board:
     def count(self, colour: str) -> int:
         return self.cells.count(colour)
 
-    def contains(self, colour: str) -> bool:
-        return colour in self.cells
-
-    def tile_count(self) -> int:
-        return len(self.cells) - self.cells.count(None)
-
     def is_gravity_normal(self) -> bool:
         """Whether gravity leaves this board as it is (``apply_gravity``)."""
         return apply_gravity(self) == self
@@ -185,11 +179,6 @@ class GameState:
 
     def write_field(self, name: str, value: Value) -> None:
         raise HostError(f"game field '{name}' is read-only")
-
-
-def baseline_on_tile_tapped(world: GameState, x: int, y: int) -> None:
-    """Default tap logic: destroy the tapped tile (a no-op on empty cells)."""
-    world.board.set(x, y, None)
 
 
 def _run_tap(run: Runner, args: Tuple[IntV, IntV], state: GameState) -> None:
@@ -490,13 +479,9 @@ def on_tile_tapped_signature() -> Signature:
     return Signature(ON_TILE_TAPPED, (("x", INT), ("y", INT)), VOID)
 
 
-def _baseline_hook(world: GameState, args: Sequence[Value]) -> Value:
-    baseline_on_tile_tapped(world, args[0].value, args[1].value)  # type: ignore[union-attr]
-    return UNIT
-
-
 def build_hook_table() -> HookTable:
-    """Hook table with the baseline tap behavior as the default binding."""
+    """Hook table whose default binding is the baseline tap: ``DestroyTile``'s
+    host behavior on the tapped cell (a no-op on an empty cell)."""
     table = HookTable()
-    table.declare(ON_TILE_TAPPED, HostDelegate(on_tile_tapped_signature(), _baseline_hook))
+    table.declare(ON_TILE_TAPPED, HostDelegate(on_tile_tapped_signature(), _host_destroy_tile))
     return table

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from .registry import (
     BOOL,
@@ -182,6 +182,27 @@ class Signature:
 
 
 # --------------------------------------------------------------------------
+# Scopes
+
+V = TypeVar("V")
+
+
+def lookup(frames: Sequence[Mapping[str, V]], name: str) -> Optional[V]:
+    """The binding of ``name`` in the innermost frame that has it, else None.
+
+    ``frames`` lists one mapping per enclosing block, outermost (the
+    signature's parameters) first. This is the language's one scope rule:
+    the parser (name to True), the type checker (name to type), the compiler
+    (name to frame slot) and the generator's ``Scope`` all resolve names
+    through it.
+    """
+    for frame in reversed(frames):
+        if name in frame:
+            return frame[name]
+    return None
+
+
+# --------------------------------------------------------------------------
 # Type checking
 
 
@@ -228,13 +249,6 @@ def typecheck(block: CodeBlock, sig: Signature, registry: Registry) -> None:
             )
 
 
-def _lookup_local(frames: List[Dict[str, TypeId]], name: str) -> Optional[TypeId]:
-    for frame in reversed(frames):
-        if name in frame:
-            return frame[name]
-    return None
-
-
 def _check_stmt(
     st: Statement,
     i: int,
@@ -257,33 +271,17 @@ def _check_stmt(
                     i,
                     expected=sig.return_type,
                 )
-            found = _infer(st.value, i, frames, registry, "return value")
-            if found != sig.return_type:
-                raise TypeCheckError(
-                    f"expected {sig.return_type.display()}, found {found.display()}",
-                    i,
-                    path="return value",
-                    expected=sig.return_type,
-                    found=found,
-                )
+            _expect(st.value, sig.return_type, i, frames, registry, "return value")
     elif isinstance(st, VarDecl):
         if not registry.resolves(st.type):
             raise TypeCheckError(f"unknown type '{st.type.display()}'", i)
-        if _lookup_local(frames, st.name) is not None:
+        if lookup(frames, st.name) is not None:
             raise TypeCheckError(f"redeclaration of visible local '{st.name}'", i)
-        found = _infer(st.init, i, frames, registry, f"initializer of {st.name}")
-        if found != st.type:
-            raise TypeCheckError(
-                f"expected {st.type.display()}, found {found.display()}",
-                i,
-                path=f"initializer of {st.name}",
-                expected=st.type,
-                found=found,
-            )
+        _expect(st.init, st.type, i, frames, registry, f"initializer of {st.name}")
         frames[-1][st.name] = st.type
     elif isinstance(st, Assign):
         if isinstance(st.target, LocalTarget):
-            target_type = _lookup_local(frames, st.target.name)
+            target_type = lookup(frames, st.target.name)
             if target_type is None:
                 raise TypeCheckError(f"unknown local '{st.target.name}'", i)
         else:
@@ -295,29 +293,13 @@ def _check_stmt(
             if not fd.writable:
                 raise TypeCheckError(f"field '{st.target.name}' is read-only", i)
             target_type = fd.type
-        found = _infer(st.value, i, frames, registry, f"value assigned to {st.target.name}")
-        if found != target_type:
-            raise TypeCheckError(
-                f"expected {target_type.display()}, found {found.display()}",
-                i,
-                path=f"value assigned to {st.target.name}",
-                expected=target_type,
-                found=found,
-            )
+        _expect(st.value, target_type, i, frames, registry, f"value assigned to {st.target.name}")
     elif isinstance(st, ExprStmt):
         if not isinstance(st.call, Call):
             raise TypeCheckError("statement expression must be a call", i)
         _infer_call(st.call, i, frames, registry, "statement call", allow_void=True)
     elif isinstance(st, IfElse):
-        found = _infer(st.cond, i, frames, registry, "if condition")
-        if found != BOOL:
-            raise TypeCheckError(
-                f"expected bool, found {found.display()}",
-                i,
-                path="if condition",
-                expected=BOOL,
-                found=found,
-            )
+        _expect(st.cond, BOOL, i, frames, registry, "if condition")
         for branch in (st.then_block, st.else_block):
             if branch is None:
                 continue
@@ -327,6 +309,27 @@ def _check_stmt(
             frames.pop()
     else:
         raise TypeCheckError(f"unknown statement kind {type(st).__name__}", i)
+
+
+def _expect(
+    expr: Expression,
+    wanted: TypeId,
+    i: int,
+    frames: List[Dict[str, TypeId]],
+    registry: Registry,
+    path: str,
+) -> None:
+    """The one type-agreement check: infer ``expr`` and raise unless it has
+    type ``wanted``."""
+    found = _infer(expr, i, frames, registry, path)
+    if found != wanted:
+        raise TypeCheckError(
+            f"expected {wanted.display()}, found {found.display()}",
+            i,
+            path=path,
+            expected=wanted,
+            found=found,
+        )
 
 
 def _infer(
@@ -350,7 +353,7 @@ def _infer(
             )
         return enum_type(expr.enum)
     if isinstance(expr, LocalRef):
-        t = _lookup_local(frames, expr.name)
+        t = lookup(frames, expr.name)
         if t is None:
             raise TypeCheckError(f"unknown local '{expr.name}'", i, path)
         return t
@@ -385,17 +388,8 @@ def _infer_call(
             i,
             path,
         )
-    for k, (arg, (pname, ptype)) in enumerate(zip(call.args, md.params)):
-        sub_path = f"arg {k} of {call.method}"
-        found = _infer(arg, i, frames, registry, sub_path)
-        if found != ptype:
-            raise TypeCheckError(
-                f"expected {ptype.display()}, found {found.display()}",
-                i,
-                path=sub_path,
-                expected=ptype,
-                found=found,
-            )
+    for k, (arg, (_, ptype)) in enumerate(zip(call.args, md.params)):
+        _expect(arg, ptype, i, frames, registry, f"arg {k} of {call.method}")
     if md.return_type == VOID and not allow_void:
         raise TypeCheckError(f"void call '{call.method}' used as a value", i, path)
     return md.return_type
@@ -526,7 +520,7 @@ class _BlockParser:
     def __init__(self, tokens: List[_Token], params: Sequence[str]):
         self.tokens = tokens
         self.pos = 0
-        self.frames: List[set] = [set(params)]
+        self.frames: List[Dict[str, bool]] = [dict.fromkeys(params, True)]
         self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
@@ -558,9 +552,6 @@ class _BlockParser:
                 tok.col,
             )
         self.depth += 1
-
-    def _is_local(self, name: str) -> bool:
-        return any(name in frame for frame in self.frames)
 
     def parse_block(self, nested: bool) -> CodeBlock:
         stmts: List[Statement] = []
@@ -600,7 +591,7 @@ class _BlockParser:
                 value = self.parse_expr()
                 self.expect(";")
                 target: LValue
-                if self._is_local(tok.text):
+                if lookup(self.frames, tok.text):
                     target = LocalTarget(tok.text)
                 else:
                     target = FieldTarget(tok.text)
@@ -627,7 +618,7 @@ class _BlockParser:
         self.expect("=")
         init = self.parse_expr()
         self.expect(";")
-        self.frames[-1].add(name_tok.text)
+        self.frames[-1][name_tok.text] = True
         return VarDecl(decl_type, name_tok.text, init)
 
     def parse_ifelse(self) -> IfElse:
@@ -636,7 +627,7 @@ class _BlockParser:
         cond = self.parse_expr()
         self.expect(")")
         self.expect("{")
-        self.frames.append(set())
+        self.frames.append({})
         then_block = self.parse_block(nested=True)
         self.frames.pop()
         self.expect("}")
@@ -644,7 +635,7 @@ class _BlockParser:
         if self.peek().kind == "else":
             self.advance()
             self.expect("{")
-            self.frames.append(set())
+            self.frames.append({})
             else_block = self.parse_block(nested=True)
             self.frames.pop()
             self.expect("}")
@@ -688,7 +679,7 @@ class _BlockParser:
                 return EnumLit(tok.text, variant.text)
             if nxt.kind == "(":
                 return self.parse_call(tok)
-            if self._is_local(tok.text):
+            if lookup(self.frames, tok.text):
                 return LocalRef(tok.text)
             return FieldRef(tok.text)
         raise ParseError(

@@ -10,9 +10,10 @@ result is immutable and safe to share between any number of generators and
 compiled blocks.
 
 ``candidates_for`` is the search primitive: given a wanted type and the local
-scope, it returns every producer of that type in a fixed order (usable fields,
-then locals outermost-frame-first, then usable methods, then a single
-LiteralOption marker when the type admits literals at all).
+scope, it returns every producer of that type in a fixed order: the usable
+``FieldDescriptor``s themselves, then one ``LocalProducer`` per visible local
+(outermost frame first), then the usable ``MethodDescriptor``s themselves,
+then a single ``LiteralOption`` when the type admits literals at all.
 """
 
 from __future__ import annotations
@@ -202,43 +203,22 @@ class MethodDescriptor:
 
 
 @dataclass(frozen=True)
-class FieldProducer:
-    field: FieldDescriptor
-
-    @property
-    def produced_type(self) -> TypeId:
-        return self.field.type
-
-
-@dataclass(frozen=True)
 class LocalProducer:
+    """A visible local of the wanted type."""
+
     name: str
     type: TypeId
-
-    @property
-    def produced_type(self) -> TypeId:
-        return self.type
-
-
-@dataclass(frozen=True)
-class MethodProducer:
-    method: MethodDescriptor
-
-    @property
-    def produced_type(self) -> TypeId:
-        return self.method.return_type
 
 
 @dataclass(frozen=True)
 class LiteralOption:
+    """A literal of the wanted type, the value drawn later."""
+
     type: TypeId
 
-    @property
-    def produced_type(self) -> TypeId:
-        return self.type
 
-
-Producer = Union[FieldProducer, LocalProducer, MethodProducer, LiteralOption]
+# A usable field or method is a producer of its (return) type as it stands.
+Producer = Union[FieldDescriptor, LocalProducer, MethodDescriptor, LiteralOption]
 
 # Ordered (name, type) pairs describing visible locals, outermost frame first.
 ScopePairs = Sequence[Tuple[str, TypeId]]
@@ -281,19 +261,19 @@ class Registry:
         # Per type: (field producers, method producers then the literal
         # option, the same with only arity-0 methods).
         self._producers: Dict[TypeId, _Producers] = {}
-        by_type: Dict[TypeId, List[MethodProducer]] = {}
+        by_type: Dict[TypeId, List[MethodDescriptor]] = {}
         for m in self.methods.values():
             if m.usable:
-                by_type.setdefault(m.return_type, []).append(MethodProducer(m))
+                by_type.setdefault(m.return_type, []).append(m)
         # Every field and return type resolves, so these are all the types
         # with a producer; any other type gets none from the registry.
         for t in (*self.value_types(), VOID):
             literal = (LiteralOption(t),) if admits_literals(t) else ()
             typed = by_type.get(t, [])
             self._producers[t] = (
-                tuple(FieldProducer(f) for f in self.fields.values() if f.usable and f.type == t),
+                tuple(f for f in self.fields.values() if f.usable and f.type == t),
                 (*typed, *literal),
-                (*(p for p in typed if p.method.arity == 0), *literal),
+                (*(m for m in typed if m.arity == 0), *literal),
             )
 
     def resolves(self, t: TypeId) -> bool:

@@ -31,6 +31,7 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .lang import (
+    INT64_MIN,
     Assign,
     BoolLit,
     Call,
@@ -47,17 +48,15 @@ from .lang import (
     Signature,
     Statement,
     VarDecl,
+    lookup,
     typecheck,
 )
 from .registry import BOOL, INT, VOID, Bounds, Registry, TypeId, enum_type
 
-INT64_MASK = 2**64
-INT64_HALF = 2**63
-
 
 def wrap64(value: int) -> int:
     """Wrap to 64-bit two's-complement, the arithmetic of host builtins."""
-    return (value + INT64_HALF) % INT64_MASK - INT64_HALF
+    return (value - INT64_MIN) % 2**64 + INT64_MIN
 
 
 # --------------------------------------------------------------------------
@@ -399,8 +398,9 @@ def _compile(sig: Signature, block: CodeBlock, registry: Optional[Registry]) -> 
     that ends the invocation. When a statement runs, each statement before
     it in its block has run exactly once, so the dynamic frames hold exactly
     the parameters (outermost) and the names declared by the earlier
-    VarDecls of each enclosing block. An innermost-first lookup in the
-    static frames therefore finds the binding the dynamic lookup would.
+    VarDecls of each enclosing block. The scope rule (``lang.lookup``)
+    applied to the static frames therefore finds the binding the dynamic
+    lookup would.
     What does not resolve (an unknown local, method or field, a read-only
     field, a wrong arity) compiles to code that raises the interpreter's
     InterpreterError when, and only if, it is reached, so blocks that never
@@ -418,13 +418,6 @@ def _compile(sig: Signature, block: CodeBlock, registry: Optional[Registry]) -> 
         return result if result is not None else UNIT
 
     return program, compiler.reads_world
-
-
-def _lookup(frames: List[Dict[str, int]], name: str) -> Optional[int]:
-    for frame in reversed(frames):
-        if name in frame:
-            return frame[name]
-    return None
 
 
 def _fault(message: str, first: Optional[Compiled] = None) -> Compiled:
@@ -527,7 +520,7 @@ class _Compiler:
         value = self.expr(st.value, frames)
         name = st.target.name
         if isinstance(st.target, LocalTarget):
-            slot = _lookup(frames, name)
+            slot = lookup(frames, name)
             if slot is None:
                 return _fault(f"unknown local '{name}'", first=value)
 
@@ -557,7 +550,7 @@ class _Compiler:
         if isinstance(expr, EnumLit):
             return self.new_slot(EnumV(expr.enum, expr.variant))
         if isinstance(expr, LocalRef):
-            return _lookup(frames, expr.name)
+            return lookup(frames, expr.name)
         return None
 
     def expr(self, expr: Expression, frames: List[Dict[str, int]]) -> Compiled:

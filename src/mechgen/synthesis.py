@@ -51,17 +51,17 @@ from .lang import (
     Statement,
     VarDecl,
     decimal_int,
+    lookup,
 )
 from .registry import (
     BOOL,
     Bounds,
     INT,
     VOID,
-    FieldProducer,
+    FieldDescriptor,
     LiteralOption,
     LocalProducer,
     MethodDescriptor,
-    MethodProducer,
     Producer,
     Registry,
     TypeId,
@@ -229,10 +229,7 @@ class Scope:
         self.frames[-1][name] = t
 
     def lookup(self, name: str) -> Optional[TypeId]:
-        for frame in reversed(self.frames):
-            if name in frame:
-                return frame[name]
-        return None
+        return lookup(self.frames, name)
 
     def flatten(self) -> List[Tuple[str, TypeId]]:
         """All visible locals, outermost frame first (innermost last)."""
@@ -360,12 +357,12 @@ class _Gen:
                 break
         if isinstance(chosen, LiteralOption):
             return self.literal(wanted, interval)
-        if isinstance(chosen, FieldProducer):
-            return FieldRef(chosen.field.name)
+        if isinstance(chosen, FieldDescriptor):
+            return FieldRef(chosen.name)
         if isinstance(chosen, LocalProducer):
             return LocalRef(chosen.name)
-        assert isinstance(chosen, MethodProducer)
-        return self.call(chosen.method, scope, depth)
+        assert isinstance(chosen, MethodDescriptor)
+        return self.call(chosen, scope, depth)
 
     def literal(self, wanted: TypeId, interval: Optional[Bounds]) -> Expression:
         if wanted == INT:

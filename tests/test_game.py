@@ -9,21 +9,14 @@ from mechgen.game import (
     OutOfBounds,
     _settle,
     apply_gravity,
-    baseline_on_tile_tapped,
     build_game_registry,
     build_hook_table,
     tap,
     tap_moves,
 )
 from mechgen.lang import parse
-from mechgen.registry import (
-    INT,
-    FieldProducer,
-    LiteralOption,
-    MethodProducer,
-    enum_type,
-)
-from mechgen.runtime import ExecutionError, GeneratedDelegate, HostError, IntV
+from mechgen.registry import INT, LiteralOption, enum_type
+from mechgen.runtime import ExecutionError, GeneratedDelegate, HostError, IntV, invoke
 from mechgen.synthesis import GenerationConfig, config_with_seed, generate_block
 
 # Boards as lists of columns, bottom cell first, every column of one height.
@@ -96,7 +89,7 @@ def test_gravity_is_column_independent(board):
 @settings(max_examples=200, deadline=None)
 @given(board=boards)
 def test_gravity_conserves_tiles(board):
-    assert apply_gravity(board).tile_count() == board.tile_count()
+    assert apply_gravity(board).cells.count(None) == board.cells.count(None)
 
 
 # The per-column reference: a list of columns, bottom cell first.
@@ -125,8 +118,6 @@ def test_flat_board_matches_per_column_reference(cols):
     assert all(board.get(x, y) == cols[x][y] for x in range(width) for y in range(height))
     for colour in ["R", "G", "B", "Y"]:
         assert board.count(colour) == sum(col.count(colour) for col in cols)
-        assert board.contains(colour) == any(colour in col for col in cols)
-    assert board.tile_count() == sum(c is not None for col in cols for c in col)
     assert board.is_gravity_normal() == ref_is_gravity_normal(cols)
     assert board.to_rows() == ref_rows(cols)
     assert Board.from_rows(board.to_rows()) == board
@@ -228,10 +219,11 @@ def test_general_move_matches_tap_and_keeps_its_hook(game_registry, hooks, set_y
 
 def test_baseline_destroys_without_counting_taps():
     world = GameState(Board(1, 1, ["R"]))
-    baseline_on_tile_tapped(world, 0, 0)
+    baseline = build_hook_table().delegate("onTileTapped")
+    invoke(baseline, [IntV(0), IntV(0)], world)
     assert world.board.get(0, 0) is None
     assert world.taps_used == 0
-    baseline_on_tile_tapped(world, 0, 0)  # empty cell: no-op
+    invoke(baseline, [IntV(0), IntV(0)], world)  # empty cell: no-op
     assert world.board.get(0, 0) is None
 
 
@@ -262,12 +254,10 @@ def test_int_candidates_match_the_advertised_design_space(game_registry):
     cands = game_registry.candidates_for(INT)
     names = []
     for c in cands:
-        if isinstance(c, FieldProducer):
-            names.append(c.field.name)
-        elif isinstance(c, MethodProducer):
-            names.append(c.method.name)
-        else:
+        if isinstance(c, LiteralOption):
             names.append("<literal>")
+        else:
+            names.append(c.name)
     assert names == ["Width", "Height", "CountColour", "Add", "Sub", "<literal>"]
 
 
@@ -320,11 +310,11 @@ def test_arithmetic_builtins(game_registry):
 
 def test_baseline_taps_never_increase_tile_count(hooks):
     world = GameState(Board.from_rows(["RGB", "BRG", "GBR"]))
-    count = world.board.tile_count()
+    empty = world.board.cells.count(None)
     for x, y in [(0, 0), (1, 1), (2, 2), (0, 0), (1, 0), (2, 0)]:
         tap(world, x, y, hooks)
-        assert world.board.tile_count() <= count
-        count = world.board.tile_count()
+        assert world.board.cells.count(None) >= empty
+        empty = world.board.cells.count(None)
 
 
 def test_board_is_gravity_normal_after_any_successful_tap(game_registry, tap_sig):

@@ -165,6 +165,47 @@ def test_if_condition_must_be_bool(reg):
         typecheck(parse("if (x) { DoNothing(); }"), Signature("f", (), VOID), reg)
 
 
+@pytest.mark.parametrize(
+    "text,ret,message,stmt_index,path,expected,found",
+    [
+        (
+            "DoNothing();\nreturn true;", INT,
+            "stmt 1: return value: expected int, found bool",
+            1, "return value", INT, BOOL,
+        ),
+        (
+            "int v0 = 1;\nDIR d = v0;", VOID,
+            "stmt 1: initializer of d: expected DIR, found int",
+            1, "initializer of d", enum_type("DIR"), INT,
+        ),
+        (
+            "if (true) { bool b = true; b = dx; }", VOID,
+            "stmt 0: value assigned to b: expected bool, found int",
+            0, "value assigned to b", BOOL, INT,
+        ),
+        (
+            "DoNothing();\nif (DIR.N) { DoNothing(); }", VOID,
+            "stmt 1: if condition: expected bool, found DIR",
+            1, "if condition", BOOL, enum_type("DIR"),
+        ),
+        (
+            "int v0 = Add(dx, Add(true, 1));", VOID,
+            "stmt 0: arg 0 of Add: expected int, found bool",
+            0, "arg 0 of Add", INT, BOOL,
+        ),
+    ],
+    ids=["return", "initializer", "assignment", "if-condition", "call-argument"],
+)
+def test_type_agreement_errors(reg, text, ret, message, stmt_index, path, expected, found):
+    with pytest.raises(TypeCheckError) as err:
+        typecheck(parse(text, params=["dx"]), Signature("f", (("dx", INT),), ret), reg)
+    assert str(err.value) == message
+    assert err.value.stmt_index == stmt_index
+    assert err.value.path == path
+    assert err.value.expected == expected
+    assert err.value.found == found
+
+
 # --------------------------------------------------------------------------
 # pretty
 

@@ -9,12 +9,10 @@ from mechgen.registry import (
     EmptyEnum,
     EnumDef,
     FieldDescriptor,
-    FieldProducer,
     InvertedBounds,
     LiteralOption,
     LocalProducer,
     MethodDescriptor,
-    MethodProducer,
     Registry,
     UnknownConstraintParam,
     UnresolvedType,
@@ -68,7 +66,7 @@ def test_usable_field_appears_in_producers():
         FieldDescriptor("y", INT, usable=False),
     ])
     cands = reg.candidates_for(INT)
-    assert cands == [FieldProducer(reg.field_named("x")), LiteralOption(INT)]
+    assert cands == [reg.field_named("x"), LiteralOption(INT)]
 
 
 def test_constraint_interval_recorded():
@@ -116,9 +114,9 @@ def test_grounded_only_excludes_parameterised_methods():
     ])
     full = reg.candidates_for(INT)
     grounded = reg.candidates_for(INT, grounded_only=True)
-    assert any(isinstance(c, MethodProducer) and c.method.name == "Add" for c in full)
-    assert not any(isinstance(c, MethodProducer) and c.method.name == "Add" for c in grounded)
-    assert any(isinstance(c, MethodProducer) and c.method.name == "Zero" for c in grounded)
+    assert any(isinstance(c, MethodDescriptor) and c.name == "Add" for c in full)
+    assert not any(isinstance(c, MethodDescriptor) and c.name == "Add" for c in grounded)
+    assert any(isinstance(c, MethodDescriptor) and c.name == "Zero" for c in grounded)
 
 
 def test_void_candidates_have_no_literal_option():
@@ -127,8 +125,8 @@ def test_void_candidates_have_no_literal_option():
         methods=[MethodDescriptor("DoNothing", (), VOID), MethodDescriptor("Zero", (), INT)],
     )
     cands = reg.candidates_for(VOID)
-    assert [type(c) for c in cands] == [MethodProducer]
-    assert cands[0].method.name == "DoNothing"
+    assert [type(c) for c in cands] == [MethodDescriptor]
+    assert cands[0].name == "DoNothing"
 
 
 def test_candidate_order_fields_locals_methods_literal():
@@ -139,10 +137,15 @@ def test_candidate_order_fields_locals_methods_literal():
     scope = [("p", INT), ("q", BOOL), ("r", INT)]
     cands = reg.candidates_for(INT, scope=scope)
     assert [type(c).__name__ for c in cands] == [
-        "FieldProducer", "FieldProducer", "LocalProducer", "LocalProducer",
-        "MethodProducer", "LiteralOption",
+        "FieldDescriptor", "FieldDescriptor", "LocalProducer", "LocalProducer",
+        "MethodDescriptor", "LiteralOption",
     ]
     assert [c.name for c in cands if isinstance(c, LocalProducer)] == ["p", "r"]
+
+
+def produced_type(cand):
+    """A method produces its return type; a field, local or literal its type."""
+    return cand.return_type if isinstance(cand, MethodDescriptor) else cand.type
 
 
 def test_every_producer_has_wanted_type(game_registry):
@@ -150,7 +153,7 @@ def test_every_producer_has_wanted_type(game_registry):
     for wanted in [INT, BOOL, VOID, enum_type("Colour")]:
         for grounded in (False, True):
             for cand in game_registry.candidates_for(wanted, scope, grounded):
-                assert cand.produced_type == wanted
+                assert produced_type(cand) == wanted
 
 
 def test_grounded_subset_of_full(game_registry):
@@ -160,7 +163,7 @@ def test_grounded_subset_of_full(game_registry):
         grounded = game_registry.candidates_for(wanted, scope, grounded_only=True)
         assert set(map(repr, grounded)) <= set(map(repr, full))
         assert not any(
-            isinstance(c, MethodProducer) and c.method.arity >= 1 for c in grounded
+            isinstance(c, MethodDescriptor) and c.arity >= 1 for c in grounded
         )
 
 
@@ -173,12 +176,12 @@ def test_marking_non_usable_strictly_removes_item():
 
     with_b = build(True).candidates_for(INT)
     without_b = build(False).candidates_for(INT)
-    names_with = [c.field.name for c in with_b if isinstance(c, FieldProducer)]
-    names_without = [c.field.name for c in without_b if isinstance(c, FieldProducer)]
+    names_with = [c.name for c in with_b if isinstance(c, FieldDescriptor)]
+    names_without = [c.name for c in without_b if isinstance(c, FieldDescriptor)]
     assert names_with == ["a", "b"]
     assert names_without == ["a"]
     # everything else is untouched
-    assert [c for c in with_b if not isinstance(c, FieldProducer) or c.field.name != "b"] == without_b
+    assert [c for c in with_b if not isinstance(c, FieldDescriptor) or c.name != "b"] == without_b
 
 
 def test_marking_method_non_usable_strictly_removes_it():
@@ -190,8 +193,8 @@ def test_marking_method_non_usable_strictly_removes_it():
 
     with_one = build(True).candidates_for(INT)
     without_one = build(False).candidates_for(INT)
-    assert [c.method.name for c in with_one if isinstance(c, MethodProducer)] == ["Zero", "One"]
-    assert [c.method.name for c in without_one if isinstance(c, MethodProducer)] == ["Zero"]
+    assert [c.name for c in with_one if isinstance(c, MethodDescriptor)] == ["Zero", "One"]
+    assert [c.name for c in without_one if isinstance(c, MethodDescriptor)] == ["Zero"]
 
 
 def test_candidates_deterministic(game_registry):
@@ -254,13 +257,13 @@ def test_encapsulated_field_via_getter_setter():
     )
     int_cands = reg.candidates_for(INT)
     kinds = [type(c).__name__ for c in int_cands]
-    assert kinds == ["FieldProducer", "MethodProducer", "LiteralOption"]
+    assert kinds == ["FieldDescriptor", "MethodDescriptor", "LiteralOption"]
     void_cands = reg.candidates_for(VOID)
-    assert [c.method.name for c in void_cands] == ["SetScore"]
+    assert [c.name for c in void_cands] == ["SetScore"]
     # grounded search keeps the getter but loses the setter
     assert reg.candidates_for(VOID, grounded_only=True) == []
     grounded_int = reg.candidates_for(INT, grounded_only=True)
-    assert any(isinstance(c, MethodProducer) and c.method.name == "GetScore" for c in grounded_int)
+    assert any(isinstance(c, MethodDescriptor) and c.name == "GetScore" for c in grounded_int)
 
 
 def test_dump_lines_renders_each_side_of_a_bound():

@@ -163,10 +163,14 @@ def test_default_do_nothing_hook_leaves_world_unchanged():
     assert world.board.key() == before
 
 
-def test_wrap64_two_complement():
+@settings(max_examples=500, deadline=None)
+@given(value=st.integers(min_value=-(2**66), max_value=2**66))
+def test_wrap64_two_complement(value):
     assert wrap64(2**63) == -(2**63)
     assert wrap64(-(2**63) - 1) == 2**63 - 1
     assert wrap64(5) == 5
+    # the add-half, reduce, subtract-half form of the same wrap
+    assert wrap64(value) == (value + 2**63) % 2**64 - 2**63
 
 
 def test_zero_arg_hook_defaults_to_a_safe_noop():
