@@ -23,7 +23,6 @@ from .game import (
     Board,
     Cell,
     GameState,
-    _settle,
     build_hook_table,
     tap,  # unused here; the benchmark's tracer wraps ``evaluate.tap`` by name
     tap_moves,
@@ -200,25 +199,25 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
 
     The frontier and ``visited`` hold board keys (``Board.key()``: the flat
     tuple of cells), not game states. The tap hook is resolved and checked
-    once per solve into one list of ``(tap, move, settled)`` moves
-    (``game.tap_moves``), so a hook that cannot take the tap's arguments
-    raises on every tap and prunes every branch; the goal becomes one C
-    call on a key (``Goal.key_test``). Expanding a state sets the tap
-    counter of the one scratch state to its depth and builds
+    once per solve into the moves of ``game.tap_moves``, so a hook that
+    cannot take the tap's arguments raises on every tap and prunes every
+    branch; the goal becomes one C call on a key (``Goal.key_test``).
+    Expanding a state sets the tap counter of the one scratch state to its
+    depth, takes the root's moves or ``later(key)``, and builds
     ``key + (None, *COLOURS)`` once (the values a tabulated move picks
-    from); per move, ``move`` maps that to the child's key (or None: the
-    tap raised). A child that is not yet settled and has an empty cell is
-    settled on the scratch board; a full child cannot fall. The child is
-    then goal-checked and, if new, queued.
+    from); per move, ``move`` maps that to the child's key, already
+    gravity-normal (or None: the tap raised). The child is then
+    goal-checked and, if adding it grows ``visited``, queued: one hash per
+    child, as a tuple does not cache its hash.
 
     A block that does not read the world is tabulated lazily: the root
     expansion runs it once per cell, on position markers, when it first
     taps that cell, and every later tap of the cell is one ``itemgetter``
-    call on the parent's key, or None, counted without running anything.
-    A cell whose tap changes nothing is dropped from the moves: its child
-    is its (settled) parent, which is already visited and is not a goal.
-    Any other hook runs on every tap, on the scratch board, which it
-    settles before taking the child's key.
+    call on the parent's key, settled for the parent's empty cells, or
+    None, counted without running anything. A tap whose settled gather
+    leaves the parent as it is has no move: its child is the parent, which
+    is already visited and is not a goal. Any other hook runs on every tap,
+    on the scratch board, which it settles before taking the child's key.
 
     Children at the last tap depth are goal-checked but neither stored in
     ``visited`` nor queued: they would never be expanded, and BFS discovers
@@ -235,12 +234,8 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     if challenge.max_taps < 1:
         return EvalResult(Unsolvable(), 0, 0)
     last = challenge.max_taps - 1  # states at this depth have only leaf children
-    board = initial.clone()  # the scratch board general moves and gravity use
-    state = GameState(board)
-    cells = board.cells
-    height = board.height
-    # The root's moves, then the moves of every later expansion.
-    moves, later = tap_moves(hooks, state)
+    state = GameState(initial.clone())  # the scratch state general moves tap
+    moves, later = tap_moves(hooks, state)  # the root's moves, and every later state's
     visited = {start}
     frontier: deque = deque([(start, ())])
     errors = 0
@@ -250,25 +245,23 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
         explored += 1
         depth = len(path)
         state.taps_used = depth
+        if depth:
+            moves = later(key)
         src = key + _CONSTANTS
-        for tap_xy, move, settled in moves:
+        for tap_xy, move in moves:
             child = move(src)
             if child is None:  # the tap raised an ExecutionError
                 errors += 1
                 continue
-            if not (settled or all(child)):  # only an empty cell is false
-                cells[:] = child
-                _settle(cells, height)
-                child = tuple(cells)
             if test(child) is holds:
                 witness = path + (tap_xy,)
                 return EvalResult(Solved(len(witness), witness), errors, explored)
             if depth == last:
                 continue
-            if child not in visited:
-                visited.add(child)
+            size = len(visited)
+            visited.add(child)
+            if len(visited) != size:
                 frontier.append((child, path + (tap_xy,)))
-        moves = later
     return EvalResult(Unsolvable(), errors, explored)
 
 

@@ -5,8 +5,9 @@ behavior destroys the tapped tile; gravity then compacts each column so no
 empty cell sits below an occupied one (gravity-normal form). Swapping the
 hook's delegate is the single integration point for replacement mechanics:
 ``tap`` (one tap) and ``tap_moves`` (every tap, for the solver) read the
-hook table and run one tap body, ``_run_tap``; ``_settle`` is the one
-place that knows the column rule.
+hook table and run one tap body, ``_run_tap``. ``_settle`` is the one place
+that knows the column rule; ``tap_moves`` also folds it into each tabulated
+gather, so every move the solver gets returns a settled child.
 
 ``build_game_registry`` publishes the design space for this game: the Colour
 enum, the read-only board dimensions, tile manipulation methods with
@@ -17,7 +18,8 @@ whether it reads the board.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from operator import itemgetter
+from itertools import repeat
+from operator import is_, itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .lang import Signature
@@ -137,9 +139,9 @@ class Board:
 
 
 def _settle(cells: List[Cell], h: int) -> None:
-    """Compact each column of a board ``h`` cells tall downward in place,
-    preserving vertical order: the column rule of gravity. Only the columns
-    with an empty cell under a tile are rewritten."""
+    """Compact each column of a board ``h`` cells tall (or of a gather's
+    picks) downward in place, preserving vertical order: the column rule of
+    gravity. Only the columns with an empty cell under a tile are rewritten."""
     for lo in range(0, len(cells), h):
         hi = lo + h
         col = cells[lo:hi]
@@ -194,10 +196,10 @@ def _run_tap(run: Runner, args: Tuple[IntV, IntV], state: GameState) -> None:
 
 
 # A move maps ``src``, the parent's key followed by ``_CONSTANTS``, to the
-# child's cells as a tuple, or to None when the tap raised an ExecutionError.
-# ``settled`` is true when the child is already gravity-normal.
+# child's cells as a tuple, already gravity-normal, or to None when the tap
+# raised an ExecutionError.
 MoveFn = Callable[[Tuple[Cell, ...]], Optional[Tuple[Cell, ...]]]
-Move = Tuple[Tuple[int, int], MoveFn, bool]
+Move = Tuple[Tuple[int, int], MoveFn]
 
 # What a block that does not read the board can write into a cell besides a
 # cell of the board: emptiness or a colour. A gather reads ``key + _CONSTANTS``.
@@ -222,40 +224,44 @@ def _cells(width: int, height: int) -> _Cells:
     return taps, tuple((xs[x], ys[y]) for x, y in taps), index
 
 
-def tap_moves(hooks: HookTable, state: GameState) -> Tuple[Iterator[Move], List[Move]]:
-    """Every tap of ``state``'s board as a ``(tap, move, settled)`` move,
-    with the hook resolved once, for a searcher that taps one scratch state.
+def tap_moves(
+    hooks: HookTable, state: GameState
+) -> Tuple[Iterator[Move], Callable[[Tuple[Cell, ...]], List[Move]]]:
+    """Every tap of ``state``'s board as a ``(tap, move)`` pair, with the
+    hook resolved once, for a searcher that taps one scratch state.
 
-    ``move(key + _CONSTANTS)`` returns the cells, as a tuple, that the tap
-    leaves on the board whose cells are ``key``, or None when the tap
-    raises an ExecutionError. The caller sets ``state.taps_used`` and, when
-    ``settled`` is false, restores gravity-normal form. Returns an iterator
-    over the moves of the first expansion and the list of moves of every
-    later one, which that iterator fills as it goes, so the later list is
-    complete once the iterator is exhausted. Taps come bottom row first, in
-    (y, x) order; a later rebinding of the hook does not reach the moves.
+    ``move(key + _CONSTANTS)`` returns the gravity-normal cells, as a tuple,
+    that the tap leaves on the board whose cells are ``key``, or None when
+    the tap raises an ExecutionError. The caller sets ``state.taps_used``.
+    Returns an iterator over the moves of ``state``'s board (the first
+    expansion) and ``later``: ``later(key)`` is the list of moves of a board
+    whose cells are ``key``, valid once that iterator is exhausted. Taps
+    come bottom row first, in (y, x) order; a later rebinding of the hook
+    does not reach the moves.
 
     A hook that may read the board (a host delegate, or a block whose
     ``reads_world`` is true) runs on every move: the general move refills
-    ``state.board`` with ``key``, runs ``tap``'s body (``_run_tap``) with
-    the cell's prebuilt arguments and returns the board's tuple
-    (``settled`` is true). A block that does not read the world is
-    tabulated instead, one cell at a time when the first expansion reaches
-    it: it runs once on a board whose cells are the position markers
-    ``0..n-1``. Since nothing it does depends on the cells, that run fixes
-    the tap's outcome on every board of this size:
+    ``state.board`` with ``key`` and runs ``tap``'s body (``_run_tap``) with
+    the cell's prebuilt arguments. ``later`` then ignores ``key``. A block
+    that does not read the world is tabulated instead, one cell at a time
+    when the first expansion reaches it: it runs once on a board whose cells
+    are the position markers ``0..n-1``. Since nothing it does depends on
+    the cells, that run fixes the tap's outcome on every board of this size:
 
     - It raises: every move of the cell returns None. A budget overrun is
       fixed too, because control flow cannot depend on the board.
-    - No cell changes (a NOOP): the tap leaves a gravity-normal board as it
-      is. The move is left out of the later list, since every board a
-      searcher expands after the first is settled, and out of the first
-      expansion as well when ``state.board`` is gravity-normal now.
-    - Otherwise the move is an ``itemgetter``: it picks the child's cells
-      from ``key + _CONSTANTS`` at the indices the marker run left, before
-      gravity (``settled`` is false). If the run left any other value in a
-      cell (a block that skipped the type checker can paint a variant that
-      is no colour), that tap runs the block on every move instead.
+    - Otherwise the tap is a gather: its child, before gravity, picks its
+      cells from ``key + _CONSTANTS`` at the indices the marker run left.
+      If the run left any other value in a cell (a block that skipped the
+      type checker can paint a variant that is no colour), that tap runs
+      the block on every move instead.
+
+    Gravity after a gather depends only on which picks are empty, which the
+    parent's empty cells (its mask) fix, so the two together are again a
+    gather (``_settled_gather``), made for the root's mask as the first
+    expansion goes and for each later mask on first use, in a dict kept for
+    the solve. A settled gather that is the identity (a NOOP on a settled
+    board, say) is dropped: its child is the parent, already seen.
     """
     board = state.board
     cells = board.cells
@@ -274,38 +280,69 @@ def tap_moves(hooks: HookTable, state: GameState) -> Tuple[Iterator[Move], List[
         return tuple(cells)
 
     if not isinstance(delegate, GeneratedDelegate) or delegate.reads_world:
-        moves = [(xy, partial(runs, args), True) for xy, args in zip(taps, cell_args)]
-        return iter(moves), moves
+        moves = [(xy, partial(runs, args)) for xy, args in zip(taps, cell_args)]
+        return iter(moves), lambda key: moves
 
-    later: List[Move] = []
-    markers = list(range(n))
-    first = Board(board.width, board.height, cells[:])  # the board the first expansion taps
+    tabulated: List[Tuple[Tuple[int, int], Optional[MoveFn], Optional[Tuple[int, ...]]]] = []
+    root_mask = tuple(map(is_, cells, repeat(None)))
+    by_mask: Dict[Tuple[bool, ...], List[Move]] = {}
 
     def first_expansion() -> Iterator[Move]:
+        markers = list(range(n))
         marked = GameState(Board(board.width, board.height, markers[:]))
-        normal: Optional[bool] = None
+        unmoved = tuple(markers)  # the picks of a cell the marker run leaves as it was
+        noop = _settled_gather(unmoved, root_mask, board.height)
+        moves: List[Move] = []
         for xy, args in zip(taps, cell_args):
             marked.board.cells[:] = markers
+            picks = None
             try:
                 run(args, marked, ExecBudget())
             except ExecutionError:
-                move: Move = (xy, _raised, True)
+                move: Optional[MoveFn] = _raised
             else:
                 after = marked.board.cells
                 if after == markers:
-                    if normal is None:
-                        normal = first.is_gravity_normal()
-                    if not normal:  # the identity: gravity may still move cells
-                        yield xy, _items(markers), False
-                    continue
-                try:
-                    move = (xy, _items(tuple(map(index.__getitem__, after))), False)
-                except (KeyError, TypeError):  # a value no gather can pick
-                    move = (xy, partial(runs, args), True)
-            later.append(move)
-            yield move
+                    picks, move = unmoved, noop
+                else:
+                    try:
+                        picks = tuple(map(index.__getitem__, after))
+                    except (KeyError, TypeError):  # a value no gather can pick
+                        move = partial(runs, args)
+                    else:
+                        move = _settled_gather(picks, root_mask, board.height)
+            tabulated.append((xy, move, picks))
+            if move is not None:
+                moves.append((xy, move))
+                yield xy, move
+        by_mask[root_mask] = moves
+
+    def later(key: Tuple[Cell, ...]) -> List[Move]:
+        mask = tuple(map(is_, key, repeat(None)))
+        moves = by_mask.get(mask)
+        if moves is None:  # settle each gather, and drop it when that is the identity
+            moves = [(xy, move if picks is None else _settled_gather(picks, mask, board.height))
+                     for xy, move, picks in tabulated]
+            moves = by_mask[mask] = [move for move in moves if move[1] is not None]
+        return moves
 
     return first_expansion(), later
+
+
+@lru_cache(maxsize=1024)
+def _settled_gather(picks: Tuple[int, ...], mask: Tuple[bool, ...], h: int) -> Optional[MoveFn]:
+    """The gather of ``picks`` then gravity on a board whose empty cells are
+    ``mask``, or None when that is the identity: ``_settle`` compacts the
+    picks, with None for each pick of the ``None`` constant or of an empty
+    cell, which then picks the constant. Kept across solves, as many blocks
+    share a gather."""
+    n = len(mask)
+    unmoved = [None if empty else i for i, empty in enumerate(mask)]  # the identity, marked
+    marked = [None if p == n or p < n and mask[p] else p for p in picks]
+    if None in marked:
+        _settle(marked, h)
+        picks = tuple(n if p is None else p for p in marked)
+    return None if marked == unmoved else _items(picks)
 
 
 def _raised(src: Tuple[Cell, ...]) -> None:

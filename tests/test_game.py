@@ -201,19 +201,19 @@ def test_general_move_matches_tap_and_keeps_its_hook(game_registry, hooks, set_y
         hooks.bind("onTileTapped", delegate)
         moves, later = tap_moves(hooks, GameState(board.clone(), 2))
         taps = {}
-        for xy, move, settled in moves:
+        for xy, move in moves:
             tapped = GameState(board.clone(), 2)
             assert tap(tapped, *xy, hooks) is tapped and tapped.taps_used == 3
             taps[xy] = tapped.board.key()
-            assert settled and move(src) == taps[xy], (delegate, xy)
-        assert taps.keys() == cells and len(later) == len(cells)
+            assert move(src) == taps[xy], (delegate, xy)
+        assert taps.keys() == cells and len(later(board.key())) == len(cells)
         # The hook is resolved when the moves are built: rebinding reaches new moves only.
         hooks.bind("onTileTapped", yellow)
-        assert all(move(src) == taps[xy] for xy, move, _ in later)
+        assert all(move(src) == taps[xy] for xy, move in later(board.key()))
     # So are tabulated moves that the first expansion has not run yet.
     moves, _ = tap_moves(hooks, GameState(board.clone()))
     hooks.bind("onTileTapped", reader)
-    xy, move, _ = next(moves)
+    xy, move = next(moves)
     assert xy == (0, 0) and move(src)[0] == "Y"
 
 

@@ -10,6 +10,7 @@ path, which runs the block on every tap; both must give the same
 
 import gc
 import itertools
+from unittest import mock
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mechgen.evaluate import Challenge, Goal, GoalKind, Solved, Unsolvable, parse_challenge, solve
+from mechgen import game
+from mechgen.evaluate import (
+    Challenge, EvalResult, Goal, GoalKind, Solved, Unsolvable, parse_challenge, solve,
+)
 from mechgen.game import (
     _CONSTANTS,
     COLOURS,
@@ -32,7 +36,7 @@ from mechgen.game import (
 )
 from mechgen.lang import parse
 from mechgen.registry import INT, VOID, MethodDescriptor, Registry, enum_type
-from mechgen.runtime import ConstraintViolation, ExecBudget, EnumV, GeneratedDelegate, IntV
+from mechgen.runtime import ExecBudget, EnumV, ExecutionError, GeneratedDelegate, IntV
 from mechgen.synthesis import GenerationError, config_with_seed, generate_block, load_config_file
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -70,6 +74,12 @@ def hooks_for(block, registry):
     hooks = build_hook_table()
     hooks.bind("onTileTapped", GeneratedDelegate(TAP_SIG, block, registry))
     return hooks
+
+
+class GeneralDelegate(GeneratedDelegate):
+    """A block that runs on every tap, whatever it calls."""
+
+    reads_world = True
 
 
 def both_paths(challenge, block):
@@ -156,6 +166,53 @@ def test_noop_cells_on_a_board_with_floating_tiles():
         for goal in (Goal(GoalKind.COLOUR_PRESENT, "Y"), Goal(GoalKind.CLEARED)):
             result = assert_paths_agree(Challenge(floating, goal, 3), text)
             assert result.states_explored == 2
+
+
+def test_a_root_with_floating_tiles():
+    # Every gather of the root expansion is settled for the root's own mask.
+    roots = [
+        Board(2, 2, ["R", None, None, "G"]),
+        Board(3, 3, [None, "R", None, "G", None, "B", "Y", "R", None]),
+    ]
+    goals = (Goal(GoalKind.COLOUR_CLEARED, "R"), Goal(GoalKind.COLOUR_PRESENT, "Y"), Goal(GoalKind.CLEARED))
+    for root in roots:
+        assert not root.is_gravity_normal()
+        for text in ONE_LINERS:
+            for goal in goals:
+                assert_paths_agree(Challenge(root, goal, 3), text)
+
+
+def test_a_mixed_list_on_a_board_with_empty_cells():
+    # Column 0 paints a variant that is no colour, so its taps stay general;
+    # every other tap is a gather settled for its parent's empty cells.
+    text = "if (Equal(x, 0)) { SetTile(x, y, Colour.Z); } else { DestroyTile(x, y); }"
+    for board in ("..R\n.GB\nRBG", ".R.\nGBR\nRBG", "R..\nG.B\nBRG"):
+        for goal in ("COLOUR_CLEARED R", "COLOUR_CLEARED G", "COLOUR_PRESENT Y", "CLEARED"):
+            challenge = parse_challenge(f"{board}\ngoal: {goal}\nmax_taps: 4\n")
+            fast, slow, tabulated = both_paths(challenge, parse(text, params=["x", "y"]))
+            assert tabulated and fast == slow, (board, goal)
+            assert fast.states_explored > 1
+
+
+def test_raising_cells_before_and_after_the_winning_tap():
+    # Tapping (x, y) destroys (x - 1, y) or (x + 1, y), so column 0 or the
+    # last column raises. The winning expansion counts (0, 0) before the
+    # winning (2, 0), and neither (2, 0) nor (2, 1) after the winning (0, 0).
+    challenge = parse_challenge(".Y.\nRYG\ngoal: COLOUR_CLEARED Y\nmax_taps: 3\n")
+    for text, witness, errors, explored in (
+        ("DestroyTile(Sub(x, 1), y);", ((2, 0), (2, 0)), 5, 3),
+        ("DestroyTile(Add(x, 1), y);", ((0, 0), (0, 0)), 2, 2),
+    ):
+        result = assert_paths_agree(challenge, text)
+        assert result == EvalResult(Solved(2, witness), errors, explored), text
+
+
+def test_a_tap_that_is_the_identity_on_some_masks_only():
+    # Destroying a column's top cell does nothing while the column is not full.
+    for board in ("..R\n.GB\nRBG", ".R.\nGBR\nRGB", "RG.\nGBR\nRGB"):
+        for goal in ("COLOUR_CLEARED R", "COLOUR_CLEARED B", "CLEARED", "COLOUR_PRESENT Y"):
+            challenge = parse_challenge(f"{board}\ngoal: {goal}\nmax_taps: 4\n")
+            assert_paths_agree(challenge, "DestroyTile(x, Sub(Height, 1));")
 
 
 def test_every_cell_a_noop_explores_only_the_root():
@@ -261,28 +318,42 @@ def test_one_liners_agree_on_random_boards(challenge, text):
 
 
 def settled_children(hooks, root, board):
-    """{tap: the settled child key, or None when the tap raised} of each move
-    that ``tap_moves`` gives for ``board``: the first expansion's moves when
-    ``board`` is ``root``, else the later moves, built on ``root``."""
+    """{tap: the child key, or None when the tap raised} of every tap of
+    ``board``, by the moves ``tap_moves`` gives for it: the first
+    expansion's moves when ``board`` is ``root``, else the later moves for
+    ``board``'s key, built on ``root``. A tap with no move is the identity
+    on ``board``: its child is ``board``'s key."""
     first, later = tap_moves(hooks, GameState(root.clone()))
-    first = list(first)  # which also completes ``later``
-    moves = first if board is root else later
-    out = {}
-    for xy, move, settled in moves:
+    first = list(first)  # which also completes the tabulated taps ``later`` reads
+    moves = first if board is root else later(board.key())
+    out = {(x, y): board.key() for y in range(board.height) for x in range(board.width)}
+    for xy, move in moves:
         child = move(board.key() + _CONSTANTS)
         if child is not None:
             assert isinstance(child, tuple) and len(child) == len(board.cells)
-            if not settled:
-                child = apply_gravity(Board(board.width, board.height, list(child))).key()
         out[xy] = child
     return out
 
 
+def raw_children(hooks, root, board):
+    """``settled_children`` with each tabulated tap as the gather its marker
+    run left, before gravity."""
+    with mock.patch.object(game, "_settled_gather", lambda picks, mask, height: game._items(picks)):
+        return settled_children(hooks, root, board)
+
+
+def settle(key, board):
+    """The gravity-normal form of a key of ``board``'s size (None stays None)."""
+    if key is None:
+        return None
+    return apply_gravity(Board(board.width, board.height, list(key))).key()
+
+
 def tapped(hooks, board, x, y):
-    """The settled key ``tap`` leaves, None if it raises a ConstraintViolation."""
+    """The settled key ``tap`` leaves, None if it raises an ExecutionError."""
     try:
         return tap(GameState(board.clone()), x, y, hooks).board.key()
-    except ConstraintViolation:
+    except ExecutionError:
         return None
 
 
@@ -315,6 +386,47 @@ def test_each_tabulated_move_matches_the_general_move(boards_, text):
             assert fast.get((x, y), apply_gravity(board).key()) == expected, (text, board, (x, y))
 
 
+@st.composite
+def move_cases(draw):
+    """A root and a second board of one size from 1x1 to 4x4, each with
+    empty cells and gravity-normal or not, and a one-liner or a block
+    generated from a fixture config for that size."""
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = st.lists(st.sampled_from([*COLOURS, None]), min_size=w * h, max_size=w * h)
+    pair = []
+    for _ in range(2):
+        board = Board(w, h, draw(cells))
+        pair.append(apply_gravity(board) if draw(st.booleans()) else board)
+    if draw(st.booleans()):
+        block = parse(draw(st.sampled_from(ONE_LINERS)), params=["x", "y"])
+    else:
+        config = CONFIGS[draw(st.sampled_from(sorted(CONFIGS)))]
+        seed = draw(st.integers(min_value=0, max_value=10**6))
+        try:
+            block = generate_block(TAP_SIG, build_game_registry(w, h), config_with_seed(config, seed))
+        except GenerationError:
+            assume(False)
+    return pair[0], pair[1], block
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(move_cases())
+def test_each_settled_move_is_gravity_after_its_gather(case):
+    root, other, block = case
+    registry = build_game_registry(root.width, root.height)
+    fast_hooks = hooks_for(block, registry)
+    slow_hooks = build_hook_table()
+    slow_hooks.bind("onTileTapped", GeneralDelegate(TAP_SIG, block, registry))
+    for board in (root, other):
+        settled = settled_children(fast_hooks, root, board)
+        raw = raw_children(fast_hooks, root, board)
+        general = settled_children(slow_hooks, root, board)
+        for xy, expected in general.items():
+            assert expected == tapped(slow_hooks, board, *xy), (block, board, xy)
+            assert settle(raw[xy], board) == expected, (block, board, xy)
+            assert settled[xy] == expected, (block, board, xy)
+
+
 def test_a_constraint_violation_cell_returns_none_on_every_board():
     block = parse("DestroyTile(Add(x, 1), y);", params=["x", "y"])  # raises on x = 2
     root = Board(3, 2)
@@ -330,11 +442,51 @@ def test_a_constraint_violation_cell_returns_none_on_every_board():
 def test_a_one_cell_gather_returns_a_tuple():
     block = parse("SetTile(x, y, Colour.G);", params=["x", "y"])
     root = Board(1, 1, ["R"])
-    first, _ = tap_moves(hooks_for(block, build_game_registry(1, 1)), GameState(root.clone()))
-    [(xy, move, settled)] = list(first)
-    assert (xy, settled) == ((0, 0), False)
+    first, later = tap_moves(hooks_for(block, build_game_registry(1, 1)), GameState(root.clone()))
+    [(xy, move)] = list(first)
+    assert xy == (0, 0)
     assert move(("B",) + _CONSTANTS) == ("G",)
     assert move((None,) + _CONSTANTS) == ("G",)
+    # Settled for an empty cell as well: still one tuple.
+    [(xy, move)] = later((None,))
+    assert xy == (0, 0) and move((None,) + _CONSTANTS) == ("G",)
+
+
+def test_a_tap_settled_to_the_identity_has_no_move_on_that_mask():
+    # Destroying the top cell of a column is the identity when the column is
+    # not full, so every tap of such a column is dropped for that mask only.
+    block = parse("DestroyTile(x, Sub(Height, 1));", params=["x", "y"])
+    root = Board.from_rows([".R.", "GBR", "RBG"])
+    first, later = tap_moves(hooks_for(block, build_game_registry(3, 3)), GameState(root.clone()))
+    list(first)
+    assert [xy for xy, _ in later(root.key())] == [(1, y) for y in range(3)]
+    assert len(later(Board.from_rows(["RRR", "GBR", "RBG"]).key())) == 9
+    assert later(Board.from_rows(["...", "GB.", "RBG"]).key()) == []
+
+
+def test_the_tabulated_fast_path_runs_no_gravity_on_a_board(monkeypatch):
+    # After the root expansion, a tabulated solve neither runs the block nor
+    # settles a board: gravity runs on the picks of each gather, once per mask.
+    game._settled_gather.cache_clear()  # so this solve settles its own gathers
+    challenge = parse_challenge("....\nR...\nGB.R\nRGBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n")
+    settles, runs = [], []
+    real_settle, real_prepare = game._settle, game.prepare
+
+    def counted_settle(cells, height):
+        settles.append(any(isinstance(c, str) for c in cells))
+        real_settle(cells, height)
+
+    def counted_prepare(delegate, params):
+        run = real_prepare(delegate, params)
+        return lambda *args: runs.append(1) or run(*args)
+
+    monkeypatch.setattr(game, "_settle", counted_settle)
+    monkeypatch.setattr(game, "prepare", counted_prepare)
+    block = parse("DestroyTile(x, y);", params=["x", "y"])
+    result = solve(challenge, hooks_for(block, build_game_registry(4, 4)))
+    assert result.status == Unsolvable() and result.states_explored > 16
+    assert len(runs) == 16  # one marker run per cell, all in the root expansion
+    assert settles and not any(settles)
 
 
 def test_most_search_candidates_are_tabulated():
