@@ -512,13 +512,17 @@ def build_game_registry(
     )
 
 
+# One shared value (a Signature is frozen) that every hook table compares against.
+TAP_SIGNATURE = Signature(ON_TILE_TAPPED, (("x", INT), ("y", INT)), VOID)
+
+
 def on_tile_tapped_signature() -> Signature:
-    return Signature(ON_TILE_TAPPED, (("x", INT), ("y", INT)), VOID)
+    return TAP_SIGNATURE
 
 
 def build_hook_table() -> HookTable:
     """Hook table whose default binding is the baseline tap: ``DestroyTile``'s
     host behavior on the tapped cell (a no-op on an empty cell)."""
     table = HookTable()
-    table.declare(ON_TILE_TAPPED, HostDelegate(on_tile_tapped_signature(), _host_destroy_tile))
+    table.declare(ON_TILE_TAPPED, HostDelegate(TAP_SIGNATURE, _host_destroy_tile))
     return table

@@ -13,7 +13,8 @@ compiled blocks.
 scope, it returns every producer of that type in a fixed order: the usable
 ``FieldDescriptor``s themselves, then one ``LocalProducer`` per visible local
 (outermost frame first), then the usable ``MethodDescriptor``s themselves,
-then a single ``LiteralOption`` when the type admits literals at all.
+then a single ``LiteralOption`` when the type is a value type here. The
+generator asks it once per type and registry, and keeps the answer.
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ class TypeKind(Enum):
 
 @dataclass(frozen=True)
 class TypeId:
-    """Type tag for values in the generated language."""
+    """Type tag for values in the generated language.
+
+    Types key the generator's tables and are compared on every lookup, so the
+    hash is computed once and ``==`` tries identity first. Copies and pickles
+    go through the constructor, which recomputes the hash in the new process.
+    """
 
     kind: TypeKind
     enum_name: Optional[str] = None
@@ -41,6 +47,20 @@ class TypeId:
     def __post_init__(self) -> None:
         if (self.kind is TypeKind.ENUM) != (self.enum_name is not None):
             raise ValueError("enum_name is required exactly for enum types")
+        object.__setattr__(self, "_hash", hash((self.kind, self.enum_name)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not TypeId:
+            return NotImplemented
+        return self.kind is other.kind and self.enum_name == other.enum_name  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return TypeId, (self.kind, self.enum_name)
 
     @property
     def is_void(self) -> bool:
@@ -62,11 +82,6 @@ VOID = TypeId(TypeKind.VOID)
 
 def enum_type(name: str) -> TypeId:
     return TypeId(TypeKind.ENUM, name)
-
-
-def admits_literals(t: TypeId) -> bool:
-    """int, bool and enum values can be spelled as literals; void cannot."""
-    return t.kind is not TypeKind.VOID
 
 
 class RegistryError(Exception):
@@ -223,10 +238,6 @@ Producer = Union[FieldDescriptor, LocalProducer, MethodDescriptor, LiteralOption
 # Ordered (name, type) pairs describing visible locals, outermost frame first.
 ScopePairs = Sequence[Tuple[str, TypeId]]
 
-# (fields, methods + literal, arity-0 methods + literal) producers of one type.
-_Producers = Tuple[Tuple[Producer, ...], Tuple[Producer, ...], Tuple[Producer, ...]]
-_NO_PRODUCERS: _Producers = ((), (), ())
-
 
 def _by_name(kind: str, items: Iterable[Any], check: Callable[[Any], None]) -> Mapping[str, Any]:
     """``items`` keyed by name in order; each name must be new, then passes ``check``."""
@@ -246,7 +257,7 @@ class Registry:
     declaration once, in order: each enum's name, then each field's name and
     type, then each method's name, parameter types and return type. It stores
     ``enums``/``fields``/``methods`` as read-only mappings in declaration
-    order and precomputes the per-type producers used by ``candidates_for``.
+    order.
     """
 
     def __init__(
@@ -258,23 +269,6 @@ class Registry:
         self.enums: Mapping[str, EnumDef] = _by_name("enum", enums, lambda e: None)
         self.fields: Mapping[str, FieldDescriptor] = _by_name("field", fields, self._check_field)
         self.methods: Mapping[str, MethodDescriptor] = _by_name("method", methods, self._check_method)
-        # Per type: (field producers, method producers then the literal
-        # option, the same with only arity-0 methods).
-        self._producers: Dict[TypeId, _Producers] = {}
-        by_type: Dict[TypeId, List[MethodDescriptor]] = {}
-        for m in self.methods.values():
-            if m.usable:
-                by_type.setdefault(m.return_type, []).append(m)
-        # Every field and return type resolves, so these are all the types
-        # with a producer; any other type gets none from the registry.
-        for t in (*self.value_types(), VOID):
-            literal = (LiteralOption(t),) if admits_literals(t) else ()
-            typed = by_type.get(t, [])
-            self._producers[t] = (
-                tuple(f for f in self.fields.values() if f.usable and f.type == t),
-                (*typed, *literal),
-                (*(m for m in typed if m.arity == 0), *literal),
-            )
 
     def resolves(self, t: TypeId) -> bool:
         """Whether ``t`` is a value type here: int, bool or a registered enum."""
@@ -322,14 +316,16 @@ class Registry:
         Order: usable fields (declaration order), locals (scope order,
         innermost frame last), usable methods (declaration order, methods of
         arity >= 1 dropped when ``grounded_only``), then one LiteralOption if
-        the type admits literals. Non-usable items never appear.
+        the type is a value type here (``resolves``). Non-usable items never
+        appear.
         """
-        fields, methods, grounded = self._producers.get(wanted, _NO_PRODUCERS)
-        out: List[Producer] = list(fields)
-        for name, t in scope:
-            if t == wanted:
-                out.append(LocalProducer(name, t))
-        out.extend(grounded if grounded_only else methods)
+        out: List[Producer] = [f for f in self.fields.values() if f.usable and f.type == wanted]
+        out.extend(LocalProducer(name, t) for name, t in scope if t == wanted)
+        methods = self.methods.values()
+        out.extend(m for m in methods if m.usable and m.return_type == wanted
+                   and not (grounded_only and m.arity))
+        if self.resolves(wanted):
+            out.append(LiteralOption(wanted))
         return out
 
     def dump_lines(self) -> List[str]:

@@ -2,12 +2,14 @@
 
 Blocks are generated in execution order: each statement is built
 first-to-last so that variable declarations extend the scope seen by later
-lines. Whenever an expression of some type is needed, the candidate set comes
-from ``Registry.candidates_for``; every non-literal candidate carries weight 1
-and the single literal option carries ``literal_weight``, so the literal is
-picked with probability ``literal_weight / (n + literal_weight)`` against n
-non-literal candidates, and the concrete literal value is then drawn uniformly
-from its (possibly constraint-narrowed) space.
+lines. An expression of some type is drawn from its producers: the usable
+fields, the visible locals of the type (``Scope.by_type``), the usable methods,
+then one literal option. All but the locals come from a table built once per
+registry, type, grounding and ``literal_weight`` (``_Tables``). A non-literal
+weighs 1 and the literal ``literal_weight``, so the literal is picked with
+probability ``literal_weight / (n + literal_weight)`` against n non-literals;
+its value is then drawn uniformly from its (possibly constraint-narrowed)
+space. Only the drawn statement's expressions are built.
 
 Depth contract: every statement-level expression (a VarDecl initializer, an
 Assign value, an IfElse condition, a Return value, and the ExprStmt call node
@@ -28,6 +30,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 from .lang import (
     INT64_MAX,
@@ -45,7 +48,6 @@ from .lang import (
     EnumLit,
     LocalRef,
     LocalTarget,
-    LValue,
     Return,
     Signature,
     Statement,
@@ -60,9 +62,7 @@ from .registry import (
     VOID,
     FieldDescriptor,
     LiteralOption,
-    LocalProducer,
     MethodDescriptor,
-    Producer,
     Registry,
     TypeId,
     TypeKind,
@@ -76,11 +76,11 @@ MAX_NESTING = 3
 # Largest accepted ``max_lines``. Every nested block draws up to
 # ``max_lines`` lines at each of MAX_NESTING levels, so a block's size grows
 # much faster than ``max_lines`` itself. Measured with the 3x3 game registry on
-# 2 cores (Python 3.11.7): with default.cfg, the largest block of 1,000
-# seeds has 1,641 lines (0.14 s) at 16, 2,782 lines (0.22 s) at 20 and,
-# over 200 seeds, 12,386 lines (2.6 s) at 32; with every if taking an else
-# and only if/call statements, the largest of 100 seeds has 18,777 lines
-# (1.1 s) at 16 and 39,488 lines (2.3 s) at 20.
+# 2 cores (Python 3.11.7, best of 3): with default.cfg, the largest block of
+# 1,000 seeds has 1,641 lines (0.024 s) at 16, 2,782 lines (0.045 s) at 20
+# and, over 200 seeds, 12,386 lines (0.16 s) at 32; with every if taking an
+# else and only if/call statements, the largest of 100 seeds has 18,777 lines
+# (0.26 s) at 16 and 39,488 lines (0.96 s) at 20.
 MAX_LINES = 16
 
 
@@ -213,20 +213,27 @@ def load_config_file(path: str) -> GenerationConfig:
 
 
 class Scope:
-    """Stack of name->type frames; frame 0 holds the signature parameters."""
+    """Stack of name->type frames; frame 0 holds the signature parameters.
+    ``by_type`` maps a type to its visible locals' names in ``flatten()``
+    order, so the innermost frame's names end each list."""
 
     def __init__(self, params: Sequence[Tuple[str, TypeId]] = ()):
         self.frames: List[Dict[str, TypeId]] = [dict(params)]
+        self.by_type: Dict[TypeId, List[str]] = {}
+        for name, t in self.frames[0].items():
+            self.by_type.setdefault(t, []).append(name)
 
     def push(self) -> None:
         self.frames.append({})
 
     def pop(self) -> None:
-        self.frames.pop()
+        for t in self.frames.pop().values():
+            self.by_type[t].pop()
 
     def declare(self, name: str, t: TypeId) -> None:
         assert self.lookup(name) is None, f"scope already binds '{name}'"
         self.frames[-1][name] = t
+        self.by_type.setdefault(t, []).append(name)
 
     def lookup(self, name: str) -> Optional[TypeId]:
         return lookup(self.frames, name)
@@ -285,8 +292,28 @@ def generate_expression(
     return _Gen(registry, config, rng).expression(wanted, scope, depth, interval)
 
 
-# A producer with the weight it is drawn with.
-Options = List[Tuple[Producer, float]]
+# The static producers of one (type, grounded, literal_weight): the usable
+# fields' names and methods in registry order, and whether the literal is live.
+_Table = Tuple[Tuple[str, ...], Tuple[MethodDescriptor, ...], bool]
+
+
+class _Tables:
+    """What one registry offers the generator. A Registry is immutable, so
+    ``_TABLES`` keeps these for as long as it lives; ``producers`` gets one
+    entry per (type, grounded, literal_weight) on first use."""
+
+    def __init__(self, registry: Registry) -> None:
+        self.value_types = tuple(registry.value_types())
+        fields = registry.fields.values()
+        self.targets = tuple((FieldTarget(f.name), f.type) for f in fields if f.usable and f.writable)
+        usable = tuple(m for m in registry.methods.values() if m.usable)
+        # The statement call node sits at depth 0, so with max_recursion_depth
+        # 0 only grounded (zero-arg) methods may be invoked for effect.
+        self.calls = {False: usable, True: tuple(m for m in usable if m.arity == 0)}
+        self.producers: Dict[Tuple[TypeId, bool, float], _Table] = {}
+
+
+_TABLES: WeakKeyDictionary[Registry, _Tables] = WeakKeyDictionary()
 
 
 @dataclass
@@ -296,6 +323,11 @@ class _Gen:
     rng: random.Random
     next_local: int = 0
 
+    def __post_init__(self) -> None:
+        self.tables = _TABLES.get(self.registry) or _TABLES.setdefault(
+            self.registry, _Tables(self.registry))
+        self.calls = self.tables.calls[self.config.max_recursion_depth == 0]
+
     def fresh_name(self) -> str:
         name = f"v{self.next_local}"
         self.next_local += 1
@@ -303,66 +335,62 @@ class _Gen:
 
     def literal_range(self, interval: Optional[Bounds]) -> Tuple[int, int]:
         lo, hi = self.config.int_literal_range
-        if interval is not None:
-            cmin, cmax = interval
-            if cmin is not None:
-                lo = max(lo, cmin)
-            if cmax is not None:
-                hi = min(hi, cmax)
-        return lo, hi
+        cmin, cmax = interval or (None, None)
+        return (lo if cmin is None else max(lo, cmin)), (hi if cmax is None else min(hi, cmax))
 
-    def options(
-        self, wanted: TypeId, scope: Scope, depth: int = 0, interval: Optional[Bounds] = None
-    ) -> Options:
-        """The weighted producers an expression of ``wanted`` is drawn from.
-
-        A non-literal weighs 1. The literal option weighs ``literal_weight``
-        and is live only when that is positive and, for int, when the literal
-        range narrowed by ``interval`` is not empty.
-        """
+    def table(self, wanted: TypeId, depth: int) -> _Table:
         grounded = depth >= self.config.max_recursion_depth
-        out: Options = []
-        for cand in self.registry.candidates_for(wanted, scope.flatten(), grounded_only=grounded):
-            if not isinstance(cand, LiteralOption):
-                out.append((cand, 1.0))
-                continue
-            lo, hi = self.literal_range(interval)
-            if self.config.literal_weight > 0 and (wanted != INT or lo <= hi):
-                out.append((cand, self.config.literal_weight))
-        return out
+        weight = self.config.literal_weight
+        key = (wanted, grounded, weight)
+        table = self.tables.producers.get(key)
+        if table is None:
+            cands = self.registry.candidates_for(wanted, grounded_only=grounded)
+            table = self.tables.producers[key] = (
+                tuple(c.name for c in cands if isinstance(c, FieldDescriptor)),
+                tuple(c for c in cands if isinstance(c, MethodDescriptor)),
+                weight > 0 and any(isinstance(c, LiteralOption) for c in cands),
+            )
+        return table
+
+    def producible(self, wanted: TypeId, scope: Scope) -> bool:
+        """Whether a statement-level expression of ``wanted`` has a producer. A
+        live int literal counts: with no interval its range is the config's."""
+        fields, methods, literal = self.table(wanted, 0)
+        return bool(fields or methods or literal or scope.by_type.get(wanted))
 
     def expression(
         self, wanted: TypeId, scope: Scope, depth: int = 0, interval: Optional[Bounds] = None
     ) -> Expression:
-        options = self.options(wanted, scope, depth, interval)
-        return self.draw(wanted, options, scope, depth, interval)
+        """Draw one producer of ``wanted`` and build its expression.
 
-    def draw(
-        self,
-        wanted: TypeId,
-        options: Options,
-        scope: Scope,
-        depth: int = 0,
-        interval: Optional[Bounds] = None,
-    ) -> Expression:
-        """Draw an expression of ``wanted`` from its ``options``."""
-        if not options:
+        Once ``depth`` reaches ``max_recursion_depth`` only zero-arg methods
+        remain. An int literal is live only if ``interval`` leaves its range
+        nonempty. The roll's floor indexes the non-literals and a roll past
+        them is the literal: the same pick as subtracting each weight in turn,
+        since 1.0 off a float >= 1 is exact and ``random() * n`` stays below n.
+        """
+        fields, methods, literal = self.table(wanted, depth)
+        local_names = scope.by_type.get(wanted, ())
+        if literal and wanted == INT:
+            lo, hi = self.literal_range(interval)
+            literal = lo <= hi
+        n_fields = len(fields)
+        n_named = n_fields + len(local_names)
+        n = n_named + len(methods)
+        if literal:
+            total = n + self.config.literal_weight
+        elif n:
+            total = n
+        else:
             raise NoProducer(wanted)
-        roll = self.rng.random() * sum(w for _, w in options)
-        chosen = options[-1][0]
-        for cand, weight in options:
-            roll -= weight
-            if roll < 0:
-                chosen = cand
-                break
-        if isinstance(chosen, LiteralOption):
+        pick = int(self.rng.random() * total)
+        if pick >= n:
             return self.literal(wanted, interval)
-        if isinstance(chosen, FieldDescriptor):
-            return FieldRef(chosen.name)
-        if isinstance(chosen, LocalProducer):
-            return LocalRef(chosen.name)
-        assert isinstance(chosen, MethodDescriptor)
-        return self.call(chosen, scope, depth)
+        if pick < n_fields:
+            return FieldRef(fields[pick])
+        if pick < n_named:
+            return LocalRef(local_names[pick - n_fields])
+        return self.call(methods[pick - n_named], scope, depth)
 
     def literal(self, wanted: TypeId, interval: Optional[Bounds]) -> Expression:
         if wanted == INT:
@@ -386,78 +414,53 @@ class _Gen:
 # --------------------------------------------------------------------------
 # Statement and block generation
 #
-# Each enabled statement kind lists its choices once per statement: the
-# declarable types with their initializer options, the assignment targets,
-# the methods callable for effect, or the if-condition options. The kind is
-# drawn among those with a choice, then the choice among that kind's list.
-
-
-def _vardecl_choices(scope: Scope, gen: _Gen, nesting: int) -> List[Tuple[TypeId, Options]]:
-    choices = [(t, gen.options(t, scope)) for t in gen.registry.value_types()]
-    return [(t, options) for t, options in choices if options]
-
-
-def _assign_choices(scope: Scope, gen: _Gen, nesting: int) -> List[Tuple[LValue, TypeId]]:
-    # A usable field or a visible local is itself a producer of its type, so
-    # every target has a value to draw.
-    out: List[Tuple[LValue, TypeId]] = [
-        (FieldTarget(f.name), f.type)
-        for f in gen.registry.fields.values()
-        if f.usable and f.writable
-    ]
-    out.extend((LocalTarget(name), t) for name, t in scope.flatten())
-    return out
-
-
-def _call_choices(scope: Scope, gen: _Gen, nesting: int) -> List[MethodDescriptor]:
-    # The statement call node sits at depth 0, so with max_recursion_depth 0
-    # only grounded (zero-arg) methods may be invoked for effect.
-    grounded = gen.config.max_recursion_depth == 0
-    methods = gen.registry.methods.values()
-    return [m for m in methods if m.usable and not (grounded and m.arity >= 1)]
-
-
-def _condition_choices(scope: Scope, gen: _Gen, nesting: int) -> Options:
-    return gen.options(BOOL, scope) if nesting < MAX_NESTING else []
-
-
-_CHOICES = {
-    StatementKind.VAR_DECL: _vardecl_choices,
-    StatementKind.ASSIGN: _assign_choices,
-    StatementKind.EXPR_STMT: _call_choices,
-    StatementKind.IF_ELSE: _condition_choices,
-}
+# A statement's kind is drawn uniformly among the enabled kinds with a
+# choice, then the choice among that kind's: the declarable types (those with
+# a producer), the assignment targets, the methods callable for effect, or
+# the if (when a bool condition has a producer). No options are built for
+# this; only the drawn choice's expressions are generated.
 
 
 def _generate_statement(scope: Scope, gen: _Gen, nesting: int) -> Statement:
-    table = []
-    for kind in StatementKind:
-        if kind in gen.config.statement_kinds_enabled:
-            choices = _CHOICES[kind](scope, gen, nesting)
-            if choices:
-                table.append((kind, choices))
-    if not table:
+    enabled = gen.config.statement_kinds_enabled
+    feasible: List[StatementKind] = []
+    decl_types: List[TypeId] = []
+    if StatementKind.VAR_DECL in enabled:
+        decl_types = [t for t in gen.tables.value_types if gen.producible(t, scope)]
+        if decl_types:
+            feasible.append(StatementKind.VAR_DECL)
+    # A usable field or a visible local is itself a producer of its type, so
+    # every target has a value to draw.
+    n_targets = len(gen.tables.targets) + sum(map(len, scope.frames))
+    if StatementKind.ASSIGN in enabled and n_targets:
+        feasible.append(StatementKind.ASSIGN)
+    if StatementKind.EXPR_STMT in enabled and gen.calls:
+        feasible.append(StatementKind.EXPR_STMT)
+    if StatementKind.IF_ELSE in enabled and nesting < MAX_NESTING and gen.producible(BOOL, scope):
+        feasible.append(StatementKind.IF_ELSE)
+    if not feasible:
         raise InfeasibleStatement("no feasible statement kind")
-    kind, choices = table[gen.rng.randrange(len(table))]
+    kind = feasible[gen.rng.randrange(len(feasible))]
     if kind is StatementKind.IF_ELSE:
-        cond = gen.draw(BOOL, choices, scope)
+        cond = gen.expression(BOOL, scope)
         then_block = _generate_nested_block(scope, gen, nesting + 1)
         else_block = None
         if gen.rng.random() < gen.config.else_probability:
             else_block = _generate_nested_block(scope, gen, nesting + 1)
         return IfElse(cond, then_block, else_block)
-    choice = choices[gen.rng.randrange(len(choices))]
     if kind is StatementKind.VAR_DECL:
-        decl_type, options = choice
-        init = gen.draw(decl_type, options, scope)
+        decl_type = decl_types[gen.rng.randrange(len(decl_types))]
+        init = gen.expression(decl_type, scope)
         name = gen.fresh_name()
         scope.declare(name, decl_type)
         return VarDecl(decl_type, name, init)
     if kind is StatementKind.ASSIGN:
-        target, target_type = choice
+        targets = [*gen.tables.targets, *((LocalTarget(n), t) for n, t in scope.flatten())]
+        target, target_type = targets[gen.rng.randrange(n_targets)]
         return Assign(target, gen.expression(target_type, scope))
     assert kind is StatementKind.EXPR_STMT
-    return ExprStmt(gen.call(choice, scope, depth=0))
+    method = gen.calls[gen.rng.randrange(len(gen.calls))]
+    return ExprStmt(gen.call(method, scope, depth=0))
 
 
 def _generate_nested_block(scope: Scope, gen: _Gen, nesting: int) -> CodeBlock:
@@ -498,18 +501,13 @@ def generate_block(sig: Signature, registry: Registry, config: GenerationConfig)
     gen = _Gen(registry, config, random.Random(config.seed))
     scope = Scope(sig.params)
     n_lines = gen.rng.randint(config.min_lines, config.max_lines)
-    stmts: List[Statement] = []
-    for index in range(n_lines):
-        stmts.append(
-            _with_retries(index, gen, lambda: _generate_statement(scope, gen, nesting=0))
-        )
+    stmts: List[Statement] = [
+        _with_retries(index, gen, lambda: _generate_statement(scope, gen, nesting=0))
+        for index in range(n_lines)
+    ]
     if sig.return_type != VOID:
-        value = _with_retries(
-            n_lines,
-            gen,
-            lambda: gen.expression(sig.return_type, scope),
-            detail="return value",
-        )
+        value = _with_retries(n_lines, gen, lambda: gen.expression(sig.return_type, scope),
+                              detail="return value")
         stmts.append(Return(value))
     return CodeBlock(tuple(stmts))
 

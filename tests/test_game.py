@@ -11,11 +11,12 @@ from mechgen.game import (
     apply_gravity,
     build_game_registry,
     build_hook_table,
+    on_tile_tapped_signature,
     tap,
     tap_moves,
 )
-from mechgen.lang import parse
-from mechgen.registry import INT, LiteralOption, enum_type
+from mechgen.lang import Signature, parse
+from mechgen.registry import INT, VOID, LiteralOption, enum_type
 from mechgen.runtime import ExecutionError, GeneratedDelegate, HostError, IntV, invoke
 from mechgen.synthesis import GenerationConfig, config_with_seed, generate_block
 
@@ -331,3 +332,10 @@ def test_board_is_gravity_normal_after_any_successful_tap(game_registry, tap_sig
                 world = GameState(Board.from_rows(["RGB", "BRG", "GBR"]))
                 continue
             assert world.board.is_gravity_normal()
+
+
+def test_tap_signature_is_one_shared_value():
+    sig = on_tile_tapped_signature()
+    assert sig is on_tile_tapped_signature()
+    assert build_hook_table().sig("onTileTapped") is sig
+    assert sig == Signature("onTileTapped", (("x", INT), ("y", INT)), VOID)

@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, generation_configs
 from mechgen.lang import (
-    INT64_MAX,
-    INT64_MIN,
     MAX_PARSE_DEPTH,
     Assign,
     BoolLit,
@@ -41,7 +39,7 @@ from mechgen.registry import (
     Registry,
     enum_type,
 )
-from mechgen.synthesis import GenerationConfig, GenerationError, StatementKind, generate_block
+from mechgen.synthesis import GenerationConfig, GenerationError, generate_block
 
 
 @pytest.fixture(scope="module")
@@ -353,33 +351,6 @@ def test_no_loop_construct_exists():
         parse("while (true) { DoNothing(); }")
     with pytest.raises(ParseError):
         parse("for (x) { }")
-
-
-# Integer literal bounds that touch both ends of the int64 range.
-int64s = st.one_of(
-    st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX]),
-    st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
-)
-
-
-@st.composite
-def generation_configs(draw):
-    """Any valid config of up to 6 lines, seed included: statement-kind
-    subsets, literal ranges at the int64 limits, and the extreme weights
-    and else probabilities."""
-    max_lines = draw(st.integers(min_value=1, max_value=6))
-    return GenerationConfig(
-        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        min_lines=draw(st.integers(min_value=1, max_value=max_lines)),
-        max_lines=max_lines,
-        max_recursion_depth=draw(st.integers(min_value=0, max_value=3)),
-        literal_weight=draw(st.one_of(st.sampled_from([0.0, 1.0, 4.0]),
-                                      st.floats(min_value=0.0, max_value=10.0))),
-        int_literal_range=tuple(sorted(draw(st.tuples(int64s, int64s)))),
-        else_probability=draw(st.one_of(st.sampled_from([0.0, 1.0]),
-                                        st.floats(min_value=0.0, max_value=1.0))),
-        statement_kinds_enabled=draw(st.sets(st.sampled_from(list(StatementKind)), min_size=1)),
-    )
 
 
 @settings(max_examples=300, deadline=None)

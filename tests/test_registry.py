@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from mechgen.registry import (
@@ -14,6 +17,8 @@ from mechgen.registry import (
     LocalProducer,
     MethodDescriptor,
     Registry,
+    TypeId,
+    TypeKind,
     UnknownConstraintParam,
     UnresolvedType,
     VoidField,
@@ -291,3 +296,38 @@ def test_literal_interval_reads_the_folded_bounds():
     )
     assert m.literal_interval("n") == (2, 4)
     assert m.literal_interval("k") == (None, None)
+
+
+# --------------------------------------------------------------------------
+# TypeId: a value, whatever instance carries it
+
+
+def test_separately_built_types_are_equal_and_interchangeable_keys():
+    pairs = [(enum_type("Colour"), enum_type("Colour")), (TypeId(TypeKind.INT), INT),
+             (TypeId(TypeKind.BOOL), BOOL), (TypeId(TypeKind.VOID), VOID)]
+    for a, b in pairs:
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert {a: "found"}[b] == "found" and b in {a}
+    assert enum_type("Colour") != enum_type("Color")
+    assert hash(enum_type("Colour")) != hash(enum_type("Color"))
+    assert INT != BOOL and INT != VOID and enum_type("Colour") != INT
+    assert INT != "int" and INT != TypeKind.INT
+
+
+@pytest.mark.parametrize("t", [INT, BOOL, VOID, enum_type("Colour")])
+def test_copies_and_pickles_round_trip_to_an_equal_type(t):
+    for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert other == t and hash(other) == hash(t)
+        assert {t: 1}[other] == 1
+        assert repr(other) == repr(t)
+    # The cached hash is never pickled: a new process salts string hashes anew.
+    assert b"_hash" not in pickle.dumps(t)
+
+
+def test_enum_type_without_a_name_still_raises():
+    with pytest.raises(ValueError):
+        TypeId(TypeKind.ENUM)
+    with pytest.raises(ValueError):
+        TypeId(TypeKind.INT, "Colour")

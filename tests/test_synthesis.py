@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,35 @@ def test_generate_statement_respects_scope_and_kind_filter(game_registry):
     assert isinstance(stmt, VarDecl)
     assert stmt.name == "v3"
     assert scope.lookup("v3") == stmt.type
+
+
+# Scope operations: enter a block, leave one, or declare a local of a type.
+# Types are built anew for each step, so the per-type lists are keyed by
+# equal, not identical, types.
+scope_ops = st.lists(st.one_of(
+    st.just("push"),
+    st.just("pop"),
+    st.sampled_from([
+        lambda: INT, lambda: BOOL, lambda: enum_type("Colour"), lambda: enum_type("Dir"),
+    ]),
+), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.lists(st.sampled_from([INT, BOOL, enum_type("Colour")]), max_size=3), ops=scope_ops)
+def test_scope_locals_by_type_follow_flatten_order(params, ops):
+    scope = Scope([(f"p{i}", t) for i, t in enumerate(params)])
+    for step, op in enumerate(ops):
+        if op == "push":
+            scope.push()
+        elif op == "pop":
+            if len(scope.frames) > 1:
+                scope.pop()
+        else:
+            scope.declare(f"v{step}", op())
+        flat = scope.flatten()
+        for t in (INT, BOOL, enum_type("Colour"), enum_type("Dir")):
+            assert scope.by_type.get(t, []) == [name for name, u in flat if u == t]
 
 
 def test_empty_design_space_exhausts_at_line_0():
@@ -473,3 +504,27 @@ def test_non_finite_literal_weight_rejected(weight):
         GenerationConfig(literal_weight=float(weight))
     with pytest.raises(ConfigError, match="literal_weight must be finite"):
         load_config(f"literal_weight = {weight}\n")
+
+
+def test_registry_is_asked_once_per_table_and_not_kept_alive(tap_sig, monkeypatch):
+    registry = build_game_registry()
+    asked = []
+    original = Registry.candidates_for
+
+    def counting(self, wanted, scope=(), grounded_only=False):
+        asked.append((wanted, grounded_only, tuple(scope)))
+        return original(self, wanted, scope, grounded_only)
+
+    monkeypatch.setattr(Registry, "candidates_for", counting)
+    for weight in (0.0, 1.0):
+        asked.clear()
+        for seed in range(60):
+            generate_block(tap_sig, registry, GenerationConfig(seed=seed, literal_weight=weight))
+        # Each (type, grounded) of int, bool and Colour at most once per weight,
+        # never with a scope: the locals come from the generator's own Scope.
+        assert len(asked) == len(set(asked)) <= 3 * 2
+        assert all(scope == () for _, _, scope in asked)
+    ref = weakref.ref(registry)
+    del registry
+    gc.collect()
+    assert ref() is None
