@@ -203,7 +203,7 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     cannot take the tap's arguments raises on every tap and prunes every
     branch; the goal becomes one C call on a key (``Goal.key_test``).
     Expanding a state sets the tap counter of the one scratch state to its
-    depth, takes the root's moves or ``later(key)``, and builds
+    depth, takes the root's moves or ``later(key, leaf)``, and builds
     ``key + (None, *COLOURS)`` once (the values a tabulated move picks
     from); per move, ``move`` maps that to the child's key, already
     gravity-normal (or None: the tap raised). The child is then
@@ -223,6 +223,9 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     ``visited`` nor queued: they would never be expanded, and BFS discovers
     every shallower state before any state at that depth, so leaving them
     out of ``visited`` cannot change which shallower states are expanded.
+    Below the root, their parent takes its leaf list (``leaf`` is true),
+    which builds only the children that can meet the goal: every expanded
+    state fails it, as the root and each child are tested before queueing.
     A challenge with ``max_taps < 1`` allows no tap: it is Solved in 0 taps
     if the goal already holds, else Unsolvable with nothing explored.
     """
@@ -235,7 +238,9 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
         return EvalResult(Unsolvable(), 0, 0)
     last = challenge.max_taps - 1  # states at this depth have only leaf children
     state = GameState(initial.clone())  # the scratch state general moves tap
-    moves, later = tap_moves(hooks, state)  # the root's moves, and every later state's
+    goal = challenge.goal
+    present = goal.colour if goal.kind is GoalKind.COLOUR_PRESENT else None
+    moves, later = tap_moves(hooks, state, present)  # the root's moves, and every later state's
     visited = {start}
     frontier: deque = deque([(start, ())])
     errors = 0
@@ -246,7 +251,7 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
         depth = len(path)
         state.taps_used = depth
         if depth:
-            moves = later(key)
+            moves = later(key, depth == last)
         src = key + _CONSTANTS
         for tap_xy, move in moves:
             child = move(src)

@@ -225,8 +225,8 @@ def _cells(width: int, height: int) -> _Cells:
 
 
 def tap_moves(
-    hooks: HookTable, state: GameState
-) -> Tuple[Iterator[Move], Callable[[Tuple[Cell, ...]], List[Move]]]:
+    hooks: HookTable, state: GameState, present: Optional[str] = None
+) -> Tuple[Iterator[Move], Callable[..., List[Move]]]:
     """Every tap of ``state``'s board as a ``(tap, move)`` pair, with the
     hook resolved once, for a searcher that taps one scratch state.
 
@@ -235,9 +235,9 @@ def tap_moves(
     the tap raises an ExecutionError. The caller sets ``state.taps_used``.
     Returns an iterator over the moves of ``state``'s board (the first
     expansion) and ``later``: ``later(key)`` is the list of moves of a board
-    whose cells are ``key``, valid once that iterator is exhausted. Taps
-    come bottom row first, in (y, x) order; a later rebinding of the hook
-    does not reach the moves.
+    whose cells are ``key``, valid once that iterator is exhausted, and
+    ``later(key, True)`` its leaf list (below). Taps come bottom row first,
+    in (y, x) order; a later rebinding of the hook does not reach the moves.
 
     A hook that may read the board (a host delegate, or a block whose
     ``reads_world`` is true) runs on every move: the general move refills
@@ -262,6 +262,15 @@ def tap_moves(
     expansion goes and for each later mask on first use, in a dict kept for
     the solve. A settled gather that is the identity (a NOOP on a settled
     board, say) is dropped: its child is the parent, already seen.
+
+    The leaf list, for a parent whose children are only goal-tested, keeps
+    the moves whose child can meet the goal, in tap order; the rule assumes
+    the parent fails it. ``present`` is the colour of a COLOUR_PRESENT goal,
+    which a child can hold only if its gather picks that constant (on any
+    mask, so with no such gather the list needs no mask); None stands for a
+    goal met by clearing tiles, which a child can meet only if its settled
+    gather misses an occupied cell. Raising moves (so ``error_count`` stays
+    exact) and moves that run the block are always kept.
     """
     board = state.board
     cells = board.cells
@@ -281,11 +290,14 @@ def tap_moves(
 
     if not isinstance(delegate, GeneratedDelegate) or delegate.reads_world:
         moves = [(xy, partial(runs, args)) for xy, args in zip(taps, cell_args)]
-        return iter(moves), lambda key: moves
+        return iter(moves), lambda key, leaf=False: moves
 
     tabulated: List[Tuple[Tuple[int, int], Optional[MoveFn], Optional[Tuple[int, ...]]]] = []
     root_mask = tuple(map(is_, cells, repeat(None)))
     by_mask: Dict[Tuple[bool, ...], List[Move]] = {}
+    leaves: Dict[Optional[Tuple[bool, ...]], List[Move]] = {}  # the key None: every mask
+    wanted = None if present is None else index.get(present, -1)  # the colour's pick
+    ids = tuple(range(n + len(_CONSTANTS)))  # a settled gather maps these to its picks
 
     def first_expansion() -> Iterator[Move]:
         markers = list(range(n))
@@ -316,14 +328,25 @@ def tap_moves(
                 moves.append((xy, move))
                 yield xy, move
         by_mask[root_mask] = moves
+        if wanted is not None and not any(picks and wanted in picks for _, _, picks in tabulated):
+            leaves[None] = [(xy, move) for xy, move, picks in tabulated if picks is None]
 
-    def later(key: Tuple[Cell, ...]) -> List[Move]:
+    def later(key: Tuple[Cell, ...], leaf: bool = False) -> List[Move]:
+        if leaf and None in leaves:
+            return leaves[None]
+        table = leaves if leaf else by_mask
         mask = tuple(map(is_, key, repeat(None)))
-        moves = by_mask.get(mask)
-        if moves is None:  # settle each gather, and drop it when that is the identity
-            moves = [(xy, move if picks is None else _settled_gather(picks, mask, board.height))
-                     for xy, move, picks in tabulated]
-            moves = by_mask[mask] = [move for move in moves if move[1] is not None]
+        moves = table.get(mask)
+        if moves is None:  # settle each gather; drop it if it is the identity or cannot win
+            occupied = leaf and {i for i, empty in enumerate(mask) if not empty}
+            moves = table[mask] = []
+            for xy, move, picks in tabulated:
+                if picks is not None:
+                    move = _settled_gather(picks, mask, board.height)
+                    if move is None or leaf and (wanted not in move(ids) if wanted is not None
+                                                 else occupied.issubset(move(ids))):
+                        continue
+                moves.append((xy, move))
         return moves
 
     return first_expansion(), later

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mechgen import game
+from mechgen import evaluate, game
 from mechgen.evaluate import (
     Challenge, EvalResult, Goal, GoalKind, Solved, Unsolvable, parse_challenge, solve,
 )
@@ -38,6 +38,7 @@ from mechgen.lang import parse
 from mechgen.registry import INT, VOID, MethodDescriptor, Registry, enum_type
 from mechgen.runtime import ExecBudget, EnumV, ExecutionError, GeneratedDelegate, IntV
 from mechgen.synthesis import GenerationError, config_with_seed, generate_block, load_config_file
+from test_evaluate import naive_solve
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 TAP_SIG = on_tile_tapped_signature()
@@ -487,6 +488,105 @@ def test_the_tabulated_fast_path_runs_no_gravity_on_a_board(monkeypatch):
     assert result.status == Unsolvable() and result.states_explored > 16
     assert len(runs) == 16  # one marker run per cell, all in the root expansion
     assert settles and not any(settles)
+
+
+# --------------------------------------------------------------------------
+# the leaf list: a parent at the last depth builds only children that can win
+
+
+def assert_matches_naive(challenge, text):
+    """``assert_paths_agree``, and the status ``naive_solve`` finds by replay."""
+    result = assert_paths_agree(challenge, text)
+    registry = build_game_registry(challenge.initial.width, challenge.initial.height)
+    slow = naive_solve(challenge, hooks_for(parse(text, params=["x", "y"]), registry))
+    expected = Unsolvable() if slow[0] == "unsolvable" else Solved(slow[1], slow[2])
+    assert result.status == expected, text
+    return result
+
+
+def leaf_taps(text, root, board, present):
+    """The taps of ``board``'s leaf list, on moves built for ``root``."""
+    hooks = hooks_for(parse(text, params=["x", "y"]), build_game_registry(root.width, root.height))
+    first, later = tap_moves(hooks, GameState(root.clone()), present)
+    list(first)
+    return [xy for xy, _ in later(board.key(), True)]
+
+
+def test_a_present_goal_is_met_at_the_last_tap_by_a_gather_of_its_colour():
+    # A tabulated child holds Y only if its gather picks the constant Y, and
+    # every cell is tapped at the root: such a goal is met in one tap or never.
+    challenge = parse_challenge("RGB\nBRG\nGBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 1\n")
+    for text, witness, errors in (
+        ("SetTile(x, y, Colour.Y);", ((0, 0),), 0),
+        ("DestroyTile(Sub(x, 1), y); SetTile(x, y, Colour.Y);", ((1, 0),), 1),
+    ):
+        result = assert_matches_naive(challenge, text)
+        assert result == EvalResult(Solved(1, witness), errors, 1), text
+
+
+def test_a_present_leaf_list_keeps_the_gathers_that_pick_its_colour():
+    root = Board.from_rows([".R.", "GBR", "RBG"])
+    full = Board.from_rows(["RGB", "GBR", "RBG"])
+    every = [(x, y) for y in range(3) for x in range(3)]
+    for board in (root, full):
+        assert leaf_taps("SetTile(x, y, Colour.Y);", root, board, "Y") == every
+        assert leaf_taps("SetTile(x, y, Colour.G);", root, board, "Y") == []
+        assert leaf_taps("if (Equal(x, 1)) { SetTile(x, 0, Colour.Y); }", root, board, "Y") == [
+            (1, y) for y in range(3)
+        ]
+        # Raising taps stay, in tap order, although no gather picks a Y.
+        text = "DestroyTile(Sub(x, 1), y); SetTile(x, y, Colour.G);"
+        assert leaf_taps(text, root, board, "Y") == [(0, y) for y in range(3)]
+
+
+def test_a_cleared_leaf_list_keeps_the_gathers_that_miss_an_occupied_cell():
+    root = Board.from_rows([".R.", "GBR", "RBG"])
+    occupied = [(x, y) for y in range(3) for x in range(3) if root.get(x, y)]
+    assert leaf_taps("DestroyTile(x, y);", root, root, None) == occupied
+    assert leaf_taps("SwapTiles(x, y, 0, 0);", root, root, None) == []
+    assert leaf_taps("SetTile(x, y, Colour.G);", root, root, None) == occupied
+    assert leaf_taps("DestroyTile(Sub(x, 1), y);", root, root, None) == [
+        (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (2, 2),
+    ]
+
+
+@pytest.mark.parametrize("board, goal, witness, errors", [
+    # Tap (x, y) destroys (x - 1, y): every tap of column 0 raises, and the
+    # winning leaf parent counts its column-0 taps before its winning tap.
+    ("...\nRG.", "CLEARED", ((1, 0), (2, 0)), 3),
+    (".R.\nRBG", "COLOUR_CLEARED R", ((1, 0), (2, 1)), 4),
+])
+def test_a_cleared_goal_met_at_the_last_tap_after_raising_cells(board, goal, witness, errors):
+    challenge = parse_challenge(f"{board}\ngoal: {goal}\nmax_taps: 2\n")
+    result = assert_matches_naive(challenge, "DestroyTile(Sub(x, 1), y);")
+    assert result == EvalResult(Solved(2, witness), errors, 2)
+
+
+@pytest.mark.parametrize("goal", ["COLOUR_PRESENT Y", "COLOUR_CLEARED R"])
+def test_a_swap_calls_no_move_at_the_last_depth(goal, monkeypatch):
+    # A swap's child holds the parent's tiles and no constant, so it neither
+    # holds a Y nor clears a colour: a leaf parent builds no child.
+    challenge = parse_challenge(f"RGB\nBRG\nGBR\ngoal: {goal}\nmax_taps: 3\n")
+    text = "SwapTiles(x, y, 0, 0);"
+    expected = assert_matches_naive(challenge, text)
+    calls = []  # (parent, child) of every move called
+    real = evaluate.tap_moves
+    n = len(challenge.initial.cells)
+
+    def spied(hooks, state, present=None):
+        def spy(moves):
+            return [(xy, lambda src, move=move: calls.append((src[:n], move(src))) or move(src))
+                    for xy, move in moves]
+        first, later = real(hooks, state, present)
+        return iter(spy(first)), lambda key, leaf=False: spy(later(key, leaf))
+
+    monkeypatch.setattr(evaluate, "tap_moves", spied)
+    block = parse(text, params=["x", "y"])
+    result = solve(challenge, hooks_for(block, build_game_registry(3, 3)))
+    assert result == expected and result.status == Unsolvable()
+    root = challenge.initial.key()
+    inner = {root} | {child for parent, child in calls if parent == root}
+    assert len(inner) > 2 and {parent for parent, _ in calls} == inner
 
 
 def test_most_search_candidates_are_tabulated():
