@@ -29,7 +29,7 @@ from .game import (
 )
 from .lang import CodeBlock, Signature, TypeCheckError, decimal_int, pretty, typecheck
 from .registry import Registry
-from .runtime import GeneratedDelegate, HookTable
+from .runtime import HookTable
 from .synthesis import (
     GenerationConfig, GenerationError, config_with_seed, generate_block, run_seeds,
 )
@@ -278,15 +278,17 @@ def evaluate_candidate(
 ) -> EvalResult:
     """Static gate, then solve the challenge with the block bound as the hook.
 
-    A rejection keeps its error without the traceback, whose frames would
-    keep the block alive for as long as the result is kept.
+    The gate returns the checked delegate, its program built by the same
+    walk, so the block is walked once. A rejection keeps its error without
+    the traceback, whose frames would keep the block alive for as long as
+    the result is kept.
     """
     try:
-        typecheck(block, sig, registry)
+        delegate = typecheck(block, sig, registry)
     except TypeCheckError as err:
         return EvalResult(Rejected(err.with_traceback(None)))
     hooks = build_hook_table()
-    hooks.bind(ON_TILE_TAPPED, GeneratedDelegate(sig, block, registry))
+    hooks.bind(ON_TILE_TAPPED, delegate)
     return solve(challenge, hooks)
 
 

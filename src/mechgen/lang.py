@@ -1,4 +1,7 @@
-"""AST, type checker, pretty-printer, and parser for the generated language.
+"""AST, scope rule, pretty-printer, and parser for the generated language.
+
+Type checking is part of compilation (``runtime.compile_block``); ``typecheck``
+here is that call, raising the first ``TypeCheckError``.
 
 The language is a loop-free imperative subset: four statement kinds plus a
 terminal return. Operators do not exist at the syntax level; arithmetic and
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from .registry import (
     BOOL,
@@ -40,6 +43,9 @@ from .registry import (
     TypeId,
     enum_type,
 )
+
+if TYPE_CHECKING:
+    from .runtime import GeneratedDelegate
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -192,8 +198,8 @@ def lookup(frames: Sequence[Mapping[str, V]], name: str) -> Optional[V]:
 
     ``frames`` lists one mapping per enclosing block, outermost (the
     signature's parameters) first. This is the language's one scope rule:
-    the parser (name to True), the type checker (name to type), the compiler
-    (name to frame slot) and the generator's ``Scope`` all resolve names
+    the parser (name to True), the compiler, which also checks types (name
+    to frame slot and type), and the generator's ``Scope`` all resolve names
     through it.
     """
     for frame in reversed(frames):
@@ -227,172 +233,22 @@ class TypeCheckError(Exception):
         self.found = found
 
 
-def typecheck(block: CodeBlock, sig: Signature, registry: Registry) -> None:
-    """Raise TypeCheckError unless ``block`` is a valid body for ``sig``.
+def typecheck(block: CodeBlock, sig: Signature, registry: Registry) -> GeneratedDelegate:
+    """Raise TypeCheckError unless ``block`` is a valid body for ``sig``;
+    otherwise return the checked delegate, its program already built.
 
     Checks: every expression's type matches its context, every local is a
     parameter or declared earlier in a visible frame (no redeclaration of a
     visible name), field/method references are usable and type-correct,
     assignment targets are writable, branch-local declarations do not escape,
     and a final ``return`` of the right type closes non-void bodies.
+
+    This is ``runtime.compile_block``: the compiler infers each node's type
+    as it builds the node's code, so one walk both checks and compiles.
     """
-    frames: List[Dict[str, TypeId]] = [dict(sig.params)]
-    n = len(block.statements)
-    for i, st in enumerate(block.statements):
-        _check_stmt(st, i, frames, registry, sig, top=True, last=(i == n - 1))
-    if sig.return_type != VOID:
-        if n == 0 or not isinstance(block.statements[-1], Return):
-            raise TypeCheckError(
-                f"missing final return of type {sig.return_type.display()}",
-                stmt_index=max(n - 1, 0),
-                expected=sig.return_type,
-            )
+    from .runtime import compile_block  # runtime imports this module
 
-
-def _check_stmt(
-    st: Statement,
-    i: int,
-    frames: List[Dict[str, TypeId]],
-    registry: Registry,
-    sig: Signature,
-    top: bool,
-    last: bool,
-) -> None:
-    if isinstance(st, Return):
-        if not (top and last):
-            raise TypeCheckError("return is only allowed as the final top-level statement", i)
-        if sig.return_type == VOID:
-            if st.value is not None:
-                raise TypeCheckError("void body cannot return a value", i, expected=VOID)
-        else:
-            if st.value is None:
-                raise TypeCheckError(
-                    f"return needs a value of type {sig.return_type.display()}",
-                    i,
-                    expected=sig.return_type,
-                )
-            _expect(st.value, sig.return_type, i, frames, registry, "return value")
-    elif isinstance(st, VarDecl):
-        if not registry.resolves(st.type):
-            raise TypeCheckError(f"unknown type '{st.type.display()}'", i)
-        if lookup(frames, st.name) is not None:
-            raise TypeCheckError(f"redeclaration of visible local '{st.name}'", i)
-        _expect(st.init, st.type, i, frames, registry, f"initializer of {st.name}")
-        frames[-1][st.name] = st.type
-    elif isinstance(st, Assign):
-        if isinstance(st.target, LocalTarget):
-            target_type = lookup(frames, st.target.name)
-            if target_type is None:
-                raise TypeCheckError(f"unknown local '{st.target.name}'", i)
-        else:
-            fd = registry.field_named(st.target.name)
-            if fd is None:
-                raise TypeCheckError(f"unknown field '{st.target.name}'", i)
-            if not fd.usable:
-                raise TypeCheckError(f"field '{st.target.name}' is not usable", i)
-            if not fd.writable:
-                raise TypeCheckError(f"field '{st.target.name}' is read-only", i)
-            target_type = fd.type
-        _expect(st.value, target_type, i, frames, registry, f"value assigned to {st.target.name}")
-    elif isinstance(st, ExprStmt):
-        if not isinstance(st.call, Call):
-            raise TypeCheckError("statement expression must be a call", i)
-        _infer_call(st.call, i, frames, registry, "statement call", allow_void=True)
-    elif isinstance(st, IfElse):
-        _expect(st.cond, BOOL, i, frames, registry, "if condition")
-        for branch in (st.then_block, st.else_block):
-            if branch is None:
-                continue
-            frames.append({})
-            for bst in branch.statements:
-                _check_stmt(bst, i, frames, registry, sig, top=False, last=False)
-            frames.pop()
-    else:
-        raise TypeCheckError(f"unknown statement kind {type(st).__name__}", i)
-
-
-def _expect(
-    expr: Expression,
-    wanted: TypeId,
-    i: int,
-    frames: List[Dict[str, TypeId]],
-    registry: Registry,
-    path: str,
-) -> None:
-    """The one type-agreement check: infer ``expr`` and raise unless it has
-    type ``wanted``."""
-    found = _infer(expr, i, frames, registry, path)
-    if found != wanted:
-        raise TypeCheckError(
-            f"expected {wanted.display()}, found {found.display()}",
-            i,
-            path=path,
-            expected=wanted,
-            found=found,
-        )
-
-
-def _infer(
-    expr: Expression,
-    i: int,
-    frames: List[Dict[str, TypeId]],
-    registry: Registry,
-    path: str,
-) -> TypeId:
-    if isinstance(expr, IntLit):
-        return INT
-    if isinstance(expr, BoolLit):
-        return BOOL
-    if isinstance(expr, EnumLit):
-        e = registry.enum(expr.enum)
-        if e is None:
-            raise TypeCheckError(f"unknown enum '{expr.enum}'", i, path)
-        if expr.variant not in e.variants:
-            raise TypeCheckError(
-                f"enum '{expr.enum}' has no variant '{expr.variant}'", i, path
-            )
-        return enum_type(expr.enum)
-    if isinstance(expr, LocalRef):
-        t = lookup(frames, expr.name)
-        if t is None:
-            raise TypeCheckError(f"unknown local '{expr.name}'", i, path)
-        return t
-    if isinstance(expr, FieldRef):
-        fd = registry.field_named(expr.name)
-        if fd is None:
-            raise TypeCheckError(f"unknown field '{expr.name}'", i, path)
-        if not fd.usable:
-            raise TypeCheckError(f"field '{expr.name}' is not usable", i, path)
-        return fd.type
-    if isinstance(expr, Call):
-        return _infer_call(expr, i, frames, registry, path, allow_void=False)
-    raise TypeCheckError(f"unknown expression kind {type(expr).__name__}", i, path)
-
-
-def _infer_call(
-    call: Call,
-    i: int,
-    frames: List[Dict[str, TypeId]],
-    registry: Registry,
-    path: str,
-    allow_void: bool,
-) -> TypeId:
-    md = registry.method_named(call.method)
-    if md is None:
-        raise TypeCheckError(f"unknown method '{call.method}'", i, path)
-    if not md.usable:
-        raise TypeCheckError(f"method '{call.method}' is not usable", i, path)
-    if len(call.args) != md.arity:
-        raise TypeCheckError(
-            f"method '{call.method}' takes {md.arity} argument(s), got {len(call.args)}",
-            i,
-            path,
-        )
-    for k, (arg, (_, ptype)) in enumerate(zip(call.args, md.params)):
-        _expect(arg, ptype, i, frames, registry, f"arg {k} of {call.method}")
-    if md.return_type == VOID and not allow_void:
-        raise TypeCheckError(f"void call '{call.method}' used as a value", i, path)
-    return md.return_type
+    return compile_block(sig, block, registry)
 
 
 # --------------------------------------------------------------------------

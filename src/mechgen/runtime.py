@@ -1,4 +1,5 @@
-"""Execution: delegates, hook tables, and the code-block compiler.
+"""Execution: delegates, hook tables, and the code-block compiler, which is
+also the language's type checker.
 
 A Delegate pairs a signature with either a host behavior (a Python callable
 supplied by the game) or a generated code block. Hooks are named delegate
@@ -8,16 +9,20 @@ unbound hook runs the baseline behavior instead of failing.
 A call is checked once and then run any number of times: ``prepare`` checks
 the arity and argument types and picks the host or compiled path, and
 ``invoke`` is ``prepare`` followed by one run. A generated block is compiled
-once per delegate, when it is first prepared, into nested Python closures
-(Feeley and Lapalme, "Using closures for code generation", 1987): locals
-become fixed frame slots, and each call site carries its method's host
-implementation and bound checks. Every host-method call first checks each
-bounded parameter against its ``(min, max)`` from ``MethodDescriptor.bounds``
-(a literal argument inside its bounds is settled at compile time), so
-out-of-range arguments surface as ConstraintViolation whether they came from
-literals or computed values. The compiler also records whether the block
-may read the world (``GeneratedDelegate.reads_world``), from the effect flag
-of each method it calls.
+once per delegate into nested Python closures (Feeley and Lapalme, "Using
+closures for code generation", 1987), by one walk that also infers each
+node's type and records the first TypeCheckError. ``compile_block`` (which
+is ``lang.typecheck``) compiles at once and raises that error; a delegate
+built directly from a block compiles on first prepare and runs the block
+whatever its error. Locals become fixed frame slots, and each call site
+carries its method's host implementation and bound checks. Every host-method
+call first checks each bounded parameter against its ``(min, max)`` from
+``MethodDescriptor.bounds`` (a literal argument inside its bounds is settled
+at compile time), so out-of-range arguments surface as ConstraintViolation
+whether they came from literals or computed values. The compiler also
+records whether the block may read the world
+(``GeneratedDelegate.reads_world``), from the effect flag of each method it
+calls.
 Execution has no transactional rollback: an erroring invocation leaves the
 world in whatever partial state it reached.
 """
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .lang import (
     INT64_MIN,
@@ -47,9 +52,9 @@ from .lang import (
     Return,
     Signature,
     Statement,
+    TypeCheckError,
     VarDecl,
     lookup,
-    typecheck,
 )
 from .registry import BOOL, INT, VOID, Bounds, Registry, TypeId, enum_type
 
@@ -154,7 +159,9 @@ class ArityMismatch(ExecutionError):
 
 
 class InterpreterError(ExecutionError):
-    """A dynamic check failed; unreachable for typechecked blocks."""
+    """A dynamic check failed. The compiler emits one wherever the reference
+    interpreter would fail; a block without a TypeCheckError never raises
+    it."""
 
 
 class HookError(Exception):
@@ -212,12 +219,13 @@ class GeneratedDelegate(Delegate):
     registry: Optional[Registry] = field(default=None, compare=False)
 
     @cached_property
-    def _compiled(self) -> "Tuple[Runner, bool]":
+    def _compiled(self) -> "Tuple[Runner, bool, Optional[TypeCheckError]]":
         return _compile(self.sig, self.block, self.registry)
 
     @property
     def program(self) -> "Runner":
-        """The block compiled to closures, built on first use."""
+        """The block compiled to closures, built on first use: when checked
+        (``compile_block``), else on first prepare."""
         return self._compiled[0]
 
     @property
@@ -235,9 +243,16 @@ class GeneratedDelegate(Delegate):
 
 
 def compile_block(sig: Signature, block: CodeBlock, registry: Registry) -> GeneratedDelegate:
-    """Typecheck ``block`` against ``sig`` and wrap it as a delegate."""
-    typecheck(block, sig, registry)
-    return GeneratedDelegate(sig, block, registry)
+    """Typecheck ``block`` against ``sig`` and wrap it as a delegate.
+
+    One walk checks and compiles the block: this raises the first
+    TypeCheckError it found, or returns the delegate with its program built.
+    """
+    delegate = GeneratedDelegate(sig, block, registry)
+    error = delegate._compiled[2]
+    if error is not None:
+        raise error
+    return delegate
 
 
 # --------------------------------------------------------------------------
@@ -385,15 +400,26 @@ Frame = List[Any]
 Compiled = Callable[[Frame], Any]
 
 
-def _compile(sig: Signature, block: CodeBlock, registry: Optional[Registry]) -> Tuple[Runner, bool]:
-    """Compile ``block`` once into nested closures; the runner returns UNIT
-    when the block ends without a ``return`` value. Also returns whether the
-    block may read the world (``GeneratedDelegate.reads_world``).
+def _compile(
+    sig: Signature, block: CodeBlock, registry: Optional[Registry]
+) -> Tuple[Runner, bool, Optional[TypeCheckError]]:
+    """Check and compile ``block`` in one walk into nested closures; the
+    runner returns UNIT when the block ends without a ``return`` value. Also
+    returns whether the block may read the world
+    (``GeneratedDelegate.reads_world``) and the first TypeCheckError the
+    block has, or None when it is well-typed.
+
+    The walk infers each node's type as it builds the node's code, and
+    records the first failed check in this order: statements in order, a
+    statement's own checks before its expressions', an ``Assign``'s target
+    before its value, a call's method before its arguments (left to right)
+    and those before the call's own type. It never stops at an error, so
+    every block gets its program.
 
     The semantics are those of a tree-walking interpreter with a stack of
     dict frames, one per enclosing block (``tests/_reference_interp.py``
-    keeps one as the test oracle). Names resolve to slots at compile time
-    through a static copy of that stack, from name to slot. This is exact
+    keeps one as the test oracle). Names resolve to slots and types at
+    compile time through a static copy of that stack. This is exact
     because the language has no loops and no jumps other than a ``return``
     that ends the invocation. When a statement runs, each statement before
     it in its block has run exactly once, so the dynamic frames hold exactly
@@ -407,17 +433,21 @@ def _compile(sig: Signature, block: CodeBlock, registry: Optional[Registry]) -> 
     passed the type checker fail exactly as they would when interpreted.
     """
     if registry is None:
-        return _raising(InterpreterError, "generated delegate carries no registry"), True
-    compiler = _Compiler(registry, _FIRST_LOCAL + len(sig.params))
-    params = {pname: _FIRST_LOCAL + i for i, (pname, _) in enumerate(sig.params)}
-    body = compiler.block(block, [params])
+        return _raising(InterpreterError, "generated delegate carries no registry"), True, None
+    compiler = _Compiler(registry, sig)
+    params = {pname: (_FIRST_LOCAL + i, ptype) for i, (pname, ptype) in enumerate(sig.params)}
+    body = compiler.block(block, [params], top=True)
+    n = len(block.statements)
+    if sig.return_type != VOID and (n == 0 or not isinstance(block.statements[-1], Return)):
+        compiler.index = max(n - 1, 0)
+        compiler.reject(f"missing final return of type {sig.return_type.display()}", expected=sig.return_type)
     rest = compiler.rest
 
     def program(args: Sequence[Value], world: Any, budget: ExecBudget) -> Value:
         result = body([world, budget, *args, *rest])
         return result if result is not None else UNIT
 
-    return program, compiler.reads_world
+    return program, compiler.reads_world, compiler.error
 
 
 def _fault(message: str, first: Optional[Compiled] = None) -> Compiled:
@@ -440,23 +470,53 @@ def _settled(arg: Expression, bounds: Bounds) -> bool:
     return (lo is None or lo <= arg.value) and (hi is None or arg.value <= hi)
 
 
+# A name's frame slot and declared type.
+Binding = Tuple[int, TypeId]
+Frames = List[Dict[str, Binding]]
+# A literal's or a visible local's slot, or the code that computes a value.
+Operand = Union[int, Compiled]
+
+
 class _Compiler:
-    def __init__(self, registry: Registry, first: int):
+    def __init__(self, registry: Registry, sig: Signature):
         self.registry = registry
-        self.first = first  # the first slot after the parameters
+        self.returns = sig.return_type
+        self.first = _FIRST_LOCAL + len(sig.params)  # the first slot after the parameters
         # Initial contents of the slots from ``first`` on: None for a local,
         # the value for a literal.
         self.rest: List[Optional[Value]] = []
         # Set by any call of a reader or an unknown method, and by any field
         # write; every call site is compiled, reachable or not.
         self.reads_world = False
+        self.error: Optional[TypeCheckError] = None  # the first one found
+        self.index = 0  # the top-level statement being compiled
+
+    def reject(
+        self, message: str, path: str = "", expected: Optional[TypeId] = None, found: Optional[TypeId] = None
+    ) -> None:
+        """Record a failed check, unless an earlier one is recorded."""
+        if self.error is None:
+            self.error = TypeCheckError(message, self.index, path, expected, found)
+
+    def fail(self, message: str, path: str) -> Compiled:
+        """Record a failed check that the interpreter also makes: code that
+        raises InterpreterError with the same message."""
+        self.reject(message, path)
+        return _fault(message)
 
     def new_slot(self, value: Optional[Value] = None) -> int:
         self.rest.append(value)
         return self.first + len(self.rest) - 1
 
-    def block(self, block: CodeBlock, frames: List[Dict[str, int]]) -> Compiled:
-        stmts = [self.stmt(st, frames) for st in block.statements]
+    def block(self, block: CodeBlock, frames: Frames, top: bool = False) -> Compiled:
+        """A block's code; in the ``top`` block alone, the last statement may
+        be a ``return``."""
+        last = len(block.statements) - 1
+        stmts = []
+        for i, st in enumerate(block.statements):
+            if top:
+                self.index = i
+            stmts.append(self.stmt(st, frames, top and i == last))
         if len(stmts) == 1:
             return stmts[0]
 
@@ -469,7 +529,7 @@ class _Compiler:
 
         return run_block
 
-    def branch(self, block: Optional[CodeBlock], frames: List[Dict[str, int]]) -> Optional[Compiled]:
+    def branch(self, block: Optional[CodeBlock], frames: Frames) -> Optional[Compiled]:
         if block is None:
             return None
         frames.append({})
@@ -477,12 +537,17 @@ class _Compiler:
         frames.pop()
         return compiled
 
-    def stmt(self, st: Statement, frames: List[Dict[str, int]]) -> Compiled:
+    def stmt(self, st: Statement, frames: Frames, final: bool) -> Compiled:
         if isinstance(st, VarDecl):
-            init = self.expr(st.init, frames)  # the name is not visible yet
+            if not self.registry.resolves(st.type):
+                self.reject(f"unknown type '{st.type.display()}'")
+            if lookup(frames, st.name) is not None:
+                self.reject(f"redeclaration of visible local '{st.name}'")
+            # the name is not visible yet
+            init = self.expr(st.init, frames, st.type, f"initializer of {st.name}")
             if st.name not in frames[-1]:
-                frames[-1][st.name] = self.new_slot()
-            slot = frames[-1][st.name]
+                frames[-1][st.name] = (self.new_slot(), st.type)
+            slot = frames[-1][st.name][0]
 
             def var_decl(frame: Frame) -> None:
                 frame[slot] = init(frame)
@@ -491,14 +556,16 @@ class _Compiler:
         if isinstance(st, Assign):
             return self.assign(st, frames)
         if isinstance(st, ExprStmt):
-            call = self.expr(st.call, frames)
+            if not isinstance(st.call, Call):
+                self.reject("statement expression must be a call")
+            call = self.expr(st.call, frames, None, "statement call")
 
             def expr_stmt(frame: Frame) -> None:
                 call(frame)
 
             return expr_stmt
         if isinstance(st, IfElse):
-            cond = self.expr(st.cond, frames)
+            cond = self.expr(st.cond, frames, BOOL, "if condition")
             then_block = self.branch(st.then_block, frames)
             else_block = self.branch(st.else_block, frames)
 
@@ -511,18 +578,29 @@ class _Compiler:
 
             return if_else
         if isinstance(st, Return):
+            if not final:
+                self.reject("return is only allowed as the final top-level statement")
             if st.value is None:
+                if self.returns != VOID:
+                    self.reject(f"return needs a value of type {self.returns.display()}", expected=self.returns)
                 return itemgetter(self.new_slot(UNIT))
-            return self.expr(st.value, frames)
+            if self.returns == VOID:
+                self.reject("void body cannot return a value", expected=VOID)
+            return self.expr(st.value, frames, self.returns, "return value")
+        self.reject(f"unknown statement kind {type(st).__name__}")
         return _fault(f"cannot execute statement {st!r}")
 
-    def assign(self, st: Assign, frames: List[Dict[str, int]]) -> Compiled:
-        value = self.expr(st.value, frames)
+    def assign(self, st: Assign, frames: Frames) -> Compiled:
+        """An assignment; its target is checked before its value, and its
+        code runs the value first."""
         name = st.target.name
+        path = f"value assigned to {name}"
         if isinstance(st.target, LocalTarget):
-            slot = lookup(frames, name)
-            if slot is None:
-                return _fault(f"unknown local '{name}'", first=value)
+            binding = lookup(frames, name)
+            if binding is None:
+                return self.assign_fault(f"unknown local '{name}'", st.value, frames, path)
+            slot, wanted = binding
+            value = self.expr(st.value, frames, wanted, path)
 
             def assign_local(frame: Frame) -> None:
                 frame[slot] = value(frame)
@@ -531,9 +609,12 @@ class _Compiler:
         self.reads_world = True
         fd = self.registry.field_named(name)
         if fd is None:
-            return _fault(f"unknown field '{name}'", first=value)
+            return self.assign_fault(f"unknown field '{name}'", st.value, frames, path)
+        if not fd.usable:
+            self.reject(f"field '{name}' is not usable")
         if not fd.writable:
-            return _fault(f"field '{name}' is read-only", first=value)
+            return self.assign_fault(f"field '{name}' is read-only", st.value, frames, path)
+        value = self.expr(st.value, frames, fd.type, path)
 
         def assign_field(frame: Frame) -> None:
             result = value(frame)
@@ -541,38 +622,65 @@ class _Compiler:
 
         return assign_field
 
-    def leaf(self, expr: Expression, frames: List[Dict[str, int]]) -> Optional[int]:
-        """The slot a literal or a visible local is read from, else None."""
-        if isinstance(expr, IntLit):
-            return self.new_slot(IntV(expr.value))
-        if isinstance(expr, BoolLit):
-            return self.new_slot(BoolV(expr.value))
-        if isinstance(expr, EnumLit):
-            return self.new_slot(EnumV(expr.enum, expr.variant))
-        if isinstance(expr, LocalRef):
-            return lookup(frames, expr.name)
-        return None
+    def assign_fault(self, message: str, value: Expression, frames: Frames, path: str) -> Compiled:
+        """Record a failed check of an assignment's target: code that runs
+        the ``value``, then raises InterpreterError(message)."""
+        self.reject(message)
+        return _fault(message, first=self.expr(value, frames, None, path))
 
-    def expr(self, expr: Expression, frames: List[Dict[str, int]]) -> Compiled:
-        slot = self.leaf(expr, frames)
-        if slot is not None:
-            return itemgetter(slot)
+    def expr(self, expr: Expression, frames: Frames, wanted: Optional[TypeId], path: str) -> Compiled:
+        operand = self.operand(expr, frames, wanted, path)
+        return itemgetter(operand) if isinstance(operand, int) else operand
+
+    def operand(self, expr: Expression, frames: Frames, wanted: Optional[TypeId], path: str) -> Operand:
+        """The one type-agreement check: compile ``expr`` and record a failed
+        check unless it has type ``wanted``. None wants any type, void
+        included: a statement call, or a context already rejected."""
+        operand, found = self.infer(expr, frames, wanted is None, path)
+        if found is not wanted and wanted is not None and found is not None and found != wanted:
+            self.reject(f"expected {wanted.display()}, found {found.display()}", path, wanted, found)
+        return operand
+
+    def infer(
+        self, expr: Expression, frames: Frames, allow_void: bool, path: str
+    ) -> Tuple[Operand, Optional[TypeId]]:
+        """``expr``'s slot or code, and its type (None once a check failed)."""
+        if isinstance(expr, IntLit):
+            return self.new_slot(IntV(expr.value)), INT
+        if isinstance(expr, BoolLit):
+            return self.new_slot(BoolV(expr.value)), BOOL
+        if isinstance(expr, EnumLit):
+            e = self.registry.enum(expr.enum)
+            if e is None:
+                self.reject(f"unknown enum '{expr.enum}'", path)
+            elif expr.variant not in e.variants:
+                self.reject(f"enum '{expr.enum}' has no variant '{expr.variant}'", path)
+            return self.new_slot(EnumV(expr.enum, expr.variant)), enum_type(expr.enum)
         if isinstance(expr, LocalRef):
-            return _fault(f"unknown local '{expr.name}'")
+            binding = lookup(frames, expr.name)
+            if binding is None:
+                return self.fail(f"unknown local '{expr.name}'", path), None
+            return binding
         if isinstance(expr, FieldRef):
             name = expr.name
-            if self.registry.field_named(name) is None:
-                return _fault(f"unknown field '{name}'")
+            fd = self.registry.field_named(name)
+            if fd is None:
+                return self.fail(f"unknown field '{name}'", path), None
+            if not fd.usable:
+                self.reject(f"field '{name}' is not usable", path)
 
             def read_field(frame: Frame) -> Value:
                 return frame[_WORLD].read_field(name)
 
-            return read_field
+            return read_field, fd.type
         if isinstance(expr, Call):
-            return self.call(expr, frames)
-        return _fault(f"cannot evaluate expression {expr!r}")
+            return self.call(expr, frames, allow_void, path)
+        self.reject(f"unknown expression kind {type(expr).__name__}", path)
+        return _fault(f"cannot evaluate expression {expr!r}"), None
 
-    def call(self, call: Call, frames: List[Dict[str, int]]) -> Compiled:
+    def call(
+        self, call: Call, frames: Frames, allow_void: bool, path: str
+    ) -> Tuple[Compiled, Optional[TypeId]]:
         """A host-method call: evaluate the arguments left to right, check
         the bounded parameters in signature order, spend one unit of budget,
         run the host implementation."""
@@ -581,18 +689,22 @@ class _Compiler:
         if md is None or md.reads_world:
             self.reads_world = True
         if md is None:
-            return _fault(f"unknown method '{name}'")
+            return self.fail(f"unknown method '{name}'", path), None
+        if not md.usable:
+            self.reject(f"method '{name}' is not usable", path)
         if len(call.args) != md.arity:
-            return _fault(f"method '{name}' takes {md.arity} argument(s), got {len(call.args)}")
-        slots = [self.leaf(arg, frames) for arg in call.args]
-        if len(slots) >= 2 and None not in slots:
+            return self.fail(f"method '{name}' takes {md.arity} argument(s), got {len(call.args)}", path), None
+        operands = [
+            self.operand(arg, frames, ptype, f"arg {k} of {name}")
+            for k, (arg, (_, ptype)) in enumerate(zip(call.args, md.params))
+        ]
+        if not allow_void and md.return_type == VOID:
+            self.reject(f"void call '{name}' used as a value", path)
+        if len(operands) >= 2 and all(isinstance(o, int) for o in operands):
             # All arguments are slot reads: one C-level getter fetches them.
-            eval_args: Callable[[Frame], Sequence[Value]] = itemgetter(*slots)
+            eval_args: Callable[[Frame], Sequence[Value]] = itemgetter(*operands)
         else:
-            arg_fns = [
-                itemgetter(slot) if slot is not None else self.expr(arg, frames)
-                for slot, arg in zip(slots, call.args)
-            ]
+            arg_fns = [itemgetter(o) if isinstance(o, int) else o for o in operands]
 
             def eval_args(frame: Frame) -> Sequence[Value]:
                 return [fn(frame) for fn in arg_fns]
@@ -624,4 +736,4 @@ class _Compiler:
                 raise HostError(f"method '{name}' has no host implementation", name)
             return host(frame[_WORLD], args)
 
-        return call_method
+        return call_method, md.return_type

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _reference_interp import reference_invoke
+from mechgen import evaluate, runtime
 from mechgen.game import Board, GameState, build_game_registry, on_tile_tapped_signature
 from mechgen.lang import (
     Assign,
@@ -34,6 +35,7 @@ from mechgen.lang import (
     Statement,
     VarDecl,
     parse,
+    pretty,
 )
 from mechgen.registry import (
     BOOL,
@@ -45,7 +47,7 @@ from mechgen.registry import (
     Registry,
     enum_type,
 )
-from mechgen.runtime import UNIT, BoolV, ConstraintViolation, ExecBudget, GeneratedDelegate, IntV, invoke
+from mechgen.runtime import UNIT, BoolV, ConstraintViolation, ExecBudget, GeneratedDelegate, IntV, invoke, prepare
 from mechgen.synthesis import (
     GenerationConfig,
     GenerationError,
@@ -314,10 +316,52 @@ def test_delegate_without_registry_matches_reference():
     assert result[0] == "raised"
 
 
-def test_compiled_program_is_built_once_per_delegate():
+def built_directly(monkeypatch, walks):
+    """A delegate built from a block, which compiles on first prepare."""
     delegate = GeneratedDelegate(VOID_SIG, _block(ExprStmt(_call("Move", IntLit(0)))), LAB)
-    assert "program" not in vars(delegate)  # nothing is compiled on construction
+    assert not walks  # nothing is compiled on construction
     invoke(delegate, [], LabWorld())
-    program = delegate.program
-    invoke(delegate, [], LabWorld())
-    assert delegate.program is program
+    assert len(walks) == 1
+    return [delegate]
+
+
+def checked_in_a_search(monkeypatch, walks):
+    """The delegates the type checker returns in a search: it walks each
+    distinct generated text once, and its delegate comes compiled."""
+    texts, delegates = set(), []
+    generate, check = evaluate.generate_block, evaluate.typecheck
+
+    def spy_generate(*args):
+        block = generate(*args)
+        texts.add(pretty(block))
+        return block
+
+    def spy_check(*args):
+        delegates.append(check(*args))
+        return delegates[-1]
+
+    monkeypatch.setattr(evaluate, "generate_block", spy_generate)
+    monkeypatch.setattr(evaluate, "typecheck", spy_check)
+    challenge = evaluate.load_challenge(FIXTURES / "unsolvable.ch")
+    config = load_config_file(str(FIXTURES / "search.cfg"))
+    evaluate.search_mechanics(TAP_SIG, build_game_registry(), challenge, config, budget=200)
+    assert len(texts) > 1
+    assert len(walks) == len(texts) == len(delegates)
+    return delegates
+
+
+@pytest.mark.parametrize("delegates", [built_directly, checked_in_a_search])
+def test_compiled_program_is_built_once_per_delegate(delegates, monkeypatch):
+    walks = []
+    compile_block_once = runtime._compile
+
+    def spy_compile(*args):
+        walks.append(args)
+        return compile_block_once(*args)
+
+    monkeypatch.setattr(runtime, "_compile", spy_compile)
+    for delegate in delegates(monkeypatch, walks):
+        before = len(walks)
+        program = delegate.program
+        assert prepare(delegate, [t for _, t in delegate.sig.params]) is program
+        assert len(walks) == before
