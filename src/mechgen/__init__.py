@@ -40,7 +40,7 @@ from .registry import (
     Registry,
     enum_type,
 )
-from .runtime import ExecBudget, GeneratedDelegate, HookTable, HostDelegate, compile_block, invoke
+from .runtime import ExecBudget, GeneratedDelegate, HookTable, HostDelegate, invoke
 from .synthesis import (
     GenerationConfig,
     GenerationError,

@@ -252,9 +252,9 @@ def tap_moves(
       fixed too, because control flow cannot depend on the board.
     - Otherwise the tap is a gather: its child, before gravity, picks its
       cells from ``key + _CONSTANTS`` at the indices the marker run left.
-      If the run left any other value in a cell (a block that skipped the
-      type checker can paint a variant that is no colour), that tap runs
-      the block on every move instead.
+      If the run left any other value in a cell (a block can paint a
+      variant that is no tile colour when its registry's ``Colour``
+      declares one), that tap runs the block on every move instead.
 
     Gravity after a gather depends only on which picks are empty, which the
     parent's empty cells (its mask) fix, so the two together are again a

@@ -1,7 +1,8 @@
 """AST, scope rule, pretty-printer, and parser for the generated language.
 
-Type checking is part of compilation (``runtime.compile_block``); ``typecheck``
-here is that call, raising the first ``TypeCheckError``.
+Type checking is part of compilation: constructing a
+``runtime.GeneratedDelegate`` checks its block, and ``typecheck`` here is that
+construction, raising the first ``TypeCheckError``.
 
 The language is a loop-free imperative subset: four statement kinds plus a
 terminal return. Operators do not exist at the syntax level; arithmetic and
@@ -243,12 +244,13 @@ def typecheck(block: CodeBlock, sig: Signature, registry: Registry) -> Generated
     assignment targets are writable, branch-local declarations do not escape,
     and a final ``return`` of the right type closes non-void bodies.
 
-    This is ``runtime.compile_block``: the compiler infers each node's type
-    as it builds the node's code, so one walk both checks and compiles.
+    This is ``runtime.GeneratedDelegate(sig, block, registry)``: the
+    compiler infers each node's type as it builds the node's code, so one
+    walk both checks and compiles.
     """
-    from .runtime import compile_block  # runtime imports this module
+    from .runtime import GeneratedDelegate  # runtime imports this module
 
-    return compile_block(sig, block, registry)
+    return GeneratedDelegate(sig, block, registry)
 
 
 # --------------------------------------------------------------------------

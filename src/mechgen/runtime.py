@@ -8,13 +8,12 @@ unbound hook runs the baseline behavior instead of failing.
 
 A call is checked once and then run any number of times: ``prepare`` checks
 the arity and argument types and picks the host or compiled path, and
-``invoke`` is ``prepare`` followed by one run. A generated block is compiled
-once per delegate into nested Python closures (Feeley and Lapalme, "Using
+``invoke`` is ``prepare`` followed by one run. A block runs only once it
+type-checks: constructing a GeneratedDelegate (which is ``lang.typecheck``)
+compiles its block into nested Python closures (Feeley and Lapalme, "Using
 closures for code generation", 1987), by one walk that also infers each
-node's type and records the first TypeCheckError. ``compile_block`` (which
-is ``lang.typecheck``) compiles at once and raises that error; a delegate
-built directly from a block compiles on first prepare and runs the block
-whatever its error. Locals become fixed frame slots, and each call site
+node's type and raises the first TypeCheckError. Locals become fixed frame
+slots, and each call site
 carries its method's host implementation and bound checks. Every host-method
 call first checks each bounded parameter against its ``(min, max)`` from
 ``MethodDescriptor.bounds`` (a literal argument inside its bounds is settled
@@ -30,10 +29,9 @@ world in whatever partial state it reached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import inf
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
 from .lang import (
     INT64_MIN,
@@ -159,9 +157,8 @@ class ArityMismatch(ExecutionError):
 
 
 class InterpreterError(ExecutionError):
-    """A dynamic check failed. The compiler emits one wherever the reference
-    interpreter would fail; a block without a TypeCheckError never raises
-    it."""
+    """A delegate that is neither a host behavior nor a checked block was
+    invoked (``prepare``). A checked block never raises it."""
 
 
 class HookError(Exception):
@@ -215,44 +212,29 @@ class HostDelegate(Delegate):
 
 @dataclass(frozen=True)
 class GeneratedDelegate(Delegate):
-    block: CodeBlock = CodeBlock()
-    registry: Optional[Registry] = field(default=None, compare=False)
+    """A code block checked against ``sig`` and ``registry``.
 
-    @cached_property
-    def _compiled(self) -> "Tuple[Runner, bool, Optional[TypeCheckError]]":
-        return _compile(self.sig, self.block, self.registry)
+    Construction checks and compiles the block in one walk: it raises the
+    block's first TypeCheckError, or sets ``program``, the block compiled to
+    closures, and ``reads_world``, whether the block may read the world.
 
-    @property
-    def program(self) -> "Runner":
-        """The block compiled to closures, built on first use: when checked
-        (``compile_block``), else on first prepare."""
-        return self._compiled[0]
-
-    @property
-    def reads_world(self) -> bool:
-        """Whether the block may read the world, recorded while compiling.
-
-        It does when any call site, dead branches included, names a method
-        declared ``reads_world`` or an unknown method, or when it assigns a
-        field. Field reads do not count: a world's fields are taken to be
-        fixed by its shape (the game's are the board dimensions). A block
-        that does not read the world does the same thing to every board of
-        one size, whatever the board holds.
-        """
-        return self._compiled[1]
-
-
-def compile_block(sig: Signature, block: CodeBlock, registry: Registry) -> GeneratedDelegate:
-    """Typecheck ``block`` against ``sig`` and wrap it as a delegate.
-
-    One walk checks and compiles the block: this raises the first
-    TypeCheckError it found, or returns the delegate with its program built.
+    The block reads the world when any call site, dead branches included,
+    names a method declared ``reads_world``, or when it assigns a field.
+    Field reads do not count: a world's fields are taken to be fixed by its
+    shape (the game's are the board dimensions). A block that does not read
+    the world does the same thing to every board of one size, whatever the
+    board holds.
     """
-    delegate = GeneratedDelegate(sig, block, registry)
-    error = delegate._compiled[2]
-    if error is not None:
-        raise error
-    return delegate
+
+    block: CodeBlock
+    registry: Registry = field(compare=False)
+    program: Runner = field(init=False, compare=False, repr=False)
+    reads_world: bool = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        program, reads_world = _compile(self.sig, self.block, self.registry)
+        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "reads_world", reads_world)
 
 
 # --------------------------------------------------------------------------
@@ -390,9 +372,8 @@ def invoke(
 # _FIRST_LOCAL on every parameter, local and literal has a fixed slot.
 # Literal slots are filled once at compile time and never written, so a
 # literal and a local are read the same way. An expression compiles to a
-# function from the frame to a Value. A statement compiles to a function
-# from the frame that returns the block's result when it ran a ``return``,
-# and None otherwise.
+# function from the frame to a Value, a statement to a function from the
+# frame that runs it for its effect.
 
 _WORLD, _BUDGET, _FIRST_LOCAL = 0, 1, 2
 
@@ -400,65 +381,51 @@ Frame = List[Any]
 Compiled = Callable[[Frame], Any]
 
 
-def _compile(
-    sig: Signature, block: CodeBlock, registry: Optional[Registry]
-) -> Tuple[Runner, bool, Optional[TypeCheckError]]:
-    """Check and compile ``block`` in one walk into nested closures; the
-    runner returns UNIT when the block ends without a ``return`` value. Also
-    returns whether the block may read the world
-    (``GeneratedDelegate.reads_world``) and the first TypeCheckError the
-    block has, or None when it is well-typed.
+def _compile(sig: Signature, block: CodeBlock, registry: Registry) -> Tuple[Runner, bool]:
+    """Check and compile ``block`` in one walk into nested closures: the
+    runner, and whether the block may read the world
+    (``GeneratedDelegate.reads_world``).
 
     The walk infers each node's type as it builds the node's code, and
-    records the first failed check in this order: statements in order, a
+    raises the first failed check in this order: statements in order, a
     statement's own checks before its expressions', an ``Assign``'s target
     before its value, a call's method before its arguments (left to right)
-    and those before the call's own type. It never stops at an error, so
-    every block gets its program.
+    and those before the call's own type.
 
     The semantics are those of a tree-walking interpreter with a stack of
     dict frames, one per enclosing block (``tests/_reference_interp.py``
     keeps one as the test oracle). Names resolve to slots and types at
     compile time through a static copy of that stack. This is exact
-    because the language has no loops and no jumps other than a ``return``
-    that ends the invocation. When a statement runs, each statement before
-    it in its block has run exactly once, so the dynamic frames hold exactly
-    the parameters (outermost) and the names declared by the earlier
-    VarDecls of each enclosing block. The scope rule (``lang.lookup``)
-    applied to the static frames therefore finds the binding the dynamic
-    lookup would.
-    What does not resolve (an unknown local, method or field, a read-only
-    field, a wrong arity) compiles to code that raises the interpreter's
-    InterpreterError when, and only if, it is reached, so blocks that never
-    passed the type checker fail exactly as they would when interpreted.
+    because the language has no loops and no jumps, and a checked block's
+    only ``return`` is its last top-level statement. When a statement runs,
+    each statement before it in its block has run exactly once, so the
+    dynamic frames hold exactly the parameters (outermost) and the names
+    declared by the earlier VarDecls of each enclosing block. The scope rule
+    (``lang.lookup``) applied to the static frames therefore finds the
+    binding the dynamic lookup would. The runner runs the body, then
+    evaluates the final ``return``'s value, or UNIT.
     """
-    if registry is None:
-        return _raising(InterpreterError, "generated delegate carries no registry"), True, None
     compiler = _Compiler(registry, sig)
     params = {pname: (_FIRST_LOCAL + i, ptype) for i, (pname, ptype) in enumerate(sig.params)}
-    body = compiler.block(block, [params], top=True)
-    n = len(block.statements)
-    if sig.return_type != VOID and (n == 0 or not isinstance(block.statements[-1], Return)):
-        compiler.index = max(n - 1, 0)
-        compiler.reject(f"missing final return of type {sig.return_type.display()}", expected=sig.return_type)
+    frames: Frames = [params]
+    statements = block.statements
+    n = len(statements)
+    final = statements[-1] if n and isinstance(statements[-1], Return) else None
+    body = compiler.block(statements if final is None else statements[:-1], frames, top=True)
+    compiler.index = max(n - 1, 0)
+    result = compiler.final_return(final, frames)
     rest = compiler.rest
 
     def program(args: Sequence[Value], world: Any, budget: ExecBudget) -> Value:
-        result = body([world, budget, *args, *rest])
-        return result if result is not None else UNIT
+        frame = [world, budget, *args, *rest]
+        body(frame)
+        return result(frame)
 
-    return program, compiler.reads_world, compiler.error
+    return program, compiler.reads_world
 
 
-def _fault(message: str, first: Optional[Compiled] = None) -> Compiled:
-    """Code that raises InterpreterError(message), after evaluating ``first``."""
-
-    def fault(frame: Frame) -> Any:
-        if first is not None:
-            first(frame)
-        raise InterpreterError(message)
-
-    return fault
+def _skip(frame: Frame) -> None:
+    """The code of an empty block."""
 
 
 def _settled(arg: Expression, bounds: Bounds) -> bool:
@@ -485,59 +452,48 @@ class _Compiler:
         # Initial contents of the slots from ``first`` on: None for a local,
         # the value for a literal.
         self.rest: List[Optional[Value]] = []
-        # Set by any call of a reader or an unknown method, and by any field
-        # write; every call site is compiled, reachable or not.
+        # Set by any call of a reader and by any field write; every call site
+        # is compiled, reachable or not.
         self.reads_world = False
-        self.error: Optional[TypeCheckError] = None  # the first one found
         self.index = 0  # the top-level statement being compiled
 
     def reject(
         self, message: str, path: str = "", expected: Optional[TypeId] = None, found: Optional[TypeId] = None
-    ) -> None:
-        """Record a failed check, unless an earlier one is recorded."""
-        if self.error is None:
-            self.error = TypeCheckError(message, self.index, path, expected, found)
-
-    def fail(self, message: str, path: str) -> Compiled:
-        """Record a failed check that the interpreter also makes: code that
-        raises InterpreterError with the same message."""
-        self.reject(message, path)
-        return _fault(message)
+    ) -> NoReturn:
+        """Fail a check: raise its TypeCheckError."""
+        raise TypeCheckError(message, self.index, path, expected, found)
 
     def new_slot(self, value: Optional[Value] = None) -> int:
         self.rest.append(value)
         return self.first + len(self.rest) - 1
 
-    def block(self, block: CodeBlock, frames: Frames, top: bool = False) -> Compiled:
-        """A block's code; in the ``top`` block alone, the last statement may
-        be a ``return``."""
-        last = len(block.statements) - 1
+    def block(self, statements: Sequence[Statement], frames: Frames, top: bool = False) -> Compiled:
+        """A block's code; ``top`` marks the block's statements as top-level."""
         stmts = []
-        for i, st in enumerate(block.statements):
+        for i, st in enumerate(statements):
             if top:
                 self.index = i
-            stmts.append(self.stmt(st, frames, top and i == last))
+            stmts.append(self.stmt(st, frames))
+        if not stmts:
+            return _skip
         if len(stmts) == 1:
             return stmts[0]
 
-        def run_block(frame: Frame) -> Optional[Value]:
+        def run_block(frame: Frame) -> None:
             for stmt in stmts:
-                result = stmt(frame)
-                if result is not None:
-                    return result
-            return None
+                stmt(frame)
 
         return run_block
 
-    def branch(self, block: Optional[CodeBlock], frames: Frames) -> Optional[Compiled]:
+    def branch(self, block: Optional[CodeBlock], frames: Frames) -> Compiled:
         if block is None:
-            return None
+            return _skip
         frames.append({})
-        compiled = self.block(block, frames)
+        compiled = self.block(block.statements, frames)
         frames.pop()
         return compiled
 
-    def stmt(self, st: Statement, frames: Frames, final: bool) -> Compiled:
+    def stmt(self, st: Statement, frames: Frames) -> Compiled:
         if isinstance(st, VarDecl):
             if not self.registry.resolves(st.type):
                 self.reject(f"unknown type '{st.type.display()}'")
@@ -545,9 +501,8 @@ class _Compiler:
                 self.reject(f"redeclaration of visible local '{st.name}'")
             # the name is not visible yet
             init = self.expr(st.init, frames, st.type, f"initializer of {st.name}")
-            if st.name not in frames[-1]:
-                frames[-1][st.name] = (self.new_slot(), st.type)
-            slot = frames[-1][st.name][0]
+            slot = self.new_slot()
+            frames[-1][st.name] = (slot, st.type)
 
             def var_decl(frame: Frame) -> None:
                 frame[slot] = init(frame)
@@ -569,26 +524,27 @@ class _Compiler:
             then_block = self.branch(st.then_block, frames)
             else_block = self.branch(st.else_block, frames)
 
-            def if_else(frame: Frame) -> Optional[Value]:
-                flag = cond(frame)
-                if not isinstance(flag, BoolV):
-                    raise InterpreterError("if condition did not evaluate to a bool")
-                branch = then_block if flag.value else else_block
-                return None if branch is None else branch(frame)
+            def if_else(frame: Frame) -> None:
+                (then_block if cond(frame).value else else_block)(frame)
 
             return if_else
         if isinstance(st, Return):
-            if not final:
-                self.reject("return is only allowed as the final top-level statement")
-            if st.value is None:
-                if self.returns != VOID:
-                    self.reject(f"return needs a value of type {self.returns.display()}", expected=self.returns)
-                return itemgetter(self.new_slot(UNIT))
-            if self.returns == VOID:
-                self.reject("void body cannot return a value", expected=VOID)
-            return self.expr(st.value, frames, self.returns, "return value")
+            self.reject("return is only allowed as the final top-level statement")
         self.reject(f"unknown statement kind {type(st).__name__}")
-        return _fault(f"cannot execute statement {st!r}")
+
+    def final_return(self, st: Optional[Return], frames: Frames) -> Compiled:
+        """The code of the block's result: the value of its final ``return``
+        (``st``, None when the block ends without one), or UNIT."""
+        returns = self.returns
+        if st is not None and st.value is not None:
+            if returns == VOID:
+                self.reject("void body cannot return a value", expected=VOID)
+            return self.expr(st.value, frames, returns, "return value")
+        if returns != VOID:
+            if st is None:
+                self.reject(f"missing final return of type {returns.display()}", expected=returns)
+            self.reject(f"return needs a value of type {returns.display()}", expected=returns)
+        return itemgetter(self.new_slot(UNIT))
 
     def assign(self, st: Assign, frames: Frames) -> Compiled:
         """An assignment; its target is checked before its value, and its
@@ -598,7 +554,7 @@ class _Compiler:
         if isinstance(st.target, LocalTarget):
             binding = lookup(frames, name)
             if binding is None:
-                return self.assign_fault(f"unknown local '{name}'", st.value, frames, path)
+                self.reject(f"unknown local '{name}'")
             slot, wanted = binding
             value = self.expr(st.value, frames, wanted, path)
 
@@ -606,14 +562,14 @@ class _Compiler:
                 frame[slot] = value(frame)
 
             return assign_local
-        self.reads_world = True
         fd = self.registry.field_named(name)
         if fd is None:
-            return self.assign_fault(f"unknown field '{name}'", st.value, frames, path)
+            self.reject(f"unknown field '{name}'")
         if not fd.usable:
             self.reject(f"field '{name}' is not usable")
         if not fd.writable:
-            return self.assign_fault(f"field '{name}' is read-only", st.value, frames, path)
+            self.reject(f"field '{name}' is read-only")
+        self.reads_world = True
         value = self.expr(st.value, frames, fd.type, path)
 
         def assign_field(frame: Frame) -> None:
@@ -622,29 +578,21 @@ class _Compiler:
 
         return assign_field
 
-    def assign_fault(self, message: str, value: Expression, frames: Frames, path: str) -> Compiled:
-        """Record a failed check of an assignment's target: code that runs
-        the ``value``, then raises InterpreterError(message)."""
-        self.reject(message)
-        return _fault(message, first=self.expr(value, frames, None, path))
-
     def expr(self, expr: Expression, frames: Frames, wanted: Optional[TypeId], path: str) -> Compiled:
         operand = self.operand(expr, frames, wanted, path)
         return itemgetter(operand) if isinstance(operand, int) else operand
 
     def operand(self, expr: Expression, frames: Frames, wanted: Optional[TypeId], path: str) -> Operand:
-        """The one type-agreement check: compile ``expr`` and record a failed
-        check unless it has type ``wanted``. None wants any type, void
-        included: a statement call, or a context already rejected."""
+        """The one type-agreement check: compile ``expr`` and fail unless it
+        has type ``wanted``. None wants any type, void included: a statement
+        call."""
         operand, found = self.infer(expr, frames, wanted is None, path)
-        if found is not wanted and wanted is not None and found is not None and found != wanted:
+        if found is not wanted and wanted is not None and found != wanted:
             self.reject(f"expected {wanted.display()}, found {found.display()}", path, wanted, found)
         return operand
 
-    def infer(
-        self, expr: Expression, frames: Frames, allow_void: bool, path: str
-    ) -> Tuple[Operand, Optional[TypeId]]:
-        """``expr``'s slot or code, and its type (None once a check failed)."""
+    def infer(self, expr: Expression, frames: Frames, allow_void: bool, path: str) -> Tuple[Operand, TypeId]:
+        """``expr``'s slot or code, and its type."""
         if isinstance(expr, IntLit):
             return self.new_slot(IntV(expr.value)), INT
         if isinstance(expr, BoolLit):
@@ -653,19 +601,19 @@ class _Compiler:
             e = self.registry.enum(expr.enum)
             if e is None:
                 self.reject(f"unknown enum '{expr.enum}'", path)
-            elif expr.variant not in e.variants:
+            if expr.variant not in e.variants:
                 self.reject(f"enum '{expr.enum}' has no variant '{expr.variant}'", path)
             return self.new_slot(EnumV(expr.enum, expr.variant)), enum_type(expr.enum)
         if isinstance(expr, LocalRef):
             binding = lookup(frames, expr.name)
             if binding is None:
-                return self.fail(f"unknown local '{expr.name}'", path), None
+                self.reject(f"unknown local '{expr.name}'", path)
             return binding
         if isinstance(expr, FieldRef):
             name = expr.name
             fd = self.registry.field_named(name)
             if fd is None:
-                return self.fail(f"unknown field '{name}'", path), None
+                self.reject(f"unknown field '{name}'", path)
             if not fd.usable:
                 self.reject(f"field '{name}' is not usable", path)
 
@@ -676,24 +624,21 @@ class _Compiler:
         if isinstance(expr, Call):
             return self.call(expr, frames, allow_void, path)
         self.reject(f"unknown expression kind {type(expr).__name__}", path)
-        return _fault(f"cannot evaluate expression {expr!r}"), None
 
-    def call(
-        self, call: Call, frames: Frames, allow_void: bool, path: str
-    ) -> Tuple[Compiled, Optional[TypeId]]:
+    def call(self, call: Call, frames: Frames, allow_void: bool, path: str) -> Tuple[Compiled, TypeId]:
         """A host-method call: evaluate the arguments left to right, check
         the bounded parameters in signature order, spend one unit of budget,
         run the host implementation."""
         name = call.method
         md = self.registry.method_named(name)
-        if md is None or md.reads_world:
-            self.reads_world = True
         if md is None:
-            return self.fail(f"unknown method '{name}'", path), None
+            self.reject(f"unknown method '{name}'", path)
         if not md.usable:
             self.reject(f"method '{name}' is not usable", path)
         if len(call.args) != md.arity:
-            return self.fail(f"method '{name}' takes {md.arity} argument(s), got {len(call.args)}", path), None
+            self.reject(f"method '{name}' takes {md.arity} argument(s), got {len(call.args)}", path)
+        if md.reads_world:
+            self.reads_world = True
         operands = [
             self.operand(arg, frames, ptype, f"arg {k} of {name}")
             for k, (arg, (_, ptype)) in enumerate(zip(call.args, md.params))
@@ -723,10 +668,7 @@ class _Compiler:
         def call_method(frame: Frame) -> Value:
             args = eval_args(frame)
             for i, param, lo, hi in checks:
-                arg = args[i]
-                if not isinstance(arg, IntV):
-                    raise InterpreterError(f"constraint on non-int argument '{param}' of '{name}'")
-                value = arg.value
+                value = args[i].value
                 if not lo <= value <= hi:
                     if value < lo:
                         raise ConstraintViolation(name, param, value, lo, "min")

@@ -179,6 +179,8 @@ def load_config(text: str) -> GenerationConfig:
             if key in _INT_KEYS:
                 values[key] = decimal_int(value)
             elif key in ("literal_weight", "else_probability"):
+                if not value.isascii() or "_" in value:
+                    raise ValueError(value)  # float() reads "1_0" as 10.0
                 values[key] = float(value)
             else:  # statement_kinds
                 kinds = []

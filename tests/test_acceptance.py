@@ -41,7 +41,6 @@ from mechgen.runtime import (
     GeneratedDelegate,
     HostDelegate,
     IntV,
-    compile_block,
     invoke,
 )
 from mechgen.synthesis import (
@@ -135,7 +134,7 @@ def test_criterion_4_constraint_compliance(default_blocks, game_registry):
             host_impl=lambda world, args: UNIT,
         )
     ])
-    delegate = compile_block(Signature("f", (), VOID), parse("Move(5);"), reg)
+    delegate = GeneratedDelegate(Signature("f", (), VOID), parse("Move(5);"), reg)
     try:
         invoke(delegate, [], world=None)
         runtime_check = False

@@ -159,8 +159,8 @@ EVERY_GOAL = [
 @st.composite
 def any_boards(draw):
     """Boards up to 3x3: empty, full, or mixed, with cells that may hold a
-    variant that is no colour (a block that skipped the type checker can
-    paint one)."""
+    variant that is no colour (a block can paint one when its registry's
+    ``Colour`` declares it)."""
     width = draw(st.integers(min_value=1, max_value=3))
     height = draw(st.integers(min_value=1, max_value=3))
     kind = draw(st.sampled_from(["empty", "full", "mixed"]))

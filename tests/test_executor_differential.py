@@ -4,7 +4,8 @@ Each case runs ``mechgen.runtime.invoke`` (blocks compiled to closures) and
 ``reference_invoke`` (the AST interpreter kept in ``_reference_interp``) on
 the same delegate, arguments, world and budget, and compares the returned
 Value, the world afterwards, the exception type and message, and the budget
-left.
+left. A block that does not type-check never runs: constructing its
+delegate raises the reference checker's error (``_reference_typecheck``).
 """
 
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _reference_interp import reference_invoke
+from _reference_typecheck import typecheck as reference_typecheck
 from mechgen import evaluate, runtime
 from mechgen.game import Board, GameState, build_game_registry, on_tile_tapped_signature
 from mechgen.lang import (
@@ -33,6 +35,7 @@ from mechgen.lang import (
     Return,
     Signature,
     Statement,
+    TypeCheckError,
     VarDecl,
     parse,
     pretty,
@@ -143,7 +146,7 @@ def test_default_cfg_blocks_match_reference(seed, cells, x, y):
 
 
 # --------------------------------------------------------------------------
-# hand-made blocks, most of which would not pass the type checker
+# hand-made blocks, many of which do not pass the type checker
 
 
 class LabWorld:
@@ -240,11 +243,13 @@ HAND_MADE = [
      [IntV(4)], 100),
     ("no host implementation", VOID_SIG, _block(ExprStmt(_call("Phantom"))), [], 100),
     ("budget exhausted", VOID_SIG, _block(ExprStmt(_call("Move", IntLit(0))), ExprStmt(_call("Move", IntLit(1)))), [], 1),
-    ("return inside a branch", INT_SIG,
-     _block(IfElse(_call("Less", LocalRef("x"), IntLit(0)), _block(Return(IntLit(-1)))), Return(LocalRef("x"))),
+    ("branch result returned at the end", INT_SIG,
+     _block(VarDecl(INT, "r", LocalRef("x")),
+            IfElse(_call("Less", LocalRef("x"), IntLit(0)), _block(Assign(LocalTarget("r"), IntLit(-1)))),
+            Return(LocalRef("r"))),
      [IntV(-3)], 100),
-    ("return skips the rest", VOID_SIG,
-     _block(ExprStmt(_call("Move", IntLit(0))), Return(), ExprStmt(_call("Move", IntLit(1)))), [], 100),
+    ("bare final return", VOID_SIG,
+     _block(ExprStmt(_call("Move", IntLit(0))), ExprStmt(_call("Move", IntLit(1))), Return()), [], 100),
     ("shadowed local", INT_SIG,
      _block(VarDecl(INT, "a", IntLit(1)),
             IfElse(BoolLit(True), _block(VarDecl(INT, "a", IntLit(7)), Assign(LocalTarget("a"), IntLit(8)))),
@@ -281,7 +286,16 @@ HAND_MADE = [
 @pytest.mark.parametrize("sig, block, args, budget", [case[1:] for case in HAND_MADE],
                          ids=[case[0] for case in HAND_MADE])
 def test_hand_made_block_matches_reference(sig, block, args, budget):
-    assert_same(GeneratedDelegate(sig, block, LAB), args, LabWorld, lab_snapshot, budget)
+    try:
+        reference_typecheck(block, sig, LAB)
+    except TypeCheckError as expected:
+        with pytest.raises(TypeCheckError) as raised:
+            GeneratedDelegate(sig, block, LAB)
+        error = raised.value
+        assert (str(error), error.stmt_index, error.path, error.expected, error.found) == (
+            str(expected), expected.stmt_index, expected.path, expected.expected, expected.found)
+    else:
+        assert_same(GeneratedDelegate(sig, block, LAB), args, LabWorld, lab_snapshot, budget)
 
 
 def _violation(execute, delegate, args):
@@ -310,16 +324,10 @@ def test_bound_violation_order_matches_reference(values, literal):
     assert_same(delegate, args, LabWorld, lab_snapshot)
 
 
-def test_delegate_without_registry_matches_reference():
-    delegate = GeneratedDelegate(VOID_SIG, _block(ExprStmt(_call("Move", IntLit(0)))), None)
-    result, _, _ = assert_same(delegate, [], LabWorld, lab_snapshot)
-    assert result[0] == "raised"
-
-
 def built_directly(monkeypatch, walks):
-    """A delegate built from a block, which compiles on first prepare."""
+    """A delegate built from a block, which compiles on construction."""
     delegate = GeneratedDelegate(VOID_SIG, _block(ExprStmt(_call("Move", IntLit(0)))), LAB)
-    assert not walks  # nothing is compiled on construction
+    assert len(walks) == 1
     invoke(delegate, [], LabWorld())
     assert len(walks) == 1
     return [delegate]
@@ -353,11 +361,11 @@ def checked_in_a_search(monkeypatch, walks):
 @pytest.mark.parametrize("delegates", [built_directly, checked_in_a_search])
 def test_compiled_program_is_built_once_per_delegate(delegates, monkeypatch):
     walks = []
-    compile_block_once = runtime._compile
+    compile_once = runtime._compile
 
     def spy_compile(*args):
         walks.append(args)
-        return compile_block_once(*args)
+        return compile_once(*args)
 
     monkeypatch.setattr(runtime, "_compile", spy_compile)
     for delegate in delegates(monkeypatch, walks):

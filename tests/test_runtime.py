@@ -3,15 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mechgen.game import Board, GameState, build_game_registry, build_hook_table, tap
-from mechgen.lang import (
-    Call,
-    CodeBlock,
-    ExprStmt,
-    LocalRef,
-    Signature,
-    TypeCheckError,
-    parse,
-)
+from mechgen.lang import Signature, TypeCheckError, parse
 from mechgen.registry import (
     BOOL,
     INT,
@@ -37,7 +29,6 @@ from mechgen.runtime import (
     InterpreterError,
     SignatureMismatch,
     UnknownHook,
-    compile_block,
     invoke,
     prepare,
     value_type,
@@ -92,21 +83,21 @@ def test_host_delegate_add_one_returns_two():
 def test_generated_delegate_add_one_returns_two():
     reg = move_registry()
     sig = Signature("addOneGen", (("x", INT),), INT)
-    delegate = compile_block(sig, parse("return Add(x, 1);", params=["x"]), reg)
+    delegate = GeneratedDelegate(sig, parse("return Add(x, 1);", params=["x"]), reg)
     assert invoke(delegate, [IntV(1)], world=None) == IntV(2)
 
 
 def test_void_generated_delegate_returns_unit():
     reg = move_registry()
     sig = Signature("noop", (), VOID)
-    delegate = compile_block(sig, parse("Move(0);"), reg)
+    delegate = GeneratedDelegate(sig, parse("Move(0);"), reg)
     assert invoke(delegate, [], world=None) == UNIT
 
 
-def test_compile_block_typechecks():
+def test_constructing_a_delegate_typechecks():
     reg = move_registry()
     with pytest.raises(TypeCheckError):
-        compile_block(Signature("f", (), VOID), parse("Ghost();"), reg)
+        GeneratedDelegate(Signature("f", (), VOID), parse("Ghost();"), reg)
 
 
 def test_arity_mismatch_surfaced_defensively():
@@ -122,8 +113,6 @@ FAILED_CALLS = [
      "AddOne: argument 'x' expected int, got bool"),
     (Delegate(ADD_ONE_SIG), [IntV(1)], InterpreterError,
      f"cannot invoke delegate {Delegate(ADD_ONE_SIG)!r}"),
-    (GeneratedDelegate(ADD_ONE_SIG, parse("return x;", params=["x"]), None), [IntV(1)],
-     InterpreterError, "generated delegate carries no registry"),
 ]
 
 
@@ -158,7 +147,7 @@ def test_default_do_nothing_hook_leaves_world_unchanged():
     before = world.board.key()
     # rebind to a null mechanic and check nothing happens
     reg = build_game_registry(2, 2)
-    delegate = compile_block(hooks.sig("onTileTapped"), parse("DoNothing();"), reg)
+    delegate = GeneratedDelegate(hooks.sig("onTileTapped"), parse("DoNothing();"), reg)
     assert invoke(delegate, [IntV(0), IntV(0)], world) == UNIT
     assert world.board.key() == before
 
@@ -191,7 +180,7 @@ def test_zero_arg_hook_defaults_to_a_safe_noop():
 
 def test_literal_out_of_range_raises_constraint_violation():
     reg = move_registry()
-    delegate = compile_block(Signature("f", (), VOID), parse("Move(5);"), reg)
+    delegate = GeneratedDelegate(Signature("f", (), VOID), parse("Move(5);"), reg)
     with pytest.raises(ConstraintViolation) as err:
         invoke(delegate, [], world=None)
     violation = err.value
@@ -201,7 +190,7 @@ def test_literal_out_of_range_raises_constraint_violation():
 
 def test_computed_argument_also_checked():
     reg = move_registry()
-    delegate = compile_block(Signature("f", (), VOID), parse("Move(Add(2, 2));"), reg)
+    delegate = GeneratedDelegate(Signature("f", (), VOID), parse("Move(Add(2, 2));"), reg)
     with pytest.raises(ConstraintViolation) as err:
         invoke(delegate, [], world=None)
     assert err.value.value == 4
@@ -212,7 +201,7 @@ def test_computed_argument_also_checked():
 def test_constraint_fuzz_violation_iff_bound_exceeded(value):
     reg = move_registry()
     sig = Signature("f", (("v", INT),), VOID)
-    delegate = compile_block(sig, parse("Move(v);", params=["v"]), reg)
+    delegate = GeneratedDelegate(sig, parse("Move(v);", params=["v"]), reg)
     if -1 <= value <= 1:
         assert invoke(delegate, [IntV(value)], world=None) == UNIT
     else:
@@ -222,7 +211,7 @@ def test_constraint_fuzz_violation_iff_bound_exceeded(value):
 
 def test_report_line_format():
     reg = move_registry()
-    delegate = compile_block(Signature("f", (), VOID), parse("Move(5);"), reg)
+    delegate = GeneratedDelegate(Signature("f", (), VOID), parse("Move(5);"), reg)
     with pytest.raises(ConstraintViolation) as err:
         invoke(delegate, [], world=None)
     assert err.value.report_line() == (
@@ -295,7 +284,7 @@ def test_hook_table_clone_is_independent(game_registry, hooks):
 
 def test_budget_exhaustion():
     reg = move_registry()
-    delegate = compile_block(
+    delegate = GeneratedDelegate(
         Signature("f", (), VOID), parse("Move(0);\nMove(0);\nMove(0);"), reg
     )
     assert invoke(delegate, [], world=None, budget=ExecBudget(3)) == UNIT
@@ -323,7 +312,7 @@ def test_default_budget_not_reachable_by_generated_mechanics(game_registry, tap_
 def test_assignment_writes_through_to_world_fields():
     reg = Registry(fields=[FieldDescriptor("hp", INT, usable=True, writable=True)])
     world = FakeWorld(hp=IntV(10))
-    delegate = compile_block(Signature("f", (), VOID), parse("hp = 3;"), reg)
+    delegate = GeneratedDelegate(Signature("f", (), VOID), parse("hp = 3;"), reg)
     invoke(delegate, [], world)
     assert world.values["hp"] == IntV(3)
 
@@ -332,7 +321,7 @@ def test_local_assignment_updates_inner_binding():
     reg = move_registry()
     sig = Signature("f", (), INT)
     body = "int a = 1;\na = Add(a, a);\nreturn a;"
-    delegate = compile_block(sig, parse(body), reg)
+    delegate = GeneratedDelegate(sig, parse(body), reg)
     assert invoke(delegate, [], world=None) == IntV(2)
 
 
@@ -348,22 +337,14 @@ def test_branch_execution_and_locals():
         "}\n"
         "return a;"
     )
-    delegate = compile_block(sig, parse(body, params=["flip"]), reg)
+    delegate = GeneratedDelegate(sig, parse(body, params=["flip"]), reg)
     assert invoke(delegate, [BoolV(True)], world=None) == IntV(1)
     assert invoke(delegate, [BoolV(False)], world=None) == IntV(2)
 
 
-def test_unchecked_block_faults_loudly():
-    reg = move_registry()
-    block = CodeBlock((ExprStmt(Call("Move", (LocalRef("ghost"),))),))
-    delegate = GeneratedDelegate(Signature("f", (), VOID), block, reg)
-    with pytest.raises(InterpreterError, match="unknown local"):
-        invoke(delegate, [], world=None)
-
-
 def test_method_without_host_impl_raises_host_error():
     reg = Registry(methods=[MethodDescriptor("Phantom", (), VOID)])
-    delegate = compile_block(Signature("f", (), VOID), parse("Phantom();"), reg)
+    delegate = GeneratedDelegate(Signature("f", (), VOID), parse("Phantom();"), reg)
     with pytest.raises(HostError, match="no host implementation"):
         invoke(delegate, [], world=None)
 

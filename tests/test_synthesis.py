@@ -450,6 +450,16 @@ def test_int_values_must_be_ascii_decimals(text):
     assert load_config("seed = 010\nint_literal_min = -5\nint_literal_max = 5\n").seed == 10
 
 
+@pytest.mark.parametrize("text", ["1_0", "0.2_5", "\uff11", "\u0663"])
+def test_float_values_must_be_ascii_without_separators(text):
+    # float() reads "1_0" as 10.0 and the fullwidth digit one as 1.0.
+    for key in ("literal_weight", "else_probability"):
+        with pytest.raises(ConfigError, match=f"line 1: bad value for '{key}'"):
+            load_config(f"{key} = {text}\n")
+    config = load_config("literal_weight = 1e1\nelse_probability = .25\n")
+    assert (config.literal_weight, config.else_probability) == (10.0, 0.25)
+
+
 def test_config_invariants_enforced():
     with pytest.raises(ConfigError):
         GenerationConfig(min_lines=0)

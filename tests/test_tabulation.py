@@ -35,7 +35,7 @@ from mechgen.game import (
     tap_moves,
 )
 from mechgen.lang import parse
-from mechgen.registry import INT, VOID, MethodDescriptor, Registry, enum_type
+from mechgen.registry import INT, VOID, EnumDef, FieldDescriptor, MethodDescriptor, Registry, enum_type
 from mechgen.runtime import ExecBudget, EnumV, ExecutionError, GeneratedDelegate, IntV
 from mechgen.synthesis import GenerationError, config_with_seed, generate_block, load_config_file
 from test_evaluate import naive_solve
@@ -58,7 +58,7 @@ ONE_LINERS = [
     "Add(21, y);",
     "if (Less(x, y)) { DestroyTile(x, y); } else { SetTile(x, 0, Colour.Y); }",
     "int v0 = Add(x, y); if (Equal(v0, 1)) { SwapTiles(x, y, y, x); }",
-    "if (Equal(x, 0)) { return; } DestroyTile(Sub(x, 1), y); SetTile(x, y, Colour.B);",
+    "if (Less(0, x)) { DestroyTile(Sub(x, 1), y); SetTile(x, y, Colour.B); }",
 ]
 
 
@@ -71,21 +71,27 @@ def general_registry(registry):
     )
 
 
+def z_registry(width, height):
+    """The game's design space whose ``Colour`` also declares ``Z``, a
+    variant that is no tile colour."""
+    registry = build_game_registry(width, height)
+    return Registry(
+        enums=[EnumDef("Colour", (*COLOURS, "Z"))],
+        fields=registry.fields.values(),
+        methods=registry.methods.values(),
+    )
+
+
 def hooks_for(block, registry):
     hooks = build_hook_table()
     hooks.bind("onTileTapped", GeneratedDelegate(TAP_SIG, block, registry))
     return hooks
 
 
-class GeneralDelegate(GeneratedDelegate):
-    """A block that runs on every tap, whatever it calls."""
-
-    reads_world = True
-
-
-def both_paths(challenge, block):
-    """(tabulated result, general result, whether the block is tabulated)."""
-    registry = build_game_registry(challenge.initial.width, challenge.initial.height)
+def both_paths(challenge, block, registry=None):
+    """(tabulated result, general result, whether the block is tabulated),
+    over the game's design space unless ``registry`` is given."""
+    registry = registry or build_game_registry(challenge.initial.width, challenge.initial.height)
     delegate = GeneratedDelegate(TAP_SIG, block, registry)
     fast = solve(challenge, hooks_for(block, registry))
     slow = solve(challenge, hooks_for(block, general_registry(registry)))
@@ -190,7 +196,8 @@ def test_a_mixed_list_on_a_board_with_empty_cells():
     for board in ("..R\n.GB\nRBG", ".R.\nGBR\nRBG", "R..\nG.B\nBRG"):
         for goal in ("COLOUR_CLEARED R", "COLOUR_CLEARED G", "COLOUR_PRESENT Y", "CLEARED"):
             challenge = parse_challenge(f"{board}\ngoal: {goal}\nmax_taps: 4\n")
-            fast, slow, tabulated = both_paths(challenge, parse(text, params=["x", "y"]))
+            block = parse(text, params=["x", "y"])
+            fast, slow, tabulated = both_paths(challenge, block, z_registry(3, 3))
             assert tabulated and fast == slow, (board, goal)
             assert fast.states_explored > 1
 
@@ -245,12 +252,14 @@ def test_a_tabulated_solve_leaves_no_cyclic_garbage():
 
 
 def test_a_cell_value_outside_the_gather_constants_keeps_the_general_path():
-    # Without the type checker a block can paint a variant that is no colour;
-    # the general path writes it into the board, and so must the table.
-    # A Z is a tile, not an empty cell: painting Z everywhere never clears.
+    # A block can paint a variant that is no colour when its registry's
+    # Colour declares one; the general path writes it into the board, and so
+    # must the table. A Z is a tile, not an empty cell: painting Z everywhere
+    # never clears.
     challenge = parse_challenge("RG\nBR\ngoal: CLEARED\nmax_taps: 4\n")
-    for text in ("SetTile(x, y, Colour.Z);", "SetTile(x, 0, Shade.R); SetTile(x, 1, Colour.Z);"):
-        fast, slow, tabulated = both_paths(challenge, parse(text, params=["x", "y"]))
+    for text in ("SetTile(x, y, Colour.Z);", "SetTile(x, 0, Colour.R); SetTile(x, 1, Colour.Z);"):
+        block = parse(text, params=["x", "y"])
+        fast, slow, tabulated = both_paths(challenge, block, z_registry(2, 2))
         assert tabulated and fast == slow
         assert fast.status == Unsolvable()
 
@@ -416,8 +425,7 @@ def test_each_settled_move_is_gravity_after_its_gather(case):
     root, other, block = case
     registry = build_game_registry(root.width, root.height)
     fast_hooks = hooks_for(block, registry)
-    slow_hooks = build_hook_table()
-    slow_hooks.bind("onTileTapped", GeneralDelegate(TAP_SIG, block, registry))
+    slow_hooks = hooks_for(block, general_registry(registry))
     for board in (root, other):
         settled = settled_children(fast_hooks, root, board)
         raw = raw_children(fast_hooks, root, board)
@@ -699,13 +707,12 @@ def test_a_reader_in_a_dead_branch_reads_the_world():
 
 
 def test_a_field_write_reads_the_world():
-    assert reads_world("Width = 3;")
-    assert reads_world("if (false) { Height = Add(x, 1); }")
-
-
-def test_an_unknown_method_reads_the_world():
-    assert reads_world("Frobnicate(x);")
-    assert reads_world("if (false) { DestroyTile(Twist(x), y); }")
+    game = build_game_registry()
+    registry = Registry(game.enums.values(), [*game.fields.values(), FieldDescriptor("Score", INT)],
+                        game.methods.values())
+    assert reads_world("Score = 3;", registry)
+    assert reads_world("if (false) { Score = Add(x, 1); }", registry)
+    assert not reads_world("if (false) { Add(Score, 1); }", registry)
 
 
 def test_a_default_method_descriptor_reads_the_world():
