@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .game import (
     _CONSTANTS,
@@ -228,6 +228,13 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     state fails it, as the root and each child are tested before queueing.
     A challenge with ``max_taps < 1`` allows no tap: it is Solved in 0 taps
     if the goal already holds, else Unsolvable with nothing explored.
+
+    Once the root has queued a child, ``barren()`` says whether no move can
+    ever meet the goal. Then nothing more is queued: ``_count_levels``
+    counts the states below the root's children, leaving the last level
+    unexpanded. Every state would be expanded, each counting the root's
+    raising moves (every move list keeps them), so ``states_explored`` is
+    the number of states and ``error_count`` that times the root's errors.
     """
     initial = challenge.initial
     start = initial.key()
@@ -240,7 +247,7 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     state = GameState(initial.clone())  # the scratch state general moves tap
     goal = challenge.goal
     present = goal.colour if goal.kind is GoalKind.COLOUR_PRESENT else None
-    moves, later = tap_moves(hooks, state, present)  # the root's moves, and every later state's
+    moves, later, barren = tap_moves(hooks, state, present)  # the root's, and every later state's
     visited = {start}
     frontier: deque = deque([(start, ())])
     errors = 0
@@ -267,7 +274,28 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
             visited.add(child)
             if len(visited) != size:
                 frontier.append((child, path + (tap_xy,)))
+        if not depth and frontier and barren():  # no move can ever meet the goal: count
+            explored = _count_levels(visited - {start}, visited, later, last - 1)
+            return EvalResult(Unsolvable(), errors * explored, explored)
     return EvalResult(Unsolvable(), errors, explored)
+
+
+def _count_levels(
+    level: Set[Tuple[Cell, ...]], visited: Set[Tuple[Cell, ...]], later: Callable, depths: int
+) -> int:
+    """``visited``'s size once ``depths`` more levels of unvisited children,
+    starting from ``level``'s, join it. Each parent adds its children to a
+    set in one call; the set keeps their hashes for the subtraction and the
+    merge, so each child is hashed once."""
+    for _ in range(depths):
+        children: Set[Optional[Tuple[Cell, ...]]] = set()
+        for key in level:
+            src = key + _CONSTANTS
+            children.update([move(src) for _, move in later(key)])
+        children.discard(None)
+        level = children - visited
+        visited |= level
+    return len(visited)
 
 
 def evaluate_candidate(

@@ -226,7 +226,7 @@ def _cells(width: int, height: int) -> _Cells:
 
 def tap_moves(
     hooks: HookTable, state: GameState, present: Optional[str] = None
-) -> Tuple[Iterator[Move], Callable[..., List[Move]]]:
+) -> Tuple[Iterator[Move], Callable[..., List[Move]], Callable[[], bool]]:
     """Every tap of ``state``'s board as a ``(tap, move)`` pair, with the
     hook resolved once, for a searcher that taps one scratch state.
 
@@ -234,9 +234,10 @@ def tap_moves(
     that the tap leaves on the board whose cells are ``key``, or None when
     the tap raises an ExecutionError. The caller sets ``state.taps_used``.
     Returns an iterator over the moves of ``state``'s board (the first
-    expansion) and ``later``: ``later(key)`` is the list of moves of a board
-    whose cells are ``key``, valid once that iterator is exhausted, and
-    ``later(key, True)`` its leaf list (below). Taps come bottom row first,
+    expansion), ``later`` and ``barren``, both valid once that iterator is
+    exhausted: ``later(key)`` is the list of moves of a board whose cells
+    are ``key``, ``later(key, True)`` its leaf list, and ``barren()`` whether
+    no move can ever meet the goal (both below). Taps come bottom row first,
     in (y, x) order; a later rebinding of the hook does not reach the moves.
 
     A hook that may read the board (a host delegate, or a block whose
@@ -266,11 +267,15 @@ def tap_moves(
     The leaf list, for a parent whose children are only goal-tested, keeps
     the moves whose child can meet the goal, in tap order; the rule assumes
     the parent fails it. ``present`` is the colour of a COLOUR_PRESENT goal,
-    which a child can hold only if its gather picks that constant (on any
-    mask, so with no such gather the list needs no mask); None stands for a
-    goal met by clearing tiles, which a child can meet only if its settled
-    gather misses an occupied cell. Raising moves (so ``error_count`` stays
-    exact) and moves that run the block are always kept.
+    which a child can hold only if its gather picks that constant; None
+    stands for a goal met by clearing tiles, which a child can meet only if
+    its settled gather misses an occupied cell. Raising moves (so
+    ``error_count`` stays exact) and moves that run the block are always kept.
+
+    ``barren()`` is true when every cell raises or is a gather and no
+    gather can make a child meet a goal its parent fails: none picks a
+    present goal's colour, or, for a clearing goal, each picks every cell
+    once, so the child keeps its parent's tiles.
     """
     board = state.board
     cells = board.cells
@@ -290,12 +295,12 @@ def tap_moves(
 
     if not isinstance(delegate, GeneratedDelegate) or delegate.reads_world:
         moves = [(xy, partial(runs, args)) for xy, args in zip(taps, cell_args)]
-        return iter(moves), lambda key, leaf=False: moves
+        return iter(moves), lambda key, leaf=False: moves, lambda: False
 
     tabulated: List[Tuple[Tuple[int, int], Optional[MoveFn], Optional[Tuple[int, ...]]]] = []
     root_mask = tuple(map(is_, cells, repeat(None)))
     by_mask: Dict[Tuple[bool, ...], List[Move]] = {}
-    leaves: Dict[Optional[Tuple[bool, ...]], List[Move]] = {}  # the key None: every mask
+    leaves: Dict[Tuple[bool, ...], List[Move]] = {}
     wanted = None if present is None else index.get(present, -1)  # the colour's pick
     ids = tuple(range(n + len(_CONSTANTS)))  # a settled gather maps these to its picks
 
@@ -328,12 +333,8 @@ def tap_moves(
                 moves.append((xy, move))
                 yield xy, move
         by_mask[root_mask] = moves
-        if wanted is not None and not any(picks and wanted in picks for _, _, picks in tabulated):
-            leaves[None] = [(xy, move) for xy, move, picks in tabulated if picks is None]
 
     def later(key: Tuple[Cell, ...], leaf: bool = False) -> List[Move]:
-        if leaf and None in leaves:
-            return leaves[None]
         table = leaves if leaf else by_mask
         mask = tuple(map(is_, key, repeat(None)))
         moves = table.get(mask)
@@ -349,7 +350,16 @@ def tap_moves(
                 moves.append((xy, move))
         return moves
 
-    return first_expansion(), later
+    def barren() -> bool:
+        every = set(range(n))
+        return all(
+            move is _raised if picks is None
+            else wanted not in picks if wanted is not None
+            else every.issubset(picks)  # n picks that take every cell: a permutation
+            for _, move, picks in tabulated
+        )
+
+    return first_expansion(), later, barren
 
 
 @lru_cache(maxsize=1024)

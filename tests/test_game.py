@@ -200,7 +200,7 @@ def test_general_move_matches_tap_and_keeps_its_hook(game_registry, hooks, set_y
     # Both hooks take the general move: the host baseline, and a block that reads the board.
     for delegate in (hooks.delegate("onTileTapped"), reader):
         hooks.bind("onTileTapped", delegate)
-        moves, later = tap_moves(hooks, GameState(board.clone(), 2))
+        moves, later, _ = tap_moves(hooks, GameState(board.clone(), 2))
         taps = {}
         for xy, move in moves:
             tapped = GameState(board.clone(), 2)
@@ -212,7 +212,7 @@ def test_general_move_matches_tap_and_keeps_its_hook(game_registry, hooks, set_y
         hooks.bind("onTileTapped", yellow)
         assert all(move(src) == taps[xy] for xy, move in later(board.key()))
     # So are tabulated moves that the first expansion has not run yet.
-    moves, _ = tap_moves(hooks, GameState(board.clone()))
+    moves, _, _ = tap_moves(hooks, GameState(board.clone()))
     hooks.bind("onTileTapped", reader)
     xy, move = next(moves)
     assert xy == (0, 0) and move(src)[0] == "Y"

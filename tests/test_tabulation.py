@@ -323,6 +323,21 @@ def test_one_liners_agree_on_random_boards(challenge, text):
     assert_paths_agree(challenge, text)
 
 
+@st.composite
+def deep_challenges(draw):
+    """A gravity-normal board of two cells or more, a goal that fails on it,
+    and two or three taps: where a solve can count past the root."""
+    board = apply_gravity(draw(boards.filter(lambda board: len(board.cells) > 1)))
+    goal = draw(goals.filter(lambda goal: not goal.satisfied(board)))
+    return Challenge(board, goal, draw(st.integers(min_value=2, max_value=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(deep_challenges(), st.sampled_from(ONE_LINERS))
+def test_one_liners_agree_on_deep_challenges(challenge, text):
+    assert_paths_agree(challenge, text)
+
+
 # --------------------------------------------------------------------------
 # Hypothesis: one move at a time
 
@@ -333,7 +348,7 @@ def settled_children(hooks, root, board):
     expansion's moves when ``board`` is ``root``, else the later moves for
     ``board``'s key, built on ``root``. A tap with no move is the identity
     on ``board``: its child is ``board``'s key."""
-    first, later = tap_moves(hooks, GameState(root.clone()))
+    first, later, _ = tap_moves(hooks, GameState(root.clone()))
     first = list(first)  # which also completes the tabulated taps ``later`` reads
     moves = first if board is root else later(board.key())
     out = {(x, y): board.key() for y in range(board.height) for x in range(board.width)}
@@ -451,7 +466,8 @@ def test_a_constraint_violation_cell_returns_none_on_every_board():
 def test_a_one_cell_gather_returns_a_tuple():
     block = parse("SetTile(x, y, Colour.G);", params=["x", "y"])
     root = Board(1, 1, ["R"])
-    first, later = tap_moves(hooks_for(block, build_game_registry(1, 1)), GameState(root.clone()))
+    hooks = hooks_for(block, build_game_registry(1, 1))
+    first, later, _ = tap_moves(hooks, GameState(root.clone()))
     [(xy, move)] = list(first)
     assert xy == (0, 0)
     assert move(("B",) + _CONSTANTS) == ("G",)
@@ -466,7 +482,8 @@ def test_a_tap_settled_to_the_identity_has_no_move_on_that_mask():
     # not full, so every tap of such a column is dropped for that mask only.
     block = parse("DestroyTile(x, Sub(Height, 1));", params=["x", "y"])
     root = Board.from_rows([".R.", "GBR", "RBG"])
-    first, later = tap_moves(hooks_for(block, build_game_registry(3, 3)), GameState(root.clone()))
+    hooks = hooks_for(block, build_game_registry(3, 3))
+    first, later, _ = tap_moves(hooks, GameState(root.clone()))
     list(first)
     assert [xy for xy, _ in later(root.key())] == [(1, y) for y in range(3)]
     assert len(later(Board.from_rows(["RRR", "GBR", "RBG"]).key())) == 9
@@ -512,11 +529,19 @@ def assert_matches_naive(challenge, text):
     return result
 
 
+def built_for(text, root, present, registry=None):
+    """``later`` and ``barren`` of ``text``'s moves built for ``root``, once
+    the first expansion is exhausted."""
+    registry = registry or build_game_registry(root.width, root.height)
+    first, later, barren = tap_moves(hooks_for(parse(text, params=["x", "y"]), registry),
+                                     GameState(root.clone()), present)
+    list(first)
+    return later, barren
+
+
 def leaf_taps(text, root, board, present):
     """The taps of ``board``'s leaf list, on moves built for ``root``."""
-    hooks = hooks_for(parse(text, params=["x", "y"]), build_game_registry(root.width, root.height))
-    first, later = tap_moves(hooks, GameState(root.clone()), present)
-    list(first)
+    later, _ = built_for(text, root, present)
     return [xy for xy, _ in later(board.key(), True)]
 
 
@@ -570,14 +595,35 @@ def test_a_cleared_goal_met_at_the_last_tap_after_raising_cells(board, goal, wit
     assert result == EvalResult(Solved(2, witness), errors, 2)
 
 
+# --------------------------------------------------------------------------
+# counting: a solve whose goal no move can meet counts its levels
+
+
+def counted(challenge, hooks):
+    """The solve's result, and whether it counted the levels below the
+    root's children instead of queueing them (``barren`` said so)."""
+    decided = []
+    real = evaluate.tap_moves
+
+    def spied(hooks, state, present=None):
+        first, later, barren = real(hooks, state, present)
+        return first, later, lambda: decided.append(barren()) or decided[-1]
+
+    with mock.patch.object(evaluate, "tap_moves", spied):
+        result = solve(challenge, hooks)
+    return result, decided == [True]
+
+
 @pytest.mark.parametrize("goal", ["COLOUR_PRESENT Y", "COLOUR_CLEARED R"])
 def test_a_swap_calls_no_move_at_the_last_depth(goal, monkeypatch):
     # A swap's child holds the parent's tiles and no constant, so it neither
-    # holds a Y nor clears a colour: a leaf parent builds no child.
+    # holds a Y nor clears a colour: the solve counts the levels below the
+    # root's children, and a last-depth parent builds no child.
     challenge = parse_challenge(f"RGB\nBRG\nGBR\ngoal: {goal}\nmax_taps: 3\n")
     text = "SwapTiles(x, y, 0, 0);"
     expected = assert_matches_naive(challenge, text)
     calls = []  # (parent, child) of every move called
+    decided = []  # what ``barren`` said
     real = evaluate.tap_moves
     n = len(challenge.initial.cells)
 
@@ -585,16 +631,105 @@ def test_a_swap_calls_no_move_at_the_last_depth(goal, monkeypatch):
         def spy(moves):
             return [(xy, lambda src, move=move: calls.append((src[:n], move(src))) or move(src))
                     for xy, move in moves]
-        first, later = real(hooks, state, present)
-        return iter(spy(first)), lambda key, leaf=False: spy(later(key, leaf))
+        first, later, barren = real(hooks, state, present)
+        return (iter(spy(first)), lambda key, leaf=False: spy(later(key, leaf)),
+                lambda: decided.append(barren()) or decided[-1])
 
     monkeypatch.setattr(evaluate, "tap_moves", spied)
     block = parse(text, params=["x", "y"])
     result = solve(challenge, hooks_for(block, build_game_registry(3, 3)))
     assert result == expected and result.status == Unsolvable()
+    assert decided == [True]
     root = challenge.initial.key()
     inner = {root} | {child for parent, child in calls if parent == root}
     assert len(inner) > 2 and {parent for parent, _ in calls} == inner
+
+
+def test_a_counted_solve_counts_each_raising_cell_on_every_state():
+    # Taps of the last column raise on every board; the rest destroy a tile,
+    # which never makes a Y.
+    challenge = parse_challenge("RGB\nBRG\nGBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n")
+    text = "DestroyTile(Add(x, 1), y);"
+    expected = assert_matches_naive(challenge, text)
+    result, taken = counted(challenge, hooks_for(parse(text, params=["x", "y"]),
+                                                 build_game_registry(3, 3)))
+    assert taken and result == expected and result.status == Unsolvable()
+    assert result.states_explored > 1 and result.error_count == result.states_explored * 3
+
+
+@pytest.mark.parametrize("text, goal, present", [
+    ("SetTile(x, y, Colour.Y);", "COLOUR_PRESENT Y", "Y"),  # a gather that picks the Y
+    ("DestroyTile(x, y);", "COLOUR_CLEARED R", None),  # a gather that drops a tile
+])
+def test_a_move_that_can_meet_the_goal_keeps_the_queue(text, goal, present):
+    challenge = parse_challenge(f"RGB\nBRG\nGBR\ngoal: {goal}\nmax_taps: 3\n")
+    assert not built_for(text, challenge.initial, present)[1]()
+    expected = assert_matches_naive(challenge, text)
+    result, taken = counted(challenge, hooks_for(parse(text, params=["x", "y"]),
+                                                 build_game_registry(3, 3)))
+    assert not taken and result == expected
+
+
+@pytest.mark.parametrize("goal, present", [("CLEARED", None), ("COLOUR_PRESENT Y", "Y")])
+def test_a_variant_cell_keeps_the_queue(goal, present):
+    # Painting Z picks no Y and drops no tile, but that cell runs the block
+    # on every move, which the rule does not look into.
+    challenge = parse_challenge(f"RG\nBR\ngoal: {goal}\nmax_taps: 3\n")
+    text = "SetTile(x, 0, Colour.R); SetTile(x, 1, Colour.Z);"
+    assert not built_for(text, challenge.initial, present, z_registry(2, 2))[1]()
+    result, taken = counted(challenge, hooks_for(parse(text, params=["x", "y"]), z_registry(2, 2)))
+    assert not taken and result.status == Unsolvable() and result.states_explored > 1
+
+
+def test_a_reader_keeps_the_queue():
+    challenge = parse_challenge("RG\nBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n")
+    text = "if (IsOccupied(x, 1)) { SwapTiles(x, y, 0, 0); }"
+    assert not built_for(text, challenge.initial, "Y")[1]()
+    hooks = hooks_for(parse(text, params=["x", "y"]), build_game_registry(2, 2))
+    result, taken = counted(challenge, hooks)
+    assert not taken and result.status == Unsolvable() and result.states_explored > 1
+    assert naive_solve(challenge, hooks)[0] == "unsolvable"
+
+
+def test_the_random_differentials_take_the_counting_path():
+    """The Hypothesis differentials above draw cases that ``solve`` counts
+    past the root, so their general path checks the count: at least one in
+    ``test_one_liners_agree_on_random_boards`` and in
+    ``test_generated_candidates_agree``, whose draws are mostly one tap, a
+    goal that already holds or a root with no new child, and one in ten in
+    ``test_one_liners_agree_on_deep_challenges``."""
+    taken = {"random": [], "generated": [], "deep": []}
+
+    def record(name, challenge, block):
+        registry = build_game_registry(challenge.initial.width, challenge.initial.height)
+        taken[name].append(counted(challenge, hooks_for(block, registry))[1])
+
+    def one_liners(name, strategy):
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(strategy, st.sampled_from(ONE_LINERS))
+        def run(challenge, text):
+            record(name, challenge, parse(text, params=["x", "y"]))
+        run()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(challenges(), st.sampled_from(sorted(CONFIGS)),
+           st.integers(min_value=0, max_value=10**6))
+    def generated(challenge, config_name, seed):
+        registry = build_game_registry(challenge.initial.width, challenge.initial.height)
+        try:
+            block = generate_block(TAP_SIG, registry, config_with_seed(CONFIGS[config_name], seed))
+        except GenerationError:
+            assume(False)
+        record("generated", challenge, block)
+
+    one_liners("random", challenges())
+    one_liners("deep", deep_challenges())
+    generated()
+    # 9, 3 and 20 of 150 when written
+    assert all(len(flags) >= 100 for flags in taken.values())
+    assert sum(taken["random"]) >= 1 and sum(taken["generated"]) >= 1
+    assert sum(taken["deep"]) * 10 >= len(taken["deep"])
 
 
 def test_most_search_candidates_are_tabulated():
