@@ -22,7 +22,6 @@ from .game import (
     ON_TILE_TAPPED,
     Board,
     Cell,
-    GameState,
     build_hook_table,
     tap,  # unused here; the benchmark's tracer wraps ``evaluate.tap`` by name
     tap_moves,
@@ -202,39 +201,38 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     once per solve into the moves of ``game.tap_moves``, so a hook that
     cannot take the tap's arguments raises on every tap and prunes every
     branch; the goal becomes one C call on a key (``Goal.key_test``).
-    Expanding a state sets the tap counter of the one scratch state to its
-    depth, takes the root's moves or ``later(key, leaf)``, and builds
-    ``key + (None, *COLOURS)`` once (the values a tabulated move picks
-    from); per move, ``move`` maps that to the child's key, already
+    Expanding a state, the root included, takes ``later(key, leaf)`` and
+    builds ``key + (None, *COLOURS)`` once (the values a tabulated move
+    picks from); per move, ``move`` maps that to the child's key, already
     gravity-normal (or None: the tap raised). The child is then
     goal-checked and, if adding it grows ``visited``, queued: one hash per
     child, as a tuple does not cache its hash.
 
-    A block that does not read the world is tabulated lazily: the root
-    expansion runs it once per cell, on position markers, when it first
-    taps that cell, and every later tap of the cell is one ``itemgetter``
-    call on the parent's key, settled for the parent's empty cells, or
-    None, counted without running anything. A tap whose settled gather
-    leaves the parent as it is has no move: its child is the parent, which
-    is already visited and is not a goal. Any other hook runs on every tap,
-    on the scratch board, which it settles before taking the child's key.
+    A block that does not read the world is tabulated before the search
+    starts: it runs once per cell, on position markers, and every tap of
+    the cell is then one ``itemgetter`` call on the parent's key, settled
+    for the parent's empty cells, or None, counted without running
+    anything. A tap whose settled gather leaves the parent as it is has no
+    move: its child is the parent, which is already visited and is not a
+    goal. Any other hook runs on every tap, on a scratch board, which it
+    settles before taking the child's key.
 
     Children at the last tap depth are goal-checked but neither stored in
     ``visited`` nor queued: they would never be expanded, and BFS discovers
     every shallower state before any state at that depth, so leaving them
     out of ``visited`` cannot change which shallower states are expanded.
-    Below the root, their parent takes its leaf list (``leaf`` is true),
-    which builds only the children that can meet the goal: every expanded
-    state fails it, as the root and each child are tested before queueing.
-    A challenge with ``max_taps < 1`` allows no tap: it is Solved in 0 taps
-    if the goal already holds, else Unsolvable with nothing explored.
+    Their parent takes its leaf list (``leaf`` is true), which builds only
+    the children that can meet the goal: every expanded state fails it, as
+    the root and each child are tested before queueing. A challenge with
+    ``max_taps < 1`` allows no tap: it is Solved in 0 taps if the goal
+    already holds, else Unsolvable with nothing explored.
 
-    Once the root has queued a child, ``barren()`` says whether no move can
-    ever meet the goal. Then nothing more is queued: ``_count_levels``
-    counts the states below the root's children, leaving the last level
-    unexpanded. Every state would be expanded, each counting the root's
-    raising moves (every move list keeps them), so ``states_explored`` is
-    the number of states and ``error_count`` that times the root's errors.
+    When no move can ever meet the goal, ``tap_moves`` says how many cells
+    raise on every board, and nothing is queued: ``_count_levels`` counts
+    the states from the root down, leaving the last level unexpanded. Every
+    state would be expanded and count each raising cell (every move list
+    keeps them), so ``states_explored`` is the number of states and
+    ``error_count`` that times the raising cells.
     """
     initial = challenge.initial
     start = initial.key()
@@ -244,10 +242,12 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     if challenge.max_taps < 1:
         return EvalResult(Unsolvable(), 0, 0)
     last = challenge.max_taps - 1  # states at this depth have only leaf children
-    state = GameState(initial.clone())  # the scratch state general moves tap
     goal = challenge.goal
     present = goal.colour if goal.kind is GoalKind.COLOUR_PRESENT else None
-    moves, later, barren = tap_moves(hooks, state, present)  # the root's, and every later state's
+    later, raising = tap_moves(hooks, initial, present)
+    if raising is not None:  # no move can ever meet the goal: count
+        explored = _count_levels(start, later, last)
+        return EvalResult(Unsolvable(), raising * explored, explored)
     visited = {start}
     frontier: deque = deque([(start, ())])
     errors = 0
@@ -256,11 +256,8 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
         key, path = frontier.popleft()
         explored += 1
         depth = len(path)
-        state.taps_used = depth
-        if depth:
-            moves = later(key, depth == last)
         src = key + _CONSTANTS
-        for tap_xy, move in moves:
+        for tap_xy, move in later(key, depth == last):
             child = move(src)
             if child is None:  # the tap raised an ExecutionError
                 errors += 1
@@ -274,19 +271,15 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
             visited.add(child)
             if len(visited) != size:
                 frontier.append((child, path + (tap_xy,)))
-        if not depth and frontier and barren():  # no move can ever meet the goal: count
-            explored = _count_levels(visited - {start}, visited, later, last - 1)
-            return EvalResult(Unsolvable(), errors * explored, explored)
     return EvalResult(Unsolvable(), errors, explored)
 
 
-def _count_levels(
-    level: Set[Tuple[Cell, ...]], visited: Set[Tuple[Cell, ...]], later: Callable, depths: int
-) -> int:
-    """``visited``'s size once ``depths`` more levels of unvisited children,
-    starting from ``level``'s, join it. Each parent adds its children to a
-    set in one call; the set keeps their hashes for the subtraction and the
-    merge, so each child is hashed once."""
+def _count_levels(start: Tuple[Cell, ...], later: Callable, depths: int) -> int:
+    """The number of states within ``depths`` taps of ``start``, counted
+    level by level until a level adds none. Each parent adds its children
+    to a set in one call; the set keeps their hashes for the subtraction
+    and the merge, so each child is hashed once."""
+    level, visited = {start}, {start}
     for _ in range(depths):
         children: Set[Optional[Tuple[Cell, ...]]] = set()
         for key in level:
@@ -294,6 +287,8 @@ def _count_levels(
             children.update([move(src) for _, move in later(key)])
         children.discard(None)
         level = children - visited
+        if not level:
+            break
         visited |= level
     return len(visited)
 

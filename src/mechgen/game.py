@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from itertools import repeat
 from operator import is_, itemgetter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .lang import Signature
 from .registry import (
@@ -117,8 +117,12 @@ class Board:
         return self.cells.count(colour)
 
     def is_gravity_normal(self) -> bool:
-        """Whether gravity leaves this board as it is (``apply_gravity``)."""
-        return apply_gravity(self) == self
+        """Whether gravity leaves this board as it is (``apply_gravity``): it
+        is full, or no column has an empty cell among its lowest
+        ``height - empty`` cells."""
+        h, cells = self.height, self.cells
+        return None not in cells or not any(None in cells[lo:lo + h - cells[lo:lo + h].count(None)]
+                                            for lo in range(0, len(cells), h))
 
     def clone(self) -> "Board":
         return Board(self.width, self.height, self.cells[:])
@@ -225,32 +229,34 @@ def _cells(width: int, height: int) -> _Cells:
 
 
 def tap_moves(
-    hooks: HookTable, state: GameState, present: Optional[str] = None
-) -> Tuple[Iterator[Move], Callable[..., List[Move]], Callable[[], bool]]:
-    """Every tap of ``state``'s board as a ``(tap, move)`` pair, with the
-    hook resolved once, for a searcher that taps one scratch state.
+    hooks: HookTable, board: Board, present: Optional[str] = None
+) -> Tuple[Callable[..., List[Move]], Optional[int]]:
+    """Every tap of a board of ``board``'s size as a ``(tap, move)`` pair,
+    with the hook resolved once, and whether no move can meet the goal.
 
     ``move(key + _CONSTANTS)`` returns the gravity-normal cells, as a tuple,
     that the tap leaves on the board whose cells are ``key``, or None when
-    the tap raises an ExecutionError. The caller sets ``state.taps_used``.
-    Returns an iterator over the moves of ``state``'s board (the first
-    expansion), ``later`` and ``barren``, both valid once that iterator is
-    exhausted: ``later(key)`` is the list of moves of a board whose cells
-    are ``key``, ``later(key, True)`` its leaf list, and ``barren()`` whether
-    no move can ever meet the goal (both below). Taps come bottom row first,
-    in (y, x) order; a later rebinding of the hook does not reach the moves.
+    the tap raises an ExecutionError. Returns ``later`` and ``raising``:
+    ``later(key)`` is the list of moves of a board whose cells are ``key``,
+    ``later(key, True)`` its leaf list, and ``raising`` the count decision
+    (both below). Taps come bottom row first, in (y, x) order; a later
+    rebinding of the hook does not reach the moves. ``board`` is the root:
+    only its size and whether it is gravity-normal are read.
 
     A hook that may read the board (a host delegate, or a block whose
-    ``reads_world`` is true) runs on every move: the general move refills
-    ``state.board`` with ``key`` and runs ``tap``'s body (``_run_tap``) with
+    ``reads_world`` is true) runs on every move: the general move refills a
+    scratch board with ``key`` and runs ``tap``'s body (``_run_tap``) with
     the cell's prebuilt arguments. ``later`` then ignores ``key``. A block
-    that does not read the world is tabulated instead, one cell at a time
-    when the first expansion reaches it: it runs once on a board whose cells
-    are the position markers ``0..n-1``. Since nothing it does depends on
-    the cells, that run fixes the tap's outcome on every board of this size:
+    that does not read the world is tabulated instead, every cell before
+    this returns: it runs once on a board whose cells are the position
+    markers ``0..n-1``. Since nothing it does depends on the cells, that run
+    fixes the tap's outcome on every board of this size:
 
     - It raises: every move of the cell returns None. A budget overrun is
       fixed too, because control flow cannot depend on the board.
+    - It leaves the markers in place: the cell has no move, as its child is
+      its parent on every gravity-normal board. On a root with floating
+      tiles it is kept as a gather, which settles the root.
     - Otherwise the tap is a gather: its child, before gravity, picks its
       cells from ``key + _CONSTANTS`` at the indices the marker run left.
       If the run left any other value in a cell (a block can paint a
@@ -259,30 +265,28 @@ def tap_moves(
 
     Gravity after a gather depends only on which picks are empty, which the
     parent's empty cells (its mask) fix, so the two together are again a
-    gather (``_settled_gather``), made for the root's mask as the first
-    expansion goes and for each later mask on first use, in a dict kept for
-    the solve. A settled gather that is the identity (a NOOP on a settled
-    board, say) is dropped: its child is the parent, already seen.
+    gather (``_settled_gather``), made for each mask on first use, in a dict
+    kept for the solve. A settled gather that is the identity (a NOOP on a
+    settled board, say) is dropped: its child is the parent, already seen.
 
-    The leaf list, for a parent whose children are only goal-tested, keeps
-    the moves whose child can meet the goal, in tap order; the rule assumes
-    the parent fails it. ``present`` is the colour of a COLOUR_PRESENT goal,
+    One rule says whether a gather can make a child meet a goal its parent
+    fails (``wins``). ``present`` is the colour of a COLOUR_PRESENT goal,
     which a child can hold only if its gather picks that constant; None
     stands for a goal met by clearing tiles, which a child can meet only if
-    its settled gather misses an occupied cell. Raising moves (so
-    ``error_count`` stays exact) and moves that run the block are always kept.
-
-    ``barren()`` is true when every cell raises or is a gather and no
-    gather can make a child meet a goal its parent fails: none picks a
-    present goal's colour, or, for a clearing goal, each picks every cell
-    once, so the child keeps its parent's tiles.
+    its gather misses an occupied cell. The leaf list, for a parent whose
+    children are only goal-tested, keeps the settled gathers that can, in
+    tap order, and every raising move (so ``error_count`` stays exact) and
+    move that runs the block. ``raising`` is None when some move can meet
+    the goal: a cell runs the block, or a gather can on a full board. Else
+    it is the number of cells that raise, on every board.
     """
-    board = state.board
-    cells = board.cells
-    n = len(cells)
+    n = len(board.cells)
+    h = board.height
     delegate = hooks.delegate(ON_TILE_TAPPED)
     run = prepare(delegate, (INT, INT))
-    taps, cell_args, index = _cells(board.width, board.height)
+    taps, cell_args, index = _cells(board.width, h)
+    state = GameState(Board(board.width, h))  # the scratch state general moves tap
+    cells = state.board.cells
 
     def runs(args: Tuple[IntV, IntV], src: Tuple[Cell, ...]) -> Optional[Tuple[Cell, ...]]:
         cells[:] = src
@@ -295,44 +299,42 @@ def tap_moves(
 
     if not isinstance(delegate, GeneratedDelegate) or delegate.reads_world:
         moves = [(xy, partial(runs, args)) for xy, args in zip(taps, cell_args)]
-        return iter(moves), lambda key, leaf=False: moves, lambda: False
+        return lambda key, leaf=False: moves, None
 
+    wanted = None if present is None else index.get(present, -1)  # the colour's pick
+
+    def wins(picks: Sequence[int], occupied: Set[int]) -> bool:
+        return wanted in picks if wanted is not None else not occupied.issubset(picks)
+
+    markers = list(range(n))
+    marked = GameState(Board(board.width, h, markers[:]))
+    every = set(markers)
+    keep_noops = not board.is_gravity_normal()  # a NOOP tap settles a floating root
     tabulated: List[Tuple[Tuple[int, int], Optional[MoveFn], Optional[Tuple[int, ...]]]] = []
-    root_mask = tuple(map(is_, cells, repeat(None)))
+    raising, can_win = 0, False
+    for xy, args in zip(taps, cell_args):
+        marked.board.cells[:] = markers
+        try:
+            run(args, marked, ExecBudget())
+        except ExecutionError:
+            tabulated.append((xy, _raised, None))
+            raising += 1
+            continue
+        after = marked.board.cells
+        if after == markers and not keep_noops:  # a NOOP: its child is its parent
+            continue
+        try:
+            picks = tuple(map(index.__getitem__, after))
+        except (KeyError, TypeError):  # a value no gather can pick
+            tabulated.append((xy, partial(runs, args), None))
+            can_win = True
+        else:
+            tabulated.append((xy, None, picks))
+            can_win = can_win or wins(picks, every)
+
     by_mask: Dict[Tuple[bool, ...], List[Move]] = {}
     leaves: Dict[Tuple[bool, ...], List[Move]] = {}
-    wanted = None if present is None else index.get(present, -1)  # the colour's pick
     ids = tuple(range(n + len(_CONSTANTS)))  # a settled gather maps these to its picks
-
-    def first_expansion() -> Iterator[Move]:
-        markers = list(range(n))
-        marked = GameState(Board(board.width, board.height, markers[:]))
-        unmoved = tuple(markers)  # the picks of a cell the marker run leaves as it was
-        noop = _settled_gather(unmoved, root_mask, board.height)
-        moves: List[Move] = []
-        for xy, args in zip(taps, cell_args):
-            marked.board.cells[:] = markers
-            picks = None
-            try:
-                run(args, marked, ExecBudget())
-            except ExecutionError:
-                move: Optional[MoveFn] = _raised
-            else:
-                after = marked.board.cells
-                if after == markers:
-                    picks, move = unmoved, noop
-                else:
-                    try:
-                        picks = tuple(map(index.__getitem__, after))
-                    except (KeyError, TypeError):  # a value no gather can pick
-                        move = partial(runs, args)
-                    else:
-                        move = _settled_gather(picks, root_mask, board.height)
-            tabulated.append((xy, move, picks))
-            if move is not None:
-                moves.append((xy, move))
-                yield xy, move
-        by_mask[root_mask] = moves
 
     def later(key: Tuple[Cell, ...], leaf: bool = False) -> List[Move]:
         table = leaves if leaf else by_mask
@@ -343,23 +345,13 @@ def tap_moves(
             moves = table[mask] = []
             for xy, move, picks in tabulated:
                 if picks is not None:
-                    move = _settled_gather(picks, mask, board.height)
-                    if move is None or leaf and (wanted not in move(ids) if wanted is not None
-                                                 else occupied.issubset(move(ids))):
+                    move = _settled_gather(picks, mask, h)
+                    if move is None or leaf and not wins(move(ids), occupied):
                         continue
                 moves.append((xy, move))
         return moves
 
-    def barren() -> bool:
-        every = set(range(n))
-        return all(
-            move is _raised if picks is None
-            else wanted not in picks if wanted is not None
-            else every.issubset(picks)  # n picks that take every cell: a permutation
-            for _, move, picks in tabulated
-        )
-
-    return first_expansion(), later, barren
+    return later, None if can_win else raising
 
 
 @lru_cache(maxsize=1024)

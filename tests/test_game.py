@@ -200,9 +200,9 @@ def test_general_move_matches_tap_and_keeps_its_hook(game_registry, hooks, set_y
     # Both hooks take the general move: the host baseline, and a block that reads the board.
     for delegate in (hooks.delegate("onTileTapped"), reader):
         hooks.bind("onTileTapped", delegate)
-        moves, later, _ = tap_moves(hooks, GameState(board.clone(), 2))
+        later, _ = tap_moves(hooks, board)
         taps = {}
-        for xy, move in moves:
+        for xy, move in later(board.key()):
             tapped = GameState(board.clone(), 2)
             assert tap(tapped, *xy, hooks) is tapped and tapped.taps_used == 3
             taps[xy] = tapped.board.key()
@@ -211,10 +211,10 @@ def test_general_move_matches_tap_and_keeps_its_hook(game_registry, hooks, set_y
         # The hook is resolved when the moves are built: rebinding reaches new moves only.
         hooks.bind("onTileTapped", yellow)
         assert all(move(src) == taps[xy] for xy, move in later(board.key()))
-    # So are tabulated moves that the first expansion has not run yet.
-    moves, _, _ = tap_moves(hooks, GameState(board.clone()))
+    # So are tabulated moves: rebinding after ``tap_moves`` does not reach ``later``'s.
+    later, _ = tap_moves(hooks, board)
     hooks.bind("onTileTapped", reader)
-    xy, move = next(moves)
+    xy, move = later(board.key())[0]
     assert xy == (0, 0) and move(src)[0] == "Y"
 
 

@@ -10,6 +10,7 @@ path, which runs the block on every tap; both must give the same
 
 import gc
 import itertools
+import signal
 from unittest import mock
 from dataclasses import replace
 from pathlib import Path
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from mechgen import evaluate, game
 from mechgen.evaluate import (
-    Challenge, EvalResult, Goal, GoalKind, Solved, Unsolvable, parse_challenge, solve,
+    Challenge, EvalResult, Goal, GoalKind, Solved, Unsolvable, load_challenge, parse_challenge,
+    solve,
 )
 from mechgen.game import (
     _CONSTANTS,
@@ -34,7 +36,7 @@ from mechgen.game import (
     tap,
     tap_moves,
 )
-from mechgen.lang import parse
+from mechgen.lang import parse, pretty
 from mechgen.registry import INT, VOID, EnumDef, FieldDescriptor, MethodDescriptor, Registry, enum_type
 from mechgen.runtime import ExecBudget, EnumV, ExecutionError, GeneratedDelegate, IntV
 from mechgen.synthesis import GenerationError, config_with_seed, generate_block, load_config_file
@@ -128,7 +130,7 @@ def test_one_liners_agree(text):
 
 def test_goal_met_in_the_middle_of_the_root_expansion(monkeypatch):
     # Tap (0, 0) raises (x - 1 = -1), tap (1, 0) destroys the G: solved
-    # before tap (2, 0) is ever tabulated.
+    # before tap (2, 0) is tried.
     challenge = parse_challenge("GRR\ngoal: COLOUR_CLEARED G\nmax_taps: 2\n")
     calls = []
     spend = ExecBudget.spend
@@ -139,9 +141,9 @@ def test_goal_met_in_the_middle_of_the_root_expansion(monkeypatch):
     calls.clear()
     registry = build_game_registry(3, 1)
     solve(challenge, hooks_for(parse("DestroyTile(Sub(x, 1), y);", params=["x", "y"]), registry))
-    # One marker run per tapped cell: Sub, then Sub and DestroyTile. A table
-    # built for every cell up front would also run tap (2, 0): 5 calls.
-    assert len(calls) == 3
+    # One marker run per cell, every cell before the search starts: Sub,
+    # then Sub and DestroyTile for each of the other two.
+    assert len(calls) == 5
 
 
 def test_a_tabulated_solve_runs_the_block_at_most_once_per_cell(monkeypatch):
@@ -176,7 +178,7 @@ def test_noop_cells_on_a_board_with_floating_tiles():
 
 
 def test_a_root_with_floating_tiles():
-    # Every gather of the root expansion is settled for the root's own mask.
+    # Every gather of the root's moves is settled for the root's own mask.
     roots = [
         Board(2, 2, ["R", None, None, "G"]),
         Board(3, 3, [None, "R", None, "G", None, "B", "Y", "R", None]),
@@ -227,6 +229,26 @@ def test_every_cell_a_noop_explores_only_the_root():
     challenge = parse_challenge("RG\nBR\ngoal: CLEARED\nmax_taps: 4\n")
     result = assert_paths_agree(challenge, "SwapTiles(x, y, x, y);")
     assert (result.error_count, result.states_explored) == (0, 1)
+
+
+def test_noop_cells_never_reach_a_gather(monkeypatch):
+    # A cell whose marker run leaves the markers in place is dropped when the
+    # cells are tabulated, so no mask settles it.
+    challenge = parse_challenge("....\nR...\nGB.R\nRGBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 4\n")
+    settled = []  # the picks of every gather settled
+    real = game._settled_gather
+    monkeypatch.setattr(game, "_settled_gather",
+                        lambda picks, mask, height: settled.append(picks) or real(picks, mask, height))
+    registry = build_game_registry(4, 4)
+    for text in ("DoNothing();", "SwapTiles(x, y, x, y);"):
+        result = solve(challenge, hooks_for(parse(text, params=["x", "y"]), registry))
+        assert result == EvalResult(Unsolvable(), 0, 1), text
+        assert settled == [], text
+    # A NOOP on the bottom row only: the other twelve cells are gathers.
+    later, _ = built_for("SwapTiles(x, y, x, 0);", challenge.initial, "Y")
+    full = Board(4, 4, ["R"] * 16)
+    assert [xy for xy, _ in later(full.key())] == [(x, y) for y in range(1, 4) for x in range(4)]
+    assert len(settled) == 12
 
 
 def test_every_cell_raising_counts_every_tap():
@@ -317,6 +339,41 @@ def test_generated_candidates_agree(challenge, config_name, seed):
     assert fast == slow
 
 
+@pytest.mark.parametrize("config_name, challenge_name, floor", [
+    # 22, 25, 68 and 87 when written
+    ("default.cfg", "unsolvable.ch", 20),
+    ("default.cfg", "clear_red.ch", 20),
+    ("search.cfg", "unsolvable.ch", 60),
+    ("search.cfg", "clear_red.ch", 80),
+])
+def test_deep_generated_solves_agree(config_name, challenge_name, floor):
+    """Every distinct tabulated block that seeds 0-1,999 generate for a
+    fixture challenge, and whose solve explores more than the root, gives
+    the general path's result: at least ``floor`` such blocks, and some of
+    their solves counted."""
+    challenge = load_challenge(FIXTURES / challenge_name)
+    registry = build_game_registry(challenge.initial.width, challenge.initial.height)
+    config = CONFIGS[config_name]
+    seen = set()
+    deep = []  # whether each deep solve counted its levels
+    for seed in range(2000):
+        try:
+            block = generate_block(TAP_SIG, registry, config_with_seed(config, seed))
+        except GenerationError:
+            continue
+        text = pretty(block)
+        if text in seen:
+            continue
+        seen.add(text)
+        if GeneratedDelegate(TAP_SIG, block, registry).reads_world:
+            continue
+        fast, taken = counted(challenge, hooks_for(block, registry))
+        if fast.states_explored > 1:
+            deep.append(taken)
+            assert fast == solve(challenge, hooks_for(block, general_registry(registry))), text
+    assert len(deep) >= floor and any(deep)
+
+
 @settings(max_examples=150, deadline=None)
 @given(challenges(), st.sampled_from(ONE_LINERS))
 def test_one_liners_agree_on_random_boards(challenge, text):
@@ -344,15 +401,15 @@ def test_one_liners_agree_on_deep_challenges(challenge, text):
 
 def settled_children(hooks, root, board):
     """{tap: the child key, or None when the tap raised} of every tap of
-    ``board``, by the moves ``tap_moves`` gives for it: the first
-    expansion's moves when ``board`` is ``root``, else the later moves for
-    ``board``'s key, built on ``root``. A tap with no move is the identity
-    on ``board``: its child is ``board``'s key."""
-    first, later, _ = tap_moves(hooks, GameState(root.clone()))
-    first = list(first)  # which also completes the tabulated taps ``later`` reads
-    moves = first if board is root else later(board.key())
-    out = {(x, y): board.key() for y in range(board.height) for x in range(board.width)}
-    for xy, move in moves:
+    ``board``, by the moves ``tap_moves``, built on ``root``, gives for
+    ``board``'s key. A tap with no move leaves the board as gravity leaves
+    it: on a gravity-normal board its settled gather is the identity, and
+    a NOOP cell, dropped when ``root`` is gravity-normal, settles a board
+    with floating tiles."""
+    later, _ = tap_moves(hooks, root)
+    settled = apply_gravity(board).key()
+    out = {(x, y): settled for y in range(board.height) for x in range(board.width)}
+    for xy, move in later(board.key()):
         child = move(board.key() + _CONSTANTS)
         if child is not None:
             assert isinstance(child, tuple) and len(child) == len(board.cells)
@@ -467,8 +524,8 @@ def test_a_one_cell_gather_returns_a_tuple():
     block = parse("SetTile(x, y, Colour.G);", params=["x", "y"])
     root = Board(1, 1, ["R"])
     hooks = hooks_for(block, build_game_registry(1, 1))
-    first, later, _ = tap_moves(hooks, GameState(root.clone()))
-    [(xy, move)] = list(first)
+    later, _ = tap_moves(hooks, root)
+    [(xy, move)] = later(root.key())
     assert xy == (0, 0)
     assert move(("B",) + _CONSTANTS) == ("G",)
     assert move((None,) + _CONSTANTS) == ("G",)
@@ -483,15 +540,14 @@ def test_a_tap_settled_to_the_identity_has_no_move_on_that_mask():
     block = parse("DestroyTile(x, Sub(Height, 1));", params=["x", "y"])
     root = Board.from_rows([".R.", "GBR", "RBG"])
     hooks = hooks_for(block, build_game_registry(3, 3))
-    first, later, _ = tap_moves(hooks, GameState(root.clone()))
-    list(first)
+    later, _ = tap_moves(hooks, root)
     assert [xy for xy, _ in later(root.key())] == [(1, y) for y in range(3)]
     assert len(later(Board.from_rows(["RRR", "GBR", "RBG"]).key())) == 9
     assert later(Board.from_rows(["...", "GB.", "RBG"]).key()) == []
 
 
 def test_the_tabulated_fast_path_runs_no_gravity_on_a_board(monkeypatch):
-    # After the root expansion, a tabulated solve neither runs the block nor
+    # Once its cells are tabulated, a solve neither runs the block nor
     # settles a board: gravity runs on the picks of each gather, once per mask.
     game._settled_gather.cache_clear()  # so this solve settles its own gathers
     challenge = parse_challenge("....\nR...\nGB.R\nRGBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n")
@@ -511,7 +567,7 @@ def test_the_tabulated_fast_path_runs_no_gravity_on_a_board(monkeypatch):
     block = parse("DestroyTile(x, y);", params=["x", "y"])
     result = solve(challenge, hooks_for(block, build_game_registry(4, 4)))
     assert result.status == Unsolvable() and result.states_explored > 16
-    assert len(runs) == 16  # one marker run per cell, all in the root expansion
+    assert len(runs) == 16  # one marker run per cell, all before the search starts
     assert settles and not any(settles)
 
 
@@ -530,13 +586,9 @@ def assert_matches_naive(challenge, text):
 
 
 def built_for(text, root, present, registry=None):
-    """``later`` and ``barren`` of ``text``'s moves built for ``root``, once
-    the first expansion is exhausted."""
+    """``later`` and the count decision of ``text``'s moves built for ``root``."""
     registry = registry or build_game_registry(root.width, root.height)
-    first, later, barren = tap_moves(hooks_for(parse(text, params=["x", "y"]), registry),
-                                     GameState(root.clone()), present)
-    list(first)
-    return later, barren
+    return tap_moves(hooks_for(parse(text, params=["x", "y"]), registry), root, present)
 
 
 def leaf_taps(text, root, board, present):
@@ -600,46 +652,47 @@ def test_a_cleared_goal_met_at_the_last_tap_after_raising_cells(board, goal, wit
 
 
 def counted(challenge, hooks):
-    """The solve's result, and whether it counted the levels below the
-    root's children instead of queueing them (``barren`` said so)."""
+    """The solve's result, and whether it counted its levels instead of
+    queueing them (the count decision of ``tap_moves`` was not None)."""
     decided = []
     real = evaluate.tap_moves
 
-    def spied(hooks, state, present=None):
-        first, later, barren = real(hooks, state, present)
-        return first, later, lambda: decided.append(barren()) or decided[-1]
+    def spied(hooks, board, present=None):
+        later, raising = real(hooks, board, present)
+        decided.append(raising)
+        return later, raising
 
     with mock.patch.object(evaluate, "tap_moves", spied):
         result = solve(challenge, hooks)
-    return result, decided == [True]
+    return result, len(decided) == 1 and decided[0] is not None
 
 
 @pytest.mark.parametrize("goal", ["COLOUR_PRESENT Y", "COLOUR_CLEARED R"])
 def test_a_swap_calls_no_move_at_the_last_depth(goal, monkeypatch):
     # A swap's child holds the parent's tiles and no constant, so it neither
-    # holds a Y nor clears a colour: the solve counts the levels below the
-    # root's children, and a last-depth parent builds no child.
+    # holds a Y nor clears a colour: the solve counts its levels from the
+    # root, and a last-depth parent builds no child.
     challenge = parse_challenge(f"RGB\nBRG\nGBR\ngoal: {goal}\nmax_taps: 3\n")
     text = "SwapTiles(x, y, 0, 0);"
     expected = assert_matches_naive(challenge, text)
     calls = []  # (parent, child) of every move called
-    decided = []  # what ``barren`` said
+    decided = []  # the count decision of ``tap_moves``
     real = evaluate.tap_moves
     n = len(challenge.initial.cells)
 
-    def spied(hooks, state, present=None):
+    def spied(hooks, board, present=None):
         def spy(moves):
             return [(xy, lambda src, move=move: calls.append((src[:n], move(src))) or move(src))
                     for xy, move in moves]
-        first, later, barren = real(hooks, state, present)
-        return (iter(spy(first)), lambda key, leaf=False: spy(later(key, leaf)),
-                lambda: decided.append(barren()) or decided[-1])
+        later, raising = real(hooks, board, present)
+        decided.append(raising)
+        return lambda key, leaf=False: spy(later(key, leaf)), raising
 
     monkeypatch.setattr(evaluate, "tap_moves", spied)
     block = parse(text, params=["x", "y"])
     result = solve(challenge, hooks_for(block, build_game_registry(3, 3)))
     assert result == expected and result.status == Unsolvable()
-    assert decided == [True]
+    assert decided == [0]
     root = challenge.initial.key()
     inner = {root} | {child for parent, child in calls if parent == root}
     assert len(inner) > 2 and {parent for parent, _ in calls} == inner
@@ -657,13 +710,34 @@ def test_a_counted_solve_counts_each_raising_cell_on_every_state():
     assert result.states_explored > 1 and result.error_count == result.states_explored * 3
 
 
+def test_a_counted_solve_ends_on_an_empty_level():
+    # A swap with the bottom cell reaches two boards, so the third level adds
+    # no state: a budget of 10**12 taps ends there, as the general path does.
+    challenge = parse_challenge("R\nG\ngoal: COLOUR_PRESENT Y\nmax_taps: 1000000000000\n")
+    block = parse("SwapTiles(x, y, 0, 0);", params=["x", "y"])
+    registry = build_game_registry(1, 2)
+
+    def hang(signum, frame):
+        raise TimeoutError("the count went on past an empty level")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)  # generous: the solve takes well under a second
+    try:
+        result, taken = counted(challenge, hooks_for(block, registry))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    slow = solve(challenge, hooks_for(block, general_registry(registry)))
+    assert taken and result == slow == EvalResult(Unsolvable(), 0, 2)
+
+
 @pytest.mark.parametrize("text, goal, present", [
     ("SetTile(x, y, Colour.Y);", "COLOUR_PRESENT Y", "Y"),  # a gather that picks the Y
     ("DestroyTile(x, y);", "COLOUR_CLEARED R", None),  # a gather that drops a tile
 ])
 def test_a_move_that_can_meet_the_goal_keeps_the_queue(text, goal, present):
     challenge = parse_challenge(f"RGB\nBRG\nGBR\ngoal: {goal}\nmax_taps: 3\n")
-    assert not built_for(text, challenge.initial, present)[1]()
+    assert built_for(text, challenge.initial, present)[1] is None
     expected = assert_matches_naive(challenge, text)
     result, taken = counted(challenge, hooks_for(parse(text, params=["x", "y"]),
                                                  build_game_registry(3, 3)))
@@ -676,7 +750,7 @@ def test_a_variant_cell_keeps_the_queue(goal, present):
     # on every move, which the rule does not look into.
     challenge = parse_challenge(f"RG\nBR\ngoal: {goal}\nmax_taps: 3\n")
     text = "SetTile(x, 0, Colour.R); SetTile(x, 1, Colour.Z);"
-    assert not built_for(text, challenge.initial, present, z_registry(2, 2))[1]()
+    assert built_for(text, challenge.initial, present, z_registry(2, 2))[1] is None
     result, taken = counted(challenge, hooks_for(parse(text, params=["x", "y"]), z_registry(2, 2)))
     assert not taken and result.status == Unsolvable() and result.states_explored > 1
 
@@ -684,7 +758,7 @@ def test_a_variant_cell_keeps_the_queue(goal, present):
 def test_a_reader_keeps_the_queue():
     challenge = parse_challenge("RG\nBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n")
     text = "if (IsOccupied(x, 1)) { SwapTiles(x, y, 0, 0); }"
-    assert not built_for(text, challenge.initial, "Y")[1]()
+    assert built_for(text, challenge.initial, "Y")[1] is None
     hooks = hooks_for(parse(text, params=["x", "y"]), build_game_registry(2, 2))
     result, taken = counted(challenge, hooks)
     assert not taken and result.status == Unsolvable() and result.states_explored > 1
@@ -702,7 +776,8 @@ def test_the_random_differentials_take_the_counting_path():
 
     def record(name, challenge, block):
         registry = build_game_registry(challenge.initial.width, challenge.initial.height)
-        taken[name].append(counted(challenge, hooks_for(block, registry))[1])
+        result, was_counted = counted(challenge, hooks_for(block, registry))
+        taken[name].append(was_counted and result.states_explored > 1)
 
     def one_liners(name, strategy):
         @settings(max_examples=150, deadline=None, derandomize=True, database=None)
