@@ -209,13 +209,15 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     child, as a tuple does not cache its hash.
 
     A block that does not read the world is tabulated before the search
-    starts: it runs once per cell, on position markers, and every tap of
-    the cell is then one ``itemgetter`` call on the parent's key, settled
-    for the parent's empty cells, or None, counted without running
-    anything. A tap whose settled gather leaves the parent as it is has no
-    move: its child is the parent, which is already visited and is not a
-    goal. Any other hook runs on every tap, on a scratch board, which it
-    settles before taking the child's key.
+    starts: it runs once per group of cells that agree on the parameters
+    it reads (``GeneratedDelegate.params_read``), on position markers, and
+    every tap of the group's cells is then one ``itemgetter`` call on the
+    parent's key, settled for the parent's empty cells, or None, counted
+    without running anything. A tap whose settled gather leaves the parent
+    as it is has no move: its child is the parent, which is already visited
+    and is not a goal. Any other hook runs on a scratch board, which it
+    settles before taking the child's key, once per group on each expanded
+    state: the group's other cells take that child.
 
     Children at the last tap depth are goal-checked but neither stored in
     ``visited`` nor queued: they would never be expanded, and BFS discovers

@@ -17,10 +17,11 @@ whether it reads the board.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache, partial
 from itertools import repeat
 from operator import is_, itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .lang import Signature
 from .registry import (
@@ -228,6 +229,22 @@ def _cells(width: int, height: int) -> _Cells:
     return taps, tuple((xs[x], ys[y]) for x, y in taps), index
 
 
+@lru_cache(maxsize=64)
+def _groups(width: int, height: int, read: FrozenSet[int]) -> Tuple[Tuple[Tuple[int, ...], bool], ...]:
+    """For each cell in ``_cells``'s order, its group and whether another
+    cell shares it. A cell's group is its coordinates at the parameter
+    indices ``read`` (0 is x, 1 is y), so cells whose taps pass the same
+    values there are one group. Callers only read the result."""
+    at = sorted(read)
+    groups = [tuple(xy[i] for i in at) for xy in _cells(width, height)[0]]
+    sizes = Counter(groups)
+    return tuple((group, sizes[group] > 1) for group in groups)
+
+
+_BOTH = frozenset((0, 1))  # what a host delegate may read of the tap's arguments
+
+
+
 def tap_moves(
     hooks: HookTable, board: Board, present: Optional[str] = None
 ) -> Tuple[Callable[..., List[Move]], Optional[int]]:
@@ -243,14 +260,26 @@ def tap_moves(
     rebinding of the hook does not reach the moves. ``board`` is the root:
     only its size and whether it is gravity-normal are read.
 
+    A tap's outcome depends only on the arguments the hook reads (a block's
+    ``params_read``; a host delegate may read both), so the cells that agree
+    on those form one group (``_groups``), and the hook runs once per group,
+    not once per cell: every cell of the group takes the group's outcome,
+    and is still listed on its own, so the moves, error counts and
+    witnesses are those of one run per cell.
+
     A hook that may read the board (a host delegate, or a block whose
     ``reads_world`` is true) runs on every move: the general move refills a
     scratch board with ``key`` and runs ``tap``'s body (``_run_tap``) with
-    the cell's prebuilt arguments. ``later`` then ignores ``key``. A block
-    that does not read the world is tabulated instead, every cell before
-    this returns: it runs once on a board whose cells are the position
-    markers ``0..n-1``. Since nothing it does depends on the cells, that run
-    fixes the tap's outcome on every board of this size:
+    the prebuilt arguments of the group's first cell. ``later`` then ignores
+    ``key``. The cells of a group share one move, which runs the block once
+    per parent: called again with the ``src`` of its last call, it returns
+    that call's child (``_once``). A cell alone in its group, which is every
+    cell when the hook reads both arguments, runs the block on every call.
+
+    A block that does not read the world is tabulated instead, every group
+    before this returns: it runs once on a board whose cells are the
+    position markers ``0..n-1``. Since nothing it does depends on the cells,
+    that run fixes the tap's outcome on every board of this size:
 
     - It raises: every move of the cell returns None. A budget overrun is
       fixed too, because control flow cannot depend on the board.
@@ -261,7 +290,8 @@ def tap_moves(
       cells from ``key + _CONSTANTS`` at the indices the marker run left.
       If the run left any other value in a cell (a block can paint a
       variant that is no tile colour when its registry's ``Colour``
-      declares one), that tap runs the block on every move instead.
+      declares one), that tap runs the block on every move instead, as a
+      general move.
 
     Gravity after a gather depends only on which picks are empty, which the
     parent's empty cells (its mask) fix, so the two together are again a
@@ -297,40 +327,62 @@ def tap_moves(
             return None
         return tuple(cells)
 
-    if not isinstance(delegate, GeneratedDelegate) or delegate.reads_world:
-        moves = [(xy, partial(runs, args)) for xy, args in zip(taps, cell_args)]
-        return lambda key, leaf=False: moves, None
+    def general(args: Tuple[IntV, IntV], shared: bool) -> MoveFn:
+        move = partial(runs, args)
+        return _once(move) if shared else move
 
     wanted = None if present is None else index.get(present, -1)  # the colour's pick
 
     def wins(picks: Sequence[int], occupied: Set[int]) -> bool:
         return wanted in picks if wanted is not None else not occupied.issubset(picks)
 
+    read = delegate.params_read if isinstance(delegate, GeneratedDelegate) else _BOTH
+    if not isinstance(delegate, GeneratedDelegate) or delegate.reads_world:
+        shared_moves: Dict[Tuple[int, ...], MoveFn] = {}
+        moves: List[Move] = []
+        for xy, args, (group, shared) in zip(taps, cell_args, _groups(board.width, h, read)):
+            move = shared_moves.get(group)
+            if move is None:
+                move = shared_moves[group] = general(args, shared)
+            moves.append((xy, move))
+        return lambda key, leaf=False: moves, None
+
     markers = list(range(n))
     marked = GameState(Board(board.width, h, markers[:]))
     every = set(markers)
     keep_noops = not board.is_gravity_normal()  # a NOOP tap settles a floating root
     tabulated: List[Tuple[Tuple[int, int], Optional[MoveFn], Optional[Tuple[int, ...]]]] = []
+    # Per group: its move (_raised, or one that runs the block) and no
+    # picks, or no move and a gather's picks; () when it has no move.
+    outcomes: Dict[Tuple[int, ...], Tuple[Any, ...]] = {}
     raising, can_win = 0, False
-    for xy, args in zip(taps, cell_args):
-        marked.board.cells[:] = markers
-        try:
-            run(args, marked, ExecBudget())
-        except ExecutionError:
-            tabulated.append((xy, _raised, None))
+    for xy, args, (group, shared) in zip(taps, cell_args, _groups(board.width, h, read)):
+        outcome = outcomes.get(group)
+        if outcome is None:  # the group's marker run
+            marked.board.cells[:] = markers
+            try:
+                run(args, marked, ExecBudget())
+            except ExecutionError:
+                outcome = _raised, None
+            else:
+                after = marked.board.cells
+                if after == markers and not keep_noops:  # a NOOP: its child is its parent
+                    outcome = ()  # no move for the group's cells
+                else:
+                    try:
+                        picks = tuple(map(index.__getitem__, after))
+                    except (KeyError, TypeError):  # a value no gather can pick
+                        outcome = general(args, shared), None
+                        can_win = True
+                    else:
+                        outcome = None, picks
+                        can_win = can_win or wins(picks, every)
+            outcomes[group] = outcome
+        if not outcome:
+            continue
+        if outcome[0] is _raised:
             raising += 1
-            continue
-        after = marked.board.cells
-        if after == markers and not keep_noops:  # a NOOP: its child is its parent
-            continue
-        try:
-            picks = tuple(map(index.__getitem__, after))
-        except (KeyError, TypeError):  # a value no gather can pick
-            tabulated.append((xy, partial(runs, args), None))
-            can_win = True
-        else:
-            tabulated.append((xy, None, picks))
-            can_win = can_win or wins(picks, every)
+        tabulated.append((xy, *outcome))
 
     by_mask: Dict[Tuple[bool, ...], List[Move]] = {}
     leaves: Dict[Tuple[bool, ...], List[Move]] = {}
@@ -352,6 +404,23 @@ def tap_moves(
         return moves
 
     return later, None if can_win else raising
+
+
+def _once(move: MoveFn) -> MoveFn:
+    """``move``, shared by the cells of a group: called again with the
+    ``src`` of its last call, it returns that call's child without running
+    again. ``src`` is compared by identity, which is exact because the last
+    one is kept alive; a solve builds one ``src`` per parent."""
+    last: List[Any] = [None, None]
+
+    def shared(src: Tuple[Cell, ...]) -> Optional[Tuple[Cell, ...]]:
+        if last[0] is src:
+            return last[1]
+        child = move(src)
+        last[0], last[1] = src, child
+        return child
+
+    return shared
 
 
 @lru_cache(maxsize=1024)

@@ -21,7 +21,8 @@ at compile time), so out-of-range arguments surface as ConstraintViolation
 whether they came from literals or computed values. The compiler also
 records whether the block may read the world
 (``GeneratedDelegate.reads_world``), from the effect flag of each method it
-calls.
+calls, and which parameters it may read (``GeneratedDelegate.params_read``):
+two calls whose arguments agree on those do the same thing to one world.
 Execution has no transactional rollback: an erroring invocation leaves the
 world in whatever partial state it reached.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, List, NoReturn, Optional, Sequence, Set, Tuple, Union
 
 from .lang import (
     INT64_MIN,
@@ -224,17 +225,25 @@ class GeneratedDelegate(Delegate):
     shape (the game's are the board dimensions). A block that does not read
     the world does the same thing to every board of one size, whatever the
     board holds.
+
+    ``params_read`` holds the index in ``sig.params`` of each parameter that
+    some name reference reads, dead branches included, and also when the
+    block assigned the parameter before the read. Arguments at other indices
+    are never looked at, so two runs whose arguments agree at these indices
+    leave one world the same way, or raise the same error.
     """
 
     block: CodeBlock
     registry: Registry = field(compare=False)
     program: Runner = field(init=False, compare=False, repr=False)
     reads_world: bool = field(init=False, compare=False)
+    params_read: FrozenSet[int] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        program, reads_world = _compile(self.sig, self.block, self.registry)
+        program, reads_world, params_read = _compile(self.sig, self.block, self.registry)
         object.__setattr__(self, "program", program)
         object.__setattr__(self, "reads_world", reads_world)
+        object.__setattr__(self, "params_read", params_read)
 
 
 # --------------------------------------------------------------------------
@@ -381,10 +390,11 @@ Frame = List[Any]
 Compiled = Callable[[Frame], Any]
 
 
-def _compile(sig: Signature, block: CodeBlock, registry: Registry) -> Tuple[Runner, bool]:
+def _compile(sig: Signature, block: CodeBlock, registry: Registry) -> Tuple[Runner, bool, FrozenSet[int]]:
     """Check and compile ``block`` in one walk into nested closures: the
-    runner, and whether the block may read the world
-    (``GeneratedDelegate.reads_world``).
+    runner, whether the block may read the world
+    (``GeneratedDelegate.reads_world``), and the parameters it may read
+    (``GeneratedDelegate.params_read``).
 
     The walk infers each node's type as it builds the node's code, and
     raises the first failed check in this order: statements in order, a
@@ -421,7 +431,7 @@ def _compile(sig: Signature, block: CodeBlock, registry: Registry) -> Tuple[Runn
         body(frame)
         return result(frame)
 
-    return program, compiler.reads_world
+    return program, compiler.reads_world, frozenset(compiler.params_read)
 
 
 def _skip(frame: Frame) -> None:
@@ -455,6 +465,8 @@ class _Compiler:
         # Set by any call of a reader and by any field write; every call site
         # is compiled, reachable or not.
         self.reads_world = False
+        # The index of every parameter a name reference reads, reachable or not.
+        self.params_read: Set[int] = set()
         self.index = 0  # the top-level statement being compiled
 
     def reject(
@@ -608,6 +620,8 @@ class _Compiler:
             binding = lookup(frames, expr.name)
             if binding is None:
                 self.reject(f"unknown local '{expr.name}'", path)
+            if binding[0] < self.first:  # the parameters have the slots before ``first``
+                self.params_read.add(binding[0] - _FIRST_LOCAL)
             return binding
         if isinstance(expr, FieldRef):
             name = expr.name

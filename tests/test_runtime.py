@@ -366,3 +366,58 @@ def test_typechecked_blocks_never_fault_dynamically(seed, ax, ay, game_registry,
         assert result == UNIT
     except ExecutionError as err:
         assert isinstance(err, ConstraintViolation)
+
+
+# --------------------------------------------------------------------------
+# the parameters a block reads
+
+
+def params_read(text, sig=None, registry=None):
+    sig = sig or build_hook_table().sig("onTileTapped")
+    registry = registry or build_game_registry()
+    block = parse(text, params=[name for name, _ in sig.params])
+    return GeneratedDelegate(sig, block, registry).params_read
+
+
+@pytest.mark.parametrize("text, read", [
+    ("DestroyTile(x, y);", {0, 1}),
+    ("DestroyTile(x, 0);", {0}),
+    ("DestroyTile(0, y);", {1}),
+    ("DestroyTile(2, 0);", set()),
+    ("DoNothing();", set()),
+    ("", set()),
+    # Field reads are not parameter reads.
+    ("SetTile(Sub(Width, 1), Sub(Height, 1), Colour.R);", set()),
+    # A read through a local still reads the parameter, where it is declared.
+    ("int v0 = y; DestroyTile(0, v0);", {1}),
+    ("int v0 = Add(x, 1); if (Equal(v0, 2)) { DoNothing(); }", {0}),
+    # A condition reads, and so does a board-reading call's argument.
+    ("if (Less(x, 1)) { DestroyTile(0, 0); }", {0}),
+    ("if (IsOccupied(0, y)) { DestroyTile(0, 0); }", {1}),
+    ("if (IsOccupied(0, 0)) { DestroyTile(1, 0); }", set()),
+    # A nested if reads in its own condition and branches.
+    ("if (Less(0, 1)) { if (Equal(y, 2)) { DoNothing(); } else { DestroyTile(x, 0); } }", {0, 1}),
+])
+def test_params_read(text, read):
+    assert params_read(text) == frozenset(read)
+
+
+def test_a_read_in_a_dead_branch_counts():
+    assert params_read("if (false) { DestroyTile(x, 0); }") == {0}
+    assert params_read("if (true) { DoNothing(); } else { DestroyTile(0, y); }") == {1}
+
+
+def test_a_read_after_an_assignment_counts_and_a_write_alone_does_not():
+    assert params_read("x = 1; DestroyTile(x, 0);") == {0}
+    assert params_read("y = Add(1, 1); DestroyTile(0, 0);") == set()
+    # The assigned value reads the other parameter.
+    assert params_read("y = x; DoNothing();") == {0}
+
+
+def test_params_read_indexes_the_signature():
+    reg = move_registry()
+    sig = Signature("f", (("a", INT), ("b", INT), ("c", INT)), INT)
+    assert params_read("return Add(c, a);", sig, reg) == {0, 2}
+    assert params_read("return c;", sig, reg) == {2}
+    one = GeneratedDelegate(sig, parse("return b;", params=["a", "b", "c"]), reg)
+    assert one.params_read == {1} and isinstance(one.params_read, frozenset)

@@ -1,11 +1,15 @@
 """The solver's tabulated path against its general path, and the effect
-annotation the tabulation trusts.
+annotation and parameter set the tabulation trusts.
 
-A block that calls no world-reading method is run once per cell on position
-markers and then replayed as a gather (``game.tap_moves``). Building the same
-registry with every method marked ``reads_world=True`` forces the general
-path, which runs the block on every tap; both must give the same
-``EvalResult``: status, witness, ``error_count`` and ``states_explored``.
+A block that calls no world-reading method is run once per group of cells
+that agree on the parameters it reads (``GeneratedDelegate.params_read``) on
+position markers, and then replayed as a gather (``game.tap_moves``).
+Building the same registry with every method marked ``reads_world=True``
+forces the general path, which runs the block once per group on every
+expanded state; both must give the same ``EvalResult``: status, witness,
+``error_count`` and ``states_explored``. The groups are checked against a
+solve with one cell per group, against ``tap`` cell by cell, and the
+parameter set against ``tap`` as an independent oracle.
 """
 
 import gc
@@ -13,6 +17,7 @@ import itertools
 import signal
 from unittest import mock
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -937,3 +942,178 @@ def test_the_flag_is_not_rendered():
     registry = build_game_registry()
     assert general_registry(registry).dump_lines() == registry.dump_lines()
     assert not any("reads" in line for line in registry.dump_lines())
+
+
+# --------------------------------------------------------------------------
+# groups: a tap runs once per value of the parameters its block reads
+
+
+# Blocks that read no parameter, only x or only y: tabulated ones first.
+GROUPED = [
+    "DestroyTile(2, 0);",  # raises on a board narrower than 3
+    "SetTile(x, 0, Colour.Y);",
+    "SwapTiles(0, y, Sub(Width, 1), y);",
+    "if (Equal(y, 1)) { DestroyTile(0, 0); }",  # a NOOP outside row 1
+    "DestroyTile(Sub(x, 1), Sub(Height, 1));",  # raises on column 0
+]
+READERS = [
+    "if (IsOccupied(0, 0)) { DestroyTile(1, 0); }",
+    "if (IsOccupied(x, 0)) { SetTile(x, 0, Colour.G); }",
+    "if (Less(CountColour(Colour.R), 2)) { DestroyTile(0, y); }",
+    "if (IsOccupied(0, y)) { SwapTiles(0, y, Sub(Width, 1), 0); } else { DestroyTile(Sub(Width, 2), 0); }",
+]
+
+
+def ungrouped(challenge, hooks):
+    """The solve with every cell in a group of its own, as for a block that
+    reads both parameters: one run per cell."""
+    real = game._groups
+    with mock.patch.object(game, "_groups", lambda w, h, read: real(w, h, frozenset((0, 1)))):
+        return solve(challenge, hooks)
+
+
+def assert_grouped_agree(challenge, text):
+    """The grouped solve equals the general path's, the ungrouped solve's
+    and, in status, ``naive_solve``'s replay through ``tap``."""
+    block = parse(text, params=["x", "y"])
+    registry = build_game_registry(challenge.initial.width, challenge.initial.height)
+    fast, slow, tabulated = both_paths(challenge, block)
+    assert tabulated == (text in GROUPED), text
+    hooks = hooks_for(block, registry)
+    assert fast == slow == ungrouped(challenge, hooks), text
+    naive = naive_solve(challenge, hooks)
+    assert fast.status == (Unsolvable() if naive[0] == "unsolvable" else Solved(naive[1], naive[2])), text
+    return fast
+
+
+@pytest.mark.parametrize("text", GROUPED + READERS)
+def test_grouped_blocks_agree(text):
+    assert GeneratedDelegate(TAP_SIG, parse(text, params=["x", "y"]), build_game_registry()).params_read != {0, 1}
+    for challenge_text in CHALLENGES:
+        assert_grouped_agree(parse_challenge(challenge_text), text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(deep_challenges(), st.sampled_from(GROUPED + READERS))
+def test_grouped_blocks_agree_on_deep_challenges(challenge, text):
+    assert_grouped_agree(challenge, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(board_pairs(), st.sampled_from(GROUPED + READERS))
+def test_each_grouped_move_matches_tap(boards_, text):
+    # One src per parent, as a solve builds it: the first pass over a board
+    # runs each group once, and the boards alternate, so a group's shared
+    # move also meets a src that is not its last one.
+    root, other = boards_
+    block = parse(text, params=["x", "y"])
+    hooks = hooks_for(block, build_game_registry(root.width, root.height))
+    later, _ = tap_moves(hooks, root)
+    for board in (root, other, root, other):
+        src = board.key() + _CONSTANTS
+        children = {xy: move(src) for xy, move in later(board.key())}
+        for y in range(board.height):
+            for x in range(board.width):
+                # A tabulated cell left out of the moves is a NOOP.
+                child = children.get((x, y), apply_gravity(board).key())
+                assert child == tapped(hooks, board, x, y), (text, board, (x, y))
+
+
+@pytest.mark.parametrize("text, groups", [
+    ("DestroyTile(2, 0);", 1),
+    ("SetTile(x, 0, Colour.G);", 3),  # the width
+    ("SwapTiles(0, y, Sub(Width, 1), y);", 2),  # the height
+    ("DestroyTile(x, y);", 6),
+    ("if (IsOccupied(0, 0)) { DestroyTile(1, 0); }", 1),
+    ("if (IsOccupied(x, 0)) { SetTile(x, 0, Colour.G); }", 3),
+    ("if (Less(CountColour(Colour.R), 3)) { DestroyTile(0, y); }", 2),
+    ("if (IsOccupied(x, y)) { DestroyTile(x, y); }", 6),
+])
+def test_a_block_runs_once_per_group(text, groups, monkeypatch):
+    # A tabulated block has one marker run per group, all when ``tap_moves``
+    # is called; a reader runs once per group on every expanded state.
+    challenge = parse_challenge("RGB\nBRG\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n")
+    runs = []
+    real_prepare = game.prepare
+
+    def counted_prepare(delegate, params):
+        run = real_prepare(delegate, params)
+        return lambda *args: runs.append(1) or run(*args)
+
+    monkeypatch.setattr(game, "prepare", counted_prepare)
+    block = parse(text, params=["x", "y"])
+    registry = build_game_registry(3, 2)
+    built_for(text, challenge.initial, "Y")
+    marker_runs, runs[:] = len(runs), []
+    result = solve(challenge, hooks_for(block, registry))
+    assert result.status == Unsolvable() and result.states_explored > 1
+    if GeneratedDelegate(TAP_SIG, block, registry).reads_world:
+        assert marker_runs == 0 and len(runs) == groups * result.states_explored
+    else:
+        assert marker_runs == len(runs) == groups
+
+
+def test_a_hook_that_reads_both_parameters_keeps_plain_moves():
+    # One group per cell: no move is wrapped to share its child.
+    root = Board.from_rows(["RGB", "BRG"])
+    hooks = hooks_for(parse("if (IsOccupied(x, y)) { DestroyTile(x, y); }", params=["x", "y"]),
+                      build_game_registry(3, 2))
+    for hooks in (hooks, build_hook_table()):
+        later, _ = tap_moves(hooks, root)
+        moves = [move for _, move in later(root.key())]
+        assert len(moves) == 6 and all(isinstance(move, partial) for move in moves)
+
+
+# --------------------------------------------------------------------------
+# the compiler's parameter set: cells that agree on it tap alike
+
+
+PARAM_CASES = [
+    "if (false) { DestroyTile(x, 0); }",  # a read only in a dead branch
+    "y = Sub(Height, 1); SetTile(0, y, Colour.B);",  # an assignment, then a read
+    "if (Less(0, x)) { if (Equal(y, 0)) { DestroyTile(x, 0); } else { DoNothing(); } }",
+    "SetTile(0, 0, Colour.R);",  # no read
+    *GROUPED,
+    *READERS,
+]
+
+
+def tap_outcome(hooks, board, x, y):
+    """The settled key ``tap`` leaves on a copy of ``board``, or the kind of
+    the ExecutionError it raises."""
+    try:
+        return tap(GameState(board.clone()), x, y, hooks).board.key()
+    except ExecutionError as err:
+        return err.kind
+
+
+@st.composite
+def param_cases(draw):
+    """A board from 1x1 to 4x4, with empty cells and floating tiles, and a
+    chosen block or one generated from a fixture config for that size."""
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    board = Board(w, h, draw(st.lists(st.sampled_from([*COLOURS, None]), min_size=w * h, max_size=w * h)))
+    if draw(st.booleans()):
+        return board, parse(draw(st.sampled_from(PARAM_CASES)), params=["x", "y"])
+    config = CONFIGS[draw(st.sampled_from(sorted(CONFIGS)))]
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    try:
+        return board, generate_block(TAP_SIG, build_game_registry(w, h), config_with_seed(config, seed))
+    except GenerationError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(param_cases())
+def test_cells_that_agree_on_the_parameters_read_tap_alike(case):
+    board, block = case
+    delegate = GeneratedDelegate(TAP_SIG, block, build_game_registry(board.width, board.height))
+    hooks = build_hook_table()
+    hooks.bind("onTileTapped", delegate)
+    read = sorted(delegate.params_read)
+    outcomes = {}  # group -> the outcomes of its cells
+    for y in range(board.height):
+        for x in range(board.width):
+            group = tuple((x, y)[i] for i in read)
+            outcomes.setdefault(group, set()).add(tap_outcome(hooks, board, x, y))
+    assert all(len(seen) == 1 for seen in outcomes.values()), (pretty(block), board, outcomes)
