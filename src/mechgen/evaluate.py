@@ -215,9 +215,8 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     parent's key, settled for the parent's empty cells, or None, counted
     without running anything. A tap whose settled gather leaves the parent
     as it is has no move: its child is the parent, which is already visited
-    and is not a goal. Any other hook runs on a scratch board, which it
-    settles before taking the child's key, once per group on each expanded
-    state: the group's other cells take that child.
+    and is not a goal. Any other hook runs on every tap, on a scratch
+    board, which it settles before taking the child's key.
 
     Children at the last tap depth are goal-checked but neither stored in
     ``visited`` nor queued: they would never be expanded, and BFS discovers

@@ -17,7 +17,6 @@ whether it reads the board.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache, partial
 from itertools import repeat
 from operator import is_, itemgetter
@@ -230,19 +229,12 @@ def _cells(width: int, height: int) -> _Cells:
 
 
 @lru_cache(maxsize=64)
-def _groups(width: int, height: int, read: FrozenSet[int]) -> Tuple[Tuple[Tuple[int, ...], bool], ...]:
-    """For each cell in ``_cells``'s order, its group and whether another
-    cell shares it. A cell's group is its coordinates at the parameter
-    indices ``read`` (0 is x, 1 is y), so cells whose taps pass the same
-    values there are one group. Callers only read the result."""
+def _groups(width: int, height: int, read: FrozenSet[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Each cell's group, in ``_cells``'s order: its coordinates at the
+    parameter indices ``read`` (0 is x, 1 is y), so cells whose taps pass
+    the same values there are one group. Callers only read the result."""
     at = sorted(read)
-    groups = [tuple(xy[i] for i in at) for xy in _cells(width, height)[0]]
-    sizes = Counter(groups)
-    return tuple((group, sizes[group] > 1) for group in groups)
-
-
-_BOTH = frozenset((0, 1))  # what a host delegate may read of the tap's arguments
-
+    return tuple(tuple(xy[i] for i in at) for xy in _cells(width, height)[0])
 
 
 def tap_moves(
@@ -260,26 +252,18 @@ def tap_moves(
     rebinding of the hook does not reach the moves. ``board`` is the root:
     only its size and whether it is gravity-normal are read.
 
-    A tap's outcome depends only on the arguments the hook reads (a block's
-    ``params_read``; a host delegate may read both), so the cells that agree
-    on those form one group (``_groups``), and the hook runs once per group,
-    not once per cell: every cell of the group takes the group's outcome,
-    and is still listed on its own, so the moves, error counts and
-    witnesses are those of one run per cell.
-
     A hook that may read the board (a host delegate, or a block whose
     ``reads_world`` is true) runs on every move: the general move refills a
     scratch board with ``key`` and runs ``tap``'s body (``_run_tap``) with
-    the prebuilt arguments of the group's first cell. ``later`` then ignores
-    ``key``. The cells of a group share one move, which runs the block once
-    per parent: called again with the ``src`` of its last call, it returns
-    that call's child (``_once``). A cell alone in its group, which is every
-    cell when the hook reads both arguments, runs the block on every call.
-
-    A block that does not read the world is tabulated instead, every group
-    before this returns: it runs once on a board whose cells are the
-    position markers ``0..n-1``. Since nothing it does depends on the cells,
-    that run fixes the tap's outcome on every board of this size:
+    the cell's prebuilt arguments. ``later`` then ignores ``key``. A block
+    that does not read the world is tabulated instead, before this returns:
+    it runs on a board whose cells are the position markers ``0..n-1``,
+    once per group of cells that agree on the parameters it reads (its
+    ``params_read``, grouped by ``_groups``). Since nothing it does depends
+    on the cells or on a parameter it does not read, that run fixes the
+    tap's outcome for every cell of the group on every board of this size.
+    Each cell is still listed on its own, so the moves, error counts and
+    witnesses are those of one run per cell:
 
     - It raises: every move of the cell returns None. A budget overrun is
       fixed too, because control flow cannot depend on the board.
@@ -290,8 +274,7 @@ def tap_moves(
       cells from ``key + _CONSTANTS`` at the indices the marker run left.
       If the run left any other value in a cell (a block can paint a
       variant that is no tile colour when its registry's ``Colour``
-      declares one), that tap runs the block on every move instead, as a
-      general move.
+      declares one), that tap runs the block on every move instead.
 
     Gravity after a gather depends only on which picks are empty, which the
     parent's empty cells (its mask) fix, so the two together are again a
@@ -327,25 +310,14 @@ def tap_moves(
             return None
         return tuple(cells)
 
-    def general(args: Tuple[IntV, IntV], shared: bool) -> MoveFn:
-        move = partial(runs, args)
-        return _once(move) if shared else move
+    if not isinstance(delegate, GeneratedDelegate) or delegate.reads_world:
+        moves = [(xy, partial(runs, args)) for xy, args in zip(taps, cell_args)]
+        return lambda key, leaf=False: moves, None
 
     wanted = None if present is None else index.get(present, -1)  # the colour's pick
 
     def wins(picks: Sequence[int], occupied: Set[int]) -> bool:
         return wanted in picks if wanted is not None else not occupied.issubset(picks)
-
-    read = delegate.params_read if isinstance(delegate, GeneratedDelegate) else _BOTH
-    if not isinstance(delegate, GeneratedDelegate) or delegate.reads_world:
-        shared_moves: Dict[Tuple[int, ...], MoveFn] = {}
-        moves: List[Move] = []
-        for xy, args, (group, shared) in zip(taps, cell_args, _groups(board.width, h, read)):
-            move = shared_moves.get(group)
-            if move is None:
-                move = shared_moves[group] = general(args, shared)
-            moves.append((xy, move))
-        return lambda key, leaf=False: moves, None
 
     markers = list(range(n))
     marked = GameState(Board(board.width, h, markers[:]))
@@ -356,7 +328,7 @@ def tap_moves(
     # picks, or no move and a gather's picks; () when it has no move.
     outcomes: Dict[Tuple[int, ...], Tuple[Any, ...]] = {}
     raising, can_win = 0, False
-    for xy, args, (group, shared) in zip(taps, cell_args, _groups(board.width, h, read)):
+    for xy, args, group in zip(taps, cell_args, _groups(board.width, h, delegate.params_read)):
         outcome = outcomes.get(group)
         if outcome is None:  # the group's marker run
             marked.board.cells[:] = markers
@@ -372,7 +344,7 @@ def tap_moves(
                     try:
                         picks = tuple(map(index.__getitem__, after))
                     except (KeyError, TypeError):  # a value no gather can pick
-                        outcome = general(args, shared), None
+                        outcome = partial(runs, args), None
                         can_win = True
                     else:
                         outcome = None, picks
@@ -404,23 +376,6 @@ def tap_moves(
         return moves
 
     return later, None if can_win else raising
-
-
-def _once(move: MoveFn) -> MoveFn:
-    """``move``, shared by the cells of a group: called again with the
-    ``src`` of its last call, it returns that call's child without running
-    again. ``src`` is compared by identity, which is exact because the last
-    one is kept alive; a solve builds one ``src`` per parent."""
-    last: List[Any] = [None, None]
-
-    def shared(src: Tuple[Cell, ...]) -> Optional[Tuple[Cell, ...]]:
-        if last[0] is src:
-            return last[1]
-        child = move(src)
-        last[0], last[1] = src, child
-        return child
-
-    return shared
 
 
 @lru_cache(maxsize=1024)

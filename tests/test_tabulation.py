@@ -5,11 +5,11 @@ A block that calls no world-reading method is run once per group of cells
 that agree on the parameters it reads (``GeneratedDelegate.params_read``) on
 position markers, and then replayed as a gather (``game.tap_moves``).
 Building the same registry with every method marked ``reads_world=True``
-forces the general path, which runs the block once per group on every
-expanded state; both must give the same ``EvalResult``: status, witness,
-``error_count`` and ``states_explored``. The groups are checked against a
-solve with one cell per group, against ``tap`` cell by cell, and the
-parameter set against ``tap`` as an independent oracle.
+forces the general path, which runs the block on every tap; both must give
+the same ``EvalResult``: status, witness, ``error_count`` and
+``states_explored``. The groups are checked against a solve with one cell
+per group and against ``tap`` cell by cell, and the parameter set against
+``tap`` as an independent oracle.
 """
 
 import gc
@@ -17,7 +17,6 @@ import itertools
 import signal
 from unittest import mock
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -1002,9 +1001,8 @@ def test_grouped_blocks_agree_on_deep_challenges(challenge, text):
 @settings(max_examples=150, deadline=None)
 @given(board_pairs(), st.sampled_from(GROUPED + READERS))
 def test_each_grouped_move_matches_tap(boards_, text):
-    # One src per parent, as a solve builds it: the first pass over a board
-    # runs each group once, and the boards alternate, so a group's shared
-    # move also meets a src that is not its last one.
+    # The moves built for the root, on the root and on a second board of
+    # its size, in turn.
     root, other = boards_
     block = parse(text, params=["x", "y"])
     hooks = hooks_for(block, build_game_registry(root.width, root.height))
@@ -1019,20 +1017,9 @@ def test_each_grouped_move_matches_tap(boards_, text):
                 assert child == tapped(hooks, board, x, y), (text, board, (x, y))
 
 
-@pytest.mark.parametrize("text, groups", [
-    ("DestroyTile(2, 0);", 1),
-    ("SetTile(x, 0, Colour.G);", 3),  # the width
-    ("SwapTiles(0, y, Sub(Width, 1), y);", 2),  # the height
-    ("DestroyTile(x, y);", 6),
-    ("if (IsOccupied(0, 0)) { DestroyTile(1, 0); }", 1),
-    ("if (IsOccupied(x, 0)) { SetTile(x, 0, Colour.G); }", 3),
-    ("if (Less(CountColour(Colour.R), 3)) { DestroyTile(0, y); }", 2),
-    ("if (IsOccupied(x, y)) { DestroyTile(x, y); }", 6),
-])
-def test_a_block_runs_once_per_group(text, groups, monkeypatch):
-    # A tabulated block has one marker run per group, all when ``tap_moves``
-    # is called; a reader runs once per group on every expanded state.
-    challenge = parse_challenge("RGB\nBRG\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n")
+def count_runs(monkeypatch):
+    """A list that gets one entry per run of a hook whose moves are built
+    from now on, counted at ``game.prepare``'s runner."""
     runs = []
     real_prepare = game.prepare
 
@@ -1041,27 +1028,50 @@ def test_a_block_runs_once_per_group(text, groups, monkeypatch):
         return lambda *args: runs.append(1) or run(*args)
 
     monkeypatch.setattr(game, "prepare", counted_prepare)
-    block = parse(text, params=["x", "y"])
-    registry = build_game_registry(3, 2)
-    built_for(text, challenge.initial, "Y")
-    marker_runs, runs[:] = len(runs), []
-    result = solve(challenge, hooks_for(block, registry))
+    return runs
+
+
+SPY_CHALLENGE = "RGB\nBRG\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n"
+
+
+@pytest.mark.parametrize("text, groups", [
+    ("DestroyTile(2, 0);", 1),
+    ("SetTile(x, 0, Colour.G);", 3),  # the width
+    ("SwapTiles(0, y, Sub(Width, 1), y);", 2),  # the height
+    ("DestroyTile(x, y);", 6),
+])
+def test_a_tabulated_block_runs_once_per_group(text, groups, monkeypatch):
+    # One marker run per group, all when ``tap_moves`` is called.
+    challenge = parse_challenge(SPY_CHALLENGE)
+    hooks = hooks_for(parse(text, params=["x", "y"]), build_game_registry(3, 2))
+    runs = count_runs(monkeypatch)
+    tap_moves(hooks, challenge.initial, "Y")
+    assert len(runs) == groups
+    runs.clear()
+    result = solve(challenge, hooks)
     assert result.status == Unsolvable() and result.states_explored > 1
-    if GeneratedDelegate(TAP_SIG, block, registry).reads_world:
-        assert marker_runs == 0 and len(runs) == groups * result.states_explored
+    assert len(runs) == groups
+
+
+@pytest.mark.parametrize("text", [
+    "if (IsOccupied(0, 0)) { DestroyTile(1, 0); }",
+    "if (IsOccupied(x, 0)) { SetTile(x, 0, Colour.G); }",
+    "if (Less(CountColour(Colour.R), 3)) { DestroyTile(0, y); }",
+    "if (IsOccupied(x, y)) { DestroyTile(x, y); }",
+    None,  # the host's own delegate
+])
+def test_a_board_reader_runs_once_per_cell_on_each_expanded_state(text, monkeypatch):
+    # Grouping is for tabulated blocks: a hook that may read the board runs
+    # for every cell of every state the solve expands, whatever it reads.
+    challenge = parse_challenge(SPY_CHALLENGE)
+    if text is None:
+        hooks = build_hook_table()
     else:
-        assert marker_runs == len(runs) == groups
-
-
-def test_a_hook_that_reads_both_parameters_keeps_plain_moves():
-    # One group per cell: no move is wrapped to share its child.
-    root = Board.from_rows(["RGB", "BRG"])
-    hooks = hooks_for(parse("if (IsOccupied(x, y)) { DestroyTile(x, y); }", params=["x", "y"]),
-                      build_game_registry(3, 2))
-    for hooks in (hooks, build_hook_table()):
-        later, _ = tap_moves(hooks, root)
-        moves = [move for _, move in later(root.key())]
-        assert len(moves) == 6 and all(isinstance(move, partial) for move in moves)
+        hooks = hooks_for(parse(text, params=["x", "y"]), build_game_registry(3, 2))
+    runs = count_runs(monkeypatch)
+    result = solve(challenge, hooks)
+    assert result.status == Unsolvable() and result.states_explored > 1
+    assert len(runs) == 6 * result.states_explored
 
 
 # --------------------------------------------------------------------------
