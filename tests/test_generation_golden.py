@@ -93,26 +93,36 @@ KIND_SUBSETS = {
 }
 
 
+def cell_config(weight, depth, kinds, seed=0):
+    return GenerationConfig(
+        seed=seed,
+        max_lines=3,
+        max_recursion_depth=depth,
+        literal_weight=weight,
+        else_probability=0.5,
+        max_retries_per_line=4,
+        statement_kinds_enabled=kinds,
+    )
+
+
+def outcome(generate, seed):
+    """``pretty`` of ``generate(seed)``, or the error it raised."""
+    try:
+        return pretty(generate(seed))
+    except GenerationError as err:
+        return f"{type(err).__name__}: {err}\n"
+
+
 def cell_outputs(sig, registry, weight, depth, kinds):
-    out = []
-    for seed in SEEDS:
-        config = GenerationConfig(
-            seed=seed,
-            max_lines=3,
-            max_recursion_depth=depth,
-            literal_weight=weight,
-            else_probability=0.5,
-            max_retries_per_line=4,
-            statement_kinds_enabled=kinds,
-        )
-        try:
-            out.append(pretty(generate_block(sig, registry, config)))
-        except GenerationError as err:
-            out.append(f"{type(err).__name__}: {err}\n")
-    return out
+    def generate(seed):
+        return generate_block(sig, registry, cell_config(weight, depth, kinds, seed))
+
+    return [outcome(generate, seed) for seed in SEEDS]
 
 
-def compute_golden():
+def compute_golden(cell_outputs=cell_outputs):
+    """One digest per grid cell of ``cell_outputs(sig, registry, weight,
+    depth, kinds)``, the outputs of ``SEEDS`` in order."""
     golden = {}
     for (sname, sig), (rname, reg), weight, depth, (kname, kinds) in itertools.product(
         SIGNATURES.items(), REGISTRIES.items(), LITERAL_WEIGHTS, DEPTHS, KIND_SUBSETS.items()

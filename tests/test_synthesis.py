@@ -471,6 +471,21 @@ def test_config_invariants_enforced():
         GenerationConfig(int_literal_range=(5, 4))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", True), ("min_lines", 1.0), ("max_lines", 2.5),
+    ("max_lines", True), ("max_recursion_depth", 1.5), ("max_retries_per_line", 2.5),
+])
+def test_integer_fields_reject_other_values(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer$"):
+        GenerationConfig(**{field: value})
+
+
+@pytest.mark.parametrize("pair", [(0.5, 3), (0, 3.0), (False, 3), [0, 3], (0, 1, 2)])
+def test_int_literal_range_must_be_a_pair_of_integers(pair):
+    with pytest.raises(ConfigError, match="^int_literal_range must be a pair of integers$"):
+        GenerationConfig(int_literal_range=pair)
+
+
 def test_int_literal_range_must_fit_in_64_bits():
     assert GenerationConfig(int_literal_range=(INT64_MIN, INT64_MAX))
     message = "int_literal_range must lie within"
