@@ -10,7 +10,6 @@ raise runtime errors prune their branch and are counted, not fatal.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .game import (
     _CONSTANTS,
+    COLOURS,
     ON_TILE_TAPPED,
     Board,
     Cell,
@@ -205,7 +205,7 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     once per solve into the moves of ``game.tap_moves``, so a hook that
     cannot take the tap's arguments raises on every tap and prunes every
     branch; the goal becomes one C call on a key (``Goal.key_test``).
-    Expanding a state, the root included, takes ``later(key, leaf)`` and
+    Expanding a state, the root included, takes ``later(key)`` and
     builds ``key + (None, *COLOURS)`` once (the values a tabulated move
     picks from); per move, ``move`` maps that to the child's key, already
     gravity-normal (or None: the tap raised). The child is then
@@ -226,15 +226,14 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     ``visited`` nor queued: they would never be expanded, and BFS discovers
     every shallower state before any state at that depth, so leaving them
     out of ``visited`` cannot change which shallower states are expanded.
-    Their parent takes its leaf list (``leaf`` is true), which builds only
-    the children that can meet the goal: every expanded state fails it, as
-    the root and each child are tested before queueing. A challenge with
-    ``max_taps < 1`` allows no tap: it is Solved in 0 taps if the goal
-    already holds, else Unsolvable with nothing explored.
+    A challenge with ``max_taps < 1`` allows no tap: it is Solved in 0 taps
+    if the goal already holds, else Unsolvable with nothing explored.
 
     When no move can ever meet the goal, ``tap_moves`` says how many cells
     raise on every board, and nothing is queued: ``_count_levels`` counts
-    the states from the root down, leaving the last level unexpanded. Every
+    the states from the root down, leaving the last level unexpanded. It
+    decides from the colour a COLOUR_PRESENT goal wants, or those a
+    clearing goal forbids (its colour, or every colour for CLEARED). Every
     state would be expanded and count each raising cell (every move list
     keeps them), so ``states_explored`` is the number of states and
     ``error_count`` that times the raising cells.
@@ -246,10 +245,11 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
         return EvalResult(Solved(0, ()), 0, 0)
     if challenge.max_taps < 1:
         return EvalResult(Unsolvable(), 0, 0)
-    last = challenge.max_taps - 1  # states at this depth have only leaf children
+    last = challenge.max_taps - 1  # the children of states at this depth are not stored
     goal = challenge.goal
     present = goal.colour if goal.kind is GoalKind.COLOUR_PRESENT else None
-    later, raising = tap_moves(hooks, initial, present)
+    forbidden = COLOURS if goal.kind is GoalKind.CLEARED else (goal.colour,)
+    later, raising = tap_moves(hooks, initial, present, forbidden)
     if raising is not None:  # no move can ever meet the goal: count
         explored = _count_levels(start, later, last)
         return EvalResult(Unsolvable(), raising * explored, explored)
@@ -262,7 +262,7 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
         explored += 1
         depth = len(path)
         src = key + _CONSTANTS
-        for tap_xy, move in later(key, depth == last):
+        for tap_xy, move in later(key):
             child = move(src)
             if child is None:  # the tap raised an ExecutionError
                 errors += 1
@@ -283,19 +283,22 @@ def _count_levels(start: Tuple[Cell, ...], later: Callable, depths: int) -> int:
     """The number of states within ``depths`` taps of ``start``, counted
     level by level until a level adds none. Each parent adds its children
     to a set in one call; the set keeps their hashes for the subtraction
-    and the merge, so each child is hashed once."""
-    level, visited = {start}, {start}
+    and the merge, so each child is hashed once. A level joins ``visited``
+    only to be expanded, and loses the states seen before in place, so the
+    last level, often the largest, is held once and never merged."""
+    level, visited = {start}, set()
     for _ in range(depths):
+        visited |= level
         children: Set[Optional[Tuple[Cell, ...]]] = set()
         for key in level:
             src = key + _CONSTANTS
             children.update([move(src) for _, move in later(key)])
         children.discard(None)
-        level = children - visited
+        children -= visited
+        level = children
         if not level:
             break
-        visited |= level
-    return len(visited)
+    return len(visited) + len(level)
 
 
 def evaluate_candidate(
@@ -344,7 +347,6 @@ class SearchReport:
     # Distinct solving mechanics in discovery order: (pretty text, min_taps).
     distinct: List[Tuple[str, int]] = field(default_factory=list)
     solved_count: int = 0
-    wall_time: float = 0.0
 
 
 def search_mechanics(
@@ -375,7 +377,6 @@ def search_mechanics(
     generate = block_generator(sig, registry, config)
     report = SearchReport(budget=budget)
     memo: Dict[str, EvalResult] = {}
-    started = time.perf_counter()
     for seed in seeds:
         fresh = False
         try:
@@ -405,7 +406,6 @@ def search_mechanics(
                 detail=str(status.reason) if isinstance(status, Rejected) else "",
             )
         )
-    report.wall_time = time.perf_counter() - started
     return report
 
 

@@ -238,8 +238,8 @@ def _groups(width: int, height: int, read: FrozenSet[int]) -> Tuple[Tuple[int, .
 
 
 def tap_moves(
-    hooks: HookTable, board: Board, present: Optional[str] = None
-) -> Tuple[Callable[..., List[Move]], Optional[int]]:
+    hooks: HookTable, board: Board, present: Optional[str] = None, forbidden: Sequence[str] = ()
+) -> Tuple[Callable[[Tuple[Cell, ...]], List[Move]], Optional[int]]:
     """Every tap of a board of ``board``'s size as a ``(tap, move)`` pair,
     with the hook resolved once, and whether no move can meet the goal.
 
@@ -247,10 +247,10 @@ def tap_moves(
     that the tap leaves on the board whose cells are ``key``, or None when
     the tap raises an ExecutionError. Returns ``later`` and ``raising``:
     ``later(key)`` is the list of moves of a board whose cells are ``key``,
-    ``later(key, True)`` its leaf list, and ``raising`` the count decision
-    (both below). Taps come bottom row first, in (y, x) order; a later
-    rebinding of the hook does not reach the moves. ``board`` is the root:
-    only its size and whether it is gravity-normal are read.
+    and ``raising`` the count decision (below). Taps come bottom row first,
+    in (y, x) order; a later rebinding of the hook does not reach the
+    moves. ``board`` is the root: only its size and whether it is
+    gravity-normal are read.
 
     A hook that may read the board (a host delegate, or a block whose
     ``reads_world`` is true) runs on every move: the general move refills a
@@ -284,14 +284,14 @@ def tap_moves(
 
     One rule says whether a gather can make a child meet a goal its parent
     fails (``wins``). ``present`` is the colour of a COLOUR_PRESENT goal,
-    which a child can hold only if its gather picks that constant; None
+    which a child can hold only if its gather picks that constant. None
     stands for a goal met by clearing tiles, which a child can meet only if
-    its gather misses an occupied cell. The leaf list, for a parent whose
-    children are only goal-tested, keeps the settled gathers that can, in
-    tap order, and every raising move (so ``error_count`` stays exact) and
-    move that runs the block. ``raising`` is None when some move can meet
-    the goal: a cell runs the block, or a gather can on a full board. Else
-    it is the number of cells that raise, on every board.
+    its gather picks none of the colours in ``forbidden`` (every colour for
+    CLEARED, ``c`` for COLOUR_CLEARED c: a picked colour stays on the board)
+    and misses an occupied cell (else the child keeps every tile of its
+    parent). ``raising`` is None when some move can meet the goal: a cell
+    runs the block, or a gather can on a full board. Else it is the number
+    of cells that raise, on every board.
     """
     n = len(board.cells)
     h = board.height
@@ -312,16 +312,19 @@ def tap_moves(
 
     if not isinstance(delegate, GeneratedDelegate) or delegate.reads_world:
         moves = [(xy, partial(runs, args)) for xy, args in zip(taps, cell_args)]
-        return lambda key, leaf=False: moves, None
-
-    wanted = None if present is None else index.get(present, -1)  # the colour's pick
-
-    def wins(picks: Sequence[int], occupied: Set[int]) -> bool:
-        return wanted in picks if wanted is not None else not occupied.issubset(picks)
+        return lambda key: moves, None
 
     markers = list(range(n))
     marked = GameState(Board(board.width, h, markers[:]))
     every = set(markers)
+    wanted = None if present is None else index.get(present, -1)  # the colour's pick
+    banned = {index.get(colour) for colour in forbidden}  # the forbidden colours' picks
+
+    def wins(picks: Tuple[int, ...]) -> bool:
+        if wanted is not None:
+            return wanted in picks
+        return banned.isdisjoint(picks) and not every.issubset(picks)
+
     keep_noops = not board.is_gravity_normal()  # a NOOP tap settles a floating root
     tabulated: List[Tuple[Tuple[int, int], Optional[MoveFn], Optional[Tuple[int, ...]]]] = []
     # Per group: its move (_raised, or one that runs the block) and no
@@ -348,7 +351,7 @@ def tap_moves(
                         can_win = True
                     else:
                         outcome = None, picks
-                        can_win = can_win or wins(picks, every)
+                        can_win = can_win or wins(picks)
             outcomes[group] = outcome
         if not outcome:
             continue
@@ -357,20 +360,16 @@ def tap_moves(
         tabulated.append((xy, *outcome))
 
     by_mask: Dict[Tuple[bool, ...], List[Move]] = {}
-    leaves: Dict[Tuple[bool, ...], List[Move]] = {}
-    ids = tuple(range(n + len(_CONSTANTS)))  # a settled gather maps these to its picks
 
-    def later(key: Tuple[Cell, ...], leaf: bool = False) -> List[Move]:
-        table = leaves if leaf else by_mask
+    def later(key: Tuple[Cell, ...]) -> List[Move]:
         mask = tuple(map(is_, key, repeat(None)))
-        moves = table.get(mask)
-        if moves is None:  # settle each gather; drop it if it is the identity or cannot win
-            occupied = leaf and {i for i, empty in enumerate(mask) if not empty}
-            moves = table[mask] = []
+        moves = by_mask.get(mask)
+        if moves is None:  # settle each gather; drop it if it is the identity
+            moves = by_mask[mask] = []
             for xy, move, picks in tabulated:
                 if picks is not None:
                     move = _settled_gather(picks, mask, h)
-                    if move is None or leaf and not wins(move(ids), occupied):
+                    if move is None:
                         continue
                 moves.append((xy, move))
         return moves

@@ -409,13 +409,18 @@ def test_a_rejection_keeps_no_block(unsolvable_challenge, game_registry, tap_sig
 
 
 def test_destroy_mechanic_is_baseline_equivalent(game_registry, tap_sig):
+    # The tabulated DestroyTile block and the host baseline, which runs on
+    # every tap, agree in status, witness and counters, on the fixtures and
+    # on every board of the benchmark's solve ladder.
     block = parse("DestroyTile(x, y);", params=["x", "y"])
-    for path in ("unsolvable.ch", "clearable.ch"):
-        challenge = load_challenge(FIXTURES / path)
+    ladder = sorted((FIXTURES.parent / "bench" / "ladder").glob("*.ch"))
+    assert len(ladder) == 7
+    for path in [FIXTURES / "unsolvable.ch", FIXTURES / "clearable.ch", *ladder]:
+        challenge = load_challenge(path)
         registry = build_game_registry(challenge.initial.width, challenge.initial.height)
         candidate = evaluate_candidate(block, tap_sig, registry, challenge)
         baseline = solve(challenge, build_hook_table())
-        assert candidate.status == baseline.status
+        assert candidate == baseline, path.name
 
 
 def test_solving_candidate(unsolvable_challenge, game_registry, tap_sig, set_yellow_block):

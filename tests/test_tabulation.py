@@ -576,7 +576,7 @@ def test_the_tabulated_fast_path_runs_no_gravity_on_a_board(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# the leaf list: a parent at the last depth builds only children that can win
+# the count decision: which gathers can make a child meet the goal
 
 
 def assert_matches_naive(challenge, text):
@@ -589,16 +589,11 @@ def assert_matches_naive(challenge, text):
     return result
 
 
-def built_for(text, root, present, registry=None):
+def built_for(text, root, present, registry=None, forbidden=()):
     """``later`` and the count decision of ``text``'s moves built for ``root``."""
     registry = registry or build_game_registry(root.width, root.height)
-    return tap_moves(hooks_for(parse(text, params=["x", "y"]), registry), root, present)
-
-
-def leaf_taps(text, root, board, present):
-    """The taps of ``board``'s leaf list, on moves built for ``root``."""
-    later, _ = built_for(text, root, present)
-    return [xy for xy, _ in later(board.key(), True)]
+    hooks = hooks_for(parse(text, params=["x", "y"]), registry)
+    return tap_moves(hooks, root, present, forbidden)
 
 
 def test_a_present_goal_is_met_at_the_last_tap_by_a_gather_of_its_colour():
@@ -613,30 +608,44 @@ def test_a_present_goal_is_met_at_the_last_tap_by_a_gather_of_its_colour():
         assert result == EvalResult(Solved(1, witness), errors, 1), text
 
 
-def test_a_present_leaf_list_keeps_the_gathers_that_pick_its_colour():
-    root = Board.from_rows([".R.", "GBR", "RBG"])
-    full = Board.from_rows(["RGB", "GBR", "RBG"])
-    every = [(x, y) for y in range(3) for x in range(3)]
-    for board in (root, full):
-        assert leaf_taps("SetTile(x, y, Colour.Y);", root, board, "Y") == every
-        assert leaf_taps("SetTile(x, y, Colour.G);", root, board, "Y") == []
-        assert leaf_taps("if (Equal(x, 1)) { SetTile(x, 0, Colour.Y); }", root, board, "Y") == [
-            (1, y) for y in range(3)
-        ]
-        # Raising taps stay, in tap order, although no gather picks a Y.
-        text = "DestroyTile(Sub(x, 1), y); SetTile(x, y, Colour.G);"
-        assert leaf_taps(text, root, board, "Y") == [(0, y) for y in range(3)]
+def can_win(text, root, present, forbidden=()):
+    """Whether ``text``'s moves built for ``root`` keep the queue: some
+    move can make a child meet the goal (the count decision is None)."""
+    return built_for(text, root, present, forbidden=forbidden)[1] is None
 
 
-def test_a_cleared_leaf_list_keeps_the_gathers_that_miss_an_occupied_cell():
+def test_a_present_goal_is_counted_unless_a_gather_picks_its_colour():
+    for root in (Board.from_rows([".R.", "GBR", "RBG"]), Board.from_rows(["RGB", "GBR", "RBG"])):
+        assert can_win("SetTile(x, y, Colour.Y);", root, "Y")
+        assert not can_win("SetTile(x, y, Colour.G);", root, "Y")
+        assert can_win("if (Equal(x, 1)) { SetTile(x, 0, Colour.Y); }", root, "Y")
+        # Column 0 raises on every board, and no gather picks a Y.
+        assert not can_win("DestroyTile(Sub(x, 1), y); SetTile(x, y, Colour.G);", root, "Y")
+
+
+def test_a_cleared_goal_is_counted_unless_a_gather_can_clear_a_tile():
     root = Board.from_rows([".R.", "GBR", "RBG"])
-    occupied = [(x, y) for y in range(3) for x in range(3) if root.get(x, y)]
-    assert leaf_taps("DestroyTile(x, y);", root, root, None) == occupied
-    assert leaf_taps("SwapTiles(x, y, 0, 0);", root, root, None) == []
-    assert leaf_taps("SetTile(x, y, Colour.G);", root, root, None) == occupied
-    assert leaf_taps("DestroyTile(Sub(x, 1), y);", root, root, None) == [
-        (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (2, 2),
-    ]
+    for forbidden in (COLOURS, ("R",)):  # CLEARED, COLOUR_CLEARED R
+        assert can_win("DestroyTile(x, y);", root, None, forbidden)
+        assert not can_win("SwapTiles(x, y, 0, 0);", root, None, forbidden)
+        assert can_win("DestroyTile(Sub(x, 1), y);", root, None, forbidden)
+    # A painted colour stays on the board: G meets COLOUR_CLEARED R, never CLEARED.
+    assert can_win("SetTile(x, y, Colour.G);", root, None, ("R",))
+    assert not can_win("SetTile(x, y, Colour.G);", root, None, COLOURS)
+    assert not can_win("SetTile(x, y, Colour.R);", root, None, ("R",))
+
+
+@pytest.mark.parametrize("text, goal", [
+    ("SetTile(x, y, Colour.R);", "COLOUR_CLEARED R"),
+    ("SetTile(x, y, Colour.G);", "CLEARED"),
+])
+def test_painting_a_forbidden_colour_is_counted(text, goal):
+    challenge = parse_challenge(f".R.\nGBR\nRBG\ngoal: {goal}\nmax_taps: 3\n")
+    expected = assert_matches_naive(challenge, text)
+    result, taken = counted(challenge, hooks_for(parse(text, params=["x", "y"]),
+                                                 build_game_registry(3, 3)))
+    assert taken and result == expected and result.status == Unsolvable()
+    assert result.states_explored > 1
 
 
 @pytest.mark.parametrize("board, goal, witness, errors", [
@@ -661,8 +670,8 @@ def counted(challenge, hooks):
     decided = []
     real = evaluate.tap_moves
 
-    def spied(hooks, board, present=None):
-        later, raising = real(hooks, board, present)
+    def spied(hooks, board, present=None, forbidden=()):
+        later, raising = real(hooks, board, present, forbidden)
         decided.append(raising)
         return later, raising
 
@@ -684,13 +693,13 @@ def test_a_swap_calls_no_move_at_the_last_depth(goal, monkeypatch):
     real = evaluate.tap_moves
     n = len(challenge.initial.cells)
 
-    def spied(hooks, board, present=None):
+    def spied(hooks, board, present=None, forbidden=()):
         def spy(moves):
             return [(xy, lambda src, move=move: calls.append((src[:n], move(src))) or move(src))
                     for xy, move in moves]
-        later, raising = real(hooks, board, present)
+        later, raising = real(hooks, board, present, forbidden)
         decided.append(raising)
-        return lambda key, leaf=False: spy(later(key, leaf)), raising
+        return lambda key: spy(later(key)), raising
 
     monkeypatch.setattr(evaluate, "tap_moves", spied)
     block = parse(text, params=["x", "y"])
@@ -735,17 +744,41 @@ def test_a_counted_solve_ends_on_an_empty_level():
     assert taken and result == slow == EvalResult(Unsolvable(), 0, 2)
 
 
+MIXED = "if (Less(x, 1)) { SwapTiles(x, y, 1, 1); } else { DestroyTile(x, y); }"
+
+
 @pytest.mark.parametrize("text, goal, present", [
     ("SetTile(x, y, Colour.Y);", "COLOUR_PRESENT Y", "Y"),  # a gather that picks the Y
     ("DestroyTile(x, y);", "COLOUR_CLEARED R", None),  # a gather that drops a tile
+    # column 0 swaps, the rest destroy: a mixed move list at every depth
+    (MIXED, "CLEARED", None),
+    (MIXED, "COLOUR_CLEARED R", None),
 ])
 def test_a_move_that_can_meet_the_goal_keeps_the_queue(text, goal, present):
-    challenge = parse_challenge(f"RGB\nBRG\nGBR\ngoal: {goal}\nmax_taps: 3\n")
-    assert built_for(text, challenge.initial, present)[1] is None
+    for taps in (2, 3):
+        challenge = parse_challenge(f"RGB\nBRG\nGBR\ngoal: {goal}\nmax_taps: {taps}\n")
+        assert built_for(text, challenge.initial, present)[1] is None
+        expected = assert_matches_naive(challenge, text)
+        result, taken = counted(challenge, hooks_for(parse(text, params=["x", "y"]),
+                                                     build_game_registry(3, 3)))
+        assert not taken and result == expected
+
+
+@pytest.mark.parametrize("board, goal, taps, text, result", [
+    # Two boards in all: the third level is empty, one depth before the last.
+    ("R\nG", "COLOUR_PRESENT Y", 4, "SwapTiles(x, y, 0, 0);", EvalResult(Unsolvable(), 0, 2)),
+    # One tap: the root is the only state expanded, and its children are counted.
+    ("RGB\nBRG\nGBR", "COLOUR_PRESENT Y", 1, "SwapTiles(x, y, 0, 0);",
+     EvalResult(Unsolvable(), 0, 1)),
+    ("RGB\nBRG\nGBR", "COLOUR_CLEARED R", 1,
+     "DestroyTile(Add(x, 1), y); SetTile(x, y, Colour.R);", EvalResult(Unsolvable(), 3, 1)),
+])
+def test_a_counted_solve_at_its_first_and_last_levels(board, goal, taps, text, result):
+    challenge = parse_challenge(f"{board}\ngoal: {goal}\nmax_taps: {taps}\n")
     expected = assert_matches_naive(challenge, text)
-    result, taken = counted(challenge, hooks_for(parse(text, params=["x", "y"]),
-                                                 build_game_registry(3, 3)))
-    assert not taken and result == expected
+    registry = build_game_registry(challenge.initial.width, challenge.initial.height)
+    got, taken = counted(challenge, hooks_for(parse(text, params=["x", "y"]), registry))
+    assert taken and got == expected == result
 
 
 @pytest.mark.parametrize("goal, present", [("CLEARED", None), ("COLOUR_PRESENT Y", "Y")])
