@@ -212,15 +212,11 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     goal-checked and, if adding it grows ``visited``, queued: one hash per
     child, as a tuple does not cache its hash.
 
-    A block that does not read the world is tabulated before the search
-    starts: it runs once per group of cells that agree on the parameters
-    it reads (``GeneratedDelegate.params_read``), on position markers, and
-    every tap of the group's cells is then one ``itemgetter`` call on the
-    parent's key, settled for the parent's empty cells, or None, counted
-    without running anything. A tap whose settled gather leaves the parent
-    as it is has no move: its child is the parent, which is already visited
-    and is not a goal. Any other hook runs on every tap, on a scratch
-    board, which it settles before taking the child's key.
+    ``tap_moves`` tabulates a block before the search starts unless its
+    marker pass sends it down the general path, where each tap runs the hook
+    on a scratch board. A tabulated tap is one ``itemgetter`` call on the
+    parent's key, settled for its empty cells, or None, and a tap that
+    leaves the parent as it is has no move.
 
     Children at the last tap depth are goal-checked but neither stored in
     ``visited`` nor queued: they would never be expanded, and BFS discovers

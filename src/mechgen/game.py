@@ -43,8 +43,10 @@ from .runtime import (
     HostDelegate,
     HostError,
     IntV,
+    Probe,
     Runner,
     Value,
+    WorldRead,
     invoke,  # unused here; the benchmark's tracer wraps ``game.invoke`` by name
     prepare,
     wrap64,
@@ -252,18 +254,16 @@ def tap_moves(
     moves. ``board`` is the root: only its size and whether it is
     gravity-normal are read.
 
-    A hook that may read the board (a host delegate, or a block whose
-    ``reads_world`` is true) runs on every move: the general move refills a
-    scratch board with ``key`` and runs ``tap``'s body (``_run_tap``) with
-    the cell's prebuilt arguments. ``later`` then ignores ``key``. A block
-    that does not read the world is tabulated instead, before this returns:
-    it runs on a board whose cells are the position markers ``0..n-1``,
-    once per group of cells that agree on the parameters it reads (its
-    ``params_read``, grouped by ``_groups``). Since nothing it does depends
-    on the cells or on a parameter it does not read, that run fixes the
-    tap's outcome for every cell of the group on every board of this size.
-    Each cell is still listed on its own, so the moves, error counts and
-    witnesses are those of one run per cell:
+    Each tap of a block is tabulated, or each takes the general path. The
+    block runs under a ``Probe`` on a board of position markers ``0..n-1``,
+    once per group of cells that agree on the parameters it reads
+    (``params_read``, grouped by ``_groups``): the marker pass. Until a run
+    calls a method declared ``reads_world``, nothing it does depends on the
+    cells (the other methods promise it; the game's fields are the board's
+    size and cannot be written) or on a parameter it does not read, so a
+    run that reaches no reader fixes the tap's outcome for every cell of the
+    group on every board of this size. Each cell is still listed on its own,
+    so the moves, error counts and witnesses are those of one run per cell:
 
     - It raises: every move of the cell returns None. A budget overrun is
       fixed too, because control flow cannot depend on the board.
@@ -272,9 +272,11 @@ def tap_moves(
       tiles it is kept as a gather, which settles the root.
     - Otherwise the tap is a gather: its child, before gravity, picks its
       cells from ``key + _CONSTANTS`` at the indices the marker run left.
-      If the run left any other value in a cell (a block can paint a
-      variant that is no tile colour when its registry's ``Colour``
-      declares one), that tap runs the block on every move instead.
+
+    A run that reaches a reader, or leaves a value no gather can pick (a
+    variant that is no tile colour, if the registry declares one), sends the
+    block down the general path, as any other hook: each move refills a
+    scratch board with ``key`` and runs ``tap``'s body (``_run_tap``).
 
     Gravity after a gather depends only on which picks are empty, which the
     parent's empty cells (its mask) fix, so the two together are again a
@@ -289,34 +291,32 @@ def tap_moves(
     its gather picks none of the colours in ``forbidden`` (every colour for
     CLEARED, ``c`` for COLOUR_CLEARED c: a picked colour stays on the board)
     and misses an occupied cell (else the child keeps every tile of its
-    parent). ``raising`` is None when some move can meet the goal: a cell
-    runs the block, or a gather can on a full board. Else it is the number
-    of cells that raise, on every board.
+    parent). ``raising`` is None when some move can meet the goal: the block
+    takes the general path, or a gather can on a full board. Else it is the
+    number of cells that raise, on every board.
     """
-    n = len(board.cells)
-    h = board.height
+    n, h = len(board.cells), board.height
     delegate = hooks.delegate(ON_TILE_TAPPED)
     run = prepare(delegate, (INT, INT))
     taps, cell_args, index = _cells(board.width, h)
-    state = GameState(Board(board.width, h))  # the scratch state general moves tap
-    cells = state.board.cells
+    table = _marker_pass(run, board, delegate.params_read) if isinstance(delegate, GeneratedDelegate) else None
+    if table is None:  # the general path
+        state = GameState(Board(board.width, h))  # the scratch state general moves tap
+        cells = state.board.cells
 
-    def runs(args: Tuple[IntV, IntV], src: Tuple[Cell, ...]) -> Optional[Tuple[Cell, ...]]:
-        cells[:] = src
-        del cells[n:]  # drop the constants after the key; cheaper than src[:n]
-        try:
-            _run_tap(run, args, state)
-        except ExecutionError:
-            return None
-        return tuple(cells)
+        def runs(args: Tuple[IntV, IntV], src: Tuple[Cell, ...]) -> Optional[Tuple[Cell, ...]]:
+            cells[:] = src
+            del cells[n:]  # drop the constants after the key; cheaper than src[:n]
+            try:
+                _run_tap(run, args, state)
+            except ExecutionError:
+                return None
+            return tuple(cells)
 
-    if not isinstance(delegate, GeneratedDelegate) or delegate.reads_world:
         moves = [(xy, partial(runs, args)) for xy, args in zip(taps, cell_args)]
         return lambda key: moves, None
 
-    markers = list(range(n))
-    marked = GameState(Board(board.width, h, markers[:]))
-    every = set(markers)
+    every = set(range(n))
     wanted = None if present is None else index.get(present, -1)  # the colour's pick
     banned = {index.get(colour) for colour in forbidden}  # the forbidden colours' picks
 
@@ -325,40 +325,7 @@ def tap_moves(
             return wanted in picks
         return banned.isdisjoint(picks) and not every.issubset(picks)
 
-    keep_noops = not board.is_gravity_normal()  # a NOOP tap settles a floating root
-    tabulated: List[Tuple[Tuple[int, int], Optional[MoveFn], Optional[Tuple[int, ...]]]] = []
-    # Per group: its move (_raised, or one that runs the block) and no
-    # picks, or no move and a gather's picks; () when it has no move.
-    outcomes: Dict[Tuple[int, ...], Tuple[Any, ...]] = {}
-    raising, can_win = 0, False
-    for xy, args, group in zip(taps, cell_args, _groups(board.width, h, delegate.params_read)):
-        outcome = outcomes.get(group)
-        if outcome is None:  # the group's marker run
-            marked.board.cells[:] = markers
-            try:
-                run(args, marked, ExecBudget())
-            except ExecutionError:
-                outcome = _raised, None
-            else:
-                after = marked.board.cells
-                if after == markers and not keep_noops:  # a NOOP: its child is its parent
-                    outcome = ()  # no move for the group's cells
-                else:
-                    try:
-                        picks = tuple(map(index.__getitem__, after))
-                    except (KeyError, TypeError):  # a value no gather can pick
-                        outcome = partial(runs, args), None
-                        can_win = True
-                    else:
-                        outcome = None, picks
-                        can_win = can_win or wins(picks)
-            outcomes[group] = outcome
-        if not outcome:
-            continue
-        if outcome[0] is _raised:
-            raising += 1
-        tabulated.append((xy, *outcome))
-
+    can_win = any(picks is not None and wins(picks) for _, picks in table)
     by_mask: Dict[Tuple[bool, ...], List[Move]] = {}
 
     def later(key: Tuple[Cell, ...]) -> List[Move]:
@@ -366,15 +333,48 @@ def tap_moves(
         moves = by_mask.get(mask)
         if moves is None:  # settle each gather; drop it if it is the identity
             moves = by_mask[mask] = []
-            for xy, move, picks in tabulated:
-                if picks is not None:
-                    move = _settled_gather(picks, mask, h)
-                    if move is None:
-                        continue
-                moves.append((xy, move))
+            for xy, picks in table:
+                move = _raised if picks is None else _settled_gather(picks, mask, h)
+                if move is not None:
+                    moves.append((xy, move))
         return moves
 
-    return later, None if can_win else raising
+    return later, None if can_win else sum(picks is None for _, picks in table)
+
+
+_Table = List[Tuple[Tuple[int, int], Optional[Tuple[int, ...]]]]
+
+
+def _marker_pass(run: Runner, board: Board, read: FrozenSet[int]) -> Optional[_Table]:
+    """The tabulated taps of ``board``'s size with their gathers' picks (None:
+    it raises), from one marker run per group (``tap_moves``), NOOPs left out
+    unless ``board`` floats; None when the block takes the general path."""
+    width, h = board.width, board.height
+    taps, cell_args, index = _cells(width, h)
+    groups = _groups(width, h, read)
+    markers = list(range(len(board.cells)))
+    marked = GameState(Board(width, h, markers[:]))
+    keep_noops = not board.is_gravity_normal()  # a NOOP tap settles a floating root
+    outcomes: Dict[Tuple[int, ...], Optional[Tuple[int, ...]]] = {}  # () for a NOOP
+    for args, group in zip(cell_args, groups):
+        if group not in outcomes:  # the group's marker run
+            marked.board.cells[:] = markers
+            try:
+                run(args, marked, Probe())
+            except WorldRead:
+                return None
+            except ExecutionError:
+                outcomes[group] = None
+            else:
+                after = marked.board.cells
+                if after == markers and not keep_noops:  # its child is its parent
+                    outcomes[group] = ()
+                else:
+                    try:
+                        outcomes[group] = tuple(map(index.__getitem__, after))
+                    except (KeyError, TypeError):  # a value no gather can pick
+                        return None
+    return [(xy, outcomes[group]) for xy, group in zip(taps, groups) if outcomes[group] != ()]
 
 
 @lru_cache(maxsize=1024)
@@ -485,7 +485,7 @@ def build_game_registry(
     Every coordinate parameter is bounded to ``(0, dimension - 1)``.
     Every method except ``IsOccupied`` and ``CountColour`` is declared
     ``reads_world=False``: it never looks at the cells, so the solver can
-    tabulate a block that calls only such methods (``tap_moves``).
+    tabulate a block whose marker runs call only such methods (``tap_moves``).
     When ``usable`` is given, fields and methods outside that set are
     declared with ``usable=False``, narrowing the searchable scope the way
     a designer would with annotations.

@@ -164,8 +164,8 @@ class MethodDescriptor:
     the method returns and does depends only on its arguments and the
     world's shape (a board's size, not its contents): it may move cells and
     write constants, but never inspects them. The default, True, is the
-    safe one; a block that calls a reader is never tabulated by the solver.
-    ``dump_lines`` does not render the flag.
+    safe one: the solver tabulates a block only if its marker runs reach no
+    call of a reader (``game.tap_moves``). ``dump_lines`` does not show it.
     """
 
     name: str

@@ -19,10 +19,9 @@ call first checks each bounded parameter against its ``(min, max)`` from
 ``MethodDescriptor.bounds`` (a literal argument inside its bounds is settled
 at compile time), so out-of-range arguments surface as ConstraintViolation
 whether they came from literals or computed values. The compiler also
-records whether the block may read the world
-(``GeneratedDelegate.reads_world``), from the effect flag of each method it
-calls, and which parameters it may read (``GeneratedDelegate.params_read``):
+records which parameters a block may read (``GeneratedDelegate.params_read``):
 two calls whose arguments agree on those do the same thing to one world.
+Whether a block reads the world is seen by running it under a ``Probe``.
 Execution has no transactional rollback: an erroring invocation leaves the
 world in whatever partial state it reached.
 """
@@ -162,6 +161,11 @@ class InterpreterError(ExecutionError):
     invoked (``prepare``). A checked block never raises it."""
 
 
+class WorldRead(Exception):
+    """A call of the named method, declared ``reads_world``, under a
+    ``Probe``. Not an ExecutionError: the run was stopped, it did not fail."""
+
+
 class HookError(Exception):
     pass
 
@@ -194,6 +198,12 @@ class ExecBudget:
         self.remaining -= 1
 
 
+class Probe(ExecBudget):
+    """A budget under which a compiled call of a method declared
+    ``reads_world`` raises WorldRead after its bound checks, before it
+    spends budget or calls the host (``game.tap_moves``' marker pass)."""
+
+
 # --------------------------------------------------------------------------
 # Delegates
 
@@ -217,14 +227,8 @@ class GeneratedDelegate(Delegate):
 
     Construction checks and compiles the block in one walk: it raises the
     block's first TypeCheckError, or sets ``program``, the block compiled to
-    closures, and ``reads_world``, whether the block may read the world.
-
-    The block reads the world when any call site, dead branches included,
-    names a method declared ``reads_world``, or when it assigns a field.
-    Field reads do not count: a world's fields are taken to be fixed by its
-    shape (the game's are the board dimensions). A block that does not read
-    the world does the same thing to every board of one size, whatever the
-    board holds.
+    closures. Whether it reads the world is not recorded: a run under a
+    ``Probe`` stops at its first call of a method declared ``reads_world``.
 
     ``params_read`` holds the index in ``sig.params`` of each parameter that
     some name reference reads, dead branches included, and also when the
@@ -236,13 +240,11 @@ class GeneratedDelegate(Delegate):
     block: CodeBlock
     registry: Registry = field(compare=False)
     program: Runner = field(init=False, compare=False, repr=False)
-    reads_world: bool = field(init=False, compare=False)
     params_read: FrozenSet[int] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        program, reads_world, params_read = _compile(self.sig, self.block, self.registry)
+        program, params_read = _compile(self.sig, self.block, self.registry)
         object.__setattr__(self, "program", program)
-        object.__setattr__(self, "reads_world", reads_world)
         object.__setattr__(self, "params_read", params_read)
 
 
@@ -390,10 +392,9 @@ Frame = List[Any]
 Compiled = Callable[[Frame], Any]
 
 
-def _compile(sig: Signature, block: CodeBlock, registry: Registry) -> Tuple[Runner, bool, FrozenSet[int]]:
+def _compile(sig: Signature, block: CodeBlock, registry: Registry) -> Tuple[Runner, FrozenSet[int]]:
     """Check and compile ``block`` in one walk into nested closures: the
-    runner, whether the block may read the world
-    (``GeneratedDelegate.reads_world``), and the parameters it may read
+    runner and the parameters the block may read
     (``GeneratedDelegate.params_read``).
 
     The walk infers each node's type as it builds the node's code, and
@@ -431,7 +432,7 @@ def _compile(sig: Signature, block: CodeBlock, registry: Registry) -> Tuple[Runn
         body(frame)
         return result(frame)
 
-    return program, compiler.reads_world, frozenset(compiler.params_read)
+    return program, frozenset(compiler.params_read)
 
 
 def _skip(frame: Frame) -> None:
@@ -462,9 +463,6 @@ class _Compiler:
         # Initial contents of the slots from ``first`` on: None for a local,
         # the value for a literal.
         self.rest: List[Optional[Value]] = []
-        # Set by any call of a reader and by any field write; every call site
-        # is compiled, reachable or not.
-        self.reads_world = False
         # The index of every parameter a name reference reads, reachable or not.
         self.params_read: Set[int] = set()
         self.index = 0  # the top-level statement being compiled
@@ -581,7 +579,6 @@ class _Compiler:
             self.reject(f"field '{name}' is not usable")
         if not fd.writable:
             self.reject(f"field '{name}' is read-only")
-        self.reads_world = True
         value = self.expr(st.value, frames, fd.type, path)
 
         def assign_field(frame: Frame) -> None:
@@ -641,8 +638,9 @@ class _Compiler:
 
     def call(self, call: Call, frames: Frames, allow_void: bool, path: str) -> Tuple[Compiled, TypeId]:
         """A host-method call: evaluate the arguments left to right, check
-        the bounded parameters in signature order, spend one unit of budget,
-        run the host implementation."""
+        the bounded parameters in signature order, stop with WorldRead under
+        a Probe if the method reads the world, spend one unit of budget, run
+        the host implementation."""
         name = call.method
         md = self.registry.method_named(name)
         if md is None:
@@ -651,8 +649,6 @@ class _Compiler:
             self.reject(f"method '{name}' is not usable", path)
         if len(call.args) != md.arity:
             self.reject(f"method '{name}' takes {md.arity} argument(s), got {len(call.args)}", path)
-        if md.reads_world:
-            self.reads_world = True
         operands = [
             self.operand(arg, frames, ptype, f"arg {k} of {name}")
             for k, (arg, (_, ptype)) in enumerate(zip(call.args, md.params))
@@ -678,6 +674,7 @@ class _Compiler:
             if not _settled(call.args[index[p]], (lo, hi))
         ]
         host = md.host_impl
+        reads = md.reads_world
 
         def call_method(frame: Frame) -> Value:
             args = eval_args(frame)
@@ -687,6 +684,8 @@ class _Compiler:
                     if value < lo:
                         raise ConstraintViolation(name, param, value, lo, "min")
                     raise ConstraintViolation(name, param, value, hi, "max")
+            if reads and type(frame[_BUDGET]) is Probe:
+                raise WorldRead(name)
             frame[_BUDGET].spend()
             if host is None:
                 raise HostError(f"method '{name}' has no host implementation", name)

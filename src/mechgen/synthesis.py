@@ -132,12 +132,17 @@ class GenerationConfig:
     statement_kinds_enabled: FrozenSet[StatementKind] = ALL_STATEMENT_KINDS
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "statement_kinds_enabled", frozenset(self.statement_kinds_enabled)
-        )
+        kinds = self.statement_kinds_enabled
+        if not (isinstance(kinds, (set, frozenset, list, tuple))
+                and all(isinstance(kind, StatementKind) for kind in kinds)):
+            raise ConfigError("statement_kinds_enabled must hold StatementKind members")
+        object.__setattr__(self, "statement_kinds_enabled", frozenset(kinds))
         for name in ("min_lines", "max_lines", "max_recursion_depth", "max_retries_per_line"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
+        for name in ("literal_weight", "else_probability"):
+            if not (_is_int(getattr(self, name)) or isinstance(getattr(self, name), float)):
+                raise ConfigError(f"{name} must be an int or a float")
         pair = self.int_literal_range
         if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_int, pair))):
             raise ConfigError("int_literal_range must be a pair of integers")

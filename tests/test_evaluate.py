@@ -1,10 +1,12 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
+from mechgen import game
 from mechgen.evaluate import (
     AlreadySolved,
     Challenge,
@@ -24,6 +26,7 @@ from mechgen.evaluate import (
     solve,
 )
 from mechgen.game import (
+    _CONSTANTS,
     COLOURS,
     ON_TILE_TAPPED,
     Board,
@@ -32,6 +35,7 @@ from mechgen.game import (
     build_hook_table,
     on_tile_tapped_signature,
     tap,
+    tap_moves,
 )
 from mechgen.lang import Signature, TypeCheckError, parse
 from mechgen.registry import INT, VOID
@@ -78,6 +82,29 @@ def naive_solve(challenge, hooks):
             if not failed and challenge.goal.satisfied(state.board):
                 return ("solved", length, seq)
     return ("unsolvable", None, None)
+
+
+def takes_general_path(hooks, board):
+    """Whether ``tap_moves`` sends the tap of ``hooks`` down the general path
+    on boards of ``board``'s size: there every move runs the hook, where a
+    tabulated move only picks cells. Runs are counted at ``game.prepare``'s
+    runner, after the marker runs; a list that mixes the two paths fails."""
+    runs = []
+    real_prepare = game.prepare
+
+    def counted_prepare(delegate, params):
+        run = real_prepare(delegate, params)
+        return lambda *args: runs.append(1) or run(*args)
+
+    ran = []  # whether each move ran the hook
+    with mock.patch.object(game, "prepare", counted_prepare):
+        later, _ = tap_moves(hooks, board)
+        for _, move in later(board.key()):
+            before = len(runs)
+            move(board.key() + _CONSTANTS)
+            ran.append(len(runs) > before)
+    assert all(ran) or not any(ran), "a move list that mixes both paths"
+    return any(ran)
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +329,7 @@ EMPTY_CELL_CHALLENGES = [
     ".\nR\nG\ngoal: CLEARED\nmax_taps: 3\n",
 ]
 
-# (text, whether the block reads the board)
+# (text, whether the block takes the general path: it reads the board on every tap)
 GRAVITY_MECHANICS = [
     ("if (IsOccupied(x, Sub(Height, 1))) { DestroyTile(x, 0); } else { DestroyTile(x, y); }", True),
     ("if (Equal(x, 0)) { DestroyTile(x, 0); } else { SwapTiles(x, y, 0, 0); }", False),
@@ -310,12 +337,12 @@ GRAVITY_MECHANICS = [
 
 
 @pytest.mark.parametrize("challenge_text", EMPTY_CELL_CHALLENGES)
-@pytest.mark.parametrize("mechanic,reads", GRAVITY_MECHANICS)
-def test_cleared_goals_on_boards_with_empty_cells_match_naive(challenge_text, mechanic, reads):
+@pytest.mark.parametrize("mechanic,general", GRAVITY_MECHANICS)
+def test_cleared_goals_on_boards_with_empty_cells_match_naive(challenge_text, mechanic, general):
     challenge = parse_challenge(challenge_text)
     registry = build_game_registry(challenge.initial.width, challenge.initial.height)
     hooks = bind_mechanic(registry, mechanic)
-    assert hooks.delegate(ON_TILE_TAPPED).reads_world is reads
+    assert takes_general_path(hooks, challenge.initial) is general
     fast = solve(challenge, hooks)
     slow = naive_solve(challenge, hooks)
     if slow[0] == "unsolvable":

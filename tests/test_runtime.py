@@ -27,8 +27,10 @@ from mechgen.runtime import (
     HostError,
     IntV,
     InterpreterError,
+    Probe,
     SignatureMismatch,
     UnknownHook,
+    WorldRead,
     invoke,
     prepare,
     value_type,
@@ -303,6 +305,32 @@ def test_default_budget_not_reachable_by_generated_mechanics(game_registry, tap_
             pass  # in-range data can still flow, e.g. Move-style bounds
         except BudgetExceeded:
             pytest.fail(f"seed {seed} exceeded the default budget")
+
+
+def test_world_read_escapes_invoke_only_under_a_probe(game_registry, tap_sig):
+    assert not issubclass(WorldRead, ExecutionError)
+    block = parse("SetTile(x, y, Colour.Y); if (IsOccupied(x, y)) { DestroyTile(x, y); }", params=["x", "y"])
+    delegate = GeneratedDelegate(tap_sig, block, game_registry)
+    world = GameState(Board.from_rows(["RGB", "BRG", "GBR"]))
+    probe = Probe()
+    with pytest.raises(WorldRead, match="IsOccupied"):
+        invoke(delegate, [IntV(0), IntV(0)], world, probe)
+    # The run stops at the read: SetTile ran, IsOccupied spent nothing.
+    assert world.board.get(0, 0) == "Y" and probe.remaining == probe.max_host_calls - 1
+    budget = ExecBudget()
+    assert invoke(delegate, [IntV(1), IntV(1)], world, budget) == UNIT
+    assert world.board.get(1, 1) is None and budget.remaining == budget.max_host_calls - 3
+    # A non-reader runs under a probe as under any budget.
+    assert invoke(GeneratedDelegate(tap_sig, parse("DestroyTile(x, y);", params=["x", "y"]), game_registry),
+                  [IntV(2), IntV(2)], world, Probe()) == UNIT
+    assert world.board.get(2, 2) is None
+
+
+def test_a_probe_checks_a_readers_bounds_before_it_stops(game_registry, tap_sig):
+    delegate = GeneratedDelegate(tap_sig, parse("IsOccupied(Add(x, 3), y);", params=["x", "y"]), game_registry)
+    for budget in (Probe(), ExecBudget()):
+        with pytest.raises(ConstraintViolation):
+            invoke(delegate, [IntV(0), IntV(0)], GameState(Board(3, 3)), budget)
 
 
 # --------------------------------------------------------------------------

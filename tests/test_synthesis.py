@@ -480,6 +480,35 @@ def test_integer_fields_reject_other_values(field, value):
         GenerationConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("literal_weight", "1"), ("literal_weight", None), ("literal_weight", True),
+    ("else_probability", "0.5"), ("else_probability", None), ("else_probability", False),
+])
+def test_number_fields_reject_other_values(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an int or a float$"):
+        GenerationConfig(**{field: value})
+
+
+def test_number_fields_take_ints_and_floats():
+    config = GenerationConfig(literal_weight=2, else_probability=1)
+    assert (config.literal_weight, config.else_probability) == (2, 1)
+    assert GenerationConfig(literal_weight=0.5, else_probability=0.0).literal_weight == 0.5
+
+
+@pytest.mark.parametrize("kinds", [["ExprStmt"], "ExprStmt", {StatementKind.IF_ELSE, "VarDecl"}, 3, None])
+def test_statement_kinds_must_be_statement_kind_members(kinds):
+    # Before, ``['ExprStmt']`` was accepted and every seed then failed with
+    # a misleading "no feasible statement kind".
+    with pytest.raises(ConfigError, match="^statement_kinds_enabled must hold StatementKind members$"):
+        GenerationConfig(statement_kinds_enabled=kinds)
+
+
+def test_statement_kinds_may_be_any_collection_of_members():
+    for kinds in ([StatementKind.EXPR_STMT], (StatementKind.EXPR_STMT,), {StatementKind.EXPR_STMT}):
+        config = GenerationConfig(statement_kinds_enabled=kinds)
+        assert config.statement_kinds_enabled == frozenset({StatementKind.EXPR_STMT})
+
+
 @pytest.mark.parametrize("pair", [(0.5, 3), (0, 3.0), (False, 3), [0, 3], (0, 1, 2)])
 def test_int_literal_range_must_be_a_pair_of_integers(pair):
     with pytest.raises(ConfigError, match="^int_literal_range must be a pair of integers$"):

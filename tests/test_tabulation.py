@@ -1,15 +1,18 @@
-"""The solver's tabulated path against its general path, and the effect
-annotation and parameter set the tabulation trusts.
+"""The solver's tabulated path against its general path, the marker pass
+that chooses between them, and the effect annotation and parameter set the
+tabulation trusts.
 
-A block that calls no world-reading method is run once per group of cells
-that agree on the parameters it reads (``GeneratedDelegate.params_read``) on
-position markers, and then replayed as a gather (``game.tap_moves``).
-Building the same registry with every method marked ``reads_world=True``
-forces the general path, which runs the block on every tap; both must give
-the same ``EvalResult``: status, witness, ``error_count`` and
-``states_explored``. The groups are checked against a solve with one cell
-per group and against ``tap`` cell by cell, and the parameter set against
-``tap`` as an independent oracle.
+A block is run under a ``Probe`` on position markers, once per group of
+cells that agree on the parameters it reads
+(``GeneratedDelegate.params_read``). If no run calls a world-reading
+method, each tap is replayed as a gather (``game.tap_moves``). Building the
+same registry with every method marked ``reads_world=True`` sends a block
+that calls any method down the general path, which runs it on every tap;
+both must give the same ``EvalResult``: status, witness, ``error_count``
+and ``states_explored``. ``takes_general_path`` says which path a solve
+took. The groups are checked against a solve with one cell per group and
+against ``tap`` cell by cell, and the parameter set against ``tap`` as an
+independent oracle.
 """
 
 import gc
@@ -42,9 +45,9 @@ from mechgen.game import (
 )
 from mechgen.lang import parse, pretty
 from mechgen.registry import INT, VOID, EnumDef, FieldDescriptor, MethodDescriptor, Registry, enum_type
-from mechgen.runtime import ExecBudget, EnumV, ExecutionError, GeneratedDelegate, IntV
+from mechgen.runtime import BoolV, ExecBudget, EnumV, ExecutionError, GeneratedDelegate, IntV
 from mechgen.synthesis import GenerationError, config_with_seed, generate_block, load_config_file
-from test_evaluate import naive_solve
+from test_evaluate import naive_solve, takes_general_path
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 TAP_SIG = on_tile_tapped_signature()
@@ -98,14 +101,14 @@ def both_paths(challenge, block, registry=None):
     """(tabulated result, general result, whether the block is tabulated),
     over the game's design space unless ``registry`` is given."""
     registry = registry or build_game_registry(challenge.initial.width, challenge.initial.height)
-    delegate = GeneratedDelegate(TAP_SIG, block, registry)
-    fast = solve(challenge, hooks_for(block, registry))
+    hooks = hooks_for(block, registry)
+    fast = solve(challenge, hooks)
     slow = solve(challenge, hooks_for(block, general_registry(registry)))
-    return fast, slow, not delegate.reads_world
+    return fast, slow, not takes_general_path(hooks, challenge.initial)
 
 
-def assert_paths_agree(challenge, text):
-    fast, slow, tabulated = both_paths(challenge, parse(text, params=["x", "y"]))
+def assert_paths_agree(challenge, text, registry=None):
+    fast, slow, tabulated = both_paths(challenge, parse(text, params=["x", "y"]), registry)
     assert tabulated, text
     assert fast == slow, text
     return fast
@@ -195,16 +198,16 @@ def test_a_root_with_floating_tiles():
                 assert_paths_agree(Challenge(root, goal, 3), text)
 
 
-def test_a_mixed_list_on_a_board_with_empty_cells():
-    # Column 0 paints a variant that is no colour, so its taps stay general;
-    # every other tap is a gather settled for its parent's empty cells.
+def test_a_variant_in_one_column_sends_the_whole_block_down_the_general_path():
+    # Column 0 paints a variant that is no colour, which no gather can pick,
+    # so every tap runs the block, on boards with empty cells too.
     text = "if (Equal(x, 0)) { SetTile(x, y, Colour.Z); } else { DestroyTile(x, y); }"
     for board in ("..R\n.GB\nRBG", ".R.\nGBR\nRBG", "R..\nG.B\nBRG"):
         for goal in ("COLOUR_CLEARED R", "COLOUR_CLEARED G", "COLOUR_PRESENT Y", "CLEARED"):
             challenge = parse_challenge(f"{board}\ngoal: {goal}\nmax_taps: 4\n")
             block = parse(text, params=["x", "y"])
             fast, slow, tabulated = both_paths(challenge, block, z_registry(3, 3))
-            assert tabulated and fast == slow, (board, goal)
+            assert not tabulated and fast == slow, (board, goal)
             assert fast.states_explored > 1
 
 
@@ -279,22 +282,22 @@ def test_a_tabulated_solve_leaves_no_cyclic_garbage():
 
 def test_a_cell_value_outside_the_gather_constants_keeps_the_general_path():
     # A block can paint a variant that is no colour when its registry's
-    # Colour declares one; the general path writes it into the board, and so
-    # must the table. A Z is a tile, not an empty cell: painting Z everywhere
-    # never clears.
+    # Colour declares one; no gather can pick it, so the whole block takes
+    # the general path, which writes it into the board. A Z is a tile, not
+    # an empty cell: painting Z everywhere never clears.
     challenge = parse_challenge("RG\nBR\ngoal: CLEARED\nmax_taps: 4\n")
     for text in ("SetTile(x, y, Colour.Z);", "SetTile(x, 0, Colour.R); SetTile(x, 1, Colour.Z);"):
         block = parse(text, params=["x", "y"])
         fast, slow, tabulated = both_paths(challenge, block, z_registry(2, 2))
-        assert tabulated and fast == slow
+        assert not tabulated and fast == slow
         assert fast.status == Unsolvable()
 
 
 def test_a_reader_keeps_the_general_path():
     registry = build_game_registry(2, 2)
     block = parse("if (IsOccupied(x, 1)) { DestroyTile(x, y); }", params=["x", "y"])
-    assert GeneratedDelegate(TAP_SIG, block, registry).reads_world
     challenge = parse_challenge("RG\nBR\ngoal: CLEARED\nmax_taps: 4\n")
+    assert takes_general_path(hooks_for(block, registry), challenge.initial)
     fast, slow, tabulated = both_paths(challenge, block)
     assert fast == slow and not tabulated
 
@@ -369,9 +372,10 @@ def test_deep_generated_solves_agree(config_name, challenge_name, floor):
         if text in seen:
             continue
         seen.add(text)
-        if GeneratedDelegate(TAP_SIG, block, registry).reads_world:
+        hooks = hooks_for(block, registry)
+        if takes_general_path(hooks, challenge.initial):
             continue
-        fast, taken = counted(challenge, hooks_for(block, registry))
+        fast, taken = counted(challenge, hooks)
         if fast.states_explored > 1:
             deep.append(taken)
             assert fast == solve(challenge, hooks_for(block, general_registry(registry))), text
@@ -579,10 +583,16 @@ def test_the_tabulated_fast_path_runs_no_gravity_on_a_board(monkeypatch):
 # the count decision: which gathers can make a child meet the goal
 
 
-def assert_matches_naive(challenge, text):
-    """``assert_paths_agree``, and the status ``naive_solve`` finds by replay."""
-    result = assert_paths_agree(challenge, text)
-    registry = build_game_registry(challenge.initial.width, challenge.initial.height)
+def assert_matches_naive(challenge, text, registry=None, tabulated=True):
+    """``assert_paths_agree`` (or, unless ``tabulated``, that both solves
+    take the general path and agree), and the status ``naive_solve`` finds
+    by replay."""
+    registry = registry or build_game_registry(challenge.initial.width, challenge.initial.height)
+    if tabulated:
+        result = assert_paths_agree(challenge, text, registry)
+    else:
+        result, slow, taken = both_paths(challenge, parse(text, params=["x", "y"]), registry)
+        assert not taken and result == slow, text
     slow = naive_solve(challenge, hooks_for(parse(text, params=["x", "y"]), registry))
     expected = Unsolvable() if slow[0] == "unsolvable" else Solved(slow[1], slow[2])
     assert result.status == expected, text
@@ -783,8 +793,8 @@ def test_a_counted_solve_at_its_first_and_last_levels(board, goal, taps, text, r
 
 @pytest.mark.parametrize("goal, present", [("CLEARED", None), ("COLOUR_PRESENT Y", "Y")])
 def test_a_variant_cell_keeps_the_queue(goal, present):
-    # Painting Z picks no Y and drops no tile, but that cell runs the block
-    # on every move, which the rule does not look into.
+    # Painting Z picks no Y and drops no tile, but no gather can pick a Z, so
+    # the block runs on every move, which the rule does not look into.
     challenge = parse_challenge(f"RG\nBR\ngoal: {goal}\nmax_taps: 3\n")
     text = "SetTile(x, 0, Colour.R); SetTile(x, 1, Colour.Z);"
     assert built_for(text, challenge.initial, present, z_registry(2, 2))[1] is None
@@ -844,13 +854,20 @@ def test_the_random_differentials_take_the_counting_path():
     assert sum(taken["deep"]) * 10 >= len(taken["deep"])
 
 
-def test_most_search_candidates_are_tabulated():
+@pytest.mark.parametrize("config_name, size, floor", [
+    # 174 and 131 of 200 when written; 162 and 88 when any call site of a
+    # reader, reachable or not, sent a block down the general path
+    ("search.cfg", 4, 100),
+    ("default.cfg", 3, 120),
+])
+def test_most_search_candidates_are_tabulated(config_name, size, floor):
     """The differential above exercises the tabulated path, not just the general one."""
-    registry = build_game_registry(4, 4)
-    config = CONFIGS["search.cfg"]
+    registry = build_game_registry(size, size)
+    board = Board(size, size, ["R"] * (size * size))
+    config = CONFIGS[config_name]
     blocks = [generate_block(TAP_SIG, registry, config_with_seed(config, s)) for s in range(200)]
-    tabulated = sum(not GeneratedDelegate(TAP_SIG, b, registry).reads_world for b in blocks)
-    assert tabulated > 100
+    tabulated = sum(not takes_general_path(hooks_for(b, registry), board) for b in blocks)
+    assert tabulated > floor
 
 
 # --------------------------------------------------------------------------
@@ -935,39 +952,92 @@ def test_the_readers_do_look(name):
 
 
 # --------------------------------------------------------------------------
-# the compiler's flag
+# the marker pass decides the path
 
 
-def reads_world(text, registry=None):
-    registry = registry or build_game_registry()
-    return GeneratedDelegate(TAP_SIG, parse(text, params=["x", "y"]), registry).reads_world
+def general(text, registry=None, size=3):
+    """Whether ``text`` takes the general path on a ``size`` x ``size`` board."""
+    registry = registry or build_game_registry(size, size)
+    board = Board(size, size, ["R"] * (size * size))
+    return takes_general_path(hooks_for(parse(text, params=["x", "y"]), registry), board)
 
 
-def test_oblivious_blocks():
+def test_oblivious_blocks_are_tabulated():
     for text in ONE_LINERS + ["int v0 = Width; SetTile(Sub(Width, 1), Height, Colour.R);", ""]:
-        assert not reads_world(text), text
+        assert not general(text), text
 
 
-def test_a_reader_in_a_dead_branch_reads_the_world():
-    assert reads_world("if (false) { IsOccupied(x, y); } DestroyTile(x, y);")
-    assert reads_world("if (true) { DestroyTile(x, y); } else { Add(CountColour(Colour.R), 1); }")
+DECIDED = "RGB\nBRG\nGBR\ngoal: CLEARED\nmax_taps: 3\n"
 
 
-def test_a_field_write_reads_the_world():
-    game = build_game_registry()
-    registry = Registry(game.enums.values(), [*game.fields.values(), FieldDescriptor("Score", INT)],
-                        game.methods.values())
-    assert reads_world("Score = 3;", registry)
-    assert reads_world("if (false) { Score = Add(x, 1); }", registry)
-    assert not reads_world("if (false) { Add(Score, 1); }", registry)
+def test_a_reader_in_a_dead_branch_is_tabulated():
+    # No marker run reaches the read, so it never happens on any board.
+    for text in ("if (false) { IsOccupied(x, y); } DestroyTile(x, y);",
+                 "if (true) { DestroyTile(x, y); } else { Add(CountColour(Colour.R), 1); }"):
+        assert not general(text), text
+        for goal in ("CLEARED", "COLOUR_CLEARED R", "COLOUR_PRESENT Y"):
+            assert_matches_naive(parse_challenge(DECIDED.replace("CLEARED", goal, 1)), text)
 
 
-def test_a_default_method_descriptor_reads_the_world():
+def test_a_field_write_is_tabulated():
+    # The game's fields cannot be written: a reached write raises on every
+    # board, and an unreached one does nothing.
+    game_space = build_game_registry()
+    registry = Registry(game_space.enums.values(), [*game_space.fields.values(), FieldDescriptor("Score", INT)],
+                        game_space.methods.values())
+    challenge = parse_challenge(DECIDED)
+    for text, errors in (("Score = 3;", 9), ("if (false) { Score = Add(x, 1); }", 0),
+                         ("if (false) { Add(Score, 1); }", 0)):
+        assert not general(text, registry), text
+        result = assert_matches_naive(challenge, text, registry)
+        assert result == EvalResult(Unsolvable(), errors, 1), text
+
+
+def test_a_default_method_descriptor_takes_the_general_path():
     plain = MethodDescriptor("Plain", (), VOID, host_impl=lambda world, args: None)
     assert plain.reads_world
     registry = Registry(methods=[plain, replace(plain, name="Pure", reads_world=False)])
-    assert reads_world("Plain();", registry)
-    assert not reads_world("Pure();", registry)
+    assert general("Plain();", registry)
+    assert not general("Pure();", registry)
+    for text in ("Plain();", "Pure();"):
+        assert_matches_naive(parse_challenge(DECIDED), text, registry, tabulated=text == "Pure();")
+
+
+def test_a_reader_reached_on_some_groups_only_takes_the_general_path():
+    # Column 0 reaches no reader, the other columns do: the whole block runs
+    # on every tap.
+    text = "if (Less(0, x)) { IsOccupied(x, y); } DestroyTile(x, y);"
+    assert general(text)
+    for goal in ("CLEARED", "COLOUR_CLEARED R"):
+        assert_matches_naive(parse_challenge(DECIDED.replace("CLEARED", goal, 1)), text, tabulated=False)
+
+
+def test_a_reader_whose_bound_check_fails_is_counted_as_raising():
+    # The bound check comes before the read, so every marker run raises a
+    # ConstraintViolation: every cell raises on every board.
+    text = "IsOccupied(Add(x, 3), y);"
+    challenge = parse_challenge(DECIDED)
+    assert not general(text)
+    assert built_for(text, challenge.initial, None, forbidden=COLOURS)[1] == 9
+    assert assert_matches_naive(challenge, text) == EvalResult(Unsolvable(), 9, 1)
+
+
+def test_a_probe_never_calls_a_readers_host():
+    # This IsOccupied fails on a marker cell; the marker pass must stop at
+    # the call, and the general path then calls it on real boards only.
+    def strict_is_occupied(world, args):
+        cell = world.board.get(args[0].value, args[1].value)
+        assert not isinstance(cell, int), "a marker run called a reader's host"
+        return BoolV(cell is not None)
+
+    game_space = build_game_registry(3, 3)
+    registry = Registry(game_space.enums.values(), game_space.fields.values(), [
+        replace(m, host_impl=strict_is_occupied) if m.name == "IsOccupied" else m
+        for m in game_space.methods.values()
+    ])
+    text = "if (IsOccupied(x, y)) { DestroyTile(x, y); }"
+    assert general(text, registry)
+    assert_matches_naive(parse_challenge(DECIDED), text, registry, tabulated=False)
 
 
 def test_the_flag_is_not_rendered():
@@ -1094,8 +1164,10 @@ def test_a_tabulated_block_runs_once_per_group(text, groups, monkeypatch):
     None,  # the host's own delegate
 ])
 def test_a_board_reader_runs_once_per_cell_on_each_expanded_state(text, monkeypatch):
-    # Grouping is for tabulated blocks: a hook that may read the board runs
-    # for every cell of every state the solve expands, whatever it reads.
+    # Grouping is for tabulated blocks: a hook that reads the board runs for
+    # every cell of every state the solve expands, whatever it reads. A block
+    # also has its one marker run, which stops at its first read; the host's
+    # delegate has none.
     challenge = parse_challenge(SPY_CHALLENGE)
     if text is None:
         hooks = build_hook_table()
@@ -1104,7 +1176,7 @@ def test_a_board_reader_runs_once_per_cell_on_each_expanded_state(text, monkeypa
     runs = count_runs(monkeypatch)
     result = solve(challenge, hooks)
     assert result.status == Unsolvable() and result.states_explored > 1
-    assert len(runs) == 6 * result.states_explored
+    assert len(runs) == 6 * result.states_explored + (text is not None)
 
 
 # --------------------------------------------------------------------------
