@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from .game import (
     _CONSTANTS,
@@ -95,7 +95,7 @@ class NotGravityNormal(ChallengeError):
     pass
 
 
-_LEGAL_ROW_CHARS = frozenset("RGBY.")
+_LEGAL_ROW_CHARS = frozenset((*COLOURS, "."))
 
 
 def parse_challenge(text: str) -> Challenge:
@@ -151,7 +151,7 @@ def _parse_goal(text: str, lineno: int) -> Goal:
     if parts == ["CLEARED"]:
         return Goal(GoalKind.CLEARED)
     if len(parts) == 2 and parts[0] in ("COLOUR_CLEARED", "COLOUR_PRESENT"):
-        if parts[1] not in "RGBY" or len(parts[1]) != 1:
+        if parts[1] not in COLOURS:
             raise ChallengeParseError(lineno, f"unknown colour {parts[1]!r}")
         return Goal(GoalKind(parts[0]), parts[1])
     raise ChallengeParseError(lineno, f"malformed goal {text!r}")
@@ -323,8 +323,7 @@ def evaluate_candidate(
 # Generate-and-test search
 
 
-@dataclass(frozen=True)
-class SearchEntry:
+class SearchEntry(NamedTuple):
     seed: int
     outcome: str  # "solved" | "unsolvable" | "rejected"
     min_taps: Optional[int] = None

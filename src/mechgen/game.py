@@ -276,7 +276,9 @@ def tap_moves(
     A run that reaches a reader, or leaves a value no gather can pick (a
     variant that is no tile colour, if the registry declares one), sends the
     block down the general path, as any other hook: each move refills a
-    scratch board with ``key`` and runs ``tap``'s body (``_run_tap``).
+    scratch board with ``key`` and runs ``tap``'s body (``_run_tap``). The
+    marker runs and the general moves share one scratch state per call, as
+    each run refills its cells first.
 
     Gravity after a gather depends only on which picks are empty, which the
     parent's empty cells (its mask) fix, so the two together are again a
@@ -299,9 +301,11 @@ def tap_moves(
     delegate = hooks.delegate(ON_TILE_TAPPED)
     run = prepare(delegate, (INT, INT))
     taps, cell_args, index = _cells(board.width, h)
-    table = _marker_pass(run, board, delegate.params_read) if isinstance(delegate, GeneratedDelegate) else None
+    state = GameState(Board(board.width, h))  # the scratch state marker runs and general moves tap
+    table = None
+    if isinstance(delegate, GeneratedDelegate):
+        table = _marker_pass(run, board, delegate.params_read, state)
     if table is None:  # the general path
-        state = GameState(Board(board.width, h))  # the scratch state general moves tap
         cells = state.board.cells
 
         def runs(args: Tuple[IntV, IntV], src: Tuple[Cell, ...]) -> Optional[Tuple[Cell, ...]]:
@@ -345,15 +349,15 @@ def tap_moves(
 _Table = List[Tuple[Tuple[int, int], Optional[Tuple[int, ...]]]]
 
 
-def _marker_pass(run: Runner, board: Board, read: FrozenSet[int]) -> Optional[_Table]:
+def _marker_pass(run: Runner, board: Board, read: FrozenSet[int], marked: GameState) -> Optional[_Table]:
     """The tabulated taps of ``board``'s size with their gathers' picks (None:
-    it raises), from one marker run per group (``tap_moves``), NOOPs left out
-    unless ``board`` floats; None when the block takes the general path."""
+    it raises), from one marker run per group (``tap_moves``) on the scratch
+    state ``marked``, NOOPs left out unless ``board`` floats; None when the
+    block takes the general path."""
     width, h = board.width, board.height
     taps, cell_args, index = _cells(width, h)
     groups = _groups(width, h, read)
     markers = list(range(len(board.cells)))
-    marked = GameState(Board(width, h, markers[:]))
     keep_noops = not board.is_gravity_normal()  # a NOOP tap settles a floating root
     outcomes: Dict[Tuple[int, ...], Optional[Tuple[int, ...]]] = {}  # () for a NOOP
     for args, group in zip(cell_args, groups):

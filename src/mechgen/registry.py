@@ -13,8 +13,9 @@ compiled blocks.
 scope, it returns every producer of that type in a fixed order: the usable
 ``FieldDescriptor``s themselves, then one ``LocalProducer`` per visible local
 (outermost frame first), then the usable ``MethodDescriptor``s themselves,
-then a single ``LiteralOption`` when the type is a value type here. The
-generator asks it once per type and registry, and keeps the answer.
+then a single ``LiteralOption`` when the type is a value type here. A block
+generator asks it at most once per type and grounding, and keeps the answer
+for as long as the generator lives.
 """
 
 from __future__ import annotations

@@ -4,12 +4,12 @@ Blocks are generated in execution order: each statement is built
 first-to-last so that variable declarations extend the scope seen by later
 lines. An expression of some type is drawn from its producers: the usable
 fields, the visible locals of the type (``Scope.by_type``), the usable methods,
-then one literal option. All but the locals come from a table built once per
-registry, type, grounding and ``literal_weight`` (``_Tables``). A non-literal
-weighs 1 and the literal ``literal_weight``, so the literal is picked with
-probability ``literal_weight / (n + literal_weight)`` against n non-literals;
-its value is then drawn uniformly from its (possibly constraint-narrowed)
-space. Only the drawn statement's expressions are built.
+then one literal option. All but the locals come from a table that the
+generator builds once per type and grounding. A non-literal weighs 1 and the
+literal ``literal_weight``, so the literal is picked with probability
+``literal_weight / (n + literal_weight)`` against n non-literals; its value
+is then drawn uniformly from its (possibly constraint-narrowed) space. Only
+the drawn statement's expressions are built.
 
 Depth contract: every statement-level expression (a VarDecl initializer, an
 Assign value, an IfElse condition, a Return value, and the ExprStmt call node
@@ -22,25 +22,24 @@ Generation is a pure function of (signature, registry, config): the same seed
 reproduces the same block byte-for-byte.
 
 A run builds one generator, ``block_generator(sig, registry, config)``, and
-calls it once per seed. Built once per run: the registry's tables (kept with
-the registry), the producers of each type for this config's grounding and
-``literal_weight``, the enabled statement kinds, each method's parameter
-types and literal intervals, and one ``random.Random``. Built per seed: the
-generator reseeds that ``Random`` (the state ``Random(seed)`` starts in),
-restarts the local names at v0 and starts a ``Scope`` from the signature's
-parameters. ``generate_block`` is that generator called for
-``config.seed``.
+calls it once per seed. Built once per run: the registry's value types,
+assignment targets and methods callable for effect, the producers of each
+type at each grounding (on first use), the enabled statement kinds, each
+method's parameter types and literal intervals, and one ``random.Random``.
+Nothing outlives the generator. Built per seed: the generator reseeds that
+``Random`` (the state ``Random(seed)`` starts in), restarts the local names
+at v0 and starts a ``Scope`` from the signature's parameters.
+``generate_block`` is that generator called for ``config.seed``.
 """
 
 from __future__ import annotations
 
-import math
 import random
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
 from .lang import (
     INT64_MAX,
@@ -153,7 +152,7 @@ class GenerationConfig:
             raise ConfigError(f"max_lines must be <= {MAX_LINES}")
         if self.max_recursion_depth < 0:
             raise ConfigError("max_recursion_depth must be >= 0")
-        if not (math.isfinite(self.literal_weight) and self.literal_weight >= 0):
+        if not 0 <= self.literal_weight <= sys.float_info.max:  # an int past it has no float
             raise ConfigError("literal_weight must be finite and >= 0")
         lo, hi = pair
         if lo > hi:
@@ -329,8 +328,8 @@ def generate_expression(
 # signature order, the parameter's type and literal interval.
 _Method = Tuple[str, Tuple[Tuple[TypeId, Bounds], ...]]
 
-# The static producers of one (type, grounded, literal_weight): the usable
-# fields' names and methods in registry order, and whether the literal is live.
+# The static producers of one type at one grounding: the usable fields'
+# names and methods in registry order, and whether the literal is live.
 _Table = Tuple[Tuple[str, ...], Tuple[_Method, ...], bool]
 
 
@@ -338,30 +337,11 @@ def _method(m: MethodDescriptor) -> _Method:
     return m.name, tuple((ptype, m.literal_interval(pname)) for pname, ptype in m.params)
 
 
-class _Tables:
-    """What one registry offers the generator. A Registry is immutable, so
-    ``_TABLES`` keeps these for as long as it lives; ``producers`` maps each
-    (grounded, literal_weight) to a dict that gets one entry per type on
-    first use."""
-
-    def __init__(self, registry: Registry) -> None:
-        self.value_types = tuple(registry.value_types())
-        fields = registry.fields.values()
-        self.targets = tuple((FieldTarget(f.name), f.type) for f in fields if f.usable and f.writable)
-        usable = tuple(_method(m) for m in registry.methods.values() if m.usable)
-        # The statement call node sits at depth 0, so with max_recursion_depth
-        # 0 only grounded (zero-arg) methods may be invoked for effect.
-        self.calls = {False: usable, True: tuple(m for m in usable if not m[1])}
-        self.producers: Dict[Tuple[bool, float], Dict[TypeId, _Table]] = {}
-
-
-_TABLES: WeakKeyDictionary[Registry, _Tables] = WeakKeyDictionary()
-
-
 @dataclass
 class _Gen:
     """A generator for one (registry, config): everything that does not
-    depend on the seed, resolved when it is built. ``rng`` and
+    depend on the seed, resolved when it is built. ``producers`` holds, per
+    grounding, a dict that gets one table per type on first use. ``rng`` and
     ``next_local`` are the draw state; ``block_generator`` reseeds and
     resets them per block."""
 
@@ -371,13 +351,17 @@ class _Gen:
     next_local: int = 0
 
     def __post_init__(self) -> None:
-        self.tables = tables = _TABLES.get(self.registry) or _TABLES.setdefault(
-            self.registry, _Tables(self.registry))
-        config = self.config
-        self.calls = tables.calls[config.max_recursion_depth == 0]
+        registry, config = self.registry, self.config
+        self.value_types = tuple(registry.value_types())
+        fields = registry.fields.values()
+        self.targets = tuple((FieldTarget(f.name), f.type) for f in fields if f.usable and f.writable)
+        # The statement call node sits at depth 0, so with max_recursion_depth
+        # 0 only grounded (zero-arg) methods may be invoked for effect.
+        grounded = config.max_recursion_depth == 0
+        self.calls = tuple(_method(m) for m in registry.methods.values()
+                           if m.usable and not (grounded and m.params))
         # Indexed by grounding: False below max_recursion_depth, True at it.
-        self.producers = tuple(
-            tables.producers.setdefault((g, config.literal_weight), {}) for g in (False, True))
+        self.producers: Tuple[Dict[TypeId, _Table], Dict[TypeId, _Table]] = ({}, {})
         enabled = config.statement_kinds_enabled
         self.var_decl = StatementKind.VAR_DECL in enabled
         self.assign = StatementKind.ASSIGN in enabled
@@ -479,12 +463,12 @@ def _generate_statement(scope: Scope, gen: _Gen, nesting: int) -> Statement:
     feasible: List[StatementKind] = []
     decl_types: List[TypeId] = []
     if gen.var_decl:
-        decl_types = [t for t in gen.tables.value_types if gen.producible(t, scope)]
+        decl_types = [t for t in gen.value_types if gen.producible(t, scope)]
         if decl_types:
             feasible.append(StatementKind.VAR_DECL)
     # A usable field or a visible local is itself a producer of its type, so
     # every target has a value to draw.
-    n_targets = len(gen.tables.targets) + sum(map(len, scope.frames))
+    n_targets = len(gen.targets) + sum(map(len, scope.frames))
     if gen.assign and n_targets:
         feasible.append(StatementKind.ASSIGN)
     if gen.expr_stmt and gen.calls:
@@ -508,7 +492,7 @@ def _generate_statement(scope: Scope, gen: _Gen, nesting: int) -> Statement:
         scope.declare(name, decl_type)
         return VarDecl(decl_type, name, init)
     if kind is StatementKind.ASSIGN:
-        targets = [*gen.tables.targets, *((LocalTarget(n), t) for n, t in scope.flatten())]
+        targets = [*gen.targets, *((LocalTarget(n), t) for n, t in scope.flatten())]
         target, target_type = targets[gen.rng.randrange(n_targets)]
         return Assign(target, gen.expression(target_type, scope))
     assert kind is StatementKind.EXPR_STMT
@@ -548,8 +532,11 @@ def block_generator(
 ) -> Callable[[int], CodeBlock]:
     """The generator of one run: ``generate(seed)`` is the block that
     ``generate_block`` gives for ``config`` with that seed. What does not
-    depend on the seed is resolved here, once; ``generate`` checks the seed
-    and only reseeds, restarts the local names and starts a fresh scope.
+    depend on the seed is resolved here, once, and kept by this generator
+    alone: each type's producers are asked of ``Registry.candidates_for``
+    at most once per grounding, on first use, and dropped with the
+    generator. ``generate`` checks the seed and only reseeds, restarts the
+    local names and starts a fresh scope.
 
     The number of top-level statements is drawn uniformly from
     [min_lines, max_lines]; a final return is appended for non-void

@@ -38,6 +38,7 @@ from mechgen.synthesis import (
     GenerationConfig,
     Scope,
     StatementKind,
+    block_generator,
     config_with_seed,
     generate_block,
     generate_expression,
@@ -489,6 +490,16 @@ def test_number_fields_reject_other_values(field, value):
         GenerationConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, message", [
+    ("literal_weight", "literal_weight must be finite and >= 0"),
+    ("else_probability", r"else_probability must lie in \[0, 1\]"),
+])
+def test_number_fields_reject_ints_past_the_float_range(field, message):
+    # No float holds 10**400, so the range checks must compare it, not convert it.
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        GenerationConfig(**{field: 10**400})
+
+
 def test_number_fields_take_ints_and_floats():
     config = GenerationConfig(literal_weight=2, else_probability=1)
     assert (config.literal_weight, config.else_probability) == (2, 1)
@@ -572,13 +583,14 @@ def test_registry_is_asked_once_per_table_and_not_kept_alive(tap_sig, monkeypatc
     monkeypatch.setattr(Registry, "candidates_for", counting)
     for weight in (0.0, 1.0):
         asked.clear()
+        generate = block_generator(tap_sig, registry, GenerationConfig(literal_weight=weight))
         for seed in range(60):
-            generate_block(tap_sig, registry, GenerationConfig(seed=seed, literal_weight=weight))
-        # Each (type, grounded) of int, bool and Colour at most once per weight,
-        # never with a scope: the locals come from the generator's own Scope.
+            generate(seed)
+        # Each (type, grounded) of int, bool and Colour at most once per
+        # generator, never with a scope: the locals come from its own Scope.
         assert len(asked) == len(set(asked)) <= 3 * 2
         assert all(scope == () for _, _, scope in asked)
     ref = weakref.ref(registry)
-    del registry
+    del registry, generate
     gc.collect()
     assert ref() is None
