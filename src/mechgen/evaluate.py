@@ -212,7 +212,7 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     goal-checked and, if adding it grows ``visited``, queued: one hash per
     child, as a tuple does not cache its hash.
 
-    ``tap_moves`` tabulates a block before the search starts unless its
+    ``tap_moves`` tabulates the hook before the search starts unless its
     marker pass sends it down the general path, where each tap runs the hook
     on a scratch board. A tabulated tap is one ``itemgetter`` call on the
     parent's key, settled for its empty cells, or None, and a tap that

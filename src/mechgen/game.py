@@ -1,13 +1,14 @@
 """The sample host application: a grid of coloured tiles with a tap hook.
 
 Tapping a tile dispatches through the ``onTileTapped`` hook. The baseline
-behavior destroys the tapped tile; gravity then compacts each column so no
-empty cell sits below an occupied one (gravity-normal form). Swapping the
-hook's delegate is the single integration point for replacement mechanics:
-``tap`` (one tap) and ``tap_moves`` (every tap, for the solver) read the
-hook table and run one tap body, ``_run_tap``. ``_settle`` is the one place
-that knows the column rule; ``tap_moves`` also folds it into each tabulated
-gather, so every move the solver gets returns a settled child.
+block ``DestroyTile(x, y);`` destroys the tapped tile; gravity then compacts
+each column so no empty cell sits below an occupied one (gravity-normal
+form). Swapping the hook's delegate is the single integration point for
+replacement mechanics: ``tap`` (one tap) and ``tap_moves`` (every tap, for
+the solver: every hook, one marker pass; a host behavior is a reader) read
+the hook table and run one tap body, ``_run_tap``. ``_settle`` is the one
+place that knows the column rule; ``tap_moves`` also folds it into each
+tabulated gather, so every move the solver gets returns a settled child.
 
 ``build_game_registry`` publishes the design space for this game: the Colour
 enum, the read-only board dimensions, tile manipulation methods with
@@ -22,7 +23,7 @@ from itertools import repeat
 from operator import is_, itemgetter
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .lang import Signature
+from .lang import Signature, parse
 from .registry import (
     BOOL,
     INT,
@@ -40,7 +41,6 @@ from .runtime import (
     ExecutionError,
     GeneratedDelegate,
     HookTable,
-    HostDelegate,
     HostError,
     IntV,
     Probe,
@@ -254,16 +254,17 @@ def tap_moves(
     moves. ``board`` is the root: only its size and whether it is
     gravity-normal are read.
 
-    Each tap of a block is tabulated, or each takes the general path. The
-    block runs under a ``Probe`` on a board of position markers ``0..n-1``,
-    once per group of cells that agree on the parameters it reads
-    (``params_read``, grouped by ``_groups``): the marker pass. Until a run
-    calls a method declared ``reads_world``, nothing it does depends on the
-    cells (the other methods promise it; the game's fields are the board's
-    size and cannot be written) or on a parameter it does not read, so a
-    run that reaches no reader fixes the tap's outcome for every cell of the
-    group on every board of this size. Each cell is still listed on its own,
-    so the moves, error counts and witnesses are those of one run per cell:
+    Every hook, one marker pass; a host behavior is a reader. Each tap of a
+    hook is tabulated, or each takes the general path. The hook runs under
+    a ``Probe`` on a board of position markers ``0..n-1``, once per group
+    of cells that agree on the parameters it reads (``params_read``, grouped
+    by ``_groups``): the marker pass. Until a run calls a method declared
+    ``reads_world``, nothing it does depends on the cells (the other methods
+    promise it; the game's fields are the board's size and cannot be
+    written) or on a parameter it does not read, so a run that reaches no
+    reader fixes the tap's outcome for every cell of the group on every
+    board of this size. Each cell is still listed on its own, so the moves,
+    error counts and witnesses are those of one run per cell:
 
     - It raises: every move of the cell returns None. A budget overrun is
       fixed too, because control flow cannot depend on the board.
@@ -273,12 +274,12 @@ def tap_moves(
     - Otherwise the tap is a gather: its child, before gravity, picks its
       cells from ``key + _CONSTANTS`` at the indices the marker run left.
 
-    A run that reaches a reader, or leaves a value no gather can pick (a
-    variant that is no tile colour, if the registry declares one), sends the
-    block down the general path, as any other hook: each move refills a
-    scratch board with ``key`` and runs ``tap``'s body (``_run_tap``). The
-    marker runs and the general moves share one scratch state per call, as
-    each run refills its cells first.
+    A run that reaches a reader (a host behavior's first run does), or
+    leaves a value no gather can pick (a variant that is no tile colour, if
+    the registry declares one), sends the hook down the general path: each
+    move refills a scratch board with ``key`` and runs ``tap``'s body
+    (``_run_tap``). The marker runs and the general moves share one scratch
+    state per call, as each run refills its cells first.
 
     Gravity after a gather depends only on which picks are empty, which the
     parent's empty cells (its mask) fix, so the two together are again a
@@ -293,7 +294,7 @@ def tap_moves(
     its gather picks none of the colours in ``forbidden`` (every colour for
     CLEARED, ``c`` for COLOUR_CLEARED c: a picked colour stays on the board)
     and misses an occupied cell (else the child keeps every tile of its
-    parent). ``raising`` is None when some move can meet the goal: the block
+    parent). ``raising`` is None when some move can meet the goal: the hook
     takes the general path, or a gather can on a full board. Else it is the
     number of cells that raise, on every board.
     """
@@ -302,9 +303,7 @@ def tap_moves(
     run = prepare(delegate, (INT, INT))
     taps, cell_args, index = _cells(board.width, h)
     state = GameState(Board(board.width, h))  # the scratch state marker runs and general moves tap
-    table = None
-    if isinstance(delegate, GeneratedDelegate):
-        table = _marker_pass(run, board, delegate.params_read, state)
+    table = _marker_pass(run, board, delegate.params_read, state)
     if table is None:  # the general path
         cells = state.board.cells
 
@@ -353,7 +352,7 @@ def _marker_pass(run: Runner, board: Board, read: FrozenSet[int], marked: GameSt
     """The tabulated taps of ``board``'s size with their gathers' picks (None:
     it raises), from one marker run per group (``tap_moves``) on the scratch
     state ``marked``, NOOPs left out unless ``board`` floats; None when the
-    block takes the general path."""
+    hook takes the general path."""
     width, h = board.width, board.height
     taps, cell_args, index = _cells(width, h)
     groups = _groups(width, h, read)
@@ -572,9 +571,15 @@ def on_tile_tapped_signature() -> Signature:
     return TAP_SIGNATURE
 
 
+# The baseline tap. No bounds: a hook table has no board size, and every tap is in bounds.
+_BASELINE = GeneratedDelegate(TAP_SIGNATURE, parse("DestroyTile(x, y);", ("x", "y")), Registry(methods=[
+    MethodDescriptor("DestroyTile", TAP_SIGNATURE.params, VOID, host_impl=_host_destroy_tile, reads_world=False)]))
+
+
 def build_hook_table() -> HookTable:
-    """Hook table whose default binding is the baseline tap: ``DestroyTile``'s
-    host behavior on the tapped cell (a no-op on an empty cell)."""
+    """Hook table whose default binding is the baseline tap, the checked
+    block ``DestroyTile(x, y);`` (a no-op on an empty cell), which the solver
+    tabulates: every hook, one marker pass; a host behavior is a reader."""
     table = HookTable()
-    table.declare(ON_TILE_TAPPED, HostDelegate(TAP_SIGNATURE, _host_destroy_tile))
+    table.declare(ON_TILE_TAPPED, _BASELINE)
     return table

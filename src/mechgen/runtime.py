@@ -13,17 +13,18 @@ type-checks: constructing a GeneratedDelegate (which is ``lang.typecheck``)
 compiles its block into nested Python closures (Feeley and Lapalme, "Using
 closures for code generation", 1987), by one walk that also infers each
 node's type and raises the first TypeCheckError. Locals become fixed frame
-slots, and each call site
-carries its method's host implementation and bound checks. Every host-method
-call first checks each bounded parameter against its ``(min, max)`` from
-``MethodDescriptor.bounds`` (a literal argument inside its bounds is settled
-at compile time), so out-of-range arguments surface as ConstraintViolation
-whether they came from literals or computed values. The compiler also
-records which parameters a block may read (``GeneratedDelegate.params_read``):
-two calls whose arguments agree on those do the same thing to one world.
-Whether a block reads the world is seen by running it under a ``Probe``.
-Execution has no transactional rollback: an erroring invocation leaves the
-world in whatever partial state it reached.
+slots, and each call site carries its method's host implementation and bound
+checks. Every host-method call first checks each bounded parameter against
+its ``(min, max)`` from ``MethodDescriptor.bounds`` (a literal argument
+inside its bounds is settled at compile time), so out-of-range arguments
+surface as ConstraintViolation whether they came from literals or computed
+values. The compiler records which parameters a block may read
+(``Delegate.params_read``, all for a host behavior): two calls whose
+arguments agree on them do the same thing to one world. Every hook, one
+marker pass; a host behavior is a reader: what a delegate reads of the world
+is seen by running it under a ``Probe``. Execution has no transactional
+rollback: an erroring invocation leaves the world in whatever partial state
+it reached.
 """
 
 from __future__ import annotations
@@ -200,8 +201,9 @@ class ExecBudget:
 
 class Probe(ExecBudget):
     """A budget under which a compiled call of a method declared
-    ``reads_world`` raises WorldRead after its bound checks, before it
-    spends budget or calls the host (``game.tap_moves``' marker pass)."""
+    ``reads_world`` raises WorldRead after its bound checks, and a host
+    runner on entry, before either spends budget or calls the host: every
+    hook, one marker pass; a host behavior is a reader (``game.tap_moves``)."""
 
 
 # --------------------------------------------------------------------------
@@ -214,6 +216,10 @@ HostFn = Callable[[Any, Sequence[Value]], Value]
 @dataclass(frozen=True)
 class Delegate:
     sig: Signature
+    params_read: FrozenSet[int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params_read", frozenset(range(len(self.sig.params))))
 
 
 @dataclass(frozen=True)
@@ -240,7 +246,6 @@ class GeneratedDelegate(Delegate):
     block: CodeBlock
     registry: Registry = field(compare=False)
     program: Runner = field(init=False, compare=False, repr=False)
-    params_read: FrozenSet[int] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         program, params_read = _compile(self.sig, self.block, self.registry)
@@ -254,7 +259,6 @@ class GeneratedDelegate(Delegate):
 
 @dataclass
 class _HookSlot:
-    sig: Signature
     default: Delegate
     current: Delegate
 
@@ -268,7 +272,7 @@ class HookTable:
     def declare(self, name: str, default: Delegate) -> None:
         if name in self._slots:
             raise HookError(f"hook '{name}' already declared")
-        self._slots[name] = _HookSlot(default.sig, default, default)
+        self._slots[name] = _HookSlot(default, default)
 
     def _slot(self, name: str) -> _HookSlot:
         slot = self._slots.get(name)
@@ -277,16 +281,16 @@ class HookTable:
         return slot
 
     def sig(self, name: str) -> Signature:
-        return self._slot(name).sig
+        return self._slot(name).default.sig
 
     def delegate(self, name: str) -> Delegate:
         return self._slot(name).current
 
     def bind(self, name: str, delegate: Delegate) -> None:
         slot = self._slot(name)
-        if delegate.sig != slot.sig:
+        if delegate.sig != slot.default.sig:
             raise SignatureMismatch(
-                f"hook '{name}' expects {slot.sig.format()}, got {delegate.sig.format()}"
+                f"hook '{name}' expects {slot.default.sig.format()}, got {delegate.sig.format()}"
             )
         slot.current = delegate
 
@@ -300,7 +304,7 @@ class HookTable:
     def clone(self) -> "HookTable":
         table = HookTable()
         for name, slot in self._slots.items():
-            table._slots[name] = _HookSlot(slot.sig, slot.default, slot.current)
+            table._slots[name] = _HookSlot(slot.default, slot.current)
         return table
 
 
@@ -319,10 +323,10 @@ def prepare(delegate: Delegate, arg_types: Sequence[TypeId]) -> Runner:
     The arity and argument types are checked here, and the host or compiled
     path is chosen here, so a caller that makes the same call many times
     (the solver taps one hook thousands of times) pays for them once. A host
-    runner spends one unit of budget, then calls the behavior. A generated
-    runner is the compiled block (``GeneratedDelegate.program``). When a
-    check fails, the runner raises a new exception of the same type and
-    message on every run.
+    runner spends one unit of budget, then calls the behavior, a reader: it
+    raises WorldRead first under a ``Probe``. A generated runner is the
+    compiled block (``GeneratedDelegate.program``). When a check fails, the
+    runner raises a new exception of the same type and message on every run.
     """
     sig = delegate.sig
     if len(arg_types) != len(sig.params):
@@ -339,6 +343,8 @@ def prepare(delegate: Delegate, arg_types: Sequence[TypeId]) -> Runner:
         fn = delegate.fn
 
         def run_host(args: Sequence[Value], world: Any, budget: ExecBudget) -> Value:
+            if type(budget) is Probe:
+                raise WorldRead(sig.name)
             budget.spend()
             return fn(world, list(args))
 

@@ -139,7 +139,7 @@ class GenerationConfig:
         for name in ("min_lines", "max_lines", "max_recursion_depth", "max_retries_per_line"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
-        for name in ("literal_weight", "else_probability"):
+        for name in _NUMBER_KEYS:
             if not (_is_int(getattr(self, name)) or isinstance(getattr(self, name), float)):
                 raise ConfigError(f"{name} must be an int or a float")
         pair = self.int_literal_range
@@ -167,19 +167,6 @@ class GenerationConfig:
             raise ConfigError("at least one statement kind must be enabled")
 
 
-_CONFIG_KEYS = {
-    "seed",
-    "min_lines",
-    "max_lines",
-    "max_recursion_depth",
-    "literal_weight",
-    "int_literal_min",
-    "int_literal_max",
-    "else_probability",
-    "max_retries_per_line",
-    "statement_kinds",
-}
-
 _INT_KEYS = {
     "seed",
     "min_lines",
@@ -189,6 +176,8 @@ _INT_KEYS = {
     "int_literal_max",
     "max_retries_per_line",
 }
+_NUMBER_KEYS = ("literal_weight", "else_probability")  # in the order they are checked
+_CONFIG_KEYS = _INT_KEYS.union(_NUMBER_KEYS, {"statement_kinds"})
 
 
 def load_config(text: str) -> GenerationConfig:
@@ -208,7 +197,7 @@ def load_config(text: str) -> GenerationConfig:
         try:
             if key in _INT_KEYS:
                 values[key] = decimal_int(value)
-            elif key in ("literal_weight", "else_probability"):
+            elif key in _NUMBER_KEYS:
                 if not value.isascii() or "_" in value:
                     raise ValueError(value)  # float() reads "1_0" as 10.0
                 values[key] = float(value)

@@ -435,19 +435,24 @@ def test_a_rejection_keeps_no_block(unsolvable_challenge, game_registry, tap_sig
     assert ref() is None  # the search memo keeps results like this one
 
 
-def test_destroy_mechanic_is_baseline_equivalent(game_registry, tap_sig):
-    # The tabulated DestroyTile block and the host baseline, which runs on
-    # every tap, agree in status, witness and counters, on the fixtures and
-    # on every board of the benchmark's solve ladder.
-    block = parse("DestroyTile(x, y);", params=["x", "y"])
+def test_destroy_mechanic_is_baseline_equivalent():
+    # Three taps that destroy the tapped tile agree in status, witness and
+    # counters, on the fixtures and on every board of the benchmark's solve
+    # ladder: the ``destroy.mg`` candidate, the default hook (the same
+    # block, tabulated) and the host behavior, which runs on every tap.
+    from mechgen.lang import parse_mechanic
+
+    sig, block = parse_mechanic((FIXTURES / "destroy.mg").read_text(encoding="utf-8"))
+    host = hook_table_with(HostDelegate(on_tile_tapped_signature(), game._host_destroy_tile))
     ladder = sorted((FIXTURES.parent / "bench" / "ladder").glob("*.ch"))
     assert len(ladder) == 7
     for path in [FIXTURES / "unsolvable.ch", FIXTURES / "clearable.ch", *ladder]:
         challenge = load_challenge(path)
         registry = build_game_registry(challenge.initial.width, challenge.initial.height)
-        candidate = evaluate_candidate(block, tap_sig, registry, challenge)
-        baseline = solve(challenge, build_hook_table())
-        assert candidate == baseline, path.name
+        candidate = evaluate_candidate(block, sig, registry, challenge)
+        assert candidate == solve(challenge, build_hook_table()) == solve(challenge, host), path.name
+    assert not takes_general_path(build_hook_table(), challenge.initial)
+    assert takes_general_path(host, challenge.initial)
 
 
 def test_solving_candidate(unsolvable_challenge, game_registry, tap_sig, set_yellow_block):

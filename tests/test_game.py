@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from mechgen.game import (
     _CONSTANTS,
+    _host_destroy_tile,
     Board,
     GameState,
     OutOfBounds,
@@ -17,7 +18,7 @@ from mechgen.game import (
 )
 from mechgen.lang import Signature, parse
 from mechgen.registry import INT, VOID, LiteralOption, enum_type
-from mechgen.runtime import ExecutionError, GeneratedDelegate, HostError, IntV, invoke
+from mechgen.runtime import ExecutionError, GeneratedDelegate, HostDelegate, HostError, IntV, invoke
 from mechgen.synthesis import GenerationConfig, config_with_seed, generate_block
 
 # Boards as lists of columns, bottom cell first, every column of one height.
@@ -197,8 +198,9 @@ def test_general_move_matches_tap_and_keeps_its_hook(game_registry, hooks, set_y
     board = Board.from_rows(["R..", "GB.", "BRG"])
     src = board.key() + _CONSTANTS
     cells = {(x, y) for x in range(3) for y in range(3)}
-    # Both hooks take the general move: the host baseline, and a block that reads the board.
-    for delegate in (hooks.delegate("onTileTapped"), reader):
+    # Both hooks take the general move: the baseline's host behavior, a
+    # reader as it declares no effect, and a block that reads the board.
+    for delegate in (HostDelegate(sig, _host_destroy_tile), reader):
         hooks.bind("onTileTapped", delegate)
         later, _ = tap_moves(hooks, board)
         taps = {}

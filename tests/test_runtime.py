@@ -326,6 +326,37 @@ def test_world_read_escapes_invoke_only_under_a_probe(game_registry, tap_sig):
     assert world.board.get(2, 2) is None
 
 
+def test_a_host_behavior_is_a_reader_under_a_probe(tap_sig):
+    # A host behavior declares no effect: under a probe it stops on entry,
+    # before it spends budget or touches the world.
+    calls = []
+
+    def destroy(world, args):
+        calls.append(args)
+        world.board.set(args[0].value, args[1].value, None)
+        return UNIT
+
+    delegate = HostDelegate(tap_sig, destroy)
+    world = GameState(Board.from_rows(["RG", "BY"]))
+    probe = Probe()
+    with pytest.raises(WorldRead, match="^onTileTapped$"):
+        invoke(delegate, [IntV(0), IntV(0)], world, probe)
+    assert calls == [] and probe.remaining == probe.max_host_calls
+    assert world.board == Board.from_rows(["RG", "BY"])
+    budget = ExecBudget()
+    assert invoke(delegate, [IntV(0), IntV(0)], world, budget) == UNIT
+    assert world.board.get(0, 0) is None and budget.remaining == budget.max_host_calls - 1
+    assert len(calls) == 1
+
+
+def test_a_host_behavior_declares_every_parameter_read(tap_sig):
+    assert HostDelegate(tap_sig, lambda w, a: UNIT).params_read == {0, 1}
+    assert HostDelegate(ADD_ONE_SIG, lambda w, a: UNIT).params_read == {0}
+    nothing = Signature("onStart", (), VOID)
+    assert HostDelegate(nothing, lambda w, a: UNIT).params_read == frozenset()
+    assert isinstance(Delegate(tap_sig).params_read, frozenset)
+
+
 def test_a_probe_checks_a_readers_bounds_before_it_stops(game_registry, tap_sig):
     delegate = GeneratedDelegate(tap_sig, parse("IsOccupied(Add(x, 3), y);", params=["x", "y"]), game_registry)
     for budget in (Probe(), ExecBudget()):

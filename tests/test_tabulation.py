@@ -45,7 +45,7 @@ from mechgen.game import (
 )
 from mechgen.lang import parse, pretty
 from mechgen.registry import INT, VOID, EnumDef, FieldDescriptor, MethodDescriptor, Registry, enum_type
-from mechgen.runtime import BoolV, ExecBudget, EnumV, ExecutionError, GeneratedDelegate, IntV
+from mechgen.runtime import BoolV, ExecBudget, EnumV, ExecutionError, GeneratedDelegate, HostDelegate, IntV
 from mechgen.synthesis import GenerationError, config_with_seed, generate_block, load_config_file
 from test_evaluate import naive_solve, takes_general_path
 
@@ -1161,22 +1161,33 @@ def test_a_tabulated_block_runs_once_per_group(text, groups, monkeypatch):
     "if (IsOccupied(x, 0)) { SetTile(x, 0, Colour.G); }",
     "if (Less(CountColour(Colour.R), 3)) { DestroyTile(0, y); }",
     "if (IsOccupied(x, y)) { DestroyTile(x, y); }",
-    None,  # the host's own delegate
+    None,  # the baseline's host behavior
 ])
 def test_a_board_reader_runs_once_per_cell_on_each_expanded_state(text, monkeypatch):
     # Grouping is for tabulated blocks: a hook that reads the board runs for
-    # every cell of every state the solve expands, whatever it reads. A block
-    # also has its one marker run, which stops at its first read; the host's
-    # delegate has none.
+    # every cell of every state the solve expands, whatever it reads. It also
+    # has its one marker run, which stops at its first read; a host behavior
+    # declares no effect, so it is a reader from the start.
     challenge = parse_challenge(SPY_CHALLENGE)
     if text is None:
         hooks = build_hook_table()
+        hooks.bind("onTileTapped", HostDelegate(TAP_SIG, game._host_destroy_tile))
     else:
         hooks = hooks_for(parse(text, params=["x", "y"]), build_game_registry(3, 2))
     runs = count_runs(monkeypatch)
     result = solve(challenge, hooks)
     assert result.status == Unsolvable() and result.states_explored > 1
-    assert len(runs) == 6 * result.states_explored + (text is not None)
+    assert len(runs) == 6 * result.states_explored + 1
+
+
+def test_the_default_hook_runs_only_its_marker_runs(monkeypatch):
+    # The baseline tap is the block ``DestroyTile(x, y);``: tabulated, with one
+    # marker run per cell and no run while the solve expands its states.
+    challenge = parse_challenge(SPY_CHALLENGE)
+    runs = count_runs(monkeypatch)
+    result = solve(challenge, build_hook_table())
+    assert result.status == Unsolvable() and result.states_explored > 1
+    assert len(runs) == 6
 
 
 # --------------------------------------------------------------------------
