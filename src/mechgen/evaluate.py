@@ -22,6 +22,7 @@ from .game import (
     ON_TILE_TAPPED,
     Board,
     Cell,
+    Later,
     build_hook_table,
     tap,  # unused here; the benchmark's tracer wraps ``evaluate.tap`` by name
     tap_moves,
@@ -232,7 +233,12 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     clearing goal forbids (its colour, or every colour for CLEARED). Every
     state would be expanded and count each raising cell (every move list
     keeps them), so ``states_explored`` is the number of states and
-    ``error_count`` that times the raising cells.
+    ``error_count`` that times the raising cells. ``tap_moves`` splits the
+    other taps into parts that share no column, and the levels of each part
+    are counted on its own and convolved: on a gravity-normal root a
+    board's fewest taps is the sum of its parts' fewest. A root with
+    floating tiles, or taps that join every column, is one part, counted
+    as the whole board.
     """
     initial = challenge.initial
     start = initial.key()
@@ -245,9 +251,10 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     goal = challenge.goal
     present = goal.colour if goal.kind is GoalKind.COLOUR_PRESENT else None
     forbidden = COLOURS if goal.kind is GoalKind.CLEARED else (goal.colour,)
-    later, raising = tap_moves(hooks, initial, present, forbidden)
-    if raising is not None:  # no move can ever meet the goal: count
-        explored = _count_levels(start, later, last)
+    later, count = tap_moves(hooks, initial, present, forbidden)
+    if count is not None:  # no move can ever meet the goal: count
+        raising, parts = count
+        explored = sum(_count_levels(start, parts, last))
         return EvalResult(Unsolvable(), raising * explored, explored)
     visited = {start}
     frontier: deque = deque([(start, ())])
@@ -275,26 +282,44 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     return EvalResult(Unsolvable(), errors, explored)
 
 
-def _count_levels(start: Tuple[Cell, ...], later: Callable, depths: int) -> int:
-    """The number of states within ``depths`` taps of ``start``, counted
-    level by level until a level adds none. Each parent adds its children
-    to a set in one call; the set keeps their hashes for the subtraction
-    and the merge, so each child is hashed once. A level joins ``visited``
-    only to be expanded, and loses the states seen before in place, so the
-    last level, often the largest, is held once and never merged."""
-    level, visited = {start}, set()
-    for _ in range(depths):
-        visited |= level
-        children: Set[Optional[Tuple[Cell, ...]]] = set()
-        for key in level:
-            src = key + _CONSTANTS
-            children.update([move(src) for _, move in later(key)])
-        children.discard(None)
-        children -= visited
-        level = children
-        if not level:
-            break
-    return len(visited) + len(level)
+def _count_levels(start: Tuple[Cell, ...], parts: List[Later], depths: int) -> List[int]:
+    """The number of states at each depth up to ``depths`` taps from
+    ``start``, given moves split into ``parts`` (``later``s) whose taps
+    change and read only their own part's columns.
+
+    Each part's levels are counted from ``start`` with its own moves, level
+    by level until a level adds none. Each parent adds its children to a set
+    in one call; the set keeps their hashes for the subtraction and the
+    merge, so each child is hashed once. A level joins ``visited`` only to
+    be expanded, and loses the states seen before in place, so the last
+    level, often the largest, is held once and never merged.
+
+    Moves of different parts commute (independent moves, as in Godefroid's
+    partial-order methods, 1996), and neither sees the other's columns, so
+    the fewest taps that reach a board is the sum of the fewest for each of
+    its parts: the level sizes of the whole are the convolution of the
+    parts'. One part gives its own levels; no part, the root alone. Each
+    list is as long as its levels last, never as ``depths``."""
+    sizes = [1]
+    for later in parts:
+        level, visited, counts = {start}, set(), [1]
+        for _ in range(depths):
+            visited |= level
+            children: Set[Tuple[Cell, ...]] = set()
+            for key in level:
+                src = key + _CONSTANTS
+                children.update([move(src) for _, move in later(key)])
+            children -= visited
+            if not children:
+                break
+            level = children
+            counts.append(len(level))
+        product = [0] * min(len(sizes) + len(counts) - 1, depths + 1)
+        for i, size in enumerate(sizes):
+            for j, count in enumerate(counts[:len(product) - i]):
+                product[i + j] += size * count
+        sizes = product
+    return sizes
 
 
 def evaluate_candidate(

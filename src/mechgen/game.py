@@ -9,6 +9,9 @@ the solver: every hook, one marker pass; a host behavior is a reader) read
 the hook table and run one tap body, ``_run_tap``. ``_settle`` is the one
 place that knows the column rule; ``tap_moves`` also folds it into each
 tabulated gather, so every move the solver gets returns a settled child.
+As gravity acts per column, ``tap_moves`` also splits the taps of a solve
+that no move can win into parts that share no column (``_parts``), which
+the solver counts apart; a root with floating tiles is one part.
 
 ``build_game_registry`` publishes the design space for this game: the Colour
 enum, the read-only board dimensions, tile manipulation methods with
@@ -19,8 +22,8 @@ whether it reads the board.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import repeat
-from operator import is_, itemgetter
+from itertools import compress, repeat
+from operator import is_, itemgetter, ne
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .lang import Signature, parse
@@ -206,6 +209,8 @@ def _run_tap(run: Runner, args: Tuple[IntV, IntV], state: GameState) -> None:
 # raised an ExecutionError.
 MoveFn = Callable[[Tuple[Cell, ...]], Optional[Tuple[Cell, ...]]]
 Move = Tuple[Tuple[int, int], MoveFn]
+# ``later(key)``: the moves of a board whose cells are ``key``.
+Later = Callable[[Tuple[Cell, ...]], List[Move]]
 
 # What a block that does not read the board can write into a cell besides a
 # cell of the board: emptiness or a colour. A gather reads ``key + _CONSTANTS``.
@@ -241,15 +246,15 @@ def _groups(width: int, height: int, read: FrozenSet[int]) -> Tuple[Tuple[int, .
 
 def tap_moves(
     hooks: HookTable, board: Board, present: Optional[str] = None, forbidden: Sequence[str] = ()
-) -> Tuple[Callable[[Tuple[Cell, ...]], List[Move]], Optional[int]]:
+) -> Tuple[Later, Optional[Tuple[int, List[Later]]]]:
     """Every tap of a board of ``board``'s size as a ``(tap, move)`` pair,
     with the hook resolved once, and whether no move can meet the goal.
 
     ``move(key + _CONSTANTS)`` returns the gravity-normal cells, as a tuple,
     that the tap leaves on the board whose cells are ``key``, or None when
-    the tap raises an ExecutionError. Returns ``later`` and ``raising``:
-    ``later(key)`` is the list of moves of a board whose cells are ``key``,
-    and ``raising`` the count decision (below). Taps come bottom row first,
+    the tap raises an ExecutionError. Returns ``later`` and the count
+    decision (below): ``later(key)`` is the list of moves of a board whose
+    cells are ``key``. Taps come bottom row first,
     in (y, x) order; a later rebinding of the hook does not reach the
     moves. ``board`` is the root: only its size and whether it is
     gravity-normal are read.
@@ -294,16 +299,27 @@ def tap_moves(
     its gather picks none of the colours in ``forbidden`` (every colour for
     CLEARED, ``c`` for COLOUR_CLEARED c: a picked colour stays on the board)
     and misses an occupied cell (else the child keeps every tile of its
-    parent). ``raising`` is None when some move can meet the goal: the hook
-    takes the general path, or a gather can on a full board. Else it is the
-    number of cells that raise, on every board.
+    parent). The count decision is None when some move can meet the goal:
+    the hook takes the general path, or a gather can on a full board. Else
+    it is ``(raising, parts)``: the number of cells that raise, on every
+    board, and the other taps split into parts, each a ``later`` over its own
+    taps (``_parts``). A union-find over columns joins the columns whose
+    cells a gather changes with the columns those cells pick from; a
+    constant pick joins nothing. On a gravity-normal board a part's taps
+    then change only its columns, and whether each has a move, and what it
+    does, depends only on the cells of those columns: gravity acts per
+    column, and a column no pick changes is already settled. So taps of
+    different parts commute, and the count takes each part on its own
+    (``evaluate._count_levels``). A root with floating tiles is one part,
+    as its first tap settles every column.
     """
     n, h = len(board.cells), board.height
     delegate = hooks.delegate(ON_TILE_TAPPED)
     run = prepare(delegate, (INT, INT))
     taps, cell_args, index = _cells(board.width, h)
     state = GameState(Board(board.width, h))  # the scratch state marker runs and general moves tap
-    table = _marker_pass(run, board, delegate.params_read, state)
+    floating = not board.is_gravity_normal()
+    table = _marker_pass(run, board, delegate.params_read, state, floating)
     if table is None:  # the general path
         cells = state.board.cells
 
@@ -328,7 +344,21 @@ def tap_moves(
             return wanted in picks
         return banned.isdisjoint(picks) and not every.issubset(picks)
 
-    can_win = any(picks is not None and wins(picks) for _, picks in table)
+    later = _later(table, h)
+    if any(picks is not None and wins(picks) for _, picks in table):
+        return later, None
+    gathers = [row for row in table if row[1] is not None]
+    parts = [gathers] if floating else _parts(gathers, n, h)
+    return later, (len(table) - len(gathers), [_later(part, h) for part in parts])
+
+
+_Table = List[Tuple[Tuple[int, int], Optional[Tuple[int, ...]]]]
+
+
+def _later(table: _Table, h: int) -> Later:
+    """``later`` over the rows of ``table`` (``tap_moves``): the moves of a
+    board whose cells are ``key``, each gather settled for the board's mask,
+    made on the mask's first use and kept for the solve."""
     by_mask: Dict[Tuple[bool, ...], List[Move]] = {}
 
     def later(key: Tuple[Cell, ...]) -> List[Move]:
@@ -342,22 +372,41 @@ def tap_moves(
                     moves.append((xy, move))
         return moves
 
-    return later, None if can_win else sum(picks is None for _, picks in table)
+    return later
 
 
-_Table = List[Tuple[Tuple[int, int], Optional[Tuple[int, ...]]]]
+def _parts(gathers: _Table, n: int, h: int) -> List[_Table]:
+    """``gathers``, tabulated taps of a gravity-normal root of ``n`` cells
+    ``h`` tall, none of which raises or is a NOOP, split into parts that
+    share no column: a union-find over columns joins the column of each cell
+    a gather changes with the column that cell picks from (a constant joins
+    nothing). Each column's label is the least column of its part."""
+    label = list(range(n // h))
+    firsts = []  # the column of each gather's first changed cell
+    for _, picks in gathers:
+        changed = list(compress(range(n), map(ne, picks, range(n))))
+        columns = {label[i // h] for i in changed}
+        columns.update(label[p // h] for p in map(picks.__getitem__, changed) if p < n)
+        if len(columns) > 1:
+            least = min(columns)
+            label = [least if c in columns else c for c in label]
+        firsts.append(changed[0] // h)
+    parts: Dict[int, _Table] = {}
+    for row, first in zip(gathers, firsts):
+        parts.setdefault(label[first], []).append(row)
+    return list(parts.values())
 
 
-def _marker_pass(run: Runner, board: Board, read: FrozenSet[int], marked: GameState) -> Optional[_Table]:
+def _marker_pass(run: Runner, board: Board, read: FrozenSet[int], marked: GameState,
+                 keep_noops: bool) -> Optional[_Table]:
     """The tabulated taps of ``board``'s size with their gathers' picks (None:
     it raises), from one marker run per group (``tap_moves``) on the scratch
-    state ``marked``, NOOPs left out unless ``board`` floats; None when the
-    hook takes the general path."""
+    state ``marked``, NOOPs left out unless ``keep_noops`` (a NOOP tap
+    settles a floating root); None when the hook takes the general path."""
     width, h = board.width, board.height
     taps, cell_args, index = _cells(width, h)
     groups = _groups(width, h, read)
     markers = list(range(len(board.cells)))
-    keep_noops = not board.is_gravity_normal()  # a NOOP tap settles a floating root
     outcomes: Dict[Tuple[int, ...], Optional[Tuple[int, ...]]] = {}  # () for a NOOP
     for args, group in zip(cell_args, groups):
         if group not in outcomes:  # the group's marker run

@@ -34,11 +34,11 @@ def case_inputs(config_name: str, challenge_name: str):
     return config, challenge, registry, build_hook_table().sig(ON_TILE_TAPPED)
 
 
-def candidate_rows(config_name: str, challenge_name: str):
+def candidate_rows(config_name: str, challenge_name: str, seeds=SEEDS):
     """[outcome, min_taps, witness, error_count, states_explored] per seed."""
     config, challenge, registry, sig = case_inputs(config_name, challenge_name)
     rows = []
-    for seed in SEEDS:
+    for seed in seeds:
         try:
             block = generate_block(sig, registry, config_with_seed(config, seed))
         except GenerationError:
@@ -56,13 +56,13 @@ def candidate_rows(config_name: str, challenge_name: str):
     return rows
 
 
-def compute_golden():
-    return {f"{cfg} on {ch}": candidate_rows(cfg, ch) for cfg, ch in CASES}
+def compute_golden(cases=CASES, seeds=SEEDS):
+    return {f"{cfg} on {ch}": candidate_rows(cfg, ch, seeds) for cfg, ch in cases}
 
 
-def test_solver_counters_match_golden():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    actual = compute_golden()
+def assert_rows_match(golden_path: Path, actual):
+    """Each case's rows in ``actual`` equal those recorded in ``golden_path``."""
+    golden = json.loads(golden_path.read_text(encoding="utf-8"))
     assert set(actual) == set(golden)
     for case, rows in actual.items():
         diffs = [
@@ -72,6 +72,22 @@ def test_solver_counters_match_golden():
         ]
         assert len(rows) == len(golden[case]), case
         assert not diffs, f"{case}: {len(diffs)} candidates differ, first {diffs[:3]}"
+
+
+def test_solver_counters_match_golden():
+    assert_rows_match(GOLDEN, compute_golden())
+
+
+def write_golden(golden_path: Path, data) -> None:
+    """Write ``data`` as the golden's JSON: one line per seed."""
+    golden_path.parent.mkdir(exist_ok=True)
+    with golden_path.open("w", encoding="utf-8") as fh:
+        fh.write("{\n")
+        for i, (case, rows) in enumerate(data.items()):
+            fh.write(f"{json.dumps(case)}: [\n")
+            fh.write(",\n".join(json.dumps(row) for row in rows))
+            fh.write("\n]" + ("," if i < len(data) - 1 else "") + "\n")
+        fh.write("}\n")
 
 
 def test_search_entries_match_solver_golden():
@@ -97,13 +113,5 @@ def test_search_entries_match_solver_golden():
 
 
 if __name__ == "__main__":
-    data = compute_golden()
-    GOLDEN.parent.mkdir(exist_ok=True)
-    with GOLDEN.open("w", encoding="utf-8") as fh:
-        fh.write("{\n")
-        for i, (case, rows) in enumerate(data.items()):
-            fh.write(f"{json.dumps(case)}: [\n")
-            fh.write(",\n".join(json.dumps(row) for row in rows))
-            fh.write("\n]" + ("," if i < len(data) - 1 else "") + "\n")
-        fh.write("}\n")
+    write_golden(GOLDEN, compute_golden())
     sys.exit(0)

@@ -18,6 +18,7 @@ independent oracle.
 import gc
 import itertools
 import signal
+from contextlib import contextmanager
 from unittest import mock
 from dataclasses import replace
 from pathlib import Path
@@ -375,9 +376,9 @@ def test_deep_generated_solves_agree(config_name, challenge_name, floor):
         hooks = hooks_for(block, registry)
         if takes_general_path(hooks, challenge.initial):
             continue
-        fast, taken = counted(challenge, hooks)
+        fast, parts = counted(challenge, hooks)
         if fast.states_explored > 1:
-            deep.append(taken)
+            deep.append(parts is not None)
             assert fast == solve(challenge, hooks_for(block, general_registry(registry))), text
     assert len(deep) >= floor and any(deep)
 
@@ -652,9 +653,9 @@ def test_a_cleared_goal_is_counted_unless_a_gather_can_clear_a_tile():
 def test_painting_a_forbidden_colour_is_counted(text, goal):
     challenge = parse_challenge(f".R.\nGBR\nRBG\ngoal: {goal}\nmax_taps: 3\n")
     expected = assert_matches_naive(challenge, text)
-    result, taken = counted(challenge, hooks_for(parse(text, params=["x", "y"]),
+    result, parts = counted(challenge, hooks_for(parse(text, params=["x", "y"]),
                                                  build_game_registry(3, 3)))
-    assert taken and result == expected and result.status == Unsolvable()
+    assert parts is not None and result == expected and result.status == Unsolvable()
     assert result.states_explored > 1
 
 
@@ -674,48 +675,53 @@ def test_a_cleared_goal_met_at_the_last_tap_after_raising_cells(board, goal, wit
 # counting: a solve whose goal no move can meet counts its levels
 
 
-def counted(challenge, hooks):
-    """The solve's result, and whether it counted its levels instead of
-    queueing them (the count decision of ``tap_moves`` was not None)."""
+def counted(challenge, hooks, calls=None):
+    """The solve's result, and the number of parts it counted its levels
+    over, or None when it queued them instead (the count decision of
+    ``tap_moves`` was None) or decided before any move. With ``calls``, every move the solve calls, of
+    ``later`` or of a part, appends its (parent, child) there."""
     decided = []
     real = evaluate.tap_moves
+    n = len(challenge.initial.cells)
+
+    def spy(later):
+        def recorded(move):
+            def call(src):
+                child = move(src)
+                calls.append((src[:n], child))
+                return child
+            return call
+        return lambda key: [(xy, recorded(move)) for xy, move in later(key)]
 
     def spied(hooks, board, present=None, forbidden=()):
-        later, raising = real(hooks, board, present, forbidden)
-        decided.append(raising)
-        return later, raising
+        later, count = real(hooks, board, present, forbidden)
+        decided.append(count)
+        if calls is not None:
+            later = spy(later)
+            if count is not None:
+                count = (count[0], [spy(part) for part in count[1]])
+        return later, count
 
     with mock.patch.object(evaluate, "tap_moves", spied):
         result = solve(challenge, hooks)
-    return result, len(decided) == 1 and decided[0] is not None
+    assert len(decided) <= 1
+    return result, len(decided[0][1]) if decided and decided[0] else None
 
 
 @pytest.mark.parametrize("goal", ["COLOUR_PRESENT Y", "COLOUR_CLEARED R"])
-def test_a_swap_calls_no_move_at_the_last_depth(goal, monkeypatch):
+def test_a_swap_calls_no_move_at_the_last_depth(goal):
     # A swap's child holds the parent's tiles and no constant, so it neither
     # holds a Y nor clears a colour: the solve counts its levels from the
-    # root, and a last-depth parent builds no child.
+    # root, and a last-depth parent builds no child. Every swap moves a tile
+    # of column 0, so the count has one part.
     challenge = parse_challenge(f"RGB\nBRG\nGBR\ngoal: {goal}\nmax_taps: 3\n")
     text = "SwapTiles(x, y, 0, 0);"
     expected = assert_matches_naive(challenge, text)
     calls = []  # (parent, child) of every move called
-    decided = []  # the count decision of ``tap_moves``
-    real = evaluate.tap_moves
-    n = len(challenge.initial.cells)
-
-    def spied(hooks, board, present=None, forbidden=()):
-        def spy(moves):
-            return [(xy, lambda src, move=move: calls.append((src[:n], move(src))) or move(src))
-                    for xy, move in moves]
-        later, raising = real(hooks, board, present, forbidden)
-        decided.append(raising)
-        return lambda key: spy(later(key)), raising
-
-    monkeypatch.setattr(evaluate, "tap_moves", spied)
     block = parse(text, params=["x", "y"])
-    result = solve(challenge, hooks_for(block, build_game_registry(3, 3)))
+    result, parts = counted(challenge, hooks_for(block, build_game_registry(3, 3)), calls)
     assert result == expected and result.status == Unsolvable()
-    assert decided == [0]
+    assert parts == 1 and result.error_count == 0
     root = challenge.initial.key()
     inner = {root} | {child for parent, child in calls if parent == root}
     assert len(inner) > 2 and {parent for parent, _ in calls} == inner
@@ -727,10 +733,25 @@ def test_a_counted_solve_counts_each_raising_cell_on_every_state():
     challenge = parse_challenge("RGB\nBRG\nGBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n")
     text = "DestroyTile(Add(x, 1), y);"
     expected = assert_matches_naive(challenge, text)
-    result, taken = counted(challenge, hooks_for(parse(text, params=["x", "y"]),
+    result, parts = counted(challenge, hooks_for(parse(text, params=["x", "y"]),
                                                  build_game_registry(3, 3)))
-    assert taken and result == expected and result.status == Unsolvable()
+    assert parts is not None and result == expected and result.status == Unsolvable()
     assert result.states_explored > 1 and result.error_count == result.states_explored * 3
+
+
+@contextmanager
+def ends_within(seconds):
+    """Fail with a TimeoutError unless the body ends within ``seconds``."""
+    def hang(signum, frame):
+        raise TimeoutError("the count went on past an empty level")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_a_counted_solve_ends_on_an_empty_level():
@@ -739,19 +760,87 @@ def test_a_counted_solve_ends_on_an_empty_level():
     challenge = parse_challenge("R\nG\ngoal: COLOUR_PRESENT Y\nmax_taps: 1000000000000\n")
     block = parse("SwapTiles(x, y, 0, 0);", params=["x", "y"])
     registry = build_game_registry(1, 2)
-
-    def hang(signum, frame):
-        raise TimeoutError("the count went on past an empty level")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(60)  # generous: the solve takes well under a second
-    try:
-        result, taken = counted(challenge, hooks_for(block, registry))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with ends_within(60):  # generous: the solve takes well under a second
+        result, parts = counted(challenge, hooks_for(block, registry))
     slow = solve(challenge, hooks_for(block, general_registry(registry)))
-    assert taken and result == slow == EvalResult(Unsolvable(), 0, 2)
+    assert parts is not None and result == slow == EvalResult(Unsolvable(), 0, 2)
+
+
+# --------------------------------------------------------------------------
+# counting by parts: taps that change disjoint columns are counted apart
+
+
+def assert_count_agrees(challenge, text, parts):
+    """``assert_matches_naive``, and that the solve counted over ``parts``
+    parts; returns the result."""
+    expected = assert_matches_naive(challenge, text)
+    registry = build_game_registry(challenge.initial.width, challenge.initial.height)
+    result, split = counted(challenge, hooks_for(parse(text, params=["x", "y"]), registry))
+    assert split == parts and result == expected and result.status == Unsolvable(), text
+    return result
+
+
+def test_taps_coupled_across_columns_are_one_part():
+    # Taps (1, 0) and (0, 1) swap a tile between columns 0 and 1; every other
+    # tap destroys its own tile. Columns 0 and 1 are one part, column 2 another.
+    challenge = parse_challenge("RGB\nBRG\nGBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 4\n")
+    text = "if (Equal(Add(x, y), 1)) { SwapTiles(x, y, y, x); } else { DestroyTile(x, y); }"
+    assert assert_count_agrees(challenge, text, 2).states_explored > 8
+    # Swapping with (0, 0) couples every column: one part, the whole board.
+    assert_count_agrees(challenge, "SwapTiles(x, y, 0, 0);", 1)
+
+
+def test_a_part_that_runs_out_of_boards_while_another_grows():
+    # Column 0 holds one tile, column 1 three: destroying tiles, column 0's
+    # levels are 1, 1 and column 1's 1, 3, 3, 1. Their convolution is
+    # 1, 4, 6, 4, 1, and three taps reach all but the last.
+    challenge = parse_challenge(".R\n.G\nRB\ngoal: COLOUR_PRESENT Y\nmax_taps: 4\n")
+    result = assert_count_agrees(challenge, "DestroyTile(x, y);", 2)
+    assert result == EvalResult(Unsolvable(), 0, 15)
+
+
+def test_raising_cells_in_a_multi_part_count():
+    # Tap (x, y) destroys (x + 1, y): the last column raises on every board,
+    # and columns 1 and 2 are destroyed apart.
+    challenge = parse_challenge("RGB\nBRG\nGBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n")
+    result = assert_count_agrees(challenge, "DestroyTile(Add(x, 1), y);", 2)
+    assert result.states_explored > 1 and result.error_count == 3 * result.states_explored
+
+
+def test_a_floating_root_is_one_part():
+    # The first tap settles every column of a root with floating tiles, so
+    # its columns are not apart.
+    root = Board(3, 3, [None, "R", None, "B", None, "B", "Y", "R", None])
+    for text in ("DestroyTile(x, y);", "DestroyTile(Add(x, 1), y);"):
+        challenge = Challenge(root, Goal(GoalKind.COLOUR_PRESENT, "G"), 3)
+        assert assert_count_agrees(challenge, text, 1).states_explored > 1
+
+
+def test_a_multi_part_count_ends_on_an_empty_level():
+    # Two columns of destroyable tiles: 8 boards in all, whatever the budget.
+    challenge = parse_challenge(".R\nGB\ngoal: COLOUR_PRESENT Y\nmax_taps: 1000000000000\n")
+    block = parse("DestroyTile(x, y);", params=["x", "y"])
+    registry = build_game_registry(2, 2)
+    with ends_within(60):  # generous: the solve takes well under a second
+        result, parts = counted(challenge, hooks_for(block, registry))
+    slow = solve(challenge, hooks_for(block, general_registry(registry)))
+    assert parts == 2 and result == slow == EvalResult(Unsolvable(), 0, 8)
+
+
+def test_a_counted_destroy_never_expands_a_board_changed_in_two_parts():
+    # Each column of the 5x5 ladder board is a part: every board the count
+    # expands is the root with at most one column changed.
+    challenge = load_challenge(FIXTURES / "present_yellow_5x5.ch")
+    calls = []
+    block = parse("DestroyTile(x, y);", params=["x", "y"])
+    result, parts = counted(challenge, hooks_for(block, build_game_registry(5, 5)), calls)
+    assert parts == 5 and result == EvalResult(Unsolvable(), 0, 4271)
+    root, h = challenge.initial.key(), challenge.initial.height
+
+    def columns_changed(key):
+        return {i // h for i, (a, b) in enumerate(zip(key, root)) if a != b}
+
+    assert calls and max(len(columns_changed(parent)) for parent, _ in calls) == 1
 
 
 MIXED = "if (Less(x, 1)) { SwapTiles(x, y, 1, 1); } else { DestroyTile(x, y); }"
@@ -769,9 +858,9 @@ def test_a_move_that_can_meet_the_goal_keeps_the_queue(text, goal, present):
         challenge = parse_challenge(f"RGB\nBRG\nGBR\ngoal: {goal}\nmax_taps: {taps}\n")
         assert built_for(text, challenge.initial, present)[1] is None
         expected = assert_matches_naive(challenge, text)
-        result, taken = counted(challenge, hooks_for(parse(text, params=["x", "y"]),
+        result, parts = counted(challenge, hooks_for(parse(text, params=["x", "y"]),
                                                      build_game_registry(3, 3)))
-        assert not taken and result == expected
+        assert parts is None and result == expected
 
 
 @pytest.mark.parametrize("board, goal, taps, text, result", [
@@ -787,8 +876,8 @@ def test_a_counted_solve_at_its_first_and_last_levels(board, goal, taps, text, r
     challenge = parse_challenge(f"{board}\ngoal: {goal}\nmax_taps: {taps}\n")
     expected = assert_matches_naive(challenge, text)
     registry = build_game_registry(challenge.initial.width, challenge.initial.height)
-    got, taken = counted(challenge, hooks_for(parse(text, params=["x", "y"]), registry))
-    assert taken and got == expected == result
+    got, parts = counted(challenge, hooks_for(parse(text, params=["x", "y"]), registry))
+    assert parts is not None and got == expected == result
 
 
 @pytest.mark.parametrize("goal, present", [("CLEARED", None), ("COLOUR_PRESENT Y", "Y")])
@@ -798,8 +887,8 @@ def test_a_variant_cell_keeps_the_queue(goal, present):
     challenge = parse_challenge(f"RG\nBR\ngoal: {goal}\nmax_taps: 3\n")
     text = "SetTile(x, 0, Colour.R); SetTile(x, 1, Colour.Z);"
     assert built_for(text, challenge.initial, present, z_registry(2, 2))[1] is None
-    result, taken = counted(challenge, hooks_for(parse(text, params=["x", "y"]), z_registry(2, 2)))
-    assert not taken and result.status == Unsolvable() and result.states_explored > 1
+    result, parts = counted(challenge, hooks_for(parse(text, params=["x", "y"]), z_registry(2, 2)))
+    assert parts is None and result.status == Unsolvable() and result.states_explored > 1
 
 
 def test_a_reader_keeps_the_queue():
@@ -807,8 +896,8 @@ def test_a_reader_keeps_the_queue():
     text = "if (IsOccupied(x, 1)) { SwapTiles(x, y, 0, 0); }"
     assert built_for(text, challenge.initial, "Y")[1] is None
     hooks = hooks_for(parse(text, params=["x", "y"]), build_game_registry(2, 2))
-    result, taken = counted(challenge, hooks)
-    assert not taken and result.status == Unsolvable() and result.states_explored > 1
+    result, parts = counted(challenge, hooks)
+    assert parts is None and result.status == Unsolvable() and result.states_explored > 1
     assert naive_solve(challenge, hooks)[0] == "unsolvable"
 
 
@@ -818,13 +907,18 @@ def test_the_random_differentials_take_the_counting_path():
     ``test_one_liners_agree_on_random_boards`` and in
     ``test_generated_candidates_agree``, whose draws are mostly one tap, a
     goal that already holds or a root with no new child, and one in ten in
-    ``test_one_liners_agree_on_deep_challenges``."""
+    ``test_one_liners_agree_on_deep_challenges``. Some of the deep draws
+    count over two parts or more."""
     taken = {"random": [], "generated": [], "deep": []}
+    split = []  # whether each deep count past the root had two parts or more
 
     def record(name, challenge, block):
         registry = build_game_registry(challenge.initial.width, challenge.initial.height)
-        result, was_counted = counted(challenge, hooks_for(block, registry))
-        taken[name].append(was_counted and result.states_explored > 1)
+        result, parts = counted(challenge, hooks_for(block, registry))
+        deep = parts is not None and result.states_explored > 1
+        taken[name].append(deep)
+        if deep and name == "deep":
+            split.append(parts > 1)
 
     def one_liners(name, strategy):
         @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -852,6 +946,7 @@ def test_the_random_differentials_take_the_counting_path():
     assert all(len(flags) >= 100 for flags in taken.values())
     assert sum(taken["random"]) >= 1 and sum(taken["generated"]) >= 1
     assert sum(taken["deep"]) * 10 >= len(taken["deep"])
+    assert sum(split) >= 3  # 35 of the deep draws when written
 
 
 @pytest.mark.parametrize("config_name, size, floor", [
@@ -1018,7 +1113,7 @@ def test_a_reader_whose_bound_check_fails_is_counted_as_raising():
     text = "IsOccupied(Add(x, 3), y);"
     challenge = parse_challenge(DECIDED)
     assert not general(text)
-    assert built_for(text, challenge.initial, None, forbidden=COLOURS)[1] == 9
+    assert built_for(text, challenge.initial, None, forbidden=COLOURS)[1] == (9, [])
     assert assert_matches_naive(challenge, text) == EvalResult(Unsolvable(), 9, 1)
 
 
