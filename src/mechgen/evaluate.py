@@ -50,6 +50,13 @@ class Goal:
     kind: GoalKind
     colour: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.kind is GoalKind.CLEARED:
+            if self.colour is not None:
+                raise ValueError(f"a CLEARED goal names no colour, got {self.colour!r}")
+        elif self.colour not in COLOURS:
+            raise ValueError(f"unknown colour {self.colour!r}")
+
     def satisfied(self, board: Board) -> bool:
         test, holds = self.key_test()
         return test(board.key()) is holds
@@ -62,19 +69,10 @@ class Goal:
         some cell."""
         if self.kind is GoalKind.CLEARED:
             return {None}.issuperset, True
-        return {self.colour or ""}.isdisjoint, self.kind is GoalKind.COLOUR_CLEARED
+        return {self.colour}.isdisjoint, self.kind is GoalKind.COLOUR_CLEARED
 
     def describe(self) -> str:
-        if self.kind is GoalKind.CLEARED:
-            return "CLEARED"
-        return f"{self.kind.value} {self.colour}"
-
-
-@dataclass(frozen=True)
-class Challenge:
-    initial: Board
-    goal: Goal
-    max_taps: int
+        return self.kind.value if self.colour is None else f"{self.kind.value} {self.colour}"
 
 
 class ChallengeError(Exception):
@@ -94,6 +92,24 @@ class AlreadySolved(ChallengeError):
 
 class NotGravityNormal(ChallengeError):
     pass
+
+
+@dataclass(frozen=True)
+class Challenge:
+    """A gravity-normal board, a goal that fails on it, and a budget of at
+    least one tap: constructing one checks the budget, then the board, then the goal."""
+
+    initial: Board
+    goal: Goal
+    max_taps: int
+
+    def __post_init__(self) -> None:
+        if self.max_taps < 1:
+            raise ChallengeError("max_taps must be >= 1")
+        if not self.initial.is_gravity_normal():
+            raise NotGravityNormal("board has floating tiles")
+        if self.goal.satisfied(self.initial):
+            raise AlreadySolved(f"goal '{self.goal.describe()}' already holds on the initial board")
 
 
 _LEGAL_ROW_CHARS = frozenset((*COLOURS, "."))
@@ -123,7 +139,7 @@ def parse_challenge(text: str) -> Challenge:
                 max_taps = decimal_int(line[len("max_taps:"):].strip())
             except ValueError:
                 raise ChallengeParseError(lineno, "max_taps must be an integer") from None
-            if max_taps < 1:
+            if max_taps < 1:  # as ``Challenge`` checks it, but naming the line
                 raise ChallengeParseError(lineno, "max_taps must be >= 1")
         else:
             if goal is not None or max_taps is not None:
@@ -139,12 +155,7 @@ def parse_challenge(text: str) -> Challenge:
         raise ChallengeParseError(0, "missing goal line")
     if max_taps is None:
         raise ChallengeParseError(0, "missing max_taps line")
-    board = Board.from_rows(rows)
-    if not board.is_gravity_normal():
-        raise NotGravityNormal("board has floating tiles")
-    if goal.satisfied(board):
-        raise AlreadySolved(f"goal '{goal.describe()}' already holds on the initial board")
-    return Challenge(board, goal, max_taps)
+    return Challenge(Board.from_rows(rows), goal, max_taps)
 
 
 def _parse_goal(text: str, lineno: int) -> Goal:
@@ -152,9 +163,10 @@ def _parse_goal(text: str, lineno: int) -> Goal:
     if parts == ["CLEARED"]:
         return Goal(GoalKind.CLEARED)
     if len(parts) == 2 and parts[0] in ("COLOUR_CLEARED", "COLOUR_PRESENT"):
-        if parts[1] not in COLOURS:
-            raise ChallengeParseError(lineno, f"unknown colour {parts[1]!r}")
-        return Goal(GoalKind(parts[0]), parts[1])
+        try:
+            return Goal(GoalKind(parts[0]), parts[1])
+        except ValueError as err:  # an unknown colour
+            raise ChallengeParseError(lineno, str(err)) from None
     raise ChallengeParseError(lineno, f"malformed goal {text!r}")
 
 
@@ -223,8 +235,6 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     ``visited`` nor queued: they would never be expanded, and BFS discovers
     every shallower state before any state at that depth, so leaving them
     out of ``visited`` cannot change which shallower states are expanded.
-    A challenge with ``max_taps < 1`` allows no tap: it is Solved in 0 taps
-    if the goal already holds, else Unsolvable with nothing explored.
 
     When no move can ever meet the goal, ``tap_moves`` says how many cells
     raise on every board, and nothing is queued: ``_count_levels`` counts
@@ -235,23 +245,17 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     keeps them), so ``states_explored`` is the number of states and
     ``error_count`` that times the raising cells. ``tap_moves`` splits the
     other taps into parts that share no column, and the levels of each part
-    are counted on its own and convolved: on a gravity-normal root a
-    board's fewest taps is the sum of its parts' fewest. A root with
-    floating tiles, or taps that join every column, is one part, counted
-    as the whole board.
+    are counted on its own and convolved: on the gravity-normal root a
+    board's fewest taps is the sum of its parts' fewest. Taps that join
+    every column are one part, counted as the whole board.
     """
-    initial = challenge.initial
-    start = initial.key()
-    test, holds = challenge.goal.key_test()
-    if test(start) is holds:
-        return EvalResult(Solved(0, ()), 0, 0)
-    if challenge.max_taps < 1:
-        return EvalResult(Unsolvable(), 0, 0)
-    last = challenge.max_taps - 1  # the children of states at this depth are not stored
+    start = challenge.initial.key()
     goal = challenge.goal
+    test, holds = goal.key_test()
+    last = challenge.max_taps - 1  # the children of states at this depth are not stored
     present = goal.colour if goal.kind is GoalKind.COLOUR_PRESENT else None
     forbidden = COLOURS if goal.kind is GoalKind.CLEARED else (goal.colour,)
-    later, count = tap_moves(hooks, initial, present, forbidden)
+    later, count = tap_moves(hooks, challenge.initial, present, forbidden)
     if count is not None:  # no move can ever meet the goal: count
         raising, parts = count
         explored = sum(_count_levels(start, parts, last))

@@ -11,7 +11,7 @@ place that knows the column rule; ``tap_moves`` also folds it into each
 tabulated gather, so every move the solver gets returns a settled child.
 As gravity acts per column, ``tap_moves`` also splits the taps of a solve
 that no move can win into parts that share no column (``_parts``), which
-the solver counts apart; a root with floating tiles is one part.
+the solver counts apart.
 
 ``build_game_registry`` publishes the design space for this game: the Colour
 enum, the read-only board dimensions, tile manipulation methods with
@@ -256,8 +256,8 @@ def tap_moves(
     decision (below): ``later(key)`` is the list of moves of a board whose
     cells are ``key``. Taps come bottom row first,
     in (y, x) order; a later rebinding of the hook does not reach the
-    moves. ``board`` is the root: only its size and whether it is
-    gravity-normal are read.
+    moves. ``board`` is the root, gravity-normal as a challenge's is: only
+    its size is read.
 
     Every hook, one marker pass; a host behavior is a reader. Each tap of a
     hook is tabulated, or each takes the general path. The hook runs under
@@ -274,8 +274,7 @@ def tap_moves(
     - It raises: every move of the cell returns None. A budget overrun is
       fixed too, because control flow cannot depend on the board.
     - It leaves the markers in place: the cell has no move, as its child is
-      its parent on every gravity-normal board. On a root with floating
-      tiles it is kept as a gather, which settles the root.
+      its parent on every gravity-normal board.
     - Otherwise the tap is a gather: its child, before gravity, picks its
       cells from ``key + _CONSTANTS`` at the indices the marker run left.
 
@@ -310,16 +309,14 @@ def tap_moves(
     does, depends only on the cells of those columns: gravity acts per
     column, and a column no pick changes is already settled. So taps of
     different parts commute, and the count takes each part on its own
-    (``evaluate._count_levels``). A root with floating tiles is one part,
-    as its first tap settles every column.
+    (``evaluate._count_levels``).
     """
     n, h = len(board.cells), board.height
     delegate = hooks.delegate(ON_TILE_TAPPED)
     run = prepare(delegate, (INT, INT))
     taps, cell_args, index = _cells(board.width, h)
     state = GameState(Board(board.width, h))  # the scratch state marker runs and general moves tap
-    floating = not board.is_gravity_normal()
-    table = _marker_pass(run, board, delegate.params_read, state, floating)
+    table = _marker_pass(run, board, delegate.params_read, state)
     if table is None:  # the general path
         cells = state.board.cells
 
@@ -336,8 +333,8 @@ def tap_moves(
         return lambda key: moves, None
 
     every = set(range(n))
-    wanted = None if present is None else index.get(present, -1)  # the colour's pick
-    banned = {index.get(colour) for colour in forbidden}  # the forbidden colours' picks
+    wanted = None if present is None else index[present]  # the colour's pick
+    banned = {index[colour] for colour in forbidden}  # the forbidden colours' picks
 
     def wins(picks: Tuple[int, ...]) -> bool:
         if wanted is not None:
@@ -348,8 +345,7 @@ def tap_moves(
     if any(picks is not None and wins(picks) for _, picks in table):
         return later, None
     gathers = [row for row in table if row[1] is not None]
-    parts = [gathers] if floating else _parts(gathers, n, h)
-    return later, (len(table) - len(gathers), [_later(part, h) for part in parts])
+    return later, (len(table) - len(gathers), [_later(part, h) for part in _parts(gathers, n, h)])
 
 
 _Table = List[Tuple[Tuple[int, int], Optional[Tuple[int, ...]]]]
@@ -397,12 +393,10 @@ def _parts(gathers: _Table, n: int, h: int) -> List[_Table]:
     return list(parts.values())
 
 
-def _marker_pass(run: Runner, board: Board, read: FrozenSet[int], marked: GameState,
-                 keep_noops: bool) -> Optional[_Table]:
+def _marker_pass(run: Runner, board: Board, read: FrozenSet[int], marked: GameState) -> Optional[_Table]:
     """The tabulated taps of ``board``'s size with their gathers' picks (None:
     it raises), from one marker run per group (``tap_moves``) on the scratch
-    state ``marked``, NOOPs left out unless ``keep_noops`` (a NOOP tap
-    settles a floating root); None when the hook takes the general path."""
+    state ``marked``, NOOPs left out; None when the hook takes the general path."""
     width, h = board.width, board.height
     taps, cell_args, index = _cells(width, h)
     groups = _groups(width, h, read)
@@ -419,7 +413,7 @@ def _marker_pass(run: Runner, board: Board, read: FrozenSet[int], marked: GameSt
                 outcomes[group] = None
             else:
                 after = marked.board.cells
-                if after == markers and not keep_noops:  # its child is its parent
+                if after == markers:  # its child is its parent
                     outcomes[group] = ()
                 else:
                     try:

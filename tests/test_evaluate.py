@@ -10,6 +10,7 @@ from mechgen import game
 from mechgen.evaluate import (
     AlreadySolved,
     Challenge,
+    ChallengeError,
     ChallengeParseError,
     EvalResult,
     Goal,
@@ -166,6 +167,42 @@ def test_max_taps_accepts_leading_zeros_and_surrounding_spaces():
     assert parse_challenge("RG\ngoal: CLEARED\nmax_taps:   007 \n").max_taps == 7
 
 
+@pytest.mark.parametrize("rows, goal, max_taps, error", [
+    ("RG", "CLEARED", 0, ChallengeError),
+    ("RG", "COLOUR_PRESENT Y", -1, ChallengeError),
+    ("RG\n..", "CLEARED", 2, NotGravityNormal),
+    ("..\n..", "CLEARED", 1, AlreadySolved),
+    ("RY", "COLOUR_PRESENT Y", 1, AlreadySolved),
+    ("RG", "COLOUR_CLEARED Y", 3, AlreadySolved),
+    ("RG\n..", "COLOUR_PRESENT R", 0, ChallengeError),  # all three: the budget first
+    ("RG\n..", "COLOUR_PRESENT R", 1, NotGravityNormal),  # then the board, then the goal
+])
+def test_a_challenge_built_directly_is_checked_as_parsed(rows, goal, max_taps, error):
+    # The same rules, errors and order as the parser; only the parser's
+    # budget error names its line.
+    with pytest.raises(ChallengeError) as parsed:
+        parse_challenge(f"{rows}\ngoal: {goal}\nmax_taps: {max_taps}\n")
+    kind, *colour = goal.split()
+    with pytest.raises(ChallengeError) as built:
+        Challenge(Board.from_rows(rows.split("\n")), Goal(GoalKind(kind), *colour), max_taps)
+    assert type(built.value) is error
+    if isinstance(parsed.value, ChallengeParseError):
+        assert (error, str(built.value)) == (ChallengeError, parsed.value.reason)
+    else:
+        assert (type(parsed.value), str(built.value)) == (error, str(parsed.value))
+
+
+@pytest.mark.parametrize("kind, colour", [
+    (GoalKind.COLOUR_PRESENT, "Q"),
+    (GoalKind.COLOUR_CLEARED, None),
+    (GoalKind.COLOUR_PRESENT, ""),
+    (GoalKind.CLEARED, "R"),
+])
+def test_a_goal_names_a_colour_exactly_when_its_kind_needs_one(kind, colour):
+    with pytest.raises(ValueError):
+        Goal(kind, colour)
+
+
 def test_goal_predicates():
     board = Board.from_rows(["RG"])
     assert not Goal(GoalKind.CLEARED).satisfied(board)
@@ -179,7 +216,7 @@ def test_goal_predicates():
 EVERY_GOAL = [
     Goal(GoalKind.CLEARED),
     *(Goal(kind, colour) for kind in (GoalKind.COLOUR_CLEARED, GoalKind.COLOUR_PRESENT)
-      for colour in (*COLOURS, None)),
+      for colour in COLOURS),
 ]
 
 
@@ -260,18 +297,6 @@ def test_every_tap_erroring_prunes_all_branches(unsolvable_challenge):
     assert result.status == Unsolvable()
     assert result.states_explored == 1
     assert result.error_count == 9  # one per branching attempt from the root
-
-
-@pytest.mark.parametrize("max_taps", [0, -1])
-def test_no_tap_budget_explores_nothing(unsolvable_challenge, max_taps):
-    # Built directly: parse_challenge rejects max_taps < 1.
-    registry = build_game_registry()
-    hooks = bind_mechanic(registry, "SetTile(x, y, Colour.Y);")  # solves in one tap
-    board = unsolvable_challenge.initial
-    challenge = Challenge(board, unsolvable_challenge.goal, max_taps)
-    assert solve(challenge, hooks) == EvalResult(Unsolvable(), 0, 0)
-    already = Challenge(board, Goal(GoalKind.COLOUR_PRESENT, "R"), max_taps)
-    assert solve(already, hooks) == EvalResult(Solved(0, ()), 0, 0)
 
 
 def test_witness_replays_to_goal(unsolvable_challenge):

@@ -175,30 +175,6 @@ def test_a_tabulated_solve_runs_the_block_at_most_once_per_cell(monkeypatch):
     assert (result.states_explored, len(calls)) == (2, 1)
 
 
-def test_noop_cells_on_a_board_with_floating_tiles():
-    # A directly built challenge need not be gravity-normal: a NOOP tap on
-    # the root then settles it into a new state, on both paths.
-    floating = Board(2, 2, ["R", None, None, "G"])  # G floats over an empty cell
-    for text in ("SwapTiles(x, y, x, y);", "DoNothing();", "SwapTiles(x, y, x, 0);"):
-        for goal in (Goal(GoalKind.COLOUR_PRESENT, "Y"), Goal(GoalKind.CLEARED)):
-            result = assert_paths_agree(Challenge(floating, goal, 3), text)
-            assert result.states_explored == 2
-
-
-def test_a_root_with_floating_tiles():
-    # Every gather of the root's moves is settled for the root's own mask.
-    roots = [
-        Board(2, 2, ["R", None, None, "G"]),
-        Board(3, 3, [None, "R", None, "G", None, "B", "Y", "R", None]),
-    ]
-    goals = (Goal(GoalKind.COLOUR_CLEARED, "R"), Goal(GoalKind.COLOUR_PRESENT, "Y"), Goal(GoalKind.CLEARED))
-    for root in roots:
-        assert not root.is_gravity_normal()
-        for text in ONE_LINERS:
-            for goal in goals:
-                assert_paths_agree(Challenge(root, goal, 3), text)
-
-
 def test_a_variant_in_one_column_sends_the_whole_block_down_the_general_path():
     # Column 0 paints a variant that is no colour, which no gather can pick,
     # so every tap runs the block, on boards with empty cells too.
@@ -329,13 +305,13 @@ goals = st.one_of(
 
 @st.composite
 def challenges(draw):
-    board = draw(boards)
-    if draw(st.booleans()):
-        board = apply_gravity(board)
-    return Challenge(board, draw(goals), draw(st.integers(min_value=1, max_value=3)))
+    """A gravity-normal board, a goal that fails on it, and one to three taps."""
+    board = apply_gravity(draw(boards))
+    goal = draw(goals.filter(lambda goal: not goal.satisfied(board)))
+    return Challenge(board, goal, draw(st.integers(min_value=1, max_value=3)))
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(challenges(), st.sampled_from(sorted(CONFIGS)), st.integers(min_value=0, max_value=10**6))
 def test_generated_candidates_agree(challenge, config_name, seed):
     registry = build_game_registry(challenge.initial.width, challenge.initial.height)
@@ -413,8 +389,7 @@ def settled_children(hooks, root, board):
     ``board``, by the moves ``tap_moves``, built on ``root``, gives for
     ``board``'s key. A tap with no move leaves the board as gravity leaves
     it: on a gravity-normal board its settled gather is the identity, and
-    a NOOP cell, dropped when ``root`` is gravity-normal, settles a board
-    with floating tiles."""
+    a NOOP cell, which has no move, settles a board with floating tiles."""
     later, _ = tap_moves(hooks, root)
     settled = apply_gravity(board).key()
     out = {(x, y): settled for y in range(board.height) for x in range(board.width)}
@@ -450,12 +425,12 @@ def tapped(hooks, board, x, y):
 
 @st.composite
 def board_pairs(draw):
-    """Two boards of one size: a root, which may have floating tiles, and a
-    gravity-normal board that the later moves are applied to."""
-    root = draw(boards)
+    """Two boards of one size: a gravity-normal root, and a board that the
+    later moves are applied to, which may have floating tiles."""
+    root = apply_gravity(draw(boards))
     w, h = root.width, root.height
     cells = st.lists(st.sampled_from([*COLOURS, None]), min_size=w * h, max_size=w * h)
-    return root, apply_gravity(Board(w, h, draw(cells)))
+    return root, Board(w, h, draw(cells))
 
 
 @settings(max_examples=200, deadline=None)
@@ -479,15 +454,14 @@ def test_each_tabulated_move_matches_the_general_move(boards_, text):
 
 @st.composite
 def move_cases(draw):
-    """A root and a second board of one size from 1x1 to 4x4, each with
-    empty cells and gravity-normal or not, and a one-liner or a block
-    generated from a fixture config for that size."""
+    """A gravity-normal root and a second board of one size from 1x1 to
+    4x4, each with empty cells, the second gravity-normal or not, and a
+    one-liner or a block generated from a fixture config for that size."""
     w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     cells = st.lists(st.sampled_from([*COLOURS, None]), min_size=w * h, max_size=w * h)
-    pair = []
-    for _ in range(2):
-        board = Board(w, h, draw(cells))
-        pair.append(apply_gravity(board) if draw(st.booleans()) else board)
+    root, other = apply_gravity(Board(w, h, draw(cells))), Board(w, h, draw(cells))
+    if draw(st.booleans()):
+        other = apply_gravity(other)
     if draw(st.booleans()):
         block = parse(draw(st.sampled_from(ONE_LINERS)), params=["x", "y"])
     else:
@@ -497,7 +471,7 @@ def move_cases(draw):
             block = generate_block(TAP_SIG, build_game_registry(w, h), config_with_seed(config, seed))
         except GenerationError:
             assume(False)
-    return pair[0], pair[1], block
+    return root, other, block
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -807,15 +781,6 @@ def test_raising_cells_in_a_multi_part_count():
     assert result.states_explored > 1 and result.error_count == 3 * result.states_explored
 
 
-def test_a_floating_root_is_one_part():
-    # The first tap settles every column of a root with floating tiles, so
-    # its columns are not apart.
-    root = Board(3, 3, [None, "R", None, "B", None, "B", "Y", "R", None])
-    for text in ("DestroyTile(x, y);", "DestroyTile(Add(x, 1), y);"):
-        challenge = Challenge(root, Goal(GoalKind.COLOUR_PRESENT, "G"), 3)
-        assert assert_count_agrees(challenge, text, 1).states_explored > 1
-
-
 def test_a_multi_part_count_ends_on_an_empty_level():
     # Two columns of destroyable tiles: 8 boards in all, whatever the budget.
     challenge = parse_challenge(".R\nGB\ngoal: COLOUR_PRESENT Y\nmax_taps: 1000000000000\n")
@@ -905,8 +870,9 @@ def test_the_random_differentials_take_the_counting_path():
     """The Hypothesis differentials above draw cases that ``solve`` counts
     past the root, so their general path checks the count: at least one in
     ``test_one_liners_agree_on_random_boards`` and in
-    ``test_generated_candidates_agree``, whose draws are mostly one tap, a
-    goal that already holds or a root with no new child, and one in ten in
+    ``test_generated_candidates_agree``, whose draws are mostly one tap or a
+    root with no new child (the latter draws twice as many cases, as few
+    generated blocks count past a gravity-normal root), and one in ten in
     ``test_one_liners_agree_on_deep_challenges``. Some of the deep draws
     count over two parts or more."""
     taken = {"random": [], "generated": [], "deep": []}
@@ -927,7 +893,7 @@ def test_the_random_differentials_take_the_counting_path():
             record(name, challenge, parse(text, params=["x", "y"]))
         run()
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(challenges(), st.sampled_from(sorted(CONFIGS)),
            st.integers(min_value=0, max_value=10**6))
@@ -942,7 +908,7 @@ def test_the_random_differentials_take_the_counting_path():
     one_liners("random", challenges())
     one_liners("deep", deep_challenges())
     generated()
-    # 9, 3 and 20 of 150 when written
+    # 17 of 150, 2 of 300 and 78 of 150 when written
     assert all(len(flags) >= 100 for flags in taken.values())
     assert sum(taken["random"]) >= 1 and sum(taken["generated"]) >= 1
     assert sum(taken["deep"]) * 10 >= len(taken["deep"])
