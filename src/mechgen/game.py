@@ -16,7 +16,8 @@ the solver counts apart.
 ``build_game_registry`` publishes the design space for this game: the Colour
 enum, the read-only board dimensions, tile manipulation methods with
 coordinate bounds, and arithmetic/comparison builtins, each declaring
-whether it reads the board.
+whether it reads the board. The builtins and the fields return the runtime's
+shared values (``runtime.int_value``, ``TRUE`` and ``FALSE``).
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from .registry import (
     enum_type,
 )
 from .runtime import (
+    FALSE,
+    TRUE,
     UNIT,
-    BoolV,
     ExecBudget,
     ExecutionError,
     GeneratedDelegate,
@@ -50,9 +52,9 @@ from .runtime import (
     Runner,
     Value,
     WorldRead,
+    int_value,
     invoke,  # unused here; the benchmark's tracer wraps ``game.invoke`` by name
     prepare,
-    wrap64,
 )
 
 COLOURS = ("R", "G", "B", "Y")
@@ -183,9 +185,9 @@ class GameState:
     # Field access for generated code; both game fields are read-only.
     def read_field(self, name: str) -> Value:
         if name == "Width":
-            return IntV(self.board.width)
+            return int_value(self.board.width)
         if name == "Height":
-            return IntV(self.board.height)
+            return int_value(self.board.height)
         raise HostError(f"unknown game field '{name}'")
 
     def write_field(self, name: str, value: Value) -> None:
@@ -268,8 +270,8 @@ def tap_moves(
     promise it; the game's fields are the board's size and cannot be
     written) or on a parameter it does not read, so a run that reaches no
     reader fixes the tap's outcome for every cell of the group on every
-    board of this size. Each cell is still listed on its own, so the moves,
-    error counts and witnesses are those of one run per cell:
+    board of this size. Each cell is still listed as its own move, so error
+    counts and witnesses are those of one run per cell:
 
     - It raises: every move of the cell returns None. A budget overrun is
       fixed too, because control flow cannot depend on the board.
@@ -280,10 +282,16 @@ def tap_moves(
 
     A run that reaches a reader (a host behavior's first run does), or
     leaves a value no gather can pick (a variant that is no tile colour, if
-    the registry declares one), sends the hook down the general path: each
-    move refills a scratch board with ``key`` and runs ``tap``'s body
-    (``_run_tap``). The marker runs and the general moves share one scratch
-    state per call, as each run refills its cells first.
+    the registry declares one), sends the hook down the general path
+    (``_general``): a move refills a scratch board with ``key`` and runs
+    ``tap``'s body (``_run_tap``), once per group on each parent. The other
+    cells of the group reuse that run's child, or its None: the cells of a
+    group pass equal values for every parameter the block can read, dead
+    branches included, and each run has a fresh budget, so the child, the
+    error and any budget overrun are the group's. Each cell is still its own
+    move, so error counts and witnesses do not change. The marker runs and
+    the general moves share one scratch state per call, as each run refills
+    its cells first.
 
     Gravity after a gather depends only on which picks are empty, which the
     parent's empty cells (its mask) fix, so the two together are again a
@@ -314,24 +322,12 @@ def tap_moves(
     n, h = len(board.cells), board.height
     delegate = hooks.delegate(ON_TILE_TAPPED)
     run = prepare(delegate, (INT, INT))
-    taps, cell_args, index = _cells(board.width, h)
     state = GameState(Board(board.width, h))  # the scratch state marker runs and general moves tap
     table = _marker_pass(run, board, delegate.params_read, state)
     if table is None:  # the general path
-        cells = state.board.cells
+        return _general(run, board.width, h, delegate.params_read, state), None
 
-        def runs(args: Tuple[IntV, IntV], src: Tuple[Cell, ...]) -> Optional[Tuple[Cell, ...]]:
-            cells[:] = src
-            del cells[n:]  # drop the constants after the key; cheaper than src[:n]
-            try:
-                _run_tap(run, args, state)
-            except ExecutionError:
-                return None
-            return tuple(cells)
-
-        moves = [(xy, partial(runs, args)) for xy, args in zip(taps, cell_args)]
-        return lambda key: moves, None
-
+    index = _cells(board.width, h)[2]
     every = set(range(n))
     wanted = None if present is None else index[present]  # the colour's pick
     banned = {index[colour] for colour in forbidden}  # the forbidden colours' picks
@@ -346,6 +342,36 @@ def tap_moves(
         return later, None
     gathers = [row for row in table if row[1] is not None]
     return later, (len(table) - len(gathers), [_later(part, h) for part in _parts(gathers, n, h)])
+
+
+def _general(run: Runner, width: int, h: int, read: FrozenSet[int], state: GameState) -> Later:
+    """``later`` for a hook on the general path (``tap_moves``): a move runs
+    the tap body on the scratch ``state`` once per group and parent."""
+    taps, cell_args, _ = _cells(width, h)
+    rows = list(zip(taps, _groups(width, h, read), cell_args))
+    n = len(taps)
+    cells = state.board.cells
+
+    def runs(children: Dict[Tuple[int, ...], Optional[Tuple[Cell, ...]]], group: Tuple[int, ...],
+             args: Tuple[IntV, IntV], src: Tuple[Cell, ...]) -> Optional[Tuple[Cell, ...]]:
+        if group in children:  # the group has run on this parent
+            return children[group]
+        cells[:] = src
+        del cells[n:]  # drop the constants after the key; cheaper than src[:n]
+        try:
+            _run_tap(run, args, state)
+        except ExecutionError:
+            child = None
+        else:
+            child = tuple(cells)
+        children[group] = child
+        return child
+
+    def later(key: Tuple[Cell, ...]) -> List[Move]:
+        children: Dict[Tuple[int, ...], Optional[Tuple[Cell, ...]]] = {}  # each group's, on this parent
+        return [(xy, partial(runs, children, group, args)) for xy, group, args in rows]
+
+    return later
 
 
 _Table = List[Tuple[Tuple[int, int], Optional[Tuple[int, ...]]]]
@@ -376,16 +402,21 @@ def _parts(gathers: _Table, n: int, h: int) -> List[_Table]:
     ``h`` tall, none of which raises or is a NOOP, split into parts that
     share no column: a union-find over columns joins the column of each cell
     a gather changes with the column that cell picks from (a constant joins
-    nothing). Each column's label is the least column of its part."""
+    nothing). Each column's label is the least column of its part. Once
+    every column is joined, the gathers left join the one part unread."""
     label = list(range(n // h))
+    left = len(label)  # the number of parts so far
     firsts = []  # the column of each gather's first changed cell
     for _, picks in gathers:
+        if left == 1:  # every column is joined: the rest join the one part
+            return [gathers]
         changed = list(compress(range(n), map(ne, picks, range(n))))
         columns = {label[i // h] for i in changed}
         columns.update(label[p // h] for p in map(picks.__getitem__, changed) if p < n)
         if len(columns) > 1:
             least = min(columns)
             label = [least if c in columns else c for c in label]
+            left -= len(columns) - 1
         firsts.append(changed[0] // h)
     parts: Dict[int, _Table] = {}
     for row, first in zip(gathers, firsts):
@@ -494,27 +525,28 @@ def _host_swap_tiles(world: GameState, args: Sequence[Value]) -> Value:
 
 
 def _host_count_colour(world: GameState, args: Sequence[Value]) -> Value:
-    return IntV(world.board.count(args[0].variant))  # type: ignore[union-attr]
+    return int_value(world.board.count(args[0].variant))  # type: ignore[union-attr]
 
 
 def _host_is_occupied(world: GameState, args: Sequence[Value]) -> Value:
-    return BoolV(world.board.get(args[0].value, args[1].value) is not None)  # type: ignore[union-attr]
+    occupied = world.board.get(args[0].value, args[1].value) is not None  # type: ignore[union-attr]
+    return TRUE if occupied else FALSE
 
 
 def _host_add(world: GameState, args: Sequence[Value]) -> Value:
-    return IntV(wrap64(args[0].value + args[1].value))  # type: ignore[union-attr]
+    return int_value(args[0].value + args[1].value)  # type: ignore[union-attr]
 
 
 def _host_sub(world: GameState, args: Sequence[Value]) -> Value:
-    return IntV(wrap64(args[0].value - args[1].value))  # type: ignore[union-attr]
+    return int_value(args[0].value - args[1].value)  # type: ignore[union-attr]
 
 
 def _host_less(world: GameState, args: Sequence[Value]) -> Value:
-    return BoolV(args[0].value < args[1].value)  # type: ignore[union-attr]
+    return TRUE if args[0].value < args[1].value else FALSE  # type: ignore[union-attr]
 
 
 def _host_equal(world: GameState, args: Sequence[Value]) -> Value:
-    return BoolV(args[0].value == args[1].value)  # type: ignore[union-attr]
+    return TRUE if args[0].value == args[1].value else FALSE  # type: ignore[union-attr]
 
 
 def _host_do_nothing(world: GameState, args: Sequence[Value]) -> Value:

@@ -25,6 +25,12 @@ marker pass; a host behavior is a reader: what a delegate reads of the world
 is seen by running it under a ``Probe``. Execution has no transactional
 rollback: an erroring invocation leaves the world in whatever partial state
 it reached.
+
+Every run builds its budget, so ``ExecBudget`` (and its subclass ``Probe``)
+is a plain class with slots. Values are frozen, so the common ones are
+shared: both bools (``TRUE``, ``FALSE``) and the ints from -128 to 255
+(``int_value``), which literal slots and the game's builtins and fields
+take instead of building their own.
 """
 
 from __future__ import annotations
@@ -95,6 +101,17 @@ class UnitV(Value):
 
 UNIT = UnitV()
 
+# Shared instances, as values are frozen: both bools, and the ints from -128
+# to 255, which cover a board's coordinates, sizes and tile counts.
+FALSE, TRUE = BoolV(False), BoolV(True)
+_INTS = {v: IntV(v) for v in range(-128, 256)}
+
+
+def int_value(value: int) -> IntV:
+    """``IntV(wrap64(value))``, the shared instance for a small ``value``."""
+    shared = _INTS.get(value)
+    return IntV(wrap64(value)) if shared is None else shared
+
 
 def value_type(v: Value) -> TypeId:
     if isinstance(v, IntV):
@@ -127,15 +144,20 @@ class ExecutionError(Exception):
 
 
 class ConstraintViolation(ExecutionError):
+    """An argument outside its parameter's bound. The message is formatted
+    only when it is read: most of these are caught and counted unread."""
+
     def __init__(self, method: str, param: str, value: int, bound: int, bound_kind: str):
-        super().__init__(
-            f"{method}: argument {param}={value} violates {bound_kind} bound {bound}"
-        )
+        super().__init__(method, param, value, bound, bound_kind)
         self.method = method
         self.param = param
         self.value = value
         self.bound = bound
         self.bound_kind = bound_kind
+
+    def __str__(self) -> str:
+        return (f"{self.method}: argument {self.param}={self.value} "
+                f"violates {self.bound_kind} bound {self.bound}")
 
     def detail(self) -> str:
         return f"{self.param}={self.value} violates {self.bound_kind}={self.bound}"
@@ -183,15 +205,14 @@ class SignatureMismatch(HookError):
 # Budget
 
 
-@dataclass
 class ExecBudget:
     """Guard rail on host-method invocations within one execution context."""
 
-    max_host_calls: int = 10_000
-    remaining: int = field(init=False)
+    __slots__ = ("max_host_calls", "remaining")
 
-    def __post_init__(self) -> None:
-        self.remaining = self.max_host_calls
+    def __init__(self, max_host_calls: int = 10_000) -> None:
+        self.max_host_calls = max_host_calls
+        self.remaining = max_host_calls
 
     def spend(self) -> None:
         if self.remaining <= 0:
@@ -204,6 +225,8 @@ class Probe(ExecBudget):
     ``reads_world`` raises WorldRead after its bound checks, and a host
     runner on entry, before either spends budget or calls the host: every
     hook, one marker pass; a host behavior is a reader (``game.tap_moves``)."""
+
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------------
@@ -387,10 +410,11 @@ def invoke(
 # A compiled block works on one flat list per invocation, the frame:
 # frame[_WORLD] is the world, frame[_BUDGET] the budget, and from
 # _FIRST_LOCAL on every parameter, local and literal has a fixed slot.
-# Literal slots are filled once at compile time and never written, so a
-# literal and a local are read the same way. An expression compiles to a
-# function from the frame to a Value, a statement to a function from the
-# frame that runs it for its effect.
+# Literal slots are filled once at compile time, with a shared value where
+# there is one, and never written, so a literal and a local are read the
+# same way. An expression compiles to a function from the frame to a Value,
+# a statement to a function from the frame that runs it for its effect (a
+# call statement is its call, whose value is dropped).
 
 _WORLD, _BUDGET, _FIRST_LOCAL = 0, 1, 2
 
@@ -529,12 +553,7 @@ class _Compiler:
         if isinstance(st, ExprStmt):
             if not isinstance(st.call, Call):
                 self.reject("statement expression must be a call")
-            call = self.expr(st.call, frames, None, "statement call")
-
-            def expr_stmt(frame: Frame) -> None:
-                call(frame)
-
-            return expr_stmt
+            return self.expr(st.call, frames, None, "statement call")
         if isinstance(st, IfElse):
             cond = self.expr(st.cond, frames, BOOL, "if condition")
             then_block = self.branch(st.then_block, frames)
@@ -601,24 +620,19 @@ class _Compiler:
         """The one type-agreement check: compile ``expr`` and fail unless it
         has type ``wanted``. None wants any type, void included: a statement
         call."""
-        operand, found = self.infer(expr, frames, wanted is None, path)
+        operand, found = self.infer(expr, frames, wanted, path)
         if found is not wanted and wanted is not None and found != wanted:
             self.reject(f"expected {wanted.display()}, found {found.display()}", path, wanted, found)
         return operand
 
-    def infer(self, expr: Expression, frames: Frames, allow_void: bool, path: str) -> Tuple[Operand, TypeId]:
-        """``expr``'s slot or code, and its type."""
-        if isinstance(expr, IntLit):
-            return self.new_slot(IntV(expr.value)), INT
-        if isinstance(expr, BoolLit):
-            return self.new_slot(BoolV(expr.value)), BOOL
-        if isinstance(expr, EnumLit):
-            e = self.registry.enum(expr.enum)
-            if e is None:
-                self.reject(f"unknown enum '{expr.enum}'", path)
-            if expr.variant not in e.variants:
-                self.reject(f"enum '{expr.enum}' has no variant '{expr.variant}'", path)
-            return self.new_slot(EnumV(expr.enum, expr.variant)), enum_type(expr.enum)
+    def infer(
+        self, expr: Expression, frames: Frames, wanted: Optional[TypeId], path: str
+    ) -> Tuple[Operand, TypeId]:
+        """``expr``'s slot or code, and its type, which an enum literal takes
+        from ``wanted`` when they agree. The kinds are tested in the order of
+        their frequency in generated blocks."""
+        if isinstance(expr, Call):
+            return self.call(expr, frames, wanted is None, path)
         if isinstance(expr, LocalRef):
             binding = lookup(frames, expr.name)
             if binding is None:
@@ -638,8 +652,21 @@ class _Compiler:
                 return frame[_WORLD].read_field(name)
 
             return read_field, fd.type
-        if isinstance(expr, Call):
-            return self.call(expr, frames, allow_void, path)
+        if isinstance(expr, EnumLit):
+            e = self.registry.enum(expr.enum)
+            if e is None:
+                self.reject(f"unknown enum '{expr.enum}'", path)
+            if expr.variant not in e.variants:
+                self.reject(f"enum '{expr.enum}' has no variant '{expr.variant}'", path)
+            found = wanted if wanted is not None and wanted.enum_name == expr.enum else enum_type(expr.enum)
+            return self.new_slot(EnumV(expr.enum, expr.variant)), found
+        if isinstance(expr, IntLit):  # a shared value when there is one
+            value = expr.value
+            shared = _INTS.get(value) if type(value) is int else None
+            return self.new_slot(IntV(value) if shared is None else shared), INT
+        if isinstance(expr, BoolLit):
+            value = expr.value
+            return self.new_slot((FALSE, TRUE)[value] if type(value) is bool else BoolV(value)), BOOL
         self.reject(f"unknown expression kind {type(expr).__name__}", path)
 
     def call(self, call: Call, frames: Frames, allow_void: bool, path: str) -> Tuple[Compiled, TypeId]:
@@ -664,21 +691,28 @@ class _Compiler:
         if len(operands) >= 2 and all(isinstance(o, int) for o in operands):
             # All arguments are slot reads: one C-level getter fetches them.
             eval_args: Callable[[Frame], Sequence[Value]] = itemgetter(*operands)
+        elif len(operands) == 2:  # the commonest arity: no list to build
+            first, second = (itemgetter(o) if isinstance(o, int) else o for o in operands)
+
+            def eval_args(frame: Frame) -> Sequence[Value]:
+                return first(frame), second(frame)
         else:
             arg_fns = [itemgetter(o) if isinstance(o, int) else o for o in operands]
 
             def eval_args(frame: Frame) -> Sequence[Value]:
                 return [fn(frame) for fn in arg_fns]
 
-        index = {pname: i for i, (pname, _) in enumerate(md.params)}
         # (argument index, parameter, min, max) per bounded parameter that a
         # literal argument does not settle here, in signature order. An open
         # side is an infinite float, which compares exactly with any int.
-        checks = [
-            (index[p], p, -inf if lo is None else lo, inf if hi is None else hi)
-            for p, (lo, hi) in md.bounds.items()
-            if not _settled(call.args[index[p]], (lo, hi))
-        ]
+        checks = []
+        if md.bounds:
+            index = {pname: i for i, (pname, _) in enumerate(md.params)}
+            checks = [
+                (index[p], p, -inf if lo is None else lo, inf if hi is None else hi)
+                for p, (lo, hi) in md.bounds.items()
+                if not _settled(call.args[index[p]], (lo, hi))
+            ]
         host = md.host_impl
         reads = md.reads_world
 

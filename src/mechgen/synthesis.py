@@ -22,10 +22,11 @@ Generation is a pure function of (signature, registry, config): the same seed
 reproduces the same block byte-for-byte.
 
 A run builds one generator, ``block_generator(sig, registry, config)``, and
-calls it once per seed. Built once per run: the registry's value types,
+calls it once per seed. Built once per run: the config's numbers, the
+registry's value types and which of them have a producer in every scope,
 assignment targets and methods callable for effect, the producers of each
 type at each grounding (on first use), the enabled statement kinds, each
-method's parameter types and literal intervals, and one ``random.Random``.
+method's parameter types and bounds, and one ``random.Random``.
 Nothing outlives the generator. Built per seed: the generator reseeds that
 ``Random`` (the state ``Random(seed)`` starts in), restarts the local names
 at v0 and starts a ``Scope`` from the signature's parameters.
@@ -101,6 +102,10 @@ class StatementKind(Enum):
 
 
 ALL_STATEMENT_KINDS: FrozenSet[StatementKind] = frozenset(StatementKind)
+# The kinds as plain names for the statement loop: in CPython 3.11 reading an
+# Enum member through its class costs about 100 ns.
+_VAR_DECL, _ASSIGN, _EXPR_STMT, _IF_ELSE = (
+    StatementKind.VAR_DECL, StatementKind.ASSIGN, StatementKind.EXPR_STMT, StatementKind.IF_ELSE)
 
 
 class ConfigError(Exception):
@@ -314,8 +319,8 @@ def generate_expression(
 
 
 # A method as the generator calls it: its name and, per parameter in
-# signature order, the parameter's type and literal interval.
-_Method = Tuple[str, Tuple[Tuple[TypeId, Bounds], ...]]
+# signature order, the parameter's type and bounds (None: it has none).
+_Method = Tuple[str, Tuple[Tuple[TypeId, Optional[Bounds]], ...]]
 
 # The static producers of one type at one grounding: the usable fields'
 # names and methods in registry order, and whether the literal is live.
@@ -323,16 +328,19 @@ _Table = Tuple[Tuple[str, ...], Tuple[_Method, ...], bool]
 
 
 def _method(m: MethodDescriptor) -> _Method:
-    return m.name, tuple((ptype, m.literal_interval(pname)) for pname, ptype in m.params)
+    return m.name, tuple((ptype, m.bounds.get(pname)) for pname, ptype in m.params)
 
 
 @dataclass
 class _Gen:
     """A generator for one (registry, config): everything that does not
     depend on the seed, resolved when it is built. ``producers`` holds, per
-    grounding, a dict that gets one table per type on first use. ``rng`` and
-    ``next_local`` are the draw state; ``block_generator`` reseeds and
-    resets them per block."""
+    grounding, a dict that gets one table per type on first use. Whether a
+    statement-level expression of a value type has a producer in every scope
+    (a field, a method or a live literal at depth 0; with no interval, an int
+    literal's range is the config's) is resolved at once. The config's numbers
+    are read once, here. ``rng`` and ``next_local`` are the draw state;
+    ``block_generator`` reseeds and resets them per block."""
 
     registry: Registry
     config: GenerationConfig
@@ -341,12 +349,15 @@ class _Gen:
 
     def __post_init__(self) -> None:
         registry, config = self.registry, self.config
-        self.value_types = tuple(registry.value_types())
+        self.max_depth = config.max_recursion_depth
+        self.literal_weight = config.literal_weight
+        self.int_range = config.int_literal_range
+        self.else_probability = config.else_probability
         fields = registry.fields.values()
         self.targets = tuple((FieldTarget(f.name), f.type) for f in fields if f.usable and f.writable)
         # The statement call node sits at depth 0, so with max_recursion_depth
         # 0 only grounded (zero-arg) methods may be invoked for effect.
-        grounded = config.max_recursion_depth == 0
+        grounded = self.max_depth == 0
         self.calls = tuple(_method(m) for m in registry.methods.values()
                            if m.usable and not (grounded and m.params))
         # Indexed by grounding: False below max_recursion_depth, True at it.
@@ -356,6 +367,9 @@ class _Gen:
         self.assign = StatementKind.ASSIGN in enabled
         self.expr_stmt = StatementKind.EXPR_STMT in enabled
         self.if_else = StatementKind.IF_ELSE in enabled
+        # Each value type, and whether it has a static producer at depth 0.
+        self.decl_types = tuple((t, any(self.table(t, 0))) for t in registry.value_types())
+        self.static_bool = any(self.table(BOOL, 0))
 
     def fresh_name(self) -> str:
         name = f"v{self.next_local}"
@@ -363,12 +377,12 @@ class _Gen:
         return name
 
     def literal_range(self, interval: Optional[Bounds]) -> Tuple[int, int]:
-        lo, hi = self.config.int_literal_range
+        lo, hi = self.int_range
         cmin, cmax = interval or (None, None)
         return (lo if cmin is None else max(lo, cmin)), (hi if cmax is None else min(hi, cmax))
 
     def table(self, wanted: TypeId, depth: int) -> _Table:
-        grounded = depth >= self.config.max_recursion_depth
+        grounded = depth >= self.max_depth
         tables = self.producers[grounded]
         table = tables.get(wanted)
         if table is None:
@@ -376,15 +390,9 @@ class _Gen:
             table = tables[wanted] = (
                 tuple(c.name for c in cands if isinstance(c, FieldDescriptor)),
                 tuple(_method(c) for c in cands if isinstance(c, MethodDescriptor)),
-                self.config.literal_weight > 0 and any(isinstance(c, LiteralOption) for c in cands),
+                self.literal_weight > 0 and any(isinstance(c, LiteralOption) for c in cands),
             )
         return table
-
-    def producible(self, wanted: TypeId, scope: Scope) -> bool:
-        """Whether a statement-level expression of ``wanted`` has a producer. A
-        live int literal counts: with no interval its range is the config's."""
-        fields, methods, literal = self.table(wanted, 0)
-        return bool(fields or methods or literal or scope.by_type.get(wanted))
 
     def expression(
         self, wanted: TypeId, scope: Scope, depth: int = 0, interval: Optional[Bounds] = None
@@ -397,16 +405,17 @@ class _Gen:
         them is the literal: the same pick as subtracting each weight in turn,
         since 1.0 off a float >= 1 is exact and ``random() * n`` stays below n.
         """
-        fields, methods, literal = self.table(wanted, depth)
+        table = self.producers[depth >= self.max_depth].get(wanted)
+        fields, methods, literal = table or self.table(wanted, depth)
         local_names = scope.by_type.get(wanted, ())
-        if literal and wanted == INT:
+        if literal and interval is not None and wanted == INT:  # else the config's range
             lo, hi = self.literal_range(interval)
             literal = lo <= hi
         n_fields = len(fields)
         n_named = n_fields + len(local_names)
         n = n_named + len(methods)
         if literal:
-            total = n + self.config.literal_weight
+            total = n + self.literal_weight
         elif n:
             total = n
         else:
@@ -451,40 +460,46 @@ class _Gen:
 def _generate_statement(scope: Scope, gen: _Gen, nesting: int) -> Statement:
     feasible: List[StatementKind] = []
     decl_types: List[TypeId] = []
+    # A type has a producer here if it has a static one or a visible local.
+    locals_of = scope.by_type
     if gen.var_decl:
-        decl_types = [t for t in gen.value_types if gen.producible(t, scope)]
+        decl_types = [t for t, static in gen.decl_types if static or locals_of.get(t)]
         if decl_types:
-            feasible.append(StatementKind.VAR_DECL)
+            feasible.append(_VAR_DECL)
     # A usable field or a visible local is itself a producer of its type, so
     # every target has a value to draw.
     n_targets = len(gen.targets) + sum(map(len, scope.frames))
     if gen.assign and n_targets:
-        feasible.append(StatementKind.ASSIGN)
+        feasible.append(_ASSIGN)
     if gen.expr_stmt and gen.calls:
-        feasible.append(StatementKind.EXPR_STMT)
-    if gen.if_else and nesting < MAX_NESTING and gen.producible(BOOL, scope):
-        feasible.append(StatementKind.IF_ELSE)
+        feasible.append(_EXPR_STMT)
+    if gen.if_else and nesting < MAX_NESTING and (gen.static_bool or locals_of.get(BOOL)):
+        feasible.append(_IF_ELSE)
     if not feasible:
         raise InfeasibleStatement("no feasible statement kind")
     kind = feasible[gen.rng.randrange(len(feasible))]
-    if kind is StatementKind.IF_ELSE:
+    if kind is _IF_ELSE:
         cond = gen.expression(BOOL, scope)
         then_block = _generate_nested_block(scope, gen, nesting + 1)
         else_block = None
-        if gen.rng.random() < gen.config.else_probability:
+        if gen.rng.random() < gen.else_probability:
             else_block = _generate_nested_block(scope, gen, nesting + 1)
         return IfElse(cond, then_block, else_block)
-    if kind is StatementKind.VAR_DECL:
+    if kind is _VAR_DECL:
         decl_type = decl_types[gen.rng.randrange(len(decl_types))]
         init = gen.expression(decl_type, scope)
         name = gen.fresh_name()
         scope.declare(name, decl_type)
         return VarDecl(decl_type, name, init)
-    if kind is StatementKind.ASSIGN:
-        targets = [*gen.targets, *((LocalTarget(n), t) for n, t in scope.flatten())]
-        target, target_type = targets[gen.rng.randrange(n_targets)]
+    if kind is _ASSIGN:
+        k = gen.rng.randrange(n_targets)  # the fields, then the locals in ``flatten()`` order
+        if k < len(gen.targets):
+            target, target_type = gen.targets[k]
+        else:
+            name, target_type = scope.flatten()[k - len(gen.targets)]
+            target = LocalTarget(name)
         return Assign(target, gen.expression(target_type, scope))
-    assert kind is StatementKind.EXPR_STMT
+    assert kind is _EXPR_STMT
     method = gen.calls[gen.rng.randrange(len(gen.calls))]
     return ExprStmt(gen.call(method, scope, depth=0))
 

@@ -87,9 +87,10 @@ def naive_solve(challenge, hooks):
 
 def takes_general_path(hooks, board):
     """Whether ``tap_moves`` sends the tap of ``hooks`` down the general path
-    on boards of ``board``'s size: there every move runs the hook, where a
-    tabulated move only picks cells. Runs are counted at ``game.prepare``'s
-    runner, after the marker runs; a list that mixes the two paths fails."""
+    on boards of ``board``'s size: there the first move of each group of
+    cells that agree on the parameters read runs the hook, where a tabulated
+    move only picks cells. Runs are counted at ``game.prepare``'s runner,
+    after the marker runs; a general list that runs any other move fails."""
     runs = []
     real_prepare = game.prepare
 
@@ -104,8 +105,11 @@ def takes_general_path(hooks, board):
             before = len(runs)
             move(board.key() + _CONSTANTS)
             ran.append(len(runs) > before)
-    assert all(ran) or not any(ran), "a move list that mixes both paths"
-    return any(ran)
+    if not any(ran):
+        return False
+    groups = game._groups(board.width, board.height, hooks.delegate("onTileTapped").params_read)
+    assert ran == [group not in groups[:i] for i, group in enumerate(groups)], "not one run per group"
+    return True
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mechgen import game
 from mechgen.game import Board, GameState, build_game_registry, build_hook_table, tap
-from mechgen.lang import Signature, TypeCheckError, parse
+from mechgen.lang import INT64_MAX, INT64_MIN, Signature, TypeCheckError, parse
 from mechgen.registry import (
     BOOL,
     INT,
@@ -13,12 +14,15 @@ from mechgen.registry import (
     Registry,
 )
 from mechgen.runtime import (
+    FALSE,
+    TRUE,
     UNIT,
     ArityMismatch,
     BoolV,
     BudgetExceeded,
     ConstraintViolation,
     Delegate,
+    EnumV,
     ExecBudget,
     ExecutionError,
     GeneratedDelegate,
@@ -31,6 +35,7 @@ from mechgen.runtime import (
     SignatureMismatch,
     UnknownHook,
     WorldRead,
+    int_value,
     invoke,
     prepare,
     value_type,
@@ -282,6 +287,35 @@ def test_hook_table_clone_is_independent(game_registry, hooks):
 
 # --------------------------------------------------------------------------
 # budget
+
+
+@pytest.mark.parametrize("value", [-129, -128, 255, 256])
+def test_shared_ints_equal_fresh_ones_at_the_range_ends(value):
+    # -128..255 are shared; past either end each value is built fresh.
+    assert int_value(value) == IntV(value) and type(int_value(value)) is IntV
+    assert (int_value(value) is int_value(value)) is (-128 <= value <= 255)
+
+
+@pytest.mark.parametrize("a, b", [
+    (-128, -1), (-128, 0), (255, 0), (255, 1), (0, 0),
+    (INT64_MAX, 1), (INT64_MIN, -1), (INT64_MAX, INT64_MAX), (INT64_MIN, INT64_MIN),
+    (INT64_MAX, INT64_MIN), (INT64_MIN, INT64_MAX),
+])
+def test_shared_builtin_results_equal_fresh_ones(a, b):
+    args = (IntV(a), IntV(b))
+    assert game._host_add(None, args) == IntV(wrap64(a + b))
+    assert game._host_sub(None, args) == IntV(wrap64(a - b))
+    assert game._host_less(None, args) == BoolV(a < b)
+    assert game._host_equal(None, args) == BoolV(a == b)
+    assert game._host_less(None, args) is (TRUE if a < b else FALSE)
+
+
+def test_shared_board_results_equal_fresh_ones():
+    world = GameState(Board.from_rows(["R.", "RG"]))
+    assert world.read_field("Width") == IntV(2) and world.read_field("Height") == IntV(2)
+    assert game._host_count_colour(world, [EnumV("Colour", "R")]) == IntV(2)
+    assert game._host_is_occupied(world, (IntV(1), IntV(1))) == BoolV(False)
+    assert game._host_is_occupied(world, (IntV(0), IntV(1))) == BoolV(True)
 
 
 def test_budget_exhaustion():

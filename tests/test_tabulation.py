@@ -201,6 +201,31 @@ def test_raising_cells_before_and_after_the_winning_tap():
         assert result == EvalResult(Solved(2, witness), errors, explored), text
 
 
+@pytest.mark.parametrize("text, witness, errors, explored", [
+    # Reads x: column 0 raises while (0, 0) holds a tile.
+    ("if (IsOccupied(x, 0)) { DestroyTile(Sub(x, 1), 0); }", ((2, 0), (2, 0)), 5, 3),
+    # Reads y: the top row raises while (0, 1) holds a tile.
+    ("if (IsOccupied(0, y)) { DestroyTile(0, Add(y, 1)); }", None, 3, 2),
+])
+def test_a_general_block_that_reads_one_parameter_raises_per_group(text, witness, errors, explored):
+    # A reader takes the general path, where a tap runs once per group of
+    # cells that agree on the parameter read, on each parent. Every cell of
+    # a raising group is still its own move and counts its error: ``errors``
+    # and ``explored`` are the counts of one run per cell.
+    challenge = parse_challenge("RY.\nRYG\ngoal: COLOUR_CLEARED Y\nmax_taps: 3\n")
+    registry = build_game_registry(3, 2)
+    block = parse(text, params=["x", "y"])
+    hooks = hooks_for(block, registry)
+    assert len(hooks.delegate("onTileTapped").params_read) == 1
+    assert takes_general_path(hooks, challenge.initial)
+    result = solve(challenge, hooks)
+    status = Unsolvable() if witness is None else Solved(len(witness), witness)
+    assert result == EvalResult(status, errors, explored)
+    assert result == solve(challenge, hooks_for(block, general_registry(registry)))
+    expected = ("unsolvable", None, None) if witness is None else ("solved", len(witness), witness)
+    assert naive_solve(challenge, hooks) == expected
+
+
 def test_a_tap_that_is_the_identity_on_some_masks_only():
     # Destroying a column's top cell does nothing while the column is not full.
     for board in ("..R\n.GB\nRBG", ".R.\nGBR\nRGB", "RG.\nGBR\nRGB"):
@@ -311,8 +336,17 @@ def challenges(draw):
     return Challenge(board, goal, draw(st.integers(min_value=1, max_value=3)))
 
 
+@st.composite
+def deep_challenges(draw):
+    """A gravity-normal board of two cells or more, a goal that fails on it,
+    and two or three taps: where a solve can count past the root."""
+    board = apply_gravity(draw(boards.filter(lambda board: len(board.cells) > 1)))
+    goal = draw(goals.filter(lambda goal: not goal.satisfied(board)))
+    return Challenge(board, goal, draw(st.integers(min_value=2, max_value=3)))
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(challenges(), st.sampled_from(sorted(CONFIGS)), st.integers(min_value=0, max_value=10**6))
+@given(deep_challenges(), st.sampled_from(sorted(CONFIGS)), st.integers(min_value=0, max_value=10**6))
 def test_generated_candidates_agree(challenge, config_name, seed):
     registry = build_game_registry(challenge.initial.width, challenge.initial.height)
     try:
@@ -363,15 +397,6 @@ def test_deep_generated_solves_agree(config_name, challenge_name, floor):
 @given(challenges(), st.sampled_from(ONE_LINERS))
 def test_one_liners_agree_on_random_boards(challenge, text):
     assert_paths_agree(challenge, text)
-
-
-@st.composite
-def deep_challenges(draw):
-    """A gravity-normal board of two cells or more, a goal that fails on it,
-    and two or three taps: where a solve can count past the root."""
-    board = apply_gravity(draw(boards.filter(lambda board: len(board.cells) > 1)))
-    goal = draw(goals.filter(lambda goal: not goal.satisfied(board)))
-    return Challenge(board, goal, draw(st.integers(min_value=2, max_value=3)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -869,10 +894,10 @@ def test_a_reader_keeps_the_queue():
 def test_the_random_differentials_take_the_counting_path():
     """The Hypothesis differentials above draw cases that ``solve`` counts
     past the root, so their general path checks the count: at least one in
-    ``test_one_liners_agree_on_random_boards`` and in
-    ``test_generated_candidates_agree``, whose draws are mostly one tap or a
-    root with no new child (the latter draws twice as many cases, as few
-    generated blocks count past a gravity-normal root), and one in ten in
+    ``test_one_liners_agree_on_random_boards``, whose draws are mostly one
+    tap or a root with no new child, and in ``test_generated_candidates_agree``
+    (it draws deep challenges, and twice as many cases, as few generated
+    blocks count past a gravity-normal root), and one in ten in
     ``test_one_liners_agree_on_deep_challenges``. Some of the deep draws
     count over two parts or more."""
     taken = {"random": [], "generated": [], "deep": []}
@@ -895,7 +920,7 @@ def test_the_random_differentials_take_the_counting_path():
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(challenges(), st.sampled_from(sorted(CONFIGS)),
+    @given(deep_challenges(), st.sampled_from(sorted(CONFIGS)),
            st.integers(min_value=0, max_value=10**6))
     def generated(challenge, config_name, seed):
         registry = build_game_registry(challenge.initial.width, challenge.initial.height)
@@ -908,7 +933,8 @@ def test_the_random_differentials_take_the_counting_path():
     one_liners("random", challenges())
     one_liners("deep", deep_challenges())
     generated()
-    # 17 of 150, 2 of 300 and 78 of 150 when written
+    # 17 of 150, 4 of 300 and 78 of 150 when written (2 of 300 when the
+    # generated draws were not deep)
     assert all(len(flags) >= 100 for flags in taken.values())
     assert sum(taken["random"]) >= 1 and sum(taken["generated"]) >= 1
     assert sum(taken["deep"]) * 10 >= len(taken["deep"])
@@ -1217,18 +1243,18 @@ def test_a_tabulated_block_runs_once_per_group(text, groups, monkeypatch):
     assert len(runs) == groups
 
 
-@pytest.mark.parametrize("text", [
-    "if (IsOccupied(0, 0)) { DestroyTile(1, 0); }",
-    "if (IsOccupied(x, 0)) { SetTile(x, 0, Colour.G); }",
-    "if (Less(CountColour(Colour.R), 3)) { DestroyTile(0, y); }",
-    "if (IsOccupied(x, y)) { DestroyTile(x, y); }",
-    None,  # the baseline's host behavior
+@pytest.mark.parametrize("text, groups", [
+    ("if (IsOccupied(0, 0)) { DestroyTile(1, 0); }", 1),
+    ("if (IsOccupied(x, 0)) { SetTile(x, 0, Colour.G); }", 3),  # the width
+    ("if (Less(CountColour(Colour.R), 3)) { DestroyTile(0, y); }", 2),  # the height
+    ("if (IsOccupied(x, y)) { DestroyTile(x, y); }", 6),
+    (None, 6),  # the baseline's host behavior reads both parameters
 ])
-def test_a_board_reader_runs_once_per_cell_on_each_expanded_state(text, monkeypatch):
-    # Grouping is for tabulated blocks: a hook that reads the board runs for
-    # every cell of every state the solve expands, whatever it reads. It also
-    # has its one marker run, which stops at its first read; a host behavior
-    # declares no effect, so it is a reader from the start.
+def test_a_board_reader_runs_once_per_group_on_each_expanded_state(text, groups, monkeypatch):
+    # A hook that reads the board runs once per group of cells on every state
+    # the solve expands; the other cells of a group reuse that run's child.
+    # It also has its one marker run, which stops at its first read; a host
+    # behavior declares no effect, so it is a reader from the start.
     challenge = parse_challenge(SPY_CHALLENGE)
     if text is None:
         hooks = build_hook_table()
@@ -1238,7 +1264,7 @@ def test_a_board_reader_runs_once_per_cell_on_each_expanded_state(text, monkeypa
     runs = count_runs(monkeypatch)
     result = solve(challenge, hooks)
     assert result.status == Unsolvable() and result.states_explored > 1
-    assert len(runs) == 6 * result.states_explored + 1
+    assert len(runs) == groups * result.states_explored + 1
 
 
 def test_the_default_hook_runs_only_its_marker_runs(monkeypatch):
