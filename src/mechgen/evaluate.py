@@ -23,6 +23,7 @@ from .game import (
     Board,
     Cell,
     Later,
+    apply_gravity,
     build_hook_table,
     tap,  # unused here; the benchmark's tracer wraps ``evaluate.tap`` by name
     tap_moves,
@@ -59,12 +60,12 @@ class Goal:
 
     def satisfied(self, board: Board) -> bool:
         test, holds = self.key_test()
-        return test(board.key()) is holds
+        return test(board.cells) is holds
 
     def key_test(self) -> Tuple[Callable[[Tuple[Cell, ...]], bool], bool]:
         """The goal as one C call on a board key, built once per solve:
         ``(test, holds)`` such that the goal holds on a board when
-        ``test(board.key()) is holds``. This is the one definition of each
+        ``test(board.cells) is holds``. This is the one definition of each
         goal: no cell holds a tile, ``colour`` is in no cell, or it is in
         some cell."""
         if self.kind is GoalKind.CLEARED:
@@ -96,8 +97,10 @@ class NotGravityNormal(ChallengeError):
 
 @dataclass(frozen=True)
 class Challenge:
-    """A gravity-normal board, a goal that fails on it, and a budget of at
-    least one tap: constructing one checks the budget, then the board, then the goal."""
+    """A gravity-normal board (``apply_gravity`` leaves it as it is), a goal
+    that fails on it, and a budget of at least one tap: constructing one
+    checks the budget, then the board, then the goal. A board never changes,
+    so a checked challenge stays valid."""
 
     initial: Board
     goal: Goal
@@ -106,7 +109,7 @@ class Challenge:
     def __post_init__(self) -> None:
         if self.max_taps < 1:
             raise ChallengeError("max_taps must be >= 1")
-        if not self.initial.is_gravity_normal():
+        if apply_gravity(self.initial) != self.initial:
             raise NotGravityNormal("board has floating tiles")
         if self.goal.satisfied(self.initial):
             raise AlreadySolved(f"goal '{self.goal.describe()}' already holds on the initial board")
@@ -213,8 +216,8 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     (y, x) tap ordering, which is what expanding taps bottom row first gives.
     states_explored counts states dequeued and expanded.
 
-    The frontier and ``visited`` hold board keys (``Board.key()``: the flat
-    tuple of cells), not game states. The tap hook is resolved and checked
+    The frontier and ``visited`` hold board keys (a ``Board``'s cells: the
+    flat tuple), not game states. The tap hook is resolved and checked
     once per solve into the moves of ``game.tap_moves``, so a hook that
     cannot take the tap's arguments raises on every tap and prunes every
     branch; the goal becomes one C call on a key (``Goal.key_test``).
@@ -249,7 +252,7 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     board's fewest taps is the sum of its parts' fewest. Taps that join
     every column are one part, counted as the whole board.
     """
-    start = challenge.initial.key()
+    start = challenge.initial.cells
     goal = challenge.goal
     test, holds = goal.key_test()
     last = challenge.max_taps - 1  # the children of states at this depth are not stored

@@ -69,32 +69,33 @@ Cell = Optional[str]  # a colour name, or None for empty
 
 
 class Board:
-    """width x height grid stored as one flat, column-major list.
+    """width x height grid: an immutable value whose cells are one flat,
+    column-major tuple.
 
     Cell (x, y) is ``cells[x * height + y]``, with y=0 the bottom row, so
     column x is the slice ``cells[x * height:(x + 1) * height]``, bottom
-    first. The board's value is ``key()``, the tuple of its cells: the
-    solver keeps boards as keys and maps a parent's key to its child's.
-    Two boards are equal when their shape and cells are.
+    first. The cells are the board's key (``key()``): the solver keeps
+    boards as keys and maps a parent's key to its child's. A board never
+    changes after it is built, which copies ``cells``; a tap changes a
+    ``GameState``. Two boards are equal when their shape and cells are.
     """
 
-    def __init__(self, width: int, height: int, cells: Optional[List[Cell]] = None):
+    def __init__(self, width: int, height: int, cells: Optional[Sequence[Cell]] = None):
         if width < 1 or height < 1:
             raise ValueError("board dimensions must be >= 1")
-        if cells is None:
-            cells = [None] * (width * height)
-        elif len(cells) != width * height:
+        cells = (None,) * (width * height) if cells is None else tuple(cells)
+        if len(cells) != width * height:
             raise ValueError(f"a {width}x{height} board needs {width * height} cells")
         self.width = width
         self.height = height
-        self.cells = cells
+        self.cells: Tuple[Cell, ...] = cells
 
     @classmethod
     def from_rows(cls, rows: Sequence[str]) -> "Board":
         """Build from text rows, top row first; '.' marks an empty cell."""
         height = len(rows)
         width = len(rows[0]) if rows else 0
-        board = cls(width, height)
+        cells: List[Cell] = [None] * (width * height)
         for r, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError("all rows must have equal length")
@@ -103,39 +104,27 @@ class Board:
                     continue
                 if ch not in COLOURS:
                     raise ValueError(f"unknown tile character {ch!r}")
-                board.cells[x * height + height - 1 - r] = ch
-        return board
+                cells[x * height + height - 1 - r] = ch
+        return cls(width, height, cells)
 
     def to_rows(self) -> List[str]:
         """Text rows, top row first; '.' marks an empty cell."""
         h = self.height
         return ["".join(c or "." for c in self.cells[y::h]) for y in reversed(range(h))]
 
-    def in_bounds(self, x: int, y: int) -> bool:
-        return 0 <= x < self.width and 0 <= y < self.height
-
     def get(self, x: int, y: int) -> Cell:
         return self.cells[x * self.height + y]
-
-    def set(self, x: int, y: int, colour: Cell) -> None:
-        self.cells[x * self.height + y] = colour
 
     def count(self, colour: str) -> int:
         return self.cells.count(colour)
 
-    def is_gravity_normal(self) -> bool:
-        """Whether gravity leaves this board as it is (``apply_gravity``): it
-        is full, or no column has an empty cell among its lowest
-        ``height - empty`` cells."""
-        h, cells = self.height, self.cells
-        return None not in cells or not any(None in cells[lo:lo + h - cells[lo:lo + h].count(None)]
-                                            for lo in range(0, len(cells), h))
-
     def clone(self) -> "Board":
-        return Board(self.width, self.height, self.cells[:])
+        """The board itself, as a board never changes. The benchmark's
+        oracle still calls it on a state's board before tapping a copy."""
+        return self
 
     def key(self) -> Tuple[Cell, ...]:
-        return tuple(self.cells)
+        return self.cells
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -165,29 +154,38 @@ def _settle(cells: List[Cell], h: int) -> None:
 def apply_gravity(board: Board) -> Board:
     """Compact each column downward, preserving vertical order; idempotent.
 
-    Returns a new board; ``board`` is left unchanged.
+    Returns a new board, settled from a list copy of ``board``'s cells.
     """
-    out = board.clone()
-    _settle(out.cells, out.height)
-    return out
+    cells = list(board.cells)
+    _settle(cells, board.height)
+    return Board(board.width, board.height, cells)
 
 
 class GameState:
-    """A board plus the tap counter."""
+    """The one mutable world: a board's size, its cells as a list that hosts
+    and ``tap`` change in place (cell (x, y) is ``cells[x * height + y]``,
+    as in a ``Board``), and the tap counter. ``GameState(board)`` copies
+    the board's cells; ``board`` is a snapshot of them."""
 
     def __init__(self, board: Board, taps_used: int = 0):
-        self.board = board
+        self.width = board.width
+        self.height = board.height
+        self.cells: List[Cell] = list(board.cells)
         self.taps_used = taps_used
 
+    @property
+    def board(self) -> Board:
+        return Board(self.width, self.height, self.cells)
+
     def clone(self) -> "GameState":
-        return GameState(self.board.clone(), self.taps_used)
+        return GameState(self.board, self.taps_used)
 
     # Field access for generated code; both game fields are read-only.
     def read_field(self, name: str) -> Value:
         if name == "Width":
-            return int_value(self.board.width)
+            return int_value(self.width)
         if name == "Height":
-            return int_value(self.board.height)
+            return int_value(self.height)
         raise HostError(f"unknown game field '{name}'")
 
     def write_field(self, name: str, value: Value) -> None:
@@ -199,11 +197,11 @@ def _run_tap(run: Runner, args: Tuple[IntV, IntV], state: GameState) -> None:
     the prepared hook on ``state`` with a fresh budget, then restore
     gravity-normal form in place. A full board costs one C-level scan, as
     colours are non-empty names, so only an empty cell is false. Errors
-    from the hook propagate and may leave the board partially modified."""
+    from the hook propagate and may leave the cells partially modified."""
     run(args, state, ExecBudget())
-    cells = state.board.cells
+    cells = state.cells
     if not all(cells):
-        _settle(cells, state.board.height)
+        _settle(cells, state.height)
 
 
 # A move maps ``src``, the parent's key followed by ``_CONSTANTS``, to the
@@ -259,7 +257,8 @@ def tap_moves(
     cells are ``key``. Taps come bottom row first,
     in (y, x) order; a later rebinding of the hook does not reach the
     moves. ``board`` is the root, gravity-normal as a challenge's is: only
-    its size is read.
+    its size matters, as the scratch state starts from it and every run
+    refills its cells first.
 
     Every hook, one marker pass; a host behavior is a reader. Each tap of a
     hook is tabulated, or each takes the general path. The hook runs under
@@ -283,15 +282,14 @@ def tap_moves(
     A run that reaches a reader (a host behavior's first run does), or
     leaves a value no gather can pick (a variant that is no tile colour, if
     the registry declares one), sends the hook down the general path
-    (``_general``): a move refills a scratch board with ``key`` and runs
-    ``tap``'s body (``_run_tap``), once per group on each parent. The other
-    cells of the group reuse that run's child, or its None: the cells of a
-    group pass equal values for every parameter the block can read, dead
-    branches included, and each run has a fresh budget, so the child, the
-    error and any budget overrun are the group's. Each cell is still its own
-    move, so error counts and witnesses do not change. The marker runs and
-    the general moves share one scratch state per call, as each run refills
-    its cells first.
+    (``_general``): a move refills the scratch state's cells with ``key``
+    and runs ``tap``'s body (``_run_tap``), once per group on each parent.
+    The other cells of the group reuse that run's child, or its None: the
+    cells of a group pass equal values for every parameter the block can
+    read, dead branches included, and each run has a fresh budget, so the
+    child, the error and any budget overrun are the group's. Each cell is
+    still its own move, so error counts and witnesses do not change. The
+    marker runs and the general moves share that one scratch state per call.
 
     Gravity after a gather depends only on which picks are empty, which the
     parent's empty cells (its mask) fix, so the two together are again a
@@ -322,7 +320,7 @@ def tap_moves(
     n, h = len(board.cells), board.height
     delegate = hooks.delegate(ON_TILE_TAPPED)
     run = prepare(delegate, (INT, INT))
-    state = GameState(Board(board.width, h))  # the scratch state marker runs and general moves tap
+    state = GameState(board)  # the scratch state marker runs and general moves tap; each run refills it
     table = _marker_pass(run, board, delegate.params_read, state)
     if table is None:  # the general path
         return _general(run, board.width, h, delegate.params_read, state), None
@@ -350,7 +348,7 @@ def _general(run: Runner, width: int, h: int, read: FrozenSet[int], state: GameS
     taps, cell_args, _ = _cells(width, h)
     rows = list(zip(taps, _groups(width, h, read), cell_args))
     n = len(taps)
-    cells = state.board.cells
+    cells = state.cells
 
     def runs(children: Dict[Tuple[int, ...], Optional[Tuple[Cell, ...]]], group: Tuple[int, ...],
              args: Tuple[IntV, IntV], src: Tuple[Cell, ...]) -> Optional[Tuple[Cell, ...]]:
@@ -435,7 +433,7 @@ def _marker_pass(run: Runner, board: Board, read: FrozenSet[int], marked: GameSt
     outcomes: Dict[Tuple[int, ...], Optional[Tuple[int, ...]]] = {}  # () for a NOOP
     for args, group in zip(cell_args, groups):
         if group not in outcomes:  # the group's marker run
-            marked.board.cells[:] = markers
+            marked.cells[:] = markers
             try:
                 run(args, marked, Probe())
             except WorldRead:
@@ -443,7 +441,7 @@ def _marker_pass(run: Runner, board: Board, read: FrozenSet[int], marked: GameSt
             except ExecutionError:
                 outcomes[group] = None
             else:
-                after = marked.board.cells
+                after = marked.cells
                 if after == markers:  # its child is its parent
                     outcomes[group] = ()
                 else:
@@ -488,13 +486,12 @@ def tap(state: GameState, x: int, y: int, hooks: HookTable) -> GameState:
     This is the bounds check, then the tap body (``_run_tap``) that the
     solver's general moves (``tap_moves``) share, so binding a generated
     delegate to ``onTileTapped`` swaps the mechanic for both. Gravity is
-    restored in place on ``state.board``. Errors from the hook propagate
-    and may leave the board partially modified, so searchers tap a copy of
-    the state.
+    restored in place on ``state.cells``. Errors from the hook propagate
+    and may leave the cells partially modified, so searchers tap a copy of
+    the state (``GameState(board)`` copies a board's cells).
     """
-    board = state.board
-    if not board.in_bounds(x, y):
-        raise OutOfBounds(f"tap at ({x}, {y}) outside {board.width}x{board.height}")
+    if not (0 <= x < state.width and 0 <= y < state.height):
+        raise OutOfBounds(f"tap at ({x}, {y}) outside {state.width}x{state.height}")
     _run_tap(prepare(hooks.delegate(ON_TILE_TAPPED), (INT, INT)), (IntV(x), IntV(y)), state)
     state.taps_used += 1
     return state
@@ -505,32 +502,31 @@ def tap(state: GameState, x: int, y: int, hooks: HookTable) -> GameState:
 
 
 def _host_destroy_tile(world: GameState, args: Sequence[Value]) -> Value:
-    world.board.set(args[0].value, args[1].value, None)  # type: ignore[union-attr]
+    world.cells[args[0].value * world.height + args[1].value] = None  # type: ignore[union-attr]
     return UNIT
 
 
 def _host_set_tile(world: GameState, args: Sequence[Value]) -> Value:
-    world.board.set(args[0].value, args[1].value, args[2].variant)  # type: ignore[union-attr]
+    world.cells[args[0].value * world.height + args[1].value] = args[2].variant  # type: ignore[union-attr]
     return UNIT
 
 
 def _host_swap_tiles(world: GameState, args: Sequence[Value]) -> Value:
-    board = world.board
-    h = board.height
+    h = world.height
     i = args[0].value * h + args[1].value  # type: ignore[union-attr]
     j = args[2].value * h + args[3].value  # type: ignore[union-attr]
-    cells = board.cells
+    cells = world.cells
     cells[i], cells[j] = cells[j], cells[i]
     return UNIT
 
 
 def _host_count_colour(world: GameState, args: Sequence[Value]) -> Value:
-    return int_value(world.board.count(args[0].variant))  # type: ignore[union-attr]
+    return int_value(world.cells.count(args[0].variant))  # type: ignore[union-attr]
 
 
 def _host_is_occupied(world: GameState, args: Sequence[Value]) -> Value:
-    occupied = world.board.get(args[0].value, args[1].value) is not None  # type: ignore[union-attr]
-    return TRUE if occupied else FALSE
+    cell = world.cells[args[0].value * world.height + args[1].value]  # type: ignore[union-attr]
+    return FALSE if cell is None else TRUE
 
 
 def _host_add(world: GameState, args: Sequence[Value]) -> Value:

@@ -158,7 +158,7 @@ class MethodDescriptor:
     None for an open side, for example ``{"x": (0, 2), "n": (None, 9)}``.
     It is the one form of a bound: it is stored read-only, in signature
     order and without fully open entries, and the compiler, the generator
-    (through ``literal_interval``) and ``Registry.dump_lines`` all read it.
+    (``synthesis._method``) and ``Registry.dump_lines`` all read it.
     Descriptors compare their bounds; the hash leaves the mapping out.
 
     ``reads_world`` declares the method's effect. False promises that what

@@ -324,12 +324,6 @@ class HookTable:
     def names(self) -> List[str]:
         return list(self._slots)
 
-    def clone(self) -> "HookTable":
-        table = HookTable()
-        for name, slot in self._slots.items():
-            table._slots[name] = _HookSlot(slot.default, slot.current)
-        return table
-
 
 # --------------------------------------------------------------------------
 # Invocation

@@ -196,6 +196,20 @@ def test_a_challenge_built_directly_is_checked_as_parsed(rows, goal, max_taps, e
         assert (type(parsed.value), str(built.value)) == (error, str(parsed.value))
 
 
+def test_a_checked_challenge_stays_valid(hooks):
+    # A challenge's board cannot be written, so no floating root can follow
+    # the check, and tapping a state built from the board leaves it alone.
+    c = parse_challenge("..\nRG\ngoal: CLEARED\nmax_taps: 2\n")
+    with pytest.raises(TypeError):
+        c.initial.cells[1] = None  # type: ignore[index]
+    before = solve(c, hooks)
+    world = GameState(c.initial)
+    tap(world, 0, 0, hooks)
+    assert world.board == Board.from_rows(["..", ".G"])
+    assert c.initial == Board.from_rows(["..", "RG"])
+    assert solve(c, hooks) == before == EvalResult(Solved(2, ((0, 0), (1, 0))), 0, 2)
+
+
 @pytest.mark.parametrize("kind, colour", [
     (GoalKind.COLOUR_PRESENT, "Q"),
     (GoalKind.COLOUR_CLEARED, None),

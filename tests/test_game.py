@@ -58,7 +58,7 @@ def test_from_rows_rejects_bad_input():
 def test_gravity_compacts_column_preserving_order():
     # bottom-to-top [Empty, R, Empty, G] -> [R, G, Empty, Empty]
     board = Board(1, 4, [None, "R", None, "G"])
-    assert apply_gravity(board).cells == ["R", "G", None, None]
+    assert apply_gravity(board).cells == ("R", "G", None, None)
 
 
 def test_gravity_leaves_normal_boards_unchanged():
@@ -68,14 +68,14 @@ def test_gravity_leaves_normal_boards_unchanged():
 
 def test_gravity_full_column_unchanged():
     board = Board(1, 3, ["R", "G", "B"])
-    assert apply_gravity(board).cells == ["R", "G", "B"]
+    assert apply_gravity(board).cells == ("R", "G", "B")
 
 
 @settings(max_examples=200, deadline=None)
 @given(board=boards)
 def test_gravity_idempotent(board):
     once = apply_gravity(board)
-    assert once.is_gravity_normal()
+    assert apply_gravity(once) == once
     assert apply_gravity(once) == once
 
 
@@ -120,16 +120,16 @@ def test_flat_board_matches_per_column_reference(cols):
     assert all(board.get(x, y) == cols[x][y] for x in range(width) for y in range(height))
     for colour in ["R", "G", "B", "Y"]:
         assert board.count(colour) == sum(col.count(colour) for col in cols)
-    assert board.is_gravity_normal() == ref_is_gravity_normal(cols)
+    assert (apply_gravity(board) == board) == ref_is_gravity_normal(cols)
     assert board.to_rows() == ref_rows(cols)
     assert Board.from_rows(board.to_rows()) == board
     assert Board(width, height, list(board.key())) == board
     settled = ref_gravity(cols)
     assert apply_gravity(board) == board_of(settled)
     assert board == board_of(cols)  # apply_gravity leaves its argument alone
-    cells = board.cells
+    cells = list(board.cells)
     _settle(cells, height)
-    assert board.cells is cells and board == board_of(settled)
+    assert Board(width, height, cells) == board_of(settled)
 
 
 def test_boards_of_different_shape_are_unequal():
@@ -138,6 +138,16 @@ def test_boards_of_different_shape_are_unequal():
     assert tall.key() == wide.key()
     assert tall != wide
     assert tall == Board(2, 3, list(cells))
+
+
+def test_a_board_does_not_alias_its_cells():
+    cells = ["R", None]
+    board = Board(1, 2, cells)
+    cells[0] = "G"
+    assert board.cells == ("R", None) and board.key() is board.cells
+    world = GameState(board)
+    world.cells[0] = None
+    assert board == Board(1, 2, ("R", None))
 
 
 def test_board_rejects_a_cell_list_of_the_wrong_size():
@@ -153,25 +163,25 @@ def test_tap_destroys_bottom_tile_and_drops_the_rest(hooks):
     # bottom-to-top [R, G]; tapping the R cell leaves [G, Empty]
     world = GameState(Board(1, 2, ["R", "G"]))
     tap(world, 0, 0, hooks)
-    assert world.board.cells == ["G", None]
+    assert world.cells == ["G", None]
     assert world.taps_used == 1
 
 
 def test_tap_empty_cell_only_counts_the_tap(hooks):
     world = GameState(Board(1, 2, ["R", None]))
     tap(world, 0, 1, hooks)
-    assert world.board.cells == ["R", None]
+    assert world.cells == ["R", None]
     assert world.taps_used == 1
 
 
 def test_tap_restores_gravity_in_place(hooks):
     # both columns start with a floating tile; the tap empties column 0's bottom
     world = GameState(Board.from_rows(["GB", "..", "R."]))
-    board = world.board
+    cells = world.cells
     expected = apply_gravity(Board.from_rows(["GB", "..", ".."]))
     tap(world, 0, 0, hooks)
-    assert world.board is board
-    assert board == expected
+    assert world.cells is cells
+    assert world.board == expected
 
 
 def test_tap_out_of_bounds(hooks):
@@ -233,7 +243,7 @@ def test_baseline_destroys_without_counting_taps():
 def test_gamestate_clone_is_independent():
     world = GameState(Board(1, 1, ["R"]), taps_used=2)
     copy = world.clone()
-    copy.board.set(0, 0, None)
+    copy.cells[0] = None
     copy.taps_used = 9
     assert world.board.get(0, 0) == "R"
     assert world.taps_used == 2
@@ -333,7 +343,7 @@ def test_board_is_gravity_normal_after_any_successful_tap(game_registry, tap_sig
             except ExecutionError:
                 world = GameState(Board.from_rows(["RGB", "BRG", "GBR"]))
                 continue
-            assert world.board.is_gravity_normal()
+            assert apply_gravity(world.board) == world.board
 
 
 def test_tap_signature_is_one_shared_value():

@@ -278,13 +278,6 @@ def test_bind_then_reset_restores_baseline_transitions(game_registry, hooks):
     assert run(hooks) == baseline
 
 
-def test_hook_table_clone_is_independent(game_registry, hooks):
-    clone = hooks.clone()
-    block = parse("DoNothing();")
-    clone.bind("onTileTapped", GeneratedDelegate(hooks.sig("onTileTapped"), block, game_registry))
-    assert hooks.delegate("onTileTapped") is not clone.delegate("onTileTapped")
-
-
 # --------------------------------------------------------------------------
 # budget
 
@@ -367,7 +360,7 @@ def test_a_host_behavior_is_a_reader_under_a_probe(tap_sig):
 
     def destroy(world, args):
         calls.append(args)
-        world.board.set(args[0].value, args[1].value, None)
+        world.cells[args[0].value * world.height + args[1].value] = None
         return UNIT
 
     delegate = HostDelegate(tap_sig, destroy)

@@ -996,7 +996,7 @@ def argument_lists(method):
 def run_host(method, cells, args):
     world = GameState(Board(WIDTH, HEIGHT, list(cells)))
     value = method.host_impl(world, args)
-    return value, world.board.cells
+    return value, world.cells
 
 
 def non_readers():
