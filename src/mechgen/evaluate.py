@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from .game import (
-    _CONSTANTS,
     COLOURS,
     ON_TILE_TAPPED,
     Board,
@@ -218,34 +217,30 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
 
     The frontier and ``visited`` hold board keys (a ``Board``'s cells: the
     flat tuple), not game states. The tap hook is resolved and checked
-    once per solve into the moves of ``game.tap_moves``, so a hook that
+    once per solve into the ``later`` of ``game.tap_moves``, so a hook that
     cannot take the tap's arguments raises on every tap and prunes every
     branch; the goal becomes one C call on a key (``Goal.key_test``).
-    Expanding a state, the root included, takes ``later(key)`` and
-    builds ``key + (None, *COLOURS)`` once (the values a tabulated move
-    picks from); per move, ``move`` maps that to the child's key, already
-    gravity-normal (or None: the tap raised). The child is then
-    goal-checked and, if adding it grows ``visited``, queued: one hash per
-    child, as a tuple does not cache its hash.
-
-    ``tap_moves`` tabulates the hook before the search starts unless its
-    marker pass sends it down the general path, where each tap runs the hook
-    on a scratch board. A tabulated tap is one ``itemgetter`` call on the
-    parent's key, settled for its empty cells, or None, and a tap that
-    leaves the parent as it is has no move.
+    Expanding a state, the root included, asks ``later(key)`` for its taps
+    and their children, each a child's key, already gravity-normal (or
+    None: the tap raised); every child is built before the first is
+    checked. Each is then goal-checked in tap order and, if adding it grows
+    ``visited``, queued: one hash per child, as a tuple does not cache its
+    hash. How a child is made stays in ``game``: a tabulated tap picks the
+    parent's cells, a general one runs the hook on a scratch board, and a
+    tap that leaves the parent as it is is not among the taps.
 
     Children at the last tap depth are goal-checked but neither stored in
     ``visited`` nor queued: they would never be expanded, and BFS discovers
     every shallower state before any state at that depth, so leaving them
     out of ``visited`` cannot change which shallower states are expanded.
 
-    When no move can ever meet the goal, ``tap_moves`` says how many cells
+    When no tap can ever meet the goal, ``tap_moves`` says how many cells
     raise on every board, and nothing is queued: ``_count_levels`` counts
     the states from the root down, leaving the last level unexpanded. It
     decides from the colour a COLOUR_PRESENT goal wants, or those a
     clearing goal forbids (its colour, or every colour for CLEARED). Every
-    state would be expanded and count each raising cell (every move list
-    keeps them), so ``states_explored`` is the number of states and
+    state would be expanded and count each raising cell (``later`` keeps
+    them), so ``states_explored`` is the number of states and
     ``error_count`` that times the raising cells. ``tap_moves`` splits the
     other taps into parts that share no column, and the levels of each part
     are counted on its own and convolved: on the gravity-normal root a
@@ -271,9 +266,7 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
         key, path = frontier.popleft()
         explored += 1
         depth = len(path)
-        src = key + _CONSTANTS
-        for tap_xy, move in later(key):
-            child = move(src)
+        for tap_xy, child in zip(*later(key)):
             if child is None:  # the tap raised an ExecutionError
                 errors += 1
                 continue
@@ -291,17 +284,17 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
 
 def _count_levels(start: Tuple[Cell, ...], parts: List[Later], depths: int) -> List[int]:
     """The number of states at each depth up to ``depths`` taps from
-    ``start``, given moves split into ``parts`` (``later``s) whose taps
-    change and read only their own part's columns.
+    ``start``, given taps split into ``parts`` (``later``s) that change and
+    read only their own part's columns.
 
-    Each part's levels are counted from ``start`` with its own moves, level
-    by level until a level adds none. Each parent adds its children to a set
-    in one call; the set keeps their hashes for the subtraction and the
-    merge, so each child is hashed once. A level joins ``visited`` only to
+    Each part's levels are counted from ``start`` with its own ``later``,
+    level by level until a level adds none. Each parent adds its children
+    to a set in one call; the set keeps their hashes for the subtraction and
+    the merge, so each child is hashed once. A level joins ``visited`` only to
     be expanded, and loses the states seen before in place, so the last
     level, often the largest, is held once and never merged.
 
-    Moves of different parts commute (independent moves, as in Godefroid's
+    Taps of different parts commute (independent moves, as in Godefroid's
     partial-order methods, 1996), and neither sees the other's columns, so
     the fewest taps that reach a board is the sum of the fewest for each of
     its parts: the level sizes of the whole are the convolution of the
@@ -314,8 +307,7 @@ def _count_levels(start: Tuple[Cell, ...], parts: List[Later], depths: int) -> L
             visited |= level
             children: Set[Tuple[Cell, ...]] = set()
             for key in level:
-                src = key + _CONSTANTS
-                children.update([move(src) for _, move in later(key)])
+                children.update(later(key)[1])
             children -= visited
             if not children:
                 break

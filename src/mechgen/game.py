@@ -8,9 +8,11 @@ replacement mechanics: ``tap`` (one tap) and ``tap_moves`` (every tap, for
 the solver: every hook, one marker pass; a host behavior is a reader) read
 the hook table and run one tap body, ``_run_tap``. ``_settle`` is the one
 place that knows the column rule; ``tap_moves`` also folds it into each
-tabulated gather, so every move the solver gets returns a settled child.
+tabulated gather. The solver asks ``later(key)``, from ``tap_moves``, for a
+board's children: it gets ``(taps, children)``, each child already settled
+(or None: the tap raised), and how a child is made stays in this module.
 As gravity acts per column, ``tap_moves`` also splits the taps of a solve
-that no move can win into parts that share no column (``_parts``), which
+that no tap can win into parts that share no column (``_parts``), which
 the solver counts apart.
 
 ``build_game_registry`` publishes the design space for this game: the Colour
@@ -22,7 +24,7 @@ shared values (``runtime.int_value``, ``TRUE`` and ``FALSE``).
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import compress, repeat
 from operator import is_, itemgetter, ne
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -112,12 +114,6 @@ class Board:
         h = self.height
         return ["".join(c or "." for c in self.cells[y::h]) for y in reversed(range(h))]
 
-    def get(self, x: int, y: int) -> Cell:
-        return self.cells[x * self.height + y]
-
-    def count(self, colour: str) -> int:
-        return self.cells.count(colour)
-
     def clone(self) -> "Board":
         """The board itself, as a board never changes. The benchmark's
         oracle still calls it on a state's board before tapping a copy."""
@@ -204,16 +200,17 @@ def _run_tap(run: Runner, args: Tuple[IntV, IntV], state: GameState) -> None:
         _settle(cells, state.height)
 
 
-# A move maps ``src``, the parent's key followed by ``_CONSTANTS``, to the
-# child's cells as a tuple, already gravity-normal, or to None when the tap
-# raised an ExecutionError.
-MoveFn = Callable[[Tuple[Cell, ...]], Optional[Tuple[Cell, ...]]]
-Move = Tuple[Tuple[int, int], MoveFn]
-# ``later(key)``: the moves of a board whose cells are ``key``.
-Later = Callable[[Tuple[Cell, ...]], List[Move]]
+# ``later(key)``: the moves of the board whose cells are ``key``: the taps
+# that change it, in (y, x) order, and a fresh list of each tap's child, its
+# gravity-normal cells as a tuple, or None when the tap raised an ExecutionError.
+_Moves = Tuple[Tuple[Tuple[int, int], ...], List[Optional[Tuple[Cell, ...]]]]
+Later = Callable[[Tuple[Cell, ...]], _Moves]
+# A tabulated tap: ``gather(key + _CONSTANTS)`` is the child of the board
+# whose cells are ``key``, or None when the tap raises on every board.
+Gather = Callable[[Tuple[Cell, ...]], Optional[Tuple[Cell, ...]]]
 
 # What a block that does not read the board can write into a cell besides a
-# cell of the board: emptiness or a colour. A gather reads ``key + _CONSTANTS``.
+# cell of the board: emptiness or a colour. A gather picks from ``key + _CONSTANTS``.
 _CONSTANTS: Tuple[Cell, ...] = (None, *COLOURS)
 
 _Cells = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[IntV, IntV], ...], Dict[Any, int]]
@@ -247,18 +244,18 @@ def _groups(width: int, height: int, read: FrozenSet[int]) -> Tuple[Tuple[int, .
 def tap_moves(
     hooks: HookTable, board: Board, present: Optional[str] = None, forbidden: Sequence[str] = ()
 ) -> Tuple[Later, Optional[Tuple[int, List[Later]]]]:
-    """Every tap of a board of ``board``'s size as a ``(tap, move)`` pair,
-    with the hook resolved once, and whether no move can meet the goal.
+    """The children of every tap on a board of ``board``'s size, with the
+    hook resolved once, and whether no tap can meet the goal.
 
-    ``move(key + _CONSTANTS)`` returns the gravity-normal cells, as a tuple,
-    that the tap leaves on the board whose cells are ``key``, or None when
-    the tap raises an ExecutionError. Returns ``later`` and the count
-    decision (below): ``later(key)`` is the list of moves of a board whose
-    cells are ``key``. Taps come bottom row first,
-    in (y, x) order; a later rebinding of the hook does not reach the
-    moves. ``board`` is the root, gravity-normal as a challenge's is: only
-    its size matters, as the scratch state starts from it and every run
-    refills its cells first.
+    Returns ``later`` and the count decision (below). ``later(key)``
+    returns ``(taps, children)`` for the board whose cells are ``key``:
+    ``taps`` holds the taps that change it, bottom row first, in (y, x)
+    order, and ``children`` is a fresh list of the gravity-normal cells,
+    as a tuple, that each tap leaves, or None when it raises an
+    ExecutionError. A later rebinding of the hook does not reach
+    ``later``. ``board`` is the root, gravity-normal as a challenge's is:
+    only its size matters, as the scratch state starts from it and every
+    run refills its cells first.
 
     Every hook, one marker pass; a host behavior is a reader. Each tap of a
     hook is tabulated, or each takes the general path. The hook runs under
@@ -269,27 +266,28 @@ def tap_moves(
     promise it; the game's fields are the board's size and cannot be
     written) or on a parameter it does not read, so a run that reaches no
     reader fixes the tap's outcome for every cell of the group on every
-    board of this size. Each cell is still listed as its own move, so error
+    board of this size. Each cell is still listed as its own tap, so error
     counts and witnesses are those of one run per cell:
 
-    - It raises: every move of the cell returns None. A budget overrun is
-      fixed too, because control flow cannot depend on the board.
-    - It leaves the markers in place: the cell has no move, as its child is
-      its parent on every gravity-normal board.
+    - It raises: the cell's child is None on every board. A budget overrun
+      is fixed too, because control flow cannot depend on the board.
+    - It leaves the markers in place: the cell is no tap of ``later``, as
+      its child is its parent on every gravity-normal board.
     - Otherwise the tap is a gather: its child, before gravity, picks its
       cells from ``key + _CONSTANTS`` at the indices the marker run left.
 
     A run that reaches a reader (a host behavior's first run does), or
     leaves a value no gather can pick (a variant that is no tile colour, if
     the registry declares one), sends the hook down the general path
-    (``_general``): a move refills the scratch state's cells with ``key``
-    and runs ``tap``'s body (``_run_tap``), once per group on each parent.
-    The other cells of the group reuse that run's child, or its None: the
-    cells of a group pass equal values for every parameter the block can
-    read, dead branches included, and each run has a fresh budget, so the
-    child, the error and any budget overrun are the group's. Each cell is
-    still its own move, so error counts and witnesses do not change. The
-    marker runs and the general moves share that one scratch state per call.
+    (``_general``): on each parent, ``later`` runs ``tap``'s body
+    (``_run_tap``) once per group, for its first cell, on the scratch state
+    refilled with ``key``. The other cells of the group take that run's
+    child, or its None: the cells of a group pass equal values for every
+    parameter the block can read, dead branches included, and each run has
+    a fresh budget, so the child, the error and any budget overrun are the
+    group's. Each cell is still its own tap, so error counts and witnesses
+    do not change. The marker runs and the general runs share that one
+    scratch state per call.
 
     Gravity after a gather depends only on which picks are empty, which the
     parent's empty cells (its mask) fix, so the two together are again a
@@ -304,7 +302,7 @@ def tap_moves(
     its gather picks none of the colours in ``forbidden`` (every colour for
     CLEARED, ``c`` for COLOUR_CLEARED c: a picked colour stays on the board)
     and misses an occupied cell (else the child keeps every tile of its
-    parent). The count decision is None when some move can meet the goal:
+    parent). The count decision is None when some tap can meet the goal:
     the hook takes the general path, or a gather can on a full board. Else
     it is ``(raising, parts)``: the number of cells that raise, on every
     board, and the other taps split into parts, each a ``later`` over its own
@@ -343,31 +341,26 @@ def tap_moves(
 
 
 def _general(run: Runner, width: int, h: int, read: FrozenSet[int], state: GameState) -> Later:
-    """``later`` for a hook on the general path (``tap_moves``): a move runs
-    the tap body on the scratch ``state`` once per group and parent."""
+    """``later`` for a hook on the general path (``tap_moves``): on each
+    parent, the tap body runs on the scratch ``state`` once per group, for
+    the group's first cell, and every cell of the group takes that child."""
     taps, cell_args, _ = _cells(width, h)
-    rows = list(zip(taps, _groups(width, h, read), cell_args))
-    n = len(taps)
+    runs: Dict[Tuple[int, ...], int] = {}  # each group's run, in the order of its first cell
+    at = [runs.setdefault(group, len(runs)) for group in _groups(width, h, read)]
+    firsts = [cell_args[at.index(i)] for i in range(len(runs))]
     cells = state.cells
 
-    def runs(children: Dict[Tuple[int, ...], Optional[Tuple[Cell, ...]]], group: Tuple[int, ...],
-             args: Tuple[IntV, IntV], src: Tuple[Cell, ...]) -> Optional[Tuple[Cell, ...]]:
-        if group in children:  # the group has run on this parent
-            return children[group]
-        cells[:] = src
-        del cells[n:]  # drop the constants after the key; cheaper than src[:n]
-        try:
-            _run_tap(run, args, state)
-        except ExecutionError:
-            child = None
-        else:
-            child = tuple(cells)
-        children[group] = child
-        return child
-
-    def later(key: Tuple[Cell, ...]) -> List[Move]:
-        children: Dict[Tuple[int, ...], Optional[Tuple[Cell, ...]]] = {}  # each group's, on this parent
-        return [(xy, partial(runs, children, group, args)) for xy, group, args in rows]
+    def later(key: Tuple[Cell, ...]) -> _Moves:
+        children: List[Optional[Tuple[Cell, ...]]] = []
+        for args in firsts:
+            cells[:] = key
+            try:
+                _run_tap(run, args, state)
+            except ExecutionError:
+                children.append(None)
+            else:
+                children.append(tuple(cells))
+        return taps, [children[i] for i in at]
 
     return later
 
@@ -376,21 +369,25 @@ _Table = List[Tuple[Tuple[int, int], Optional[Tuple[int, ...]]]]
 
 
 def _later(table: _Table, h: int) -> Later:
-    """``later`` over the rows of ``table`` (``tap_moves``): the moves of a
-    board whose cells are ``key``, each gather settled for the board's mask,
-    made on the mask's first use and kept for the solve."""
-    by_mask: Dict[Tuple[bool, ...], List[Move]] = {}
+    """``later`` over the rows of ``table`` (``tap_moves``): each gather
+    settled for the parent's mask, made on the mask's first use and kept
+    for the solve with the taps it keeps, called on ``key + _CONSTANTS``."""
+    by_mask: Dict[Tuple[bool, ...], Tuple[Tuple[Tuple[int, int], ...], List[Gather]]] = {}
 
-    def later(key: Tuple[Cell, ...]) -> List[Move]:
+    def later(key: Tuple[Cell, ...]) -> _Moves:
         mask = tuple(map(is_, key, repeat(None)))
-        moves = by_mask.get(mask)
-        if moves is None:  # settle each gather; drop it if it is the identity
-            moves = by_mask[mask] = []
+        row = by_mask.get(mask)
+        if row is None:  # settle each gather; drop it if it is the identity
+            taps, gathers = [], []
             for xy, picks in table:
-                move = _raised if picks is None else _settled_gather(picks, mask, h)
-                if move is not None:
-                    moves.append((xy, move))
-        return moves
+                gather = _raised if picks is None else _settled_gather(picks, mask, h)
+                if gather is not None:
+                    taps.append(xy)
+                    gathers.append(gather)
+            row = by_mask[mask] = tuple(taps), gathers
+        taps, gathers = row
+        src = key + _CONSTANTS
+        return taps, [gather(src) for gather in gathers]
 
     return later
 
@@ -453,7 +450,7 @@ def _marker_pass(run: Runner, board: Board, read: FrozenSet[int], marked: GameSt
 
 
 @lru_cache(maxsize=1024)
-def _settled_gather(picks: Tuple[int, ...], mask: Tuple[bool, ...], h: int) -> Optional[MoveFn]:
+def _settled_gather(picks: Tuple[int, ...], mask: Tuple[bool, ...], h: int) -> Optional[Gather]:
     """The gather of ``picks`` then gravity on a board whose empty cells are
     ``mask``, or None when that is the identity: ``_settle`` compacts the
     picks, with None for each pick of the ``None`` constant or of an empty
@@ -469,11 +466,11 @@ def _settled_gather(picks: Tuple[int, ...], mask: Tuple[bool, ...], h: int) -> O
 
 
 def _raised(src: Tuple[Cell, ...]) -> None:
-    """The move of a tap that raises on every board."""
+    """The gather of a tap that raises on every board."""
     return None
 
 
-def _items(picks: Sequence[int]) -> MoveFn:
+def _items(picks: Sequence[int]) -> Gather:
     """``itemgetter(*picks)``, but a tuple even for one pick."""
     if len(picks) == 1:
         return itemgetter(slice(picks[0], picks[0] + 1))

@@ -14,8 +14,8 @@ scope, it returns every producer of that type in a fixed order: the usable
 ``FieldDescriptor``s themselves, then one ``LocalProducer`` per visible local
 (outermost frame first), then the usable ``MethodDescriptor``s themselves,
 then a single ``LiteralOption`` when the type is a value type here. A block
-generator asks it at most once per type and grounding, and keeps the answer
-for as long as the generator lives.
+generator asks it once per value type and grounding when it is built, and
+keeps the answers for as long as the generator lives.
 """
 
 from __future__ import annotations

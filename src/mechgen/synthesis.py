@@ -25,7 +25,7 @@ A run builds one generator, ``block_generator(sig, registry, config)``, and
 calls it once per seed. Built once per run: the config's numbers, the
 registry's value types and which of them have a producer in every scope,
 assignment targets and methods callable for effect, the producers of each
-type at each grounding (on first use), the enabled statement kinds, each
+value type at each grounding, the enabled statement kinds, each
 method's parameter types and bounds, and one ``random.Random``.
 Nothing outlives the generator. Built per seed: the generator reseeds that
 ``Random`` (the state ``Random(seed)`` starts in), restarts the local names
@@ -310,7 +310,8 @@ def generate_expression(
     depth: int = 0,
     interval: Optional[Bounds] = None,
 ) -> Expression:
-    """Draw one expression of type ``wanted`` from the design space.
+    """Draw one expression of type ``wanted`` from the design space: only
+    a local produces a type that is no value type here (void included).
 
     ``interval`` carries the min/max constraint of the argument position being
     filled, if any; it narrows the literal value range only at this node.
@@ -325,6 +326,8 @@ _Method = Tuple[str, Tuple[Tuple[TypeId, Optional[Bounds]], ...]]
 # The static producers of one type at one grounding: the usable fields'
 # names and methods in registry order, and whether the literal is live.
 _Table = Tuple[Tuple[str, ...], Tuple[_Method, ...], bool]
+# The table of a type that is no value type here (a signature may name one).
+_NO_PRODUCERS: _Table = ((), (), False)
 
 
 def _method(m: MethodDescriptor) -> _Method:
@@ -335,7 +338,7 @@ def _method(m: MethodDescriptor) -> _Method:
 class _Gen:
     """A generator for one (registry, config): everything that does not
     depend on the seed, resolved when it is built. ``producers`` holds, per
-    grounding, a dict that gets one table per type on first use. Whether a
+    grounding, one table per value type; any other type has none. Whether a
     statement-level expression of a value type has a producer in every scope
     (a field, a method or a live literal at depth 0; with no interval, an int
     literal's range is the config's) is resolved at once. The config's numbers
@@ -360,16 +363,20 @@ class _Gen:
         grounded = self.max_depth == 0
         self.calls = tuple(_method(m) for m in registry.methods.values()
                            if m.usable and not (grounded and m.params))
-        # Indexed by grounding: False below max_recursion_depth, True at it.
-        self.producers: Tuple[Dict[TypeId, _Table], Dict[TypeId, _Table]] = ({}, {})
+        # Each value type's table, indexed by grounding: False below
+        # max_recursion_depth, True at it.
+        value_types = registry.value_types()
+        self.producers: Tuple[Dict[TypeId, _Table], ...] = tuple(
+            {t: self.table(t, at_max) for t in value_types} for at_max in (False, True))
         enabled = config.statement_kinds_enabled
         self.var_decl = StatementKind.VAR_DECL in enabled
         self.assign = StatementKind.ASSIGN in enabled
         self.expr_stmt = StatementKind.EXPR_STMT in enabled
         self.if_else = StatementKind.IF_ELSE in enabled
         # Each value type, and whether it has a static producer at depth 0.
-        self.decl_types = tuple((t, any(self.table(t, 0))) for t in registry.value_types())
-        self.static_bool = any(self.table(BOOL, 0))
+        at_zero = self.producers[grounded]
+        self.decl_types = tuple((t, any(at_zero[t])) for t in value_types)
+        self.static_bool = any(at_zero[BOOL])
 
     def fresh_name(self) -> str:
         name = f"v{self.next_local}"
@@ -381,18 +388,13 @@ class _Gen:
         cmin, cmax = interval or (None, None)
         return (lo if cmin is None else max(lo, cmin)), (hi if cmax is None else min(hi, cmax))
 
-    def table(self, wanted: TypeId, depth: int) -> _Table:
-        grounded = depth >= self.max_depth
-        tables = self.producers[grounded]
-        table = tables.get(wanted)
-        if table is None:
-            cands = self.registry.candidates_for(wanted, grounded_only=grounded)
-            table = tables[wanted] = (
-                tuple(c.name for c in cands if isinstance(c, FieldDescriptor)),
-                tuple(_method(c) for c in cands if isinstance(c, MethodDescriptor)),
-                self.literal_weight > 0 and any(isinstance(c, LiteralOption) for c in cands),
-            )
-        return table
+    def table(self, wanted: TypeId, grounded: bool) -> _Table:
+        cands = self.registry.candidates_for(wanted, grounded_only=grounded)
+        return (
+            tuple(c.name for c in cands if isinstance(c, FieldDescriptor)),
+            tuple(_method(c) for c in cands if isinstance(c, MethodDescriptor)),
+            self.literal_weight > 0 and any(isinstance(c, LiteralOption) for c in cands),
+        )
 
     def expression(
         self, wanted: TypeId, scope: Scope, depth: int = 0, interval: Optional[Bounds] = None
@@ -405,8 +407,7 @@ class _Gen:
         them is the literal: the same pick as subtracting each weight in turn,
         since 1.0 off a float >= 1 is exact and ``random() * n`` stays below n.
         """
-        table = self.producers[depth >= self.max_depth].get(wanted)
-        fields, methods, literal = table or self.table(wanted, depth)
+        fields, methods, literal = self.producers[depth >= self.max_depth].get(wanted, _NO_PRODUCERS)
         local_names = scope.by_type.get(wanted, ())
         if literal and interval is not None and wanted == INT:  # else the config's range
             lo, hi = self.literal_range(interval)
@@ -537,9 +538,9 @@ def block_generator(
     """The generator of one run: ``generate(seed)`` is the block that
     ``generate_block`` gives for ``config`` with that seed. What does not
     depend on the seed is resolved here, once, and kept by this generator
-    alone: each type's producers are asked of ``Registry.candidates_for``
-    at most once per grounding, on first use, and dropped with the
-    generator. ``generate`` checks the seed and only reseeds, restarts the
+    alone: each value type's producers are asked of
+    ``Registry.candidates_for`` once per grounding, here, and dropped with
+    the generator. ``generate`` checks the seed and only reseeds, restarts the
     local names and starts a fresh scope.
 
     The number of top-level statements is drawn uniformly from

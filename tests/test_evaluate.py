@@ -27,7 +27,6 @@ from mechgen.evaluate import (
     solve,
 )
 from mechgen.game import (
-    _CONSTANTS,
     COLOURS,
     ON_TILE_TAPPED,
     Board,
@@ -87,28 +86,28 @@ def naive_solve(challenge, hooks):
 
 def takes_general_path(hooks, board):
     """Whether ``tap_moves`` sends the tap of ``hooks`` down the general path
-    on boards of ``board``'s size: there the first move of each group of
-    cells that agree on the parameters read runs the hook, where a tabulated
-    move only picks cells. Runs are counted at ``game.prepare``'s runner,
-    after the marker runs; a general list that runs any other move fails."""
-    runs = []
+    on boards of ``board``'s size: there ``later`` runs the hook once for the
+    first cell of each group of cells that agree on the parameters read,
+    where a tabulated tap only picks cells. Runs are counted at
+    ``game.prepare``'s runner, after the marker runs; a general ``later``
+    that runs the hook for any other cell fails."""
+    ran = []  # the tap of each run, marker runs first
     real_prepare = game.prepare
 
     def counted_prepare(delegate, params):
         run = real_prepare(delegate, params)
-        return lambda *args: runs.append(1) or run(*args)
+        return lambda args, *rest: ran.append((args[0].value, args[1].value)) or run(args, *rest)
 
-    ran = []  # whether each move ran the hook
     with mock.patch.object(game, "prepare", counted_prepare):
         later, _ = tap_moves(hooks, board)
-        for _, move in later(board.key()):
-            before = len(runs)
-            move(board.key() + _CONSTANTS)
-            ran.append(len(runs) > before)
-    if not any(ran):
+        ran.clear()
+        later(board.key())
+    if not ran:
         return False
+    taps = [(x, y) for y in range(board.height) for x in range(board.width)]
     groups = game._groups(board.width, board.height, hooks.delegate("onTileTapped").params_read)
-    assert ran == [group not in groups[:i] for i, group in enumerate(groups)], "not one run per group"
+    firsts = [xy for i, (xy, group) in enumerate(zip(taps, groups)) if group not in groups[:i]]
+    assert ran == firsts, "not one run per group"
     return True
 
 

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mechgen.game import (
-    _CONSTANTS,
     _host_destroy_tile,
     Board,
     GameState,
@@ -117,9 +116,7 @@ def ref_rows(cols):
 def test_flat_board_matches_per_column_reference(cols):
     board = board_of(cols)
     width, height = len(cols), len(cols[0])
-    assert all(board.get(x, y) == cols[x][y] for x in range(width) for y in range(height))
-    for colour in ["R", "G", "B", "Y"]:
-        assert board.count(colour) == sum(col.count(colour) for col in cols)
+    assert all(board.cells[x * height + y] == cols[x][y] for x in range(width) for y in range(height))
     assert (apply_gravity(board) == board) == ref_is_gravity_normal(cols)
     assert board.to_rows() == ref_rows(cols)
     assert Board.from_rows(board.to_rows()) == board
@@ -197,7 +194,7 @@ def test_tap_with_set_tile_mechanic(game_registry, hooks, set_yellow_block):
     )
     world = GameState(Board.from_rows(["RGB", "BRG", "GBR"]))
     tap(world, 2, 1, hooks)
-    assert world.board.get(2, 1) == "Y"
+    assert world.cells[2 * world.height + 1] == "Y"
 
 
 def test_general_move_matches_tap_and_keeps_its_hook(game_registry, hooks, set_yellow_block):
@@ -206,38 +203,37 @@ def test_general_move_matches_tap_and_keeps_its_hook(game_registry, hooks, set_y
     reader = GeneratedDelegate(sig, reads, game_registry)
     yellow = GeneratedDelegate(sig, set_yellow_block, game_registry)
     board = Board.from_rows(["R..", "GB.", "BRG"])
-    src = board.key() + _CONSTANTS
-    cells = {(x, y) for x in range(3) for y in range(3)}
-    # Both hooks take the general move: the baseline's host behavior, a
+    cells = [(x, y) for y in range(3) for x in range(3)]
+    # Both hooks take the general path: the baseline's host behavior, a
     # reader as it declares no effect, and a block that reads the board.
     for delegate in (HostDelegate(sig, _host_destroy_tile), reader):
         hooks.bind("onTileTapped", delegate)
         later, _ = tap_moves(hooks, board)
         taps = {}
-        for xy, move in later(board.key()):
+        for xy in cells:
             tapped = GameState(board.clone(), 2)
             assert tap(tapped, *xy, hooks) is tapped and tapped.taps_used == 3
             taps[xy] = tapped.board.key()
-            assert move(src) == taps[xy], (delegate, xy)
-        assert taps.keys() == cells and len(later(board.key())) == len(cells)
+        xys, children = later(board.key())
+        assert list(xys) == cells and children == [taps[xy] for xy in cells], delegate
         # The hook is resolved when the moves are built: rebinding reaches new moves only.
         hooks.bind("onTileTapped", yellow)
-        assert all(move(src) == taps[xy] for xy, move in later(board.key()))
+        assert later(board.key())[1] == children
     # So are tabulated moves: rebinding after ``tap_moves`` does not reach ``later``'s.
     later, _ = tap_moves(hooks, board)
     hooks.bind("onTileTapped", reader)
-    xy, move = later(board.key())[0]
-    assert xy == (0, 0) and move(src)[0] == "Y"
+    xys, children = later(board.key())
+    assert xys[0] == (0, 0) and children[0][0] == "Y"
 
 
 def test_baseline_destroys_without_counting_taps():
     world = GameState(Board(1, 1, ["R"]))
     baseline = build_hook_table().delegate("onTileTapped")
     invoke(baseline, [IntV(0), IntV(0)], world)
-    assert world.board.get(0, 0) is None
+    assert world.cells == [None]
     assert world.taps_used == 0
     invoke(baseline, [IntV(0), IntV(0)], world)  # empty cell: no-op
-    assert world.board.get(0, 0) is None
+    assert world.cells == [None]
 
 
 def test_gamestate_clone_is_independent():
@@ -245,7 +241,7 @@ def test_gamestate_clone_is_independent():
     copy = world.clone()
     copy.cells[0] = None
     copy.taps_used = 9
-    assert world.board.get(0, 0) == "R"
+    assert world.cells == ["R"]
     assert world.taps_used == 2
 
 

@@ -235,7 +235,7 @@ def test_bound_mechanic_runs_on_tap(game_registry, hooks):
     hooks.bind("onTileTapped", GeneratedDelegate(hooks.sig("onTileTapped"), block, game_registry))
     world = GameState(Board.from_rows(["RGB", "BRG", "GBR"]))
     tap(world, 1, 0, hooks)
-    assert world.board.get(1, 0) == "Y"
+    assert world.cells[world.height] == "Y"
     assert world.taps_used == 1
 
 
@@ -343,14 +343,14 @@ def test_world_read_escapes_invoke_only_under_a_probe(game_registry, tap_sig):
     with pytest.raises(WorldRead, match="IsOccupied"):
         invoke(delegate, [IntV(0), IntV(0)], world, probe)
     # The run stops at the read: SetTile ran, IsOccupied spent nothing.
-    assert world.board.get(0, 0) == "Y" and probe.remaining == probe.max_host_calls - 1
+    assert world.cells[0] == "Y" and probe.remaining == probe.max_host_calls - 1
     budget = ExecBudget()
     assert invoke(delegate, [IntV(1), IntV(1)], world, budget) == UNIT
-    assert world.board.get(1, 1) is None and budget.remaining == budget.max_host_calls - 3
+    assert world.cells[world.height + 1] is None and budget.remaining == budget.max_host_calls - 3
     # A non-reader runs under a probe as under any budget.
     assert invoke(GeneratedDelegate(tap_sig, parse("DestroyTile(x, y);", params=["x", "y"]), game_registry),
                   [IntV(2), IntV(2)], world, Probe()) == UNIT
-    assert world.board.get(2, 2) is None
+    assert world.cells[2 * world.height + 2] is None
 
 
 def test_a_host_behavior_is_a_reader_under_a_probe(tap_sig):
@@ -372,7 +372,7 @@ def test_a_host_behavior_is_a_reader_under_a_probe(tap_sig):
     assert world.board == Board.from_rows(["RG", "BY"])
     budget = ExecBudget()
     assert invoke(delegate, [IntV(0), IntV(0)], world, budget) == UNIT
-    assert world.board.get(0, 0) is None and budget.remaining == budget.max_host_calls - 1
+    assert world.cells[0] is None and budget.remaining == budget.max_host_calls - 1
     assert len(calls) == 1
 
 

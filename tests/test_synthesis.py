@@ -18,7 +18,7 @@ from _scan import (
 from conftest import FIXTURES
 from mechgen.game import build_game_registry
 from mechgen.lang import (
-    INT64_MAX, INT64_MIN, ExprStmt, IfElse, IntLit, Signature, VarDecl, pretty, typecheck,
+    INT64_MAX, INT64_MIN, ExprStmt, IfElse, IntLit, LocalRef, Signature, VarDecl, pretty, typecheck,
 )
 from mechgen.registry import (
     BOOL,
@@ -36,6 +36,7 @@ from mechgen.synthesis import (
     ConfigError,
     Exhausted,
     GenerationConfig,
+    NoProducer,
     Scope,
     StatementKind,
     block_generator,
@@ -569,6 +570,17 @@ def test_non_finite_literal_weight_rejected(weight):
         GenerationConfig(literal_weight=float(weight))
     with pytest.raises(ConfigError, match="literal_weight must be finite"):
         load_config(f"literal_weight = {weight}\n")
+
+
+def test_only_a_local_produces_a_type_that_is_no_value_type():
+    # The generator's tables hold the value types only: void (a method
+    # called for effect is a statement) and an undeclared enum have none.
+    registry, config, dir_type = build_game_registry(), GenerationConfig(), enum_type("Dir")
+    for wanted in (VOID, dir_type):
+        with pytest.raises(NoProducer):
+            generate_expression(wanted, Scope(), registry, config, random.Random(0))
+    scope = Scope([("d", dir_type)])
+    assert generate_expression(dir_type, scope, registry, config, random.Random(0)) == LocalRef("d")
 
 
 def test_registry_is_asked_once_per_table_and_not_kept_alive(tap_sig, monkeypatch):

@@ -33,7 +33,6 @@ from mechgen.evaluate import (
     solve,
 )
 from mechgen.game import (
-    _CONSTANTS,
     COLOURS,
     Board,
     GameState,
@@ -256,7 +255,7 @@ def test_noop_cells_never_reach_a_gather(monkeypatch):
     # A NOOP on the bottom row only: the other twelve cells are gathers.
     later, _ = built_for("SwapTiles(x, y, x, 0);", challenge.initial, "Y")
     full = Board(4, 4, ["R"] * 16)
-    assert [xy for xy, _ in later(full.key())] == [(x, y) for y in range(1, 4) for x in range(4)]
+    assert list(later(full.key())[0]) == [(x, y) for y in range(1, 4) for x in range(4)]
     assert len(settled) == 12
 
 
@@ -411,15 +410,16 @@ def test_one_liners_agree_on_deep_challenges(challenge, text):
 
 def settled_children(hooks, root, board):
     """{tap: the child key, or None when the tap raised} of every tap of
-    ``board``, by the moves ``tap_moves``, built on ``root``, gives for
-    ``board``'s key. A tap with no move leaves the board as gravity leaves
+    ``board``, by the ``later`` that ``tap_moves`` builds on ``root``,
+    called on ``board``'s key. A tap with no move leaves the board as gravity leaves
     it: on a gravity-normal board its settled gather is the identity, and
     a NOOP cell, which has no move, settles a board with floating tiles."""
     later, _ = tap_moves(hooks, root)
     settled = apply_gravity(board).key()
     out = {(x, y): settled for y in range(board.height) for x in range(board.width)}
-    for xy, move in later(board.key()):
-        child = move(board.key() + _CONSTANTS)
+    taps, children = later(board.key())
+    assert len(taps) == len(children)
+    for xy, child in zip(taps, children):
         if child is not None:
             assert isinstance(child, tuple) and len(child) == len(board.cells)
         out[xy] = child
@@ -533,13 +533,10 @@ def test_a_one_cell_gather_returns_a_tuple():
     root = Board(1, 1, ["R"])
     hooks = hooks_for(block, build_game_registry(1, 1))
     later, _ = tap_moves(hooks, root)
-    [(xy, move)] = later(root.key())
-    assert xy == (0, 0)
-    assert move(("B",) + _CONSTANTS) == ("G",)
-    assert move((None,) + _CONSTANTS) == ("G",)
+    assert later(root.key()) == (((0, 0),), [("G",)])
+    assert later(("B",)) == (((0, 0),), [("G",)])
     # Settled for an empty cell as well: still one tuple.
-    [(xy, move)] = later((None,))
-    assert xy == (0, 0) and move((None,) + _CONSTANTS) == ("G",)
+    assert later((None,)) == (((0, 0),), [("G",)])
 
 
 def test_a_tap_settled_to_the_identity_has_no_move_on_that_mask():
@@ -549,9 +546,9 @@ def test_a_tap_settled_to_the_identity_has_no_move_on_that_mask():
     root = Board.from_rows([".R.", "GBR", "RBG"])
     hooks = hooks_for(block, build_game_registry(3, 3))
     later, _ = tap_moves(hooks, root)
-    assert [xy for xy, _ in later(root.key())] == [(1, y) for y in range(3)]
-    assert len(later(Board.from_rows(["RRR", "GBR", "RBG"]).key())) == 9
-    assert later(Board.from_rows(["...", "GB.", "RBG"]).key()) == []
+    assert list(later(root.key())[0]) == [(1, y) for y in range(3)]
+    assert len(later(Board.from_rows(["RRR", "GBR", "RBG"]).key())[1]) == 9
+    assert later(Board.from_rows(["...", "GB.", "RBG"]).key()) == ((), [])
 
 
 def test_the_tabulated_fast_path_runs_no_gravity_on_a_board(monkeypatch):
@@ -677,20 +674,17 @@ def test_a_cleared_goal_met_at_the_last_tap_after_raising_cells(board, goal, wit
 def counted(challenge, hooks, calls=None):
     """The solve's result, and the number of parts it counted its levels
     over, or None when it queued them instead (the count decision of
-    ``tap_moves`` was None) or decided before any move. With ``calls``, every move the solve calls, of
-    ``later`` or of a part, appends its (parent, child) there."""
+    ``tap_moves`` was None) or decided before any move. With ``calls``, every child that
+    ``later`` or a part builds appends its (parent, child) there."""
     decided = []
     real = evaluate.tap_moves
-    n = len(challenge.initial.cells)
 
     def spy(later):
-        def recorded(move):
-            def call(src):
-                child = move(src)
-                calls.append((src[:n], child))
-                return child
-            return call
-        return lambda key: [(xy, recorded(move)) for xy, move in later(key)]
+        def recorded(key):
+            taps, children = later(key)
+            calls.extend((key, child) for child in children)
+            return taps, children
+        return recorded
 
     def spied(hooks, board, present=None, forbidden=()):
         later, count = real(hooks, board, present, forbidden)
@@ -716,7 +710,7 @@ def test_a_swap_calls_no_move_at_the_last_depth(goal):
     challenge = parse_challenge(f"RGB\nBRG\nGBR\ngoal: {goal}\nmax_taps: 3\n")
     text = "SwapTiles(x, y, 0, 0);"
     expected = assert_matches_naive(challenge, text)
-    calls = []  # (parent, child) of every move called
+    calls = []  # (parent, child) of every child built
     block = parse(text, params=["x", "y"])
     result, parts = counted(challenge, hooks_for(block, build_game_registry(3, 3)), calls)
     assert result == expected and result.status == Unsolvable()
@@ -1113,7 +1107,7 @@ def test_a_probe_never_calls_a_readers_host():
     # This IsOccupied fails on a marker cell; the marker pass must stop at
     # the call, and the general path then calls it on real boards only.
     def strict_is_occupied(world, args):
-        cell = world.board.get(args[0].value, args[1].value)
+        cell = world.cells[args[0].value * world.height + args[1].value]
         assert not isinstance(cell, int), "a marker run called a reader's host"
         return BoolV(cell is not None)
 
@@ -1198,8 +1192,7 @@ def test_each_grouped_move_matches_tap(boards_, text):
     hooks = hooks_for(block, build_game_registry(root.width, root.height))
     later, _ = tap_moves(hooks, root)
     for board in (root, other, root, other):
-        src = board.key() + _CONSTANTS
-        children = {xy: move(src) for xy, move in later(board.key())}
+        children = dict(zip(*later(board.key())))
         for y in range(board.height):
             for x in range(board.width):
                 # A tabulated cell left out of the moves is a NOOP.
