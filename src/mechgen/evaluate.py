@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union
 
 from .game import (
     COLOURS,
@@ -64,12 +64,22 @@ class Goal:
     def key_test(self) -> Tuple[Callable[[Tuple[Cell, ...]], bool], bool]:
         """The goal as one C call on a board key, built once per solve:
         ``(test, holds)`` such that the goal holds on a board when
-        ``test(board.cells) is holds``. This is the one definition of each
-        goal: no cell holds a tile, ``colour`` is in no cell, or it is in
-        some cell."""
+        ``test(board.cells) is holds``. With ``can_win``, this is the one
+        definition of each goal: no cell holds a tile, ``colour`` is in no
+        cell, or it is in some cell."""
         if self.kind is GoalKind.CLEARED:
             return {None}.issuperset, True
         return {self.colour}.isdisjoint, self.kind is GoalKind.COLOUR_CLEARED
+
+    def can_win(self, writes: FrozenSet[str], unpicked: int) -> bool:
+        """Whether a tabulated gather can make a child meet this goal when
+        its parent fails it, from the gather's summary (``game.tap_moves``):
+        a child holds a colour only if its parent does or the gather picks it
+        as a constant (``writes``), and fewer tiles only if the gather leaves
+        a board cell unpicked (``unpicked``)."""
+        if self.kind is GoalKind.COLOUR_PRESENT:
+            return self.colour in writes
+        return unpicked > 0 and writes.isdisjoint(COLOURS if self.colour is None else (self.colour,))
 
     def describe(self) -> str:
         return self.kind.value if self.colour is None else f"{self.kind.value} {self.colour}"
@@ -234,30 +244,28 @@ def solve(challenge: Challenge, hooks: HookTable) -> EvalResult:
     every shallower state before any state at that depth, so leaving them
     out of ``visited`` cannot change which shallower states are expanded.
 
-    When no tap can ever meet the goal, ``tap_moves`` says how many cells
-    raise on every board, and nothing is queued: ``_count_levels`` counts
-    the states from the root down, leaving the last level unexpanded. It
-    decides from the colour a COLOUR_PRESENT goal wants, or those a
-    clearing goal forbids (its colour, or every colour for CLEARED). Every
-    state would be expanded and count each raising cell (``later`` keeps
-    them), so ``states_explored`` is the number of states and
-    ``error_count`` that times the raising cells. ``tap_moves`` splits the
-    other taps into parts that share no column, and the levels of each part
-    are counted on its own and convolved: on the gravity-normal root a
-    board's fewest taps is the sum of its parts' fewest. Taps that join
-    every column are one part, counted as the whole board.
+    When ``tap_moves`` tabulates the hook and the goal rules that none of
+    its gathers' summaries can win (``Goal.can_win``), no tap can ever meet
+    the goal, and nothing is queued: ``_count_levels`` counts the states
+    from the root down, leaving the last level unexpanded. Every state would
+    be expanded and count each raising cell (``later`` keeps them), so
+    ``states_explored`` is the number of states and ``error_count`` that
+    times the raising cells. ``tap_moves`` splits the other taps into parts
+    that share no column, and the levels of each part are counted on its
+    own and convolved: on the gravity-normal root a board's fewest taps is
+    the sum of its parts' fewest. Taps that join every column are one part,
+    counted as the whole board.
     """
     start = challenge.initial.cells
     goal = challenge.goal
     test, holds = goal.key_test()
     last = challenge.max_taps - 1  # the children of states at this depth are not stored
-    present = goal.colour if goal.kind is GoalKind.COLOUR_PRESENT else None
-    forbidden = COLOURS if goal.kind is GoalKind.CLEARED else (goal.colour,)
-    later, count = tap_moves(hooks, challenge.initial, present, forbidden)
-    if count is not None:  # no move can ever meet the goal: count
-        raising, parts = count
-        explored = sum(_count_levels(start, parts, last))
-        return EvalResult(Unsolvable(), raising * explored, explored)
+    later, tabulated = tap_moves(hooks, challenge.initial)
+    if tabulated is not None:
+        raising, summaries, parts = tabulated
+        if not any(goal.can_win(*summary) for summary in summaries):  # no tap can ever meet the goal: count
+            explored = sum(_count_levels(start, parts, last))
+            return EvalResult(Unsolvable(), raising * explored, explored)
     visited = {start}
     frontier: deque = deque([(start, ())])
     errors = 0

@@ -11,9 +11,10 @@ place that knows the column rule; ``tap_moves`` also folds it into each
 tabulated gather. The solver asks ``later(key)``, from ``tap_moves``, for a
 board's children: it gets ``(taps, children)``, each child already settled
 (or None: the tap raised), and how a child is made stays in this module.
-As gravity acts per column, ``tap_moves`` also splits the taps of a solve
-that no tap can win into parts that share no column (``_parts``), which
-the solver counts apart.
+For a tabulated hook, ``tap_moves`` also summarises each gather without a
+goal (``_summary``), and, as gravity acts per column, splits the taps into
+parts that share no column (``_parts``), which the solver counts apart
+when no summary can win.
 
 ``build_game_registry`` publishes the design space for this game: the Colour
 enum, the read-only board dimensions, tile manipulation methods with
@@ -213,6 +214,9 @@ Gather = Callable[[Tuple[Cell, ...]], Optional[Tuple[Cell, ...]]]
 # cell of the board: emptiness or a colour. A gather picks from ``key + _CONSTANTS``.
 _CONSTANTS: Tuple[Cell, ...] = (None, *COLOURS)
 
+# ``tap_moves``'s view of a tabulated hook: raising cells, summaries, parts.
+Tabulated = Tuple[int, List[Tuple[FrozenSet[str], int]], List[Later]]
+
 _Cells = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[IntV, IntV], ...], Dict[Any, int]]
 
 
@@ -241,13 +245,11 @@ def _groups(width: int, height: int, read: FrozenSet[int]) -> Tuple[Tuple[int, .
     return tuple(tuple(xy[i] for i in at) for xy in _cells(width, height)[0])
 
 
-def tap_moves(
-    hooks: HookTable, board: Board, present: Optional[str] = None, forbidden: Sequence[str] = ()
-) -> Tuple[Later, Optional[Tuple[int, List[Later]]]]:
+def tap_moves(hooks: HookTable, board: Board) -> Tuple[Later, Optional[Tabulated]]:
     """The children of every tap on a board of ``board``'s size, with the
-    hook resolved once, and whether no tap can meet the goal.
+    hook resolved once, and a goal-free summary of a tabulated hook.
 
-    Returns ``later`` and the count decision (below). ``later(key)``
+    Returns ``later`` and ``tabulated`` (below). ``later(key)``
     returns ``(taps, children)`` for the board whose cells are ``key``:
     ``taps`` holds the taps that change it, bottom row first, in (y, x)
     order, and ``children`` is a fresh list of the gravity-normal cells,
@@ -295,25 +297,19 @@ def tap_moves(
     kept for the solve. A settled gather that is the identity (a NOOP on a
     settled board, say) is dropped: its child is the parent, already seen.
 
-    One rule says whether a gather can make a child meet a goal its parent
-    fails (``wins``). ``present`` is the colour of a COLOUR_PRESENT goal,
-    which a child can hold only if its gather picks that constant. None
-    stands for a goal met by clearing tiles, which a child can meet only if
-    its gather picks none of the colours in ``forbidden`` (every colour for
-    CLEARED, ``c`` for COLOUR_CLEARED c: a picked colour stays on the board)
-    and misses an occupied cell (else the child keeps every tile of its
-    parent). The count decision is None when some tap can meet the goal:
-    the hook takes the general path, or a gather can on a full board. Else
-    it is ``(raising, parts)``: the number of cells that raise, on every
-    board, and the other taps split into parts, each a ``later`` over its own
-    taps (``_parts``). A union-find over columns joins the columns whose
-    cells a gather changes with the columns those cells pick from; a
-    constant pick joins nothing. On a gravity-normal board a part's taps
-    then change only its columns, and whether each has a move, and what it
-    does, depends only on the cells of those columns: gravity acts per
-    column, and a column no pick changes is already settled. So taps of
-    different parts commute, and the count takes each part on its own
-    (``evaluate._count_levels``).
+    ``tabulated`` is None on the general path. Else it is ``(raising,
+    summaries, parts)``: the number of cells that raise on every board; one
+    summary ``(writes, unpicked)`` per other gather (``_summary``: the
+    colours it picks as constants, and how many board cells it does not
+    pick), on which ``evaluate.Goal.can_win`` rules; and the other taps
+    split into parts, each a ``later`` over its own taps (``_parts``). A
+    union-find over columns joins the columns whose cells a gather changes
+    with the columns those cells pick from; a constant pick joins nothing.
+    On a gravity-normal board a part's taps then change only its columns,
+    and whether each has a move, and what it does, depends only on the cells
+    of those columns: gravity acts per column, and a column no pick changes
+    is already settled. So taps of different parts commute, and a count
+    takes each part on its own (``evaluate._count_levels``).
     """
     n, h = len(board.cells), board.height
     delegate = hooks.delegate(ON_TILE_TAPPED)
@@ -322,22 +318,10 @@ def tap_moves(
     table = _marker_pass(run, board, delegate.params_read, state)
     if table is None:  # the general path
         return _general(run, board.width, h, delegate.params_read, state), None
-
-    index = _cells(board.width, h)[2]
-    every = set(range(n))
-    wanted = None if present is None else index[present]  # the colour's pick
-    banned = {index[colour] for colour in forbidden}  # the forbidden colours' picks
-
-    def wins(picks: Tuple[int, ...]) -> bool:
-        if wanted is not None:
-            return wanted in picks
-        return banned.isdisjoint(picks) and not every.issubset(picks)
-
-    later = _later(table, h)
-    if any(picks is not None and wins(picks) for _, picks in table):
-        return later, None
     gathers = [row for row in table if row[1] is not None]
-    return later, (len(table) - len(gathers), [_later(part, h) for part in _parts(gathers, n, h)])
+    summaries = [_summary(picks) for _, picks in gathers]
+    parts = [_later(part, h) for part in _parts(gathers, n, h)]
+    return _later(table, h), (len(table) - len(gathers), summaries, parts)
 
 
 def _general(run: Runner, width: int, h: int, read: FrozenSet[int], state: GameState) -> Later:
@@ -463,6 +447,14 @@ def _settled_gather(picks: Tuple[int, ...], mask: Tuple[bool, ...], h: int) -> O
         _settle(marked, h)
         picks = tuple(n if p is None else p for p in marked)
     return None if marked == unmoved else _items(picks)
+
+
+@lru_cache(maxsize=1024)
+def _summary(picks: Tuple[int, ...]) -> Tuple[FrozenSet[str], int]:
+    """A gather's goal-free summary (``tap_moves``): the colours ``picks``
+    takes as constants, and how many board cells it does not take."""
+    n = len(picks)
+    return frozenset(_CONSTANTS[p - n] for p in picks if p > n), n - len({p for p in picks if p < n})
 
 
 def _raised(src: Tuple[Cell, ...]) -> None:

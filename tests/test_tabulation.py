@@ -253,7 +253,7 @@ def test_noop_cells_never_reach_a_gather(monkeypatch):
         assert result == EvalResult(Unsolvable(), 0, 1), text
         assert settled == [], text
     # A NOOP on the bottom row only: the other twelve cells are gathers.
-    later, _ = built_for("SwapTiles(x, y, x, 0);", challenge.initial, "Y")
+    later, _ = built_for("SwapTiles(x, y, x, 0);", challenge.initial)
     full = Board(4, 4, ["R"] * 16)
     assert list(later(full.key())[0]) == [(x, y) for y in range(1, 4) for x in range(4)]
     assert len(settled) == 12
@@ -596,11 +596,12 @@ def assert_matches_naive(challenge, text, registry=None, tabulated=True):
     return result
 
 
-def built_for(text, root, present, registry=None, forbidden=()):
-    """``later`` and the count decision of ``text``'s moves built for ``root``."""
+def built_for(text, root, registry=None):
+    """``later`` and the tabulated summary of ``text``'s moves built for
+    ``root`` (``tap_moves``)."""
     registry = registry or build_game_registry(root.width, root.height)
     hooks = hooks_for(parse(text, params=["x", "y"]), registry)
-    return tap_moves(hooks, root, present, forbidden)
+    return tap_moves(hooks, root)
 
 
 def test_a_present_goal_is_met_at_the_last_tap_by_a_gather_of_its_colour():
@@ -615,31 +616,94 @@ def test_a_present_goal_is_met_at_the_last_tap_by_a_gather_of_its_colour():
         assert result == EvalResult(Solved(1, witness), errors, 1), text
 
 
-def can_win(text, root, present, forbidden=()):
-    """Whether ``text``'s moves built for ``root`` keep the queue: some
-    move can make a child meet the goal (the count decision is None)."""
-    return built_for(text, root, present, forbidden=forbidden)[1] is None
+def can_win(text, root, goal):
+    """Whether ``text``'s moves built for ``root`` keep the queue: the hook
+    takes the general path, or ``goal`` rules that some gather's summary
+    can make a child meet it (``Goal.can_win``)."""
+    _, tabulated = built_for(text, root)
+    return tabulated is None or any(goal.can_win(*summary) for summary in tabulated[1])
+
+
+PRESENT_Y = Goal(GoalKind.COLOUR_PRESENT, "Y")
+CLEARED = Goal(GoalKind.CLEARED)
+CLEARED_R = Goal(GoalKind.COLOUR_CLEARED, "R")
 
 
 def test_a_present_goal_is_counted_unless_a_gather_picks_its_colour():
     for root in (Board.from_rows([".R.", "GBR", "RBG"]), Board.from_rows(["RGB", "GBR", "RBG"])):
-        assert can_win("SetTile(x, y, Colour.Y);", root, "Y")
-        assert not can_win("SetTile(x, y, Colour.G);", root, "Y")
-        assert can_win("if (Equal(x, 1)) { SetTile(x, 0, Colour.Y); }", root, "Y")
+        assert can_win("SetTile(x, y, Colour.Y);", root, PRESENT_Y)
+        assert not can_win("SetTile(x, y, Colour.G);", root, PRESENT_Y)
+        assert can_win("if (Equal(x, 1)) { SetTile(x, 0, Colour.Y); }", root, PRESENT_Y)
         # Column 0 raises on every board, and no gather picks a Y.
-        assert not can_win("DestroyTile(Sub(x, 1), y); SetTile(x, y, Colour.G);", root, "Y")
+        assert not can_win("DestroyTile(Sub(x, 1), y); SetTile(x, y, Colour.G);", root, PRESENT_Y)
 
 
 def test_a_cleared_goal_is_counted_unless_a_gather_can_clear_a_tile():
     root = Board.from_rows([".R.", "GBR", "RBG"])
-    for forbidden in (COLOURS, ("R",)):  # CLEARED, COLOUR_CLEARED R
-        assert can_win("DestroyTile(x, y);", root, None, forbidden)
-        assert not can_win("SwapTiles(x, y, 0, 0);", root, None, forbidden)
-        assert can_win("DestroyTile(Sub(x, 1), y);", root, None, forbidden)
+    for goal in (CLEARED, CLEARED_R):
+        assert can_win("DestroyTile(x, y);", root, goal)
+        assert not can_win("SwapTiles(x, y, 0, 0);", root, goal)
+        assert can_win("DestroyTile(Sub(x, 1), y);", root, goal)
     # A painted colour stays on the board: G meets COLOUR_CLEARED R, never CLEARED.
-    assert can_win("SetTile(x, y, Colour.G);", root, None, ("R",))
-    assert not can_win("SetTile(x, y, Colour.G);", root, None, COLOURS)
-    assert not can_win("SetTile(x, y, Colour.R);", root, None, ("R",))
+    assert can_win("SetTile(x, y, Colour.G);", root, CLEARED_R)
+    assert not can_win("SetTile(x, y, Colour.G);", root, CLEARED)
+    assert not can_win("SetTile(x, y, Colour.R);", root, CLEARED_R)
+
+
+# --------------------------------------------------------------------------
+# the goal rule: ``Goal.can_win`` on a gather's summary (``game._summary``)
+
+
+def test_a_summary_is_the_colours_written_and_the_board_cells_unpicked():
+    # Four board cells at 0..3, then the constants None, R, G, B, Y at 4..8.
+    assert game._summary((0, 1, 2, 3)) == (frozenset(), 0)
+    assert game._summary((3, 3, 2, 1)) == (frozenset(), 1)
+    assert game._summary((4, 0, 1, 2)) == (frozenset(), 1)  # emptiness is no colour
+    assert game._summary((8, 5, 5, 3)) == (frozenset({"R", "Y"}), 3)
+
+
+@pytest.mark.parametrize("goal, writes, unpicked, wins", [
+    (PRESENT_Y, {"Y"}, 0, True),
+    (PRESENT_Y, {"R", "G"}, 4, False),
+    (PRESENT_Y, set(), 9, False),
+    (CLEARED_R, set(), 1, True),
+    (CLEARED_R, {"G"}, 1, True),  # a tile of another colour may stay
+    (CLEARED_R, {"R"}, 3, False),  # a written R stays on the board
+    (CLEARED_R, set(), 0, False),  # the child keeps every tile of its parent
+    (CLEARED, set(), 1, True),
+    (CLEARED, {"B"}, 2, False),
+    (CLEARED, set(), 0, False),
+])
+def test_the_goal_rule_on_a_summary(goal, writes, unpicked, wins):
+    assert goal.can_win(frozenset(writes), unpicked) is wins
+
+
+@st.composite
+def picked_boards(draw):
+    """A gravity-normal board up to 3x3, a goal of any kind that fails on
+    it, and a gather's picks over its key followed by the constants
+    ``(None, *COLOURS)``. The picks come from a few sources, often with the
+    constant the goal is about (its colour if it wants one present, else
+    emptiness), so that a child often meets the goal."""
+    board = apply_gravity(draw(boards))
+    goal = draw(goals.filter(lambda goal: not goal.satisfied(board)))
+    n = len(board.cells)
+    sources = draw(st.lists(st.integers(0, n + len(COLOURS)), min_size=1, max_size=n + len(COLOURS)))
+    if draw(st.booleans()):
+        present = goal.kind is GoalKind.COLOUR_PRESENT
+        sources.append(n + 1 + COLOURS.index(goal.colour) if present else n)
+    return board, goal, tuple(draw(st.lists(st.sampled_from(sources), min_size=n, max_size=n)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(picked_boards())
+def test_a_gather_whose_settled_child_meets_a_goal_its_parent_fails_can_win(case):
+    board, goal, picks = case
+    mask = tuple(cell is None for cell in board.cells)
+    gather = game._settled_gather(picks, mask, board.height)
+    child = board.cells if gather is None else gather(board.cells + (None, *COLOURS))
+    if goal.satisfied(Board(board.width, board.height, child)):
+        assert goal.can_win(*game._summary(picks))
 
 
 @pytest.mark.parametrize("text, goal", [
@@ -673,11 +737,11 @@ def test_a_cleared_goal_met_at_the_last_tap_after_raising_cells(board, goal, wit
 
 def counted(challenge, hooks, calls=None):
     """The solve's result, and the number of parts it counted its levels
-    over, or None when it queued them instead (the count decision of
-    ``tap_moves`` was None) or decided before any move. With ``calls``, every child that
-    ``later`` or a part builds appends its (parent, child) there."""
-    decided = []
-    real = evaluate.tap_moves
+    over (``evaluate._count_levels``), or None when it queued them instead.
+    With ``calls``, every child that ``later`` or a part builds appends its
+    (parent, child) there."""
+    built, counts = [], []
+    real, real_count = evaluate.tap_moves, evaluate._count_levels
 
     def spy(later):
         def recorded(key):
@@ -686,19 +750,26 @@ def counted(challenge, hooks, calls=None):
             return taps, children
         return recorded
 
-    def spied(hooks, board, present=None, forbidden=()):
-        later, count = real(hooks, board, present, forbidden)
-        decided.append(count)
+    def spied(hooks, board):
+        later, tabulated = real(hooks, board)
+        built.append(tabulated)
         if calls is not None:
             later = spy(later)
-            if count is not None:
-                count = (count[0], [spy(part) for part in count[1]])
-        return later, count
+            if tabulated is not None:
+                raising, summaries, parts = tabulated
+                tabulated = (raising, summaries, [spy(part) for part in parts])
+        return later, tabulated
 
-    with mock.patch.object(evaluate, "tap_moves", spied):
+    def count_levels(start, parts, depths):
+        counts.append(len(parts))
+        return real_count(start, parts, depths)
+
+    with mock.patch.object(evaluate, "tap_moves", spied), \
+            mock.patch.object(evaluate, "_count_levels", count_levels):
         result = solve(challenge, hooks)
-    assert len(decided) <= 1
-    return result, len(decided[0][1]) if decided and decided[0] else None
+    assert len(built) == 1 and len(counts) <= 1
+    assert not counts or built[0] is not None  # only a tabulated hook is counted
+    return result, counts[0] if counts else None
 
 
 @pytest.mark.parametrize("goal", ["COLOUR_PRESENT Y", "COLOUR_CLEARED R"])
@@ -830,17 +901,18 @@ def test_a_counted_destroy_never_expands_a_board_changed_in_two_parts():
 MIXED = "if (Less(x, 1)) { SwapTiles(x, y, 1, 1); } else { DestroyTile(x, y); }"
 
 
-@pytest.mark.parametrize("text, goal, present", [
-    ("SetTile(x, y, Colour.Y);", "COLOUR_PRESENT Y", "Y"),  # a gather that picks the Y
-    ("DestroyTile(x, y);", "COLOUR_CLEARED R", None),  # a gather that drops a tile
+@pytest.mark.parametrize("text, goal", [
+    ("SetTile(x, y, Colour.Y);", "COLOUR_PRESENT Y"),  # a gather that picks the Y
+    ("DestroyTile(x, y);", "COLOUR_CLEARED R"),  # a gather that drops a tile
     # column 0 swaps, the rest destroy: a mixed move list at every depth
-    (MIXED, "CLEARED", None),
-    (MIXED, "COLOUR_CLEARED R", None),
+    (MIXED, "CLEARED"),
+    (MIXED, "COLOUR_CLEARED R"),
 ])
-def test_a_move_that_can_meet_the_goal_keeps_the_queue(text, goal, present):
+def test_a_move_that_can_meet_the_goal_keeps_the_queue(text, goal):
     for taps in (2, 3):
         challenge = parse_challenge(f"RGB\nBRG\nGBR\ngoal: {goal}\nmax_taps: {taps}\n")
-        assert built_for(text, challenge.initial, present)[1] is None
+        assert built_for(text, challenge.initial)[1] is not None
+        assert can_win(text, challenge.initial, challenge.goal)
         expected = assert_matches_naive(challenge, text)
         result, parts = counted(challenge, hooks_for(parse(text, params=["x", "y"]),
                                                      build_game_registry(3, 3)))
@@ -864,13 +936,13 @@ def test_a_counted_solve_at_its_first_and_last_levels(board, goal, taps, text, r
     assert parts is not None and got == expected == result
 
 
-@pytest.mark.parametrize("goal, present", [("CLEARED", None), ("COLOUR_PRESENT Y", "Y")])
-def test_a_variant_cell_keeps_the_queue(goal, present):
+@pytest.mark.parametrize("goal", ["CLEARED", "COLOUR_PRESENT Y"])
+def test_a_variant_cell_keeps_the_queue(goal):
     # Painting Z picks no Y and drops no tile, but no gather can pick a Z, so
     # the block runs on every move, which the rule does not look into.
     challenge = parse_challenge(f"RG\nBR\ngoal: {goal}\nmax_taps: 3\n")
     text = "SetTile(x, 0, Colour.R); SetTile(x, 1, Colour.Z);"
-    assert built_for(text, challenge.initial, present, z_registry(2, 2))[1] is None
+    assert built_for(text, challenge.initial, z_registry(2, 2))[1] is None
     result, parts = counted(challenge, hooks_for(parse(text, params=["x", "y"]), z_registry(2, 2)))
     assert parts is None and result.status == Unsolvable() and result.states_explored > 1
 
@@ -878,7 +950,7 @@ def test_a_variant_cell_keeps_the_queue(goal, present):
 def test_a_reader_keeps_the_queue():
     challenge = parse_challenge("RG\nBR\ngoal: COLOUR_PRESENT Y\nmax_taps: 3\n")
     text = "if (IsOccupied(x, 1)) { SwapTiles(x, y, 0, 0); }"
-    assert built_for(text, challenge.initial, "Y")[1] is None
+    assert built_for(text, challenge.initial)[1] is None
     hooks = hooks_for(parse(text, params=["x", "y"]), build_game_registry(2, 2))
     result, parts = counted(challenge, hooks)
     assert parts is None and result.status == Unsolvable() and result.states_explored > 1
@@ -1099,7 +1171,7 @@ def test_a_reader_whose_bound_check_fails_is_counted_as_raising():
     text = "IsOccupied(Add(x, 3), y);"
     challenge = parse_challenge(DECIDED)
     assert not general(text)
-    assert built_for(text, challenge.initial, None, forbidden=COLOURS)[1] == (9, [])
+    assert built_for(text, challenge.initial)[1] == (9, [], [])
     assert assert_matches_naive(challenge, text) == EvalResult(Unsolvable(), 9, 1)
 
 
@@ -1228,7 +1300,7 @@ def test_a_tabulated_block_runs_once_per_group(text, groups, monkeypatch):
     challenge = parse_challenge(SPY_CHALLENGE)
     hooks = hooks_for(parse(text, params=["x", "y"]), build_game_registry(3, 2))
     runs = count_runs(monkeypatch)
-    tap_moves(hooks, challenge.initial, "Y")
+    tap_moves(hooks, challenge.initial)
     assert len(runs) == groups
     runs.clear()
     result = solve(challenge, hooks)
