@@ -217,32 +217,28 @@ _CONSTANTS: Tuple[Cell, ...] = (None, *COLOURS)
 # ``tap_moves``'s view of a tabulated hook: raising cells, summaries, parts.
 Tabulated = Tuple[int, List[Tuple[FrozenSet[str], int]], List[Later]]
 
-_Cells = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[IntV, IntV], ...], Dict[Any, int]]
+_Plan = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[IntV, IntV], ...], Tuple[int, ...], Dict[Any, int]]
 
 
 @lru_cache(maxsize=64)
-def _cells(width: int, height: int) -> _Cells:
-    """What every solve on one board size needs, built once per size: each
-    cell ``(x, y)``, bottom row first and in (y, x) order; the hook's
-    argument values for each; and where a gather finds each value a marker
-    run can leave in a cell (marker ``i`` at ``i``, then ``None`` and the
-    colours after the ``n`` cells). Callers only read the result."""
-    xs = [IntV(x) for x in range(width)]
-    ys = [IntV(y) for y in range(height)]
+def _plan(width: int, height: int, read: FrozenSet[int]) -> _Plan:
+    """How a hook that reads the parameters ``read`` (0 is x, 1 is y) runs
+    on boards of one size, built once per size and ``read``: the taps
+    ``(x, y)``, bottom row first, in (y, x) order; the hook's arguments for
+    the first cell of each group, in the order of those cells, where a group
+    is the cells whose taps pass equal values at ``read``; each cell's group
+    index; and where a gather finds each value a marker run can leave in a
+    cell (marker ``i`` at ``i``, then ``None`` and the colours after the
+    ``n`` cells). Callers only read the result."""
     taps = tuple((x, y) for y in range(height) for x in range(width))
+    at = sorted(read)
+    runs: Dict[Tuple[int, ...], int] = {}  # each group's index, in the order of its first cell
+    groups = tuple(runs.setdefault(tuple(xy[i] for i in at), len(runs)) for xy in taps)
+    firsts = tuple((IntV(x), IntV(y)) for x, y in (taps[groups.index(i)] for i in range(len(runs))))
     n = width * height
     index: Dict[Any, int] = dict(zip(range(n), range(n)))
     index.update((c, n + i) for i, c in enumerate(_CONSTANTS))
-    return taps, tuple((xs[x], ys[y]) for x, y in taps), index
-
-
-@lru_cache(maxsize=64)
-def _groups(width: int, height: int, read: FrozenSet[int]) -> Tuple[Tuple[int, ...], ...]:
-    """Each cell's group, in ``_cells``'s order: its coordinates at the
-    parameter indices ``read`` (0 is x, 1 is y), so cells whose taps pass
-    the same values there are one group. Callers only read the result."""
-    at = sorted(read)
-    return tuple(tuple(xy[i] for i in at) for xy in _cells(width, height)[0])
+    return taps, firsts, groups, index
 
 
 def tap_moves(hooks: HookTable, board: Board) -> Tuple[Later, Optional[Tabulated]]:
@@ -263,7 +259,7 @@ def tap_moves(hooks: HookTable, board: Board) -> Tuple[Later, Optional[Tabulated
     hook is tabulated, or each takes the general path. The hook runs under
     a ``Probe`` on a board of position markers ``0..n-1``, once per group
     of cells that agree on the parameters it reads (``params_read``, grouped
-    by ``_groups``): the marker pass. Until a run calls a method declared
+    by ``_plan``): the marker pass. Until a run calls a method declared
     ``reads_world``, nothing it does depends on the cells (the other methods
     promise it; the game's fields are the board's size and cannot be
     written) or on a parameter it does not read, so a run that reaches no
@@ -314,24 +310,23 @@ def tap_moves(hooks: HookTable, board: Board) -> Tuple[Later, Optional[Tabulated
     n, h = len(board.cells), board.height
     delegate = hooks.delegate(ON_TILE_TAPPED)
     run = prepare(delegate, (INT, INT))
+    plan = _plan(board.width, h, delegate.params_read)
     state = GameState(board)  # the scratch state marker runs and general moves tap; each run refills it
-    table = _marker_pass(run, board, delegate.params_read, state)
+    table = _marker_pass(run, plan, state)
     if table is None:  # the general path
-        return _general(run, board.width, h, delegate.params_read, state), None
+        return _general(run, plan, state), None
     gathers = [row for row in table if row[1] is not None]
     summaries = [_summary(picks) for _, picks in gathers]
     parts = [_later(part, h) for part in _parts(gathers, n, h)]
     return _later(table, h), (len(table) - len(gathers), summaries, parts)
 
 
-def _general(run: Runner, width: int, h: int, read: FrozenSet[int], state: GameState) -> Later:
+def _general(run: Runner, plan: _Plan, state: GameState) -> Later:
     """``later`` for a hook on the general path (``tap_moves``): on each
-    parent, the tap body runs on the scratch ``state`` once per group, for
-    the group's first cell, and every cell of the group takes that child."""
-    taps, cell_args, _ = _cells(width, h)
-    runs: Dict[Tuple[int, ...], int] = {}  # each group's run, in the order of its first cell
-    at = [runs.setdefault(group, len(runs)) for group in _groups(width, h, read)]
-    firsts = [cell_args[at.index(i)] for i in range(len(runs))]
+    parent, the tap body runs on the scratch ``state`` once per group of
+    ``plan`` (``_plan``), for the group's first cell, and every cell of the
+    group takes that child."""
+    taps, firsts, groups, _ = plan
     cells = state.cells
 
     def later(key: Tuple[Cell, ...]) -> _Moves:
@@ -344,7 +339,7 @@ def _general(run: Runner, width: int, h: int, read: FrozenSet[int], state: GameS
                 children.append(None)
             else:
                 children.append(tuple(cells))
-        return taps, [children[i] for i in at]
+        return taps, [children[i] for i in groups]
 
     return later
 
@@ -403,34 +398,32 @@ def _parts(gathers: _Table, n: int, h: int) -> List[_Table]:
     return list(parts.values())
 
 
-def _marker_pass(run: Runner, board: Board, read: FrozenSet[int], marked: GameState) -> Optional[_Table]:
-    """The tabulated taps of ``board``'s size with their gathers' picks (None:
-    it raises), from one marker run per group (``tap_moves``) on the scratch
-    state ``marked``, NOOPs left out; None when the hook takes the general path."""
-    width, h = board.width, board.height
-    taps, cell_args, index = _cells(width, h)
-    groups = _groups(width, h, read)
-    markers = list(range(len(board.cells)))
-    outcomes: Dict[Tuple[int, ...], Optional[Tuple[int, ...]]] = {}  # () for a NOOP
-    for args, group in zip(cell_args, groups):
-        if group not in outcomes:  # the group's marker run
-            marked.cells[:] = markers
-            try:
-                run(args, marked, Probe())
-            except WorldRead:
-                return None
-            except ExecutionError:
-                outcomes[group] = None
+def _marker_pass(run: Runner, plan: _Plan, marked: GameState) -> Optional[_Table]:
+    """The tabulated taps of ``plan`` (``_plan``) with their gathers' picks
+    (None: it raises), from one marker run per group (``tap_moves``) on the
+    scratch state ``marked``, NOOPs left out; None when the hook takes the
+    general path."""
+    taps, firsts, groups, index = plan
+    markers = list(range(len(taps)))
+    outcomes: List[Optional[Tuple[int, ...]]] = []  # each group's, () for a NOOP
+    for args in firsts:
+        marked.cells[:] = markers
+        try:
+            run(args, marked, Probe())
+        except WorldRead:
+            return None
+        except ExecutionError:
+            outcomes.append(None)
+        else:
+            after = marked.cells
+            if after == markers:  # its child is its parent
+                outcomes.append(())
             else:
-                after = marked.cells
-                if after == markers:  # its child is its parent
-                    outcomes[group] = ()
-                else:
-                    try:
-                        outcomes[group] = tuple(map(index.__getitem__, after))
-                    except (KeyError, TypeError):  # a value no gather can pick
-                        return None
-    return [(xy, outcomes[group]) for xy, group in zip(taps, groups) if outcomes[group] != ()]
+                try:
+                    outcomes.append(tuple(map(index.__getitem__, after)))
+                except (KeyError, TypeError):  # a value no gather can pick
+                    return None
+    return [(xy, outcomes[i]) for xy, i in zip(taps, groups) if outcomes[i] != ()]
 
 
 @lru_cache(maxsize=1024)

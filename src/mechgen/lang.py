@@ -68,7 +68,6 @@ def decimal_int(text: str) -> int:
 # AST
 
 
-@dataclass(frozen=True)
 class Expression:
     pass
 
@@ -123,7 +122,6 @@ class FieldTarget(LValue):
     pass
 
 
-@dataclass(frozen=True)
 class Statement:
     pass
 

@@ -73,7 +73,6 @@ def wrap64(value: int) -> int:
 # Values
 
 
-@dataclass(frozen=True)
 class Value:
     pass
 

@@ -104,9 +104,14 @@ def takes_general_path(hooks, board):
         later(board.key())
     if not ran:
         return False
-    taps = [(x, y) for y in range(board.height) for x in range(board.width)]
-    groups = game._groups(board.width, board.height, hooks.delegate("onTileTapped").params_read)
-    firsts = [xy for i, (xy, group) in enumerate(zip(taps, groups)) if group not in groups[:i]]
+    read = hooks.delegate("onTileTapped").params_read
+    firsts, seen = [], set()  # the first cell of each group, as the parameters read key it
+    for y in range(board.height):
+        for x in range(board.width):
+            group = (x if 0 in read else None, y if 1 in read else None)
+            if group not in seen:
+                seen.add(group)
+                firsts.append((x, y))
     assert ran == firsts, "not one run per group"
     return True
 

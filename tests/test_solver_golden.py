@@ -44,16 +44,20 @@ def candidate_rows(config_name: str, challenge_name: str, seeds=SEEDS):
         except GenerationError:
             rows.append(["generation_error", None, None, 0, 0])
             continue
-        result = evaluate_candidate(block, sig, registry, challenge)
-        status = result.status
-        if isinstance(status, Solved):
-            row = ["solved", status.min_taps, [list(t) for t in status.witness]]
-        elif isinstance(status, Rejected):
-            row = ["rejected", None, None]
-        else:
-            row = ["unsolvable", None, None]
-        rows.append(row + [result.error_count, result.states_explored])
+        rows.append(result_row(evaluate_candidate(block, sig, registry, challenge)))
     return rows
+
+
+def result_row(result):
+    """[outcome, min_taps, witness, error_count, states_explored] of an EvalResult."""
+    status = result.status
+    if isinstance(status, Solved):
+        row = ["solved", status.min_taps, [list(t) for t in status.witness]]
+    elif isinstance(status, Rejected):
+        row = ["rejected", None, None]
+    else:
+        row = ["unsolvable", None, None]
+    return row + [result.error_count, result.states_explored]
 
 
 def compute_golden(cases=CASES, seeds=SEEDS):

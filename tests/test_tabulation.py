@@ -1222,8 +1222,8 @@ READERS = [
 def ungrouped(challenge, hooks):
     """The solve with every cell in a group of its own, as for a block that
     reads both parameters: one run per cell."""
-    real = game._groups
-    with mock.patch.object(game, "_groups", lambda w, h, read: real(w, h, frozenset((0, 1)))):
+    real = game._plan
+    with mock.patch.object(game, "_plan", lambda w, h, read: real(w, h, frozenset((0, 1)))):
         return solve(challenge, hooks)
 
 
